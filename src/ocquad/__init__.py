@@ -23,15 +23,12 @@ from .ocp import (  # noqa: F401
     TrueHamiltonian,
     autonomize,
     build_hamiltonian,
-    eval_true_hamiltonian,
-    hamiltonian_flow,
     solve_stationarity,
     true_hamiltonian,
 )
 from .poisson import (  # noqa: F401
     bracket,
     homogeneous_correction,
-    integral_residual,
     is_first_integral,
 )
 from .noether import (  # noqa: F401
@@ -42,13 +39,11 @@ from .noether import (  # noqa: F401
     discover_family,
     discover_polynomial_integrals,
     extract_family,
-    noether_residual,
     nullspace,
 )
 from .kk import (  # noqa: F401
     Certificate,
     admissible_levels,
-    bracket_matrix,
     check_solvable_lie,
     decompose_in_span,
     find_certificate,

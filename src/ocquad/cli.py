@@ -30,6 +30,7 @@ from .noether import (
 from .ocp import (
     OcpError,
     PointSampler,
+    sample_symbols,
     true_hamiltonian,
 )
 from .problems import BUILTIN_NAMES, ProblemFileError, builtin, load_problem, load_problem_file
@@ -153,14 +154,12 @@ def _certificate_block(cert: Certificate) -> dict:
 def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
     sampler = PointSampler(th.problem, th.evaluator(), rng)
     evaluator = th.evaluator()
-    table = th.table
     trajectories = []
     drift_max = [0.0] * family.m
     attempts = 0
     while len(trajectories) < TRAJECTORY_COUNT and attempts < 10 * TRAJECTORY_COUNT:
         attempts += 1
-        point = sampler.draw_point()
-        z0 = [point[s] for s in table.phase]
+        z0 = sampler.draw_point()[:-1]
         try:
             traj = integrate_extremal(th, z0, t0=0.0,
                                       horizon=TRAJECTORY_HORIZON,
@@ -189,10 +188,9 @@ def _validate_user_law(problem, th) -> None:
     residuals = [sx.substitute(g, bindings) for g in grads]
     sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(0))
     batch = sampler.draw(50)
-    syms = table.phase + (table.time,)
-    cols = [batch.column(s) for s in syms]
+    syms = sample_symbols(table)
     for r, u in zip(residuals, table.controls):
-        values = np.asarray(sx.compile_fn(r, syms)(*cols), dtype=float)
+        values = np.asarray(sx.compile_fn(r, syms)(*batch.points), dtype=float)
         worst = float(np.abs(values).max())
         if worst > 1e-9:
             raise AnalysisError(

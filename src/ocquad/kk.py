@@ -40,18 +40,9 @@ class BracketMatrix:
 
     def gradients(self, batch):
         """Stacked (m, n, N) state and costate gradients of the components."""
-        funcs = self.family.functions()
-        table = funcs[0].table
-        n = table.n
-        m = len(funcs)
-        gx = np.empty((m, n, batch.size))
-        gp = np.empty((m, n, batch.size))
-        for k, f in enumerate(funcs):
-            grad = f.gradient(batch)
-            for i, (x, p) in enumerate(zip(table.states, table.costates)):
-                gx[k, i] = grad[x]
-                gp[k, i] = grad[p]
-        return gx, gp
+        grads = np.stack([f.gradient(batch) for f in self.family.functions()])
+        n = grads.shape[1] // 2
+        return np.ascontiguousarray(grads[:, :n]), np.ascontiguousarray(grads[:, n:2 * n])
 
     def values(self, batch) -> np.ndarray:
         """(m, m, N) tensor of {F_p, F_q} values; antisymmetric in (p, q)."""
@@ -62,10 +53,6 @@ class BracketMatrix:
         funcs = self.family.functions()
         return bracket(funcs[p].to_symbolic(th), funcs[q].to_symbolic(th),
                        funcs[p].table)
-
-
-def bracket_matrix(family: Family) -> BracketMatrix:
-    return BracketMatrix(family)
 
 
 @dataclass(frozen=True)
@@ -287,8 +274,6 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
     skipped and counted.
     """
     evaluator = th.evaluator()
-    table = th.table
-    phase = table.phase
     n_sel = len(selection)
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
         if r_basis else np.zeros((n_sel, 0))
@@ -299,13 +284,10 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
     while len(evidence) < k_points and attempts < attempts_cap:
         attempts += 1
         point = sampler.draw_point()
-        t_val = point[table.time]
-        z = np.array([point[s] for s in phase])
+        z, t_val = point[:-1], point[-1]
 
         def batch_at(zv):
-            cols = {s: np.array([v]) for s, v in zip(phase, zv)}
-            cols[table.time] = np.array([t_val])
-            b, keep = evaluator.prepare(cols)
+            b, keep = evaluator.prepare(np.append(zv, t_val)[:, None])
             return b if keep.all() else None
 
         b0 = batch_at(z)
@@ -325,8 +307,7 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
             if b is None or np.abs(z).max() > 1e3:
                 break
             vals = np.array([f.values(b)[0] for f in selection])
-            grads = [f.gradient(b) for f in selection]
-            jac = np.array([[g[s][0] for s in phase] for g in grads])
+            jac = np.array([f.gradient(b)[:-1, 0] for f in selection])
             resid = vals - target
             if np.abs(resid).max() < PROJECTION_TOL:
                 ok = True
@@ -341,8 +322,7 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
         sv = np.linalg.svd(jac, compute_uv=False)
         rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
         evidence.append(RankEvidence(
-            point={s.name: float(v) for s, v in zip(phase, z)} | {table.time.name: t_val},
-            rank=rank, converged=True))
+            point={s.name: v for s, v in b.point(0).items()}, rank=rank, converged=True))
     return evidence, skipped
 
 

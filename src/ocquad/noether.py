@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as sx
-from .ocp import PhaseFunction, PointSampler, TrueHamiltonian
-from .poisson import Residual
+from .ocp import PhaseFunction, PointSampler, TrueHamiltonian, sample_row
 from .symexpr import Expr, HAMILTONIAN_SYMBOL, Symbol, SymbolTable
 
 SVD_TOL = 1e-9
@@ -133,32 +132,26 @@ class AnsatzResidual:
     def __init__(self, ansatz: Ansatz, th: TrueHamiltonian):
         self.ansatz = ansatz
         self.th = th
+        self._rows = [None if term.variable is None
+                      else sample_row(ansatz.table, term.variable) for term in ansatz.terms]
 
     def matrix(self, batch) -> np.ndarray:
-        table = self.ansatz.table
-        time = table.time
-        states, costates = table.states, table.costates
+        n = self.ansatz.table.n
+        hgrad, hvalue, velocity = batch.hgrad, batch.hvalue, batch.velocity()
         out = np.empty((batch.size, self.ansatz.coefficient_count))
-        for k, term in enumerate(self.ansatz.terms):
-            if term.variable is None:
+        for k, (term, row) in enumerate(zip(self.ansatz.terms, self._rows)):
+            if row is None:
                 b = np.ones(batch.size)
                 flow_db = 0.0
             else:
-                col = batch.column(term.variable)
+                col = batch.points[row]
                 b = col ** term.power
-                db = term.power * col ** (term.power - 1)
-                if term.variable is time:
-                    flow_db = db
-                elif term.variable.role is sx.Role.STATE:
-                    flow_db = db * batch.hgrad[costates[term.variable.index - 1]]
-                else:
-                    flow_db = -db * batch.hgrad[states[term.variable.index - 1]]
+                flow_db = term.power * col ** (term.power - 1) * velocity[row]
             if term.template == 0:
-                out[:, k] = -(batch.hgrad[time] * b + batch.hvalue * flow_db)
+                out[:, k] = -(hgrad[-1] * b + hvalue * flow_db)
             else:
                 i = term.template
-                out[:, k] = (-batch.hgrad[states[i - 1]] * b
-                             + batch.column(costates[i - 1]) * flow_db)
+                out[:, k] = -hgrad[i - 1] * b + batch.points[n + i - 1] * flow_db
         return out
 
     def family_expr(self, coefficients) -> Expr:
@@ -167,10 +160,6 @@ class AnsatzResidual:
     def provenance(self, coefficients):
         t_expr, x_exprs = self.ansatz.template_exprs(coefficients)
         return {"T": sx.to_string(t_expr), "X": [sx.to_string(x) for x in x_exprs]}
-
-
-def noether_residual(ansatz: Ansatz, th: TrueHamiltonian) -> AnsatzResidual:
-    return AnsatzResidual(ansatz, th)
 
 
 class PolynomialResidual:
@@ -185,8 +174,8 @@ class PolynomialResidual:
         if degree < 1:
             raise NoetherError("polynomial ansatz degree must be >= 1")
         self.th = th
-        self.table = th.table
         self.variables = variables
+        self._rows = [sample_row(th.table, v) for v in variables]
         self.degree = degree
         self.include_hamiltonian = include_hamiltonian
         self.monomials = [e for e in _exponents(len(variables), degree)
@@ -197,10 +186,8 @@ class PolynomialResidual:
         return len(self.monomials) + (1 if self.include_hamiltonian else 0)
 
     def matrix(self, batch) -> np.ndarray:
-        table = self.table
-        time = table.time
-        states, costates = table.states, table.costates
-        cols = [batch.column(v) for v in self.variables]
+        velocity = batch.velocity()
+        cols = [batch.points[r] for r in self._rows]
         powers = [[np.ones(batch.size)] for _ in self.variables]
         for j, c in enumerate(cols):
             for _ in range(self.degree):
@@ -208,22 +195,17 @@ class PolynomialResidual:
         out = np.empty((batch.size, self.coefficient_count))
         for k, expo in enumerate(self.monomials):
             acc = np.zeros(batch.size)
-            for j, (v, e) in enumerate(zip(self.variables, expo)):
+            for j, (row, e) in enumerate(zip(self._rows, expo)):
                 if e == 0:
                     continue
                 partial = e * powers[j][e - 1]
                 for jj, ee in enumerate(expo):
                     if jj != j and ee:
                         partial = partial * powers[jj][ee]
-                if v is time:
-                    acc += partial
-                elif v.role is sx.Role.STATE:
-                    acc += partial * batch.hgrad[costates[v.index - 1]]
-                else:
-                    acc -= partial * batch.hgrad[states[v.index - 1]]
+                acc += partial * velocity[row]
             out[:, k] = acc
         if self.include_hamiltonian:
-            out[:, -1] = batch.hgrad[time]
+            out[:, -1] = batch.hgrad[-1]
         return out
 
     def family_expr(self, coefficients) -> Expr:

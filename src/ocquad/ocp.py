@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -64,10 +63,8 @@ class SamplerStarvationError(OcpError):
     pass
 
 
-def _fmt_point(point) -> str:
-    if isinstance(point, Mapping):
-        return "{" + ", ".join(f"{s.name}={v:.4g}" for s, v in point.items()) + "}"
-    return repr(point)
+def _fmt_point(point: dict) -> str:
+    return "{" + ", ".join(f"{s.name}={v:.4g}" for s, v in point.items()) + "}"
 
 
 @dataclass(frozen=True)
@@ -225,14 +222,36 @@ def true_hamiltonian(problem: Problem, hamiltonian: Expr | None = None,
     return TrueHamiltonian(problem, h, law, None, k_u=problem.k_u)
 
 
-class SampleBatch:
-    """Columns of sample points plus the true-Hamiltonian envelope data."""
+def sample_symbols(table: SymbolTable) -> tuple[Symbol, ...]:
+    """Row order of every sample array: x_1..x_n, psi_1..psi_n, t."""
+    return table.phase + (table.time,)
 
-    def __init__(self, table: SymbolTable, columns: dict[Symbol, np.ndarray],
-                 hvalue: np.ndarray, hgrad: dict[Symbol, np.ndarray],
-                 controls: np.ndarray | None = None):
+
+def sample_row(table: SymbolTable, sym: Symbol) -> int:
+    """Row of `sym` in a sample array."""
+    return sample_symbols(table).index(sym)
+
+
+def _stacked(fns, args, count: int) -> np.ndarray:
+    """(len(fns), count) values of compiled functions; constants broadcast."""
+    out = np.empty((len(fns), count))
+    for row, f in zip(out, fns):
+        row[:] = f(*args)
+    return out
+
+
+class SampleBatch:
+    """Sample points plus the true-Hamiltonian envelope data.
+
+    `points` and `hgrad` are (2n+1, N) arrays whose rows follow
+    ``table.phase + (table.time,)``; `hvalue` is (N,), and `controls` is the
+    (N, m) solved control of the implicit backend.
+    """
+
+    def __init__(self, table: SymbolTable, points: np.ndarray, hvalue: np.ndarray,
+                 hgrad: np.ndarray, controls: np.ndarray | None = None):
         self.table = table
-        self.columns = columns
+        self.points = points
         self.hvalue = hvalue
         self.hgrad = hgrad
         self.controls = controls
@@ -244,19 +263,30 @@ class SampleBatch:
     def column(self, sym: Symbol) -> np.ndarray:
         if sym is HAMILTONIAN_SYMBOL:
             return self.hvalue
-        return self.columns[sym]
+        return self.points[sample_row(self.table, sym)]
 
     def point(self, i: int) -> dict[Symbol, float]:
-        return {s: float(col[i]) for s, col in self.columns.items()}
+        return dict(zip(sample_symbols(self.table), self.points[:, i].tolist()))
+
+    def velocity(self) -> np.ndarray:
+        """(2n+1, N) rates of the sample rows along the Hamiltonian flow:
+        xdot = dH/dpsi, psidot = -dH/dx, tdot = 1."""
+        n = self.table.n
+        return np.vstack([self.hgrad[n:2 * n], -self.hgrad[:n], np.ones((1, self.size))])
+
+    def take(self, index) -> "SampleBatch":
+        """The points picked by a boolean mask or a slice."""
+        ctl = self.controls[index] if self.controls is not None else None
+        return SampleBatch(self.table, self.points[:, index], self.hvalue[index],
+                           self.hgrad[:, index], ctl)
 
     def concat(self, other: "SampleBatch") -> "SampleBatch":
-        cols = {s: np.concatenate([c, other.columns[s]]) for s, c in self.columns.items()}
-        grads = {s: np.concatenate([g, other.hgrad[s]]) for s, g in self.hgrad.items()}
         ctl = None
         if self.controls is not None and other.controls is not None:
             ctl = np.vstack([self.controls, other.controls])
-        return SampleBatch(self.table, cols, np.concatenate([self.hvalue, other.hvalue]),
-                           grads, ctl)
+        return SampleBatch(self.table, np.hstack([self.points, other.points]),
+                           np.concatenate([self.hvalue, other.hvalue]),
+                           np.hstack([self.hgrad, other.hgrad]), ctl)
 
 
 class HamiltonianEvaluator:
@@ -271,67 +301,52 @@ class HamiltonianEvaluator:
     def __init__(self, th: TrueHamiltonian):
         self.th = th
         table = th.table
-        self._grad_syms = table.phase + (table.time,)
+        self._grad_syms = sample_symbols(table)
         if th.is_closed_form:
-            args = self._grad_syms
-            self._value_fn = sx.compile_fn(th.reduced, args)
-            self._partials = [sx.compile_fn(sx.differentiate(th.reduced, s), args)
-                              for s in self._grad_syms]
-            self._args = args
+            h, controls = th.reduced, ()
         else:
-            controls = table.controls
-            args = self._grad_syms + controls
-            h = th.hamiltonian
-            self._value_fn = sx.compile_fn(h, args)
-            self._partials = [sx.compile_fn(sx.differentiate(h, s), args)
-                              for s in self._grad_syms]
+            h, controls = th.hamiltonian, table.controls
+        args = self._grad_syms + controls
+        self._value_fn = sx.compile_fn(h, args)
+        self._partials = [sx.compile_fn(sx.differentiate(h, s), args)
+                          for s in self._grad_syms]
+        if not th.is_closed_form:
             grads_u = [sx.differentiate(h, u) for u in controls]
             self._newton_grad = [sx.compile_fn(g, args) for g in grads_u]
             self._newton_hess = [[sx.compile_fn(sx.differentiate(g, u), args)
                                   for u in controls] for g in grads_u]
             self._guess = np.asarray(th.law.guess, dtype=float)
             self._warm: np.ndarray | None = None
-            self._args = args
 
     # ---- batch path --------------------------------------------------------
-    def prepare(self, columns: dict[Symbol, np.ndarray]):
-        """Evaluate the envelope over point columns.
+    def prepare(self, points: np.ndarray):
+        """Evaluate the envelope over a (2n+1, N) array of sample points.
 
-        Returns (batch, keep) where `keep` marks the input rows that survived
-        (implicit-backend Newton failures and non-finite evaluations drop out).
+        Returns (batch, keep) where `keep` marks the input columns that
+        survived (implicit-backend Newton failures and non-finite evaluations
+        drop out).
         """
-        n_pts = len(next(iter(columns.values())))
-        if self.th.is_closed_form:
-            base = [columns[s] for s in self._args]
-            with np.errstate(all="ignore"):
-                hval = np.asarray(self._value_fn(*base), dtype=float)
-                hval = np.broadcast_to(hval, (n_pts,)).copy()
-                grads = [np.broadcast_to(np.asarray(p(*base), dtype=float), (n_pts,)).copy()
-                         for p in self._partials]
-            keep = np.isfinite(hval)
-            for g in grads:
-                keep &= np.isfinite(g)
-            cols = {s: c[keep] for s, c in columns.items()}
-            hgrad = {s: g[keep] for s, g in zip(self._grad_syms, grads)}
-            return SampleBatch(self.th.table, cols, hval[keep], hgrad), keep
-        u_sol, ok = self._newton_batch(columns, n_pts)
-        base = [columns[s] for s in self._grad_syms]
-        uc = list(u_sol.T)
+        n_pts = points.shape[1]
+        args = list(points)
+        keep = np.ones(n_pts, dtype=bool)
+        u_sol = None
+        if not self.th.is_closed_form:
+            u_sol, keep = self._newton_batch(args, n_pts)
+            args += list(u_sol.T)
         with np.errstate(all="ignore"):
-            hval = np.broadcast_to(np.asarray(self._value_fn(*base, *uc), dtype=float),
-                                   (n_pts,)).copy()
-            grads = [np.broadcast_to(np.asarray(p(*base, *uc), dtype=float), (n_pts,)).copy()
-                     for p in self._partials]
-        keep = ok & np.isfinite(hval)
-        for g in grads:
-            keep &= np.isfinite(g)
-        cols = {s: c[keep] for s, c in columns.items()}
-        hgrad = {s: g[keep] for s, g in zip(self._grad_syms, grads)}
-        return SampleBatch(self.th.table, cols, hval[keep], hgrad, u_sol[keep]), keep
+            hval = np.full(n_pts, self._value_fn(*args), dtype=float)
+            grads = _stacked(self._partials, args, n_pts)
+        keep &= np.isfinite(hval) & np.isfinite(grads).all(axis=0)
+        return SampleBatch(self.th.table, points, hval, grads, u_sol).take(keep), keep
 
-    def _newton_batch(self, columns, n_pts):
+    def _hessians(self, args, n_pts) -> np.ndarray:
+        """(N, m, m) control Hessians of H."""
         m = self.th.table.m_ctl
-        base = [columns[s] for s in self._grad_syms]
+        flat = _stacked([f for row in self._newton_hess for f in row], args, n_pts)
+        return flat.reshape(m, m, n_pts).transpose(2, 0, 1)
+
+    def _newton_batch(self, base, n_pts):
+        m = self.th.table.m_ctl
         u = np.tile(self._guess, (n_pts, 1))
         ok = np.ones(n_pts, dtype=bool)
         if m == 0:
@@ -339,8 +354,7 @@ class HamiltonianEvaluator:
         converged = np.zeros(n_pts, dtype=bool)
         for _ in range(NEWTON_MAX_ITER):
             with np.errstate(all="ignore"):
-                g = np.stack([np.broadcast_to(np.asarray(f(*base, *u.T), dtype=float),
-                                              (n_pts,)) for f in self._newton_grad], axis=1)
+                g = _stacked(self._newton_grad, base + list(u.T), n_pts).T
             finite = np.isfinite(g).all(axis=1)
             ok &= finite | converged
             converged = converged | (ok & (np.abs(g).max(axis=1) < NEWTON_TOL))
@@ -348,9 +362,7 @@ class HamiltonianEvaluator:
             if not active.any():
                 break
             with np.errstate(all="ignore"):
-                hess = np.stack([np.stack(
-                    [np.broadcast_to(np.asarray(f(*base, *u.T), dtype=float), (n_pts,))
-                     for f in row], axis=1) for row in self._newton_hess], axis=1)
+                hess = self._hessians(base + list(u.T), n_pts)
             hess_ok = np.isfinite(hess).all(axis=(1, 2))
             ok &= hess_ok | converged
             active &= hess_ok
@@ -373,9 +385,7 @@ class HamiltonianEvaluator:
         ok &= converged
         if ok.any():
             with np.errstate(all="ignore"):
-                hess = np.stack([np.stack(
-                    [np.broadcast_to(np.asarray(f(*base, *u.T), dtype=float), (n_pts,))
-                     for f in row], axis=1) for row in self._newton_hess], axis=1)
+                hess = self._hessians(base + list(u.T), n_pts)
             sym = 0.5 * (hess + np.swapaxes(hess, 1, 2))
             bad = np.zeros(n_pts, dtype=bool)
             idx = np.nonzero(ok)[0]
@@ -385,27 +395,24 @@ class HamiltonianEvaluator:
         return u, ok
 
     # ---- scalar path -------------------------------------------------------
-    def value_and_gradient(self, point: Mapping[Symbol, float]):
-        """(H(point), gradient dict over x, psi, t); Newton is warm-started."""
-        if self.th.is_closed_form:
-            base = [float(point[s]) for s in self._args]
-            value = float(self._value_fn(*base))
-            grad = {s: float(p(*base)) for s, p in zip(self._grad_syms, self._partials)}
-            return value, grad
-        u = self._newton_point(point)
-        base = [float(point[s]) for s in self._grad_syms]
-        value = float(self._value_fn(*base, *u))
-        grad = {s: float(p(*base, *u)) for s, p in zip(self._grad_syms, self._partials)}
+    def value_and_gradient(self, z, t: float):
+        """(H, (2n+1,) gradient over x, psi, t) at the phase point z and time
+        t; the implicit backend's Newton solve is warm-started."""
+        args = [*np.asarray(z, dtype=float).tolist(), float(t)]
+        if not self.th.is_closed_form:
+            args += list(self._newton_point(args))
+        value = float(self._value_fn(*args))
+        grad = np.array([p(*args) for p in self._partials], dtype=float)
         return value, grad
 
-    def solve_control(self, point: Mapping[Symbol, float]) -> np.ndarray:
+    def solve_control(self, z, t: float) -> np.ndarray:
+        args = [*np.asarray(z, dtype=float).tolist(), float(t)]
         if self.th.is_closed_form:
-            bindings = {s: float(point[s]) for s in self._grad_syms}
+            bindings = dict(zip(self._grad_syms, args))
             return np.array([sx.evaluate(e, bindings) for e in self.th.law.expressions])
-        return self._newton_point(point)
+        return self._newton_point(args)
 
-    def _newton_point(self, point) -> np.ndarray:
-        base = [float(point[s]) for s in self._grad_syms]
+    def _newton_point(self, base) -> np.ndarray:
         starts = [self._warm] if self._warm is not None else []
         starts.append(self._guess)
         for u0 in starts:
@@ -413,7 +420,7 @@ class HamiltonianEvaluator:
             if u is not None:
                 self._warm = u.copy()
                 return u
-        raise NewtonDivergenceError({s: v for s, v in zip(self._grad_syms, base)})
+        raise NewtonDivergenceError(dict(zip(self._grad_syms, base)))
 
     def _newton_damped(self, base, u):
         def norm(vec):
@@ -428,8 +435,7 @@ class HamiltonianEvaluator:
                 hess = np.array([[f(*base, *u) for f in row] for row in self._newton_hess])
                 sym = 0.5 * (hess + hess.T)
                 if not np.isfinite(sym).all() or np.linalg.eigvalsh(sym).max() >= 0.0:
-                    raise SingularHessianAtError(
-                        {s: v for s, v in zip(self._grad_syms, base)})
+                    raise SingularHessianAtError(dict(zip(self._grad_syms, base)))
                 return u
             with np.errstate(all="ignore"):
                 hess = np.array([[f(*base, *u) for f in row] for row in self._newton_hess])
@@ -454,13 +460,6 @@ class HamiltonianEvaluator:
         return None
 
 
-def eval_true_hamiltonian(th: TrueHamiltonian, point: Mapping[Symbol, float],
-                          evaluator: HamiltonianEvaluator | None = None):
-    """Value and gradient of the reduced Hamiltonian at one point."""
-    ev = evaluator if evaluator is not None else th.evaluator()
-    return ev.value_and_gradient(point)
-
-
 class PhaseFunction:
     """A function of (x, psi, t) whose expression may reference the reduced
     Hamiltonian through the placeholder symbol ``H``.
@@ -472,34 +471,23 @@ class PhaseFunction:
     def __init__(self, expr: Expr, table: SymbolTable):
         self.expr = expr
         self.table = table
-        self._grad_syms = table.phase + (table.time,)
-        self._args = self._grad_syms + (HAMILTONIAN_SYMBOL,)
+        grad_syms = sample_symbols(table)
+        args = grad_syms + (HAMILTONIAN_SYMBOL,)
         self.has_hamiltonian = HAMILTONIAN_SYMBOL in sx.free_symbols(expr)
-        self._value_fn = sx.compile_fn(expr, self._args)
-        self._partials = [sx.compile_fn(sx.differentiate(expr, s), self._args)
-                          for s in self._grad_syms]
-        self._dham = sx.compile_fn(sx.differentiate(expr, HAMILTONIAN_SYMBOL), self._args)
-
-    def _base(self, batch: SampleBatch):
-        return [batch.columns[s] for s in self._grad_syms] + [batch.hvalue]
+        self._value_fn = sx.compile_fn(expr, args)
+        self._partials = [sx.compile_fn(sx.differentiate(expr, s), args)
+                          for s in grad_syms]
+        self._dham = sx.compile_fn(sx.differentiate(expr, HAMILTONIAN_SYMBOL), args)
 
     def values(self, batch: SampleBatch) -> np.ndarray:
-        base = self._base(batch)
-        return np.broadcast_to(np.asarray(self._value_fn(*base), dtype=float),
-                               (batch.size,)).copy()
+        return np.full(batch.size, self._value_fn(*batch.points, batch.hvalue), dtype=float)
 
-    def gradient(self, batch: SampleBatch) -> dict[Symbol, np.ndarray]:
-        base = self._base(batch)
-        out = {}
-        chain = None
+    def gradient(self, batch: SampleBatch) -> np.ndarray:
+        """(2n+1, N) gradient over the sample rows."""
+        args = (*batch.points, batch.hvalue)
+        out = _stacked(self._partials, args, batch.size)
         if self.has_hamiltonian:
-            chain = np.broadcast_to(np.asarray(self._dham(*base), dtype=float),
-                                    (batch.size,))
-        for s, p in zip(self._grad_syms, self._partials):
-            g = np.broadcast_to(np.asarray(p(*base), dtype=float), (batch.size,)).copy()
-            if chain is not None:
-                g = g + chain * batch.hgrad[s]
-            out[s] = g
+            out += self._dham(*args) * batch.hgrad
         return out
 
     def to_symbolic(self, th: TrueHamiltonian) -> Expr:
@@ -520,36 +508,18 @@ class HamiltonianFlow:
     def __init__(self, th: TrueHamiltonian):
         self.th = th
         self.evaluator = th.evaluator()
-        table = th.table
-        self._states = table.states
-        self._costates = table.costates
-        self._time = table.time
         self.symbolic = None
         if th.is_closed_form:
             self.symbolic = {
-                "xdot": tuple(sx.differentiate(th.reduced, p) for p in self._costates),
+                "xdot": tuple(sx.differentiate(th.reduced, p) for p in th.table.costates),
                 "psidot": tuple(sx.negate(sx.differentiate(th.reduced, x))
-                                for x in self._states),
+                                for x in th.table.states),
             }
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        n = len(self._states)
-        point = {self._time: t}
-        for i, s in enumerate(self._states):
-            point[s] = y[i]
-        for i, s in enumerate(self._costates):
-            point[s] = y[n + i]
-        _, grad = self.evaluator.value_and_gradient(point)
-        out = np.empty(2 * n)
-        for i, s in enumerate(self._costates):
-            out[i] = grad[s]
-        for i, s in enumerate(self._states):
-            out[n + i] = -grad[s]
-        return out
-
-
-def hamiltonian_flow(th: TrueHamiltonian) -> HamiltonianFlow:
-    return th.flow()
+        n = self.th.table.n
+        _, grad = self.evaluator.value_and_gradient(y, t)
+        return np.concatenate([grad[n:2 * n], -grad[:n]])
 
 
 def autonomize(th: TrueHamiltonian):
@@ -578,15 +548,9 @@ class PointSampler:
         self.problem = problem
         self.evaluator = evaluator
         self.rng = rng
-        table = problem.table
-        self._syms = table.phase + (table.time,)
-        self._bounds = [problem.sampling_box[s] for s in self._syms]
-        self._denoms = [sx.compile_fn(d, self._syms)
-                        for d in problem.excluded_denominators]
-
-    def _raw(self, count: int) -> dict[Symbol, np.ndarray]:
-        return {s: self.rng.uniform(lo, hi, size=count)
-                for s, (lo, hi) in zip(self._syms, self._bounds)}
+        syms = sample_symbols(problem.table)
+        self._bounds = [problem.sampling_box[s] for s in syms]
+        self._denoms = [sx.compile_fn(d, syms) for d in problem.excluded_denominators]
 
     def draw(self, count: int) -> SampleBatch:
         got: SampleBatch | None = None
@@ -597,24 +561,18 @@ class PointSampler:
             if attempts > 200 * count + 1000:
                 raise SamplerStarvationError(
                     f"could not find {count} admissible points in {attempts} draws")
-            cols = self._raw(max(missing, 8))
-            mask = np.ones(len(cols[self._syms[0]]), dtype=bool)
-            base = [cols[s] for s in self._syms]
+            raw = np.array([self.rng.uniform(lo, hi, size=max(missing, 8))
+                            for lo, hi in self._bounds])
+            mask = np.ones(raw.shape[1], dtype=bool)
             with np.errstate(all="ignore"):
                 for d in self._denoms:
-                    mask &= np.abs(np.asarray(d(*base), dtype=float)) >= DENOMINATOR_CLEARANCE
-            cols = {s: c[mask] for s, c in cols.items()}
+                    mask &= np.abs(np.asarray(d(*raw), dtype=float)) >= DENOMINATOR_CLEARANCE
             if not mask.any():
                 continue
-            batch, _ = self.evaluator.prepare(cols)
+            batch, _ = self.evaluator.prepare(raw[:, mask])
             got = batch if got is None else got.concat(batch)
-        if got.size > count:
-            cols = {s: c[:count] for s, c in got.columns.items()}
-            grads = {s: g[:count] for s, g in got.hgrad.items()}
-            ctl = got.controls[:count] if got.controls is not None else None
-            got = SampleBatch(got.table, cols, got.hvalue[:count], grads, ctl)
-        return got
+        return got.take(slice(count))
 
-    def draw_point(self) -> dict[Symbol, float]:
-        batch = self.draw(1)
-        return batch.point(0)
+    def draw_point(self) -> np.ndarray:
+        """One admissible point as a (2n+1,) vector in sample-row order."""
+        return self.draw(1).points[:, 0]

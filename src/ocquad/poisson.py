@@ -15,7 +15,7 @@ import numpy as np
 
 from . import symexpr as sx
 from .ocp import PhaseFunction, PointSampler, TrueHamiltonian
-from .symexpr import Expr, HAMILTONIAN_SYMBOL, Symbol, SymbolTable
+from .symexpr import Expr, HAMILTONIAN_SYMBOL, SymbolTable
 
 
 def bracket(f: Expr, g: Expr, table: SymbolTable) -> Expr:
@@ -31,9 +31,10 @@ def bracket_values(f: PhaseFunction, g: PhaseFunction, batch) -> np.ndarray:
     """{f, g} evaluated on a batch; works for Hamiltonian-bearing functions."""
     fg = f.gradient(batch)
     gg = g.gradient(batch)
+    n = f.table.n
     out = np.zeros(batch.size)
-    for x, p in zip(f.table.states, f.table.costates):
-        out += fg[x] * gg[p] - fg[p] * gg[x]
+    for i in range(n):
+        out += fg[i] * gg[n + i] - fg[n + i] * gg[i]
     return out
 
 
@@ -57,16 +58,8 @@ class Residual:
                       bracket(fs, self.th.reduced, table))
 
     def values(self, batch) -> np.ndarray:
-        table = self.th.table
-        grad = self.func.gradient(batch)
-        out = grad[table.time].copy()
-        for x, p in zip(table.states, table.costates):
-            out += grad[x] * batch.hgrad[p] - grad[p] * batch.hgrad[x]
-        return out
-
-
-def integral_residual(f, th: TrueHamiltonian) -> Residual:
-    return Residual(f, th)
+        """dF/dt along the flow: the gradient of F against the flow velocity."""
+        return (self.func.gradient(batch) * batch.velocity()).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ def is_first_integral(f, th: TrueHamiltonian, sampler: PointSampler,
     Symbolic zero is claimed only when shallow canonicalisation/expansion
     collapses the residual; otherwise fresh samples decide numerically.
     """
-    residual = integral_residual(f, th)
+    residual = Residual(f, th)
     symb = residual.symbolic()
     if symb is not None and sx.is_symbolically_zero(symb):
         return IntegralVerdict("symbolic_zero")

@@ -18,6 +18,7 @@ from .ocp import (
     OcpError,
     PhaseFunction,
     TrueHamiltonian,
+    sample_symbols,
 )
 from .symexpr import Expr, Symbol, SymbolTable
 
@@ -33,16 +34,75 @@ class Trajectory:
     """A discretised Pontryagin extremal on a uniform time grid."""
 
     table: SymbolTable
-    times: np.ndarray            # (N+1,)
-    states: np.ndarray           # (N+1, 2n), columns x_1..x_n, psi_1..psi_n
+    points: np.ndarray           # (2n+1, N+1), rows x_1..x_n, psi_1..psi_n, t
     hamiltonian_values: np.ndarray
     controls: np.ndarray | None = None
 
-    def columns(self) -> dict[Symbol, np.ndarray]:
-        cols = {self.table.time: self.times}
-        for i, s in enumerate(self.table.phase):
-            cols[s] = self.states[:, i]
-        return cols
+    @property
+    def times(self) -> np.ndarray:
+        return self.points[-1]
+
+    @property
+    def states(self) -> np.ndarray:
+        """(N+1, 2n) phase points, columns x_1..x_n, psi_1..psi_n."""
+        return self.points[:-1].T
+
+
+def _checked_start(th: TrueHamiltonian, z0, t0: float, horizon: float, step: float):
+    """The initial (x, psi) as a vector and the grid t0, t0 + step, ..., t0 + horizon."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    ratio = horizon / step
+    n_steps = int(round(ratio)) if np.isfinite(ratio) else 0
+    if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * max(1.0, abs(horizon)):
+        raise ValueError("horizon must be an integral number of steps")
+    y = np.asarray(z0, dtype=float).copy()
+    if y.shape != (2 * th.table.n,):
+        raise ValueError(f"initial condition must have length {2 * th.table.n}")
+    return y, t0 + step * np.arange(n_steps + 1)
+
+
+def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step=None) -> np.ndarray:
+    """Classical fixed-step RK4 of y' = rhs(t, y) over `times`; (N+1, dim) states.
+
+    A failed control solve, a non-finite right-hand side or a non-finite state
+    raises PoleEncounteredError; `after_step(t, y)` may raise it as well.
+    """
+
+    def f(t, state):
+        out = rhs(t, state)
+        if not np.isfinite(out).all():
+            raise PoleEncounteredError(t)
+        return out
+
+    states = np.empty((len(times), len(y)))
+    states[0] = y
+    for k in range(len(times) - 1):
+        t = times[k]
+        try:
+            k1 = f(t, y)
+            k2 = f(t + step / 2, y + step / 2 * k1)
+            k3 = f(t + step / 2, y + step / 2 * k2)
+            k4 = f(t + step, y + step * k3)
+        except OcpError as exc:
+            if isinstance(exc, PoleEncounteredError):
+                raise
+            raise PoleEncounteredError(t) from exc
+        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise PoleEncounteredError(t)
+        if after_step is not None:
+            after_step(times[k + 1], y)
+        states[k + 1] = y
+    return states
+
+
+def _on_grid(evaluator: HamiltonianEvaluator, points: np.ndarray, times: np.ndarray):
+    """Envelope batch over every grid point; a dropped point is a pole."""
+    batch, keep = evaluator.prepare(points)
+    if not keep.all():
+        raise PoleEncounteredError(float(times[int(np.argmin(keep))]))
+    return batch
 
 
 def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
@@ -52,66 +112,24 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     `z0` is the initial (x_1..x_n, psi_1..psi_n).  Aborts with
     PoleEncounteredError if the flow leaves the evaluable region.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n_steps = int(round(horizon / step))
-    if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * max(1.0, abs(horizon)):
-        raise ValueError("horizon must be an integral number of steps")
-    flow = th.flow()
-    y = np.asarray(z0, dtype=float).copy()
-    if y.shape != (2 * th.table.n,):
-        raise ValueError(f"initial condition must have length {2 * th.table.n}")
-    times = t0 + step * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, len(y)))
-    states[0] = y
-
-    grid_syms = th.table.phase + (th.table.time,)
-    denominators = [sx.compile_fn(d, grid_syms)
+    y, times = _checked_start(th, z0, t0, horizon, step)
+    denominators = [sx.compile_fn(d, sample_symbols(th.table))
                     for d in th.problem.excluded_denominators]
+    previous = [None] * len(denominators)
 
-    def check_denominators(t, state, previous):
+    def check_denominators(t, state):
+        nonlocal previous
         current = [float(d(*state, t)) for d in denominators]
         for before, now in zip(previous, current):
             if abs(now) < 1e-2 or (before is not None and before * now < 0):
                 raise PoleEncounteredError(t)
-        return current
+        previous = current
 
-    def rhs(t, state):
-        out = flow.rhs(t, state)
-        if not np.isfinite(out).all():
-            raise PoleEncounteredError(t)
-        return out
-
-    den_prev = check_denominators(t0, y, [None] * len(denominators))
-    for k in range(n_steps):
-        t = times[k]
-        try:
-            k1 = rhs(t, y)
-            k2 = rhs(t + step / 2, y + step / 2 * k1)
-            k3 = rhs(t + step / 2, y + step / 2 * k2)
-            k4 = rhs(t + step, y + step * k3)
-        except OcpError as exc:
-            if isinstance(exc, PoleEncounteredError):
-                raise
-            raise PoleEncounteredError(t) from exc
-        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(y).all():
-            raise PoleEncounteredError(t)
-        den_prev = check_denominators(times[k + 1], y, den_prev)
-        states[k + 1] = y
-
-    evaluator = th.evaluator()
-    batch, keep = evaluator.prepare(_grid_columns(th.table, times, states))
-    if not keep.all():
-        raise PoleEncounteredError(float(times[int(np.argmin(keep))]))
-    return Trajectory(th.table, times, states, batch.hvalue, batch.controls)
-
-
-def _grid_columns(table, times, states):
-    cols = {table.time: times}
-    for i, s in enumerate(table.phase):
-        cols[s] = states[:, i]
-    return cols
+    check_denominators(t0, y)
+    states = _rk4(th.flow().rhs, y, times, step, check_denominators)
+    points = np.vstack([states.T, times])
+    batch = _on_grid(th.evaluator(), points, times)
+    return Trajectory(th.table, points, batch.hvalue, batch.controls)
 
 
 def integrate_autonomized(th: TrueHamiltonian, z0, theta0: float = 0.0,
@@ -123,53 +141,23 @@ def integrate_autonomized(th: TrueHamiltonian, z0, theta0: float = 0.0,
     advances uniformly, so K stays constant even for time-dependent problems.
     """
     evaluator = th.evaluator()
-    table = th.table
-    n = table.n
-    n_steps = int(round(horizon / step))
+    n = th.table.n
+    z, taus = _checked_start(th, z0, 0.0, horizon, step)
 
-    def rhs(state):
-        point = {table.time: state[-1]}
-        for i, s in enumerate(table.phase):
-            point[s] = state[i]
-        value, grad = evaluator.value_and_gradient(point)
-        out = np.empty(2 * n + 2)
-        for i, s in enumerate(table.costates):
-            out[i] = grad[s]
-        for i, s in enumerate(table.states):
-            out[n + i] = -grad[s]
-        out[2 * n] = grad[table.time]
-        out[2 * n + 1] = 1.0
-        return out
+    def rhs(tau, state):
+        _, grad = evaluator.value_and_gradient(state[:2 * n], state[-1])
+        return np.concatenate([grad[n:2 * n], -grad[:n], grad[2 * n:], [1.0]])
 
-    y = np.concatenate([np.asarray(z0, dtype=float), [theta0, t0]])
-    taus = step * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, len(y)))
-    states[0] = y
-    for k in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + step / 2 * k1)
-        k3 = rhs(y + step / 2 * k2)
-        k4 = rhs(y + step * k3)
-        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(y).all():
-            raise PoleEncounteredError(float(taus[k]))
-        states[k + 1] = y
-
-    evalr = th.evaluator()
-    batch, keep = evalr.prepare(_grid_columns(table, states[:, -1], states[:, :2 * n]))
-    if not keep.all():
-        raise PoleEncounteredError(float(taus[int(np.argmin(keep))]))
-    k_values = batch.hvalue - states[:, 2 * n]
+    states = _rk4(rhs, np.concatenate([z, [theta0, t0]]), taus, step)
+    points = np.vstack([states[:, :2 * n].T, states[:, -1]])
+    k_values = _on_grid(th.evaluator(), points, taus).hvalue - states[:, 2 * n]
     return taus, states, k_values
 
 
 def conservation_drift(f, traj: Trajectory, evaluator: HamiltonianEvaluator) -> float:
     """max_t |F(z(t), t) - F(z(0), t0)| over the trajectory grid."""
     func = f if isinstance(f, PhaseFunction) else PhaseFunction(f, traj.table)
-    batch, keep = evaluator.prepare(traj.columns())
-    if not keep.all():
-        raise PoleEncounteredError(float(traj.times[int(np.argmin(keep))]))
-    vals = func.values(batch)
+    vals = func.values(_on_grid(evaluator, traj.points, traj.times))
     return float(np.abs(vals - vals[0]).max())
 
 

@@ -6,7 +6,6 @@ from ocquad.kk import (
     BracketMatrix,
     Certificate,
     admissible_levels,
-    bracket_matrix,
     check_solvable_lie,
     decompose_in_span,
     find_certificate,
@@ -48,7 +47,7 @@ class TestBracketMatrix:
             parse("-psi1*x2 + psi2*x1 + psi3", t),
         ], t)
         batch = sampler.draw(60)
-        a = bracket_matrix(fam).values(batch)
+        a = BracketMatrix(fam).values(batch)
         psi1 = batch.column(t.costate(1))
         psi2 = batch.column(t.costate(2))
         assert np.abs(a[0, 3] + psi2).max() < 1e-10   # {psi1, F} = -psi2
@@ -62,7 +61,7 @@ class TestBracketMatrix:
         _, th, sampler = setup_problem("dubins")
         fam = discover_family(th, sampler, degree=1)
         batch = sampler.draw(50)
-        a = bracket_matrix(fam).values(batch)
+        a = BracketMatrix(fam).values(batch)
         rng = np.random.default_rng(0)
         from ocquad.poisson import bracket_values
         for _ in range(5):

@@ -10,7 +10,6 @@ from ocquad.ocp import (
     Problem,
     build_hamiltonian,
     autonomize,
-    eval_true_hamiltonian,
     solve_stationarity,
     true_hamiltonian,
 )
@@ -59,6 +58,12 @@ def phase_points(problem, count, seed=0, lo=-1.0, hi=1.0):
         pt[table.time] = rng.uniform(0.0, 1.0)
         pts.append(pt)
     return pts
+
+
+def positional(problem, pt):
+    """A Symbol-keyed point as the (z, t) pair the evaluator takes."""
+    table = problem.table
+    return [pt[s] for s in table.phase], pt[table.time]
 
 
 class TestBuildHamiltonian:
@@ -153,26 +158,27 @@ class TestEvalTrueHamiltonian:
         th = true_hamiltonian(problem)
         t = problem.table
         assert th.reduced == parse("psi1^2/2", t)
-        pt = {t.state(1): 0.3, t.costate(1): -0.7, t.time: 0.1}
-        value, grad = eval_true_hamiltonian(th, pt)
+        value, grad = th.evaluator().value_and_gradient([0.3, -0.7], 0.1)
         assert abs(value - 0.5 * 0.7 ** 2) < 1e-15
-        assert grad[t.state(1)] == 0.0
-        assert abs(grad[t.costate(1)] - (-0.7)) < 1e-15
-        assert grad[t.time] == 0.0
+        assert grad[0] == 0.0                    # x1
+        assert abs(grad[1] - (-0.7)) < 1e-15     # psi1
+        assert grad[2] == 0.0                    # t
 
     def test_closed_form_gradient_matches_finite_differences(self, dubins):
         th = true_hamiltonian(dubins)
         ev = th.evaluator()
-        t = dubins.table
         h = 1e-6
         for pt in phase_points(dubins, 20, seed=2):
-            _, grad = ev.value_and_gradient(pt)
-            for s in t.phase + (t.time,):
-                up, dn = dict(pt), dict(pt)
-                up[s] += h
-                dn[s] -= h
-                fd = (ev.value_and_gradient(up)[0] - ev.value_and_gradient(dn)[0]) / (2 * h)
-                assert abs(grad[s] - fd) < 1e-6
+            z, t = positional(dubins, pt)
+            v = np.array([*z, t])
+            _, grad = ev.value_and_gradient(z, t)
+            for r in range(len(v)):
+                up, dn = v.copy(), v.copy()
+                up[r] += h
+                dn[r] -= h
+                fd = (ev.value_and_gradient(up[:-1], up[-1])[0]
+                      - ev.value_and_gradient(dn[:-1], dn[-1])[0]) / (2 * h)
+                assert abs(grad[r] - fd) < 1e-6
 
     @pytest.mark.parametrize("name", ["dubins", "martinet", "sr-2-3-5"])
     def test_implicit_backend_agrees_with_closed_form(self, name):
@@ -186,11 +192,10 @@ class TestEvalTrueHamiltonian:
         for pt in phase_points(problem, 30, seed=3):
             if name == "martinet" and abs(1 + pt[x1]) < 0.1:
                 continue
-            vc, gc = ev_c.value_and_gradient(pt)
-            vi, gi = ev_i.value_and_gradient(pt)
+            vc, gc = ev_c.value_and_gradient(*positional(problem, pt))
+            vi, gi = ev_i.value_and_gradient(*positional(problem, pt))
             assert abs(vc - vi) < 1e-9
-            for s in gc:
-                assert abs(gc[s] - gi[s]) < 1e-9
+            assert np.abs(gc - gi).max() < 1e-9
 
     def test_envelope_identity(self, dubins, martinet):
         # gradient of reduced H equals the partials of H frozen at u = u_bar
@@ -198,18 +203,18 @@ class TestEvalTrueHamiltonian:
             th = true_hamiltonian(problem)
             ev = th.evaluator()
             t = problem.table
-            h_partials = {s: sx.differentiate(th.hamiltonian, s)
-                          for s in t.phase + (t.time,)}
+            h_partials = [sx.differentiate(th.hamiltonian, s)
+                          for s in t.phase + (t.time,)]
             count = 0
             for pt in phase_points(problem, 250, seed=4):
                 if problem is martinet and abs(1 + pt[t.state(1)]) < 0.1:
                     continue
-                u_star = ev.solve_control(pt)
+                u_star = ev.solve_control(*positional(problem, pt))
                 full = dict(pt)
                 full.update(zip(t.controls, u_star))
-                _, grad = ev.value_and_gradient(pt)
-                for s in grad:
-                    assert abs(grad[s] - evaluate(h_partials[s], full)) < 1e-8
+                _, grad = ev.value_and_gradient(*positional(problem, pt))
+                for g, partial in zip(grad, h_partials):
+                    assert abs(g - evaluate(partial, full)) < 1e-8
                 count += 1
                 if count == 200:
                     break
@@ -224,7 +229,7 @@ class TestEvalTrueHamiltonian:
               t.state(4): -0.04102, t.costate(1): 0.917, t.costate(2): -0.3654,
               t.costate(3): -0.1958, t.costate(4): -0.9982, t.time: 0.4202}
         with pytest.raises(ocp.NewtonDivergenceError) as exc:
-            th.evaluator().value_and_gradient(pt)
+            th.evaluator().value_and_gradient(*positional(trailer, pt))
         assert exc.value.point is not None
 
     def test_implicit_stationarity_on_samples(self, trailer):
@@ -238,7 +243,8 @@ class TestEvalTrueHamiltonian:
         grads = [sx.differentiate(th.hamiltonian, u) for u in t.controls]
         for i in range(batch.size):
             full = batch.point(i)
-            full.update(zip(t.controls, ev.solve_control(batch.point(i))))
+            u_star = ev.solve_control(batch.points[:-1, i], batch.points[-1, i])
+            full.update(zip(t.controls, u_star))
             for g in grads:
                 assert abs(evaluate(g, full)) <= 1e-9
 
@@ -304,17 +310,20 @@ class TestSampler:
             assert np.array_equal(b1.column(s), b2.column(s))
         assert np.array_equal(b1.hvalue, b2.hvalue)
 
-    def test_implicit_batch_matches_scalar(self, trailer):
-        th = true_hamiltonian(trailer)
+    @pytest.mark.parametrize("name", ["trailer", "dubins", "martinet", "sr-2-3-5"])
+    def test_implicit_batch_matches_scalar(self, name):
+        # the batch path (prepare, used for sampling) and the scalar path
+        # (value_and_gradient, used by RK4) agree point by point
+        problem, _ = load_problem(builtin(name))
+        th = true_hamiltonian(problem)
         ev = th.evaluator()
-        sampler = PointSampler(trailer, ev, np.random.default_rng(1))
+        sampler = PointSampler(problem, ev, np.random.default_rng(1))
         batch = sampler.draw(20)
         for i in range(batch.size):
-            pt = batch.point(i)
-            value, grad = th.evaluator().value_and_gradient(pt)
+            value, grad = th.evaluator().value_and_gradient(batch.points[:-1, i],
+                                                            batch.points[-1, i])
             assert abs(value - batch.hvalue[i]) < 1e-10
-            for s, g in batch.hgrad.items():
-                assert abs(g[i] - grad[s]) < 1e-8
+            assert np.abs(batch.hgrad[:, i] - grad).max() < 1e-8
 
 
 class TestProblemValidation:

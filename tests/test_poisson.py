@@ -12,7 +12,6 @@ from ocquad.poisson import (
     bracket,
     bracket_values,
     homogeneous_correction,
-    integral_residual,
     is_first_integral,
 )
 from ocquad.problems import builtin, load_problem
@@ -139,27 +138,27 @@ class TestBracket:
 class TestResidual:
     def test_costate_of_cyclic_coordinate_dubins(self, dubins_th):
         t = dubins_th.table
-        r = integral_residual(symref(t.costate(1)), dubins_th)
+        r = Residual(symref(t.costate(1)), dubins_th)
         assert sx.is_symbolically_zero(r.symbolic())
 
     def test_martinet_nonautonomous_integral(self, martinet_th):
         t = martinet_th.table
         f2 = parse("(1 + x1)*psi1 + x3*psi3", t) - (
             sx.num(2) * symref(t.time) * symref(sx.HAMILTONIAN_SYMBOL))
-        r = integral_residual(f2, martinet_th)
+        r = Residual(f2, martinet_th)
         batch = sampler_for(martinet_th, 1).draw(100)
         assert np.abs(r.values(batch)).max() < 1e-12
 
     def test_non_integral_has_nonzero_residual(self, dubins_th):
         t = dubins_th.table
-        r = integral_residual(symref(t.state(1)), dubins_th)
+        r = Residual(symref(t.state(1)), dubins_th)
         batch = sampler_for(dubins_th, 2).draw(50)
         assert np.abs(r.values(batch)).max() > 1e-3
 
     def test_residual_values_match_symbolic(self, dubins_th):
         t = dubins_th.table
         f = parse("x1*psi2 + sin(x3)*psi1^2 - t*psi3", t)
-        r = integral_residual(f, dubins_th)
+        r = Residual(f, dubins_th)
         symb = r.symbolic()
         batch = sampler_for(dubins_th, 3).draw(50)
         vals = r.values(batch)
@@ -185,7 +184,7 @@ class TestIsFirstIntegral:
                                     dubins_th, sampler_for(dubins_th, 6))
         assert verdict.kind == "nonzero"
         assert verdict.witness is not None
-        r = integral_residual(symref(dubins_th.table.state(3)), dubins_th)
+        r = Residual(symref(dubins_th.table.state(3)), dubins_th)
         sym = r.symbolic()
         assert abs(evaluate(sym, verdict.witness)) > 1e-6
 

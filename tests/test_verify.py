@@ -73,10 +73,12 @@ class TestIntegrateExtremal:
         assert 12.0 <= d_coarse / d_fine <= 20.0
 
     def test_bad_step_rejected(self, dubins_th):
-        with pytest.raises(ValueError):
-            integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1], horizon=1.0, step=-0.1)
-        with pytest.raises(ValueError):
-            integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1], horizon=1.0, step=0.3)
+        z0 = [0, 0, 0, 1, 1, 1]
+        cases = [(z0, -0.1), (z0, 0.3), (z0, 0.0), ([0, 0, 0, 1], 0.01)]
+        for integrate in (integrate_extremal, integrate_autonomized):
+            for start, step in cases:
+                with pytest.raises(ValueError):
+                    integrate(dubins_th, start, horizon=1.0, step=step)
 
     def test_pole_abort(self):
         # flow of the Martinet problem pushed across the 1 + x1 = 0 line
