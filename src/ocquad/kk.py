@@ -40,8 +40,9 @@ class BracketMatrix:
 
     def gradients(self, batch):
         """Stacked (m, n, N) state and costate gradients of the components."""
-        grads = np.stack([f.gradient(batch) for f in self.family.functions()])
-        n = grads.shape[1] // 2
+        funcs = self.family.functions()
+        n = funcs[0].table.n
+        grads = np.stack([f.gradient(batch) for f in funcs])
         return np.ascontiguousarray(grads[:, :n]), np.ascontiguousarray(grads[:, n:2 * n])
 
     def values(self, batch) -> np.ndarray:
