@@ -1,6 +1,7 @@
-"""Golden reports: `ocquad analyze <builtin>` at seed 42 with default flags.
+"""Golden reports: `ocquad analyze <builtin>` at seeds 42 and 7 with default flags.
 
-Each `golden/<problem>.json` holds the exit code and the full JSON report.
+Each `golden/<problem>.json` (seed 42) and `golden/seed7/<problem>.json`
+(seed 7) holds the exit code and the full JSON report.
 Strings, integers, booleans and the shape of the report must match exactly
 (family expressions, `rational` flags, verdict, selection, lambdas, xi,
 admissible levels, rank list, diagnostics); floats must agree within 1e-9.
@@ -19,11 +20,12 @@ from ocquad.cli import build_parser, run_analyze
 from ocquad.problems import BUILTIN_NAMES
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_DIRS = {42: GOLDEN_DIR, 7: os.path.join(GOLDEN_DIR, "seed7")}
 FLOAT_TOL = 1e-9
 
 
-def analyze(name):
-    options = build_parser().parse_args(["analyze", name, "--seed", "42"])
+def analyze(name, seed):
+    options = build_parser().parse_args(["analyze", name, "--seed", str(seed)])
     report, code = run_analyze(name, options)
     # through JSON, as the CLI prints it: tuples become lists
     return {"exit_code": code, "report": json.loads(json.dumps(report))}
@@ -47,17 +49,27 @@ def assert_matches(got, want, path="$"):
         assert got == want and type(got) is type(want), f"{path}: {got!r} != {want!r}"
 
 
+def check_golden(name, seed):
+    with open(os.path.join(GOLDEN_DIRS[seed], f"{name}.json")) as fh:
+        want = json.load(fh)
+    assert_matches(analyze(name, seed), want)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_report_matches_golden(name):
-    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as fh:
-        want = json.load(fh)
-    assert_matches(analyze(name), want)
+    check_golden(name, 42)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_report_matches_golden_seed7(name):
+    check_golden(name, 7)
 
 
 if __name__ == "__main__":
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for problem in BUILTIN_NAMES:
-        with open(os.path.join(GOLDEN_DIR, f"{problem}.json"), "w") as out:
-            json.dump(analyze(problem), out, indent=2)
-            out.write("\n")
-        print(problem, file=sys.stderr)
+    for seed, directory in GOLDEN_DIRS.items():
+        os.makedirs(directory, exist_ok=True)
+        for problem in BUILTIN_NAMES:
+            with open(os.path.join(directory, f"{problem}.json"), "w") as out:
+                json.dump(analyze(problem, seed), out, indent=2)
+                out.write("\n")
+            print(seed, problem, file=sys.stderr)
