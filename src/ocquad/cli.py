@@ -153,7 +153,6 @@ def _certificate_block(cert: Certificate) -> dict:
 
 def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
     sampler = PointSampler(th.problem, th.evaluator(), rng)
-    evaluator = th.evaluator()
     trajectories = []
     drift_max = [0.0] * family.m
     attempts = 0
@@ -166,8 +165,7 @@ def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
                                       step=TRAJECTORY_STEP)
         except OcpError:
             continue
-        drifts = [conservation_drift(c.function, traj, evaluator)
-                  for c in family.components]
+        drifts = [conservation_drift(c.function, traj) for c in family.components]
         drift_max = [max(a, b) for a, b in zip(drift_max, drifts)]
         trajectories.append({"initial": [float(v) for v in z0],
                              "t0": 0.0,

@@ -287,27 +287,29 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
         point = sampler.draw_point()
         z, t_val = point[:-1], point[-1]
 
-        def batch_at(zv):
+        def values_at(zv):
+            """(batch, selection values) at (zv, t_val), or (None, None)."""
             b, keep = evaluator.prepare(np.append(zv, t_val)[:, None])
-            return b if keep.all() else None
+            if not keep.all():
+                return None, None
+            return b, np.array([f.values(b)[0] for f in selection])
 
-        b0 = batch_at(z)
-        if b0 is None:
+        b, vals = values_at(z)
+        if b is None:
             skipped += 1
             continue
-        f0 = np.array([f.values(b0)[0] for f in selection])
         if r_mat.shape[1]:
-            proj, *_ = np.linalg.lstsq(r_mat, f0, rcond=None)
+            proj, *_ = np.linalg.lstsq(r_mat, vals, rcond=None)
             target = r_mat @ proj
         else:
             target = np.zeros(n_sel)
         ok = False
         jac = None
-        for _ in range(50):
-            b = batch_at(z)
+        for it in range(50):
+            if it:  # the seed's batch and values serve the first step
+                b, vals = values_at(z)
             if b is None or np.abs(z).max() > 1e3:
                 break
-            vals = np.array([f.values(b)[0] for f in selection])
             jac = np.array([f.gradient(b)[:-1, 0] for f in selection])
             resid = vals - target
             if np.abs(resid).max() < PROJECTION_TOL:

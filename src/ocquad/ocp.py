@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -189,6 +190,21 @@ class TrueHamiltonian:
     def table(self) -> SymbolTable:
         return self.problem.table
 
+    @cached_property
+    def envelope(self) -> tuple[Expr, ...]:
+        """(H, dH/dx_1, .., dH/dpsi_n, dH/dt): the reduced Hamiltonian and its
+        partials over the sample rows.  On the implicit backend H is the full
+        Hamiltonian and the partials are taken at fixed controls."""
+        h = self.reduced if self.is_closed_form else self.hamiltonian
+        return (h,) + tuple(sx.differentiate(h, s) for s in sample_symbols(self.table))
+
+    @cached_property
+    def control_derivatives(self) -> tuple[tuple[Expr, ...], tuple[Expr, ...]]:
+        """(dH/du_j, d2H/du_j du_k row-major) for the implicit backend's Newton step."""
+        controls = self.table.controls
+        grads = tuple(sx.differentiate(self.hamiltonian, u) for u in controls)
+        return grads, tuple(sx.differentiate(g, u) for g in grads for u in controls)
+
     def evaluator(self) -> "HamiltonianEvaluator":
         return HamiltonianEvaluator(self)
 
@@ -232,11 +248,13 @@ def sample_row(table: SymbolTable, sym: Symbol) -> int:
     return sample_symbols(table).index(sym)
 
 
-def _stacked(fns, args, count: int) -> np.ndarray:
-    """(len(fns), count) values of compiled functions; constants broadcast."""
-    out = np.empty((len(fns), count))
-    for row, f in zip(out, fns):
-        row[:] = f(*args)
+def _stacked(fn, args, count: int) -> np.ndarray:
+    """(k, count) values of a compiled function returning a k-tuple; constants
+    broadcast."""
+    values = fn(*args)
+    out = np.empty((len(values), count))
+    for row, v in zip(out, values):
+        row[:] = v
     return out
 
 
@@ -295,26 +313,20 @@ class HamiltonianEvaluator:
     With a closed-form law the gradient comes from compiled symbolic partials
     of the reduced expression.  With an implicit law, each point gets a damped
     Newton solve of dH/du = 0 (negative-definite control Hessian enforced) and
-    the gradient is the envelope gradient of H at the solved control.
+    the gradient is the envelope gradient of H at the solved control.  The
+    value and the whole gradient are one compiled call, `_envelope`, on both
+    paths; so are the Newton gradient and the Newton Hessian.
     """
 
     def __init__(self, th: TrueHamiltonian):
         self.th = th
-        table = th.table
-        self._grad_syms = sample_symbols(table)
-        if th.is_closed_form:
-            h, controls = th.reduced, ()
-        else:
-            h, controls = th.hamiltonian, table.controls
-        args = self._grad_syms + controls
-        self._value_fn = sx.compile_fn(h, args)
-        self._partials = [sx.compile_fn(sx.differentiate(h, s), args)
-                          for s in self._grad_syms]
+        self._grad_syms = sample_symbols(th.table)
+        args = self._grad_syms + (() if th.is_closed_form else th.table.controls)
+        self._envelope = sx.compile_fn(th.envelope, args)
         if not th.is_closed_form:
-            grads_u = [sx.differentiate(h, u) for u in controls]
-            self._newton_grad = [sx.compile_fn(g, args) for g in grads_u]
-            self._newton_hess = [[sx.compile_fn(sx.differentiate(g, u), args)
-                                  for u in controls] for g in grads_u]
+            grads_u, hess_u = th.control_derivatives
+            self._newton_grad = sx.compile_fn(grads_u, args)
+            self._newton_hess = sx.compile_fn(hess_u, args)
             self._guess = np.asarray(th.law.guess, dtype=float)
             self._warm: np.ndarray | None = None
 
@@ -334,15 +346,14 @@ class HamiltonianEvaluator:
             u_sol, keep = self._newton_batch(args, n_pts)
             args += list(u_sol.T)
         with np.errstate(all="ignore"):
-            hval = np.full(n_pts, self._value_fn(*args), dtype=float)
-            grads = _stacked(self._partials, args, n_pts)
-        keep &= np.isfinite(hval) & np.isfinite(grads).all(axis=0)
-        return SampleBatch(self.th.table, points, hval, grads, u_sol).take(keep), keep
+            env = _stacked(self._envelope, args, n_pts)
+        keep &= np.isfinite(env).all(axis=0)
+        return SampleBatch(self.th.table, points, env[0], env[1:], u_sol).take(keep), keep
 
     def _hessians(self, args, n_pts) -> np.ndarray:
         """(N, m, m) control Hessians of H."""
         m = self.th.table.m_ctl
-        flat = _stacked([f for row in self._newton_hess for f in row], args, n_pts)
+        flat = _stacked(self._newton_hess, args, n_pts)
         return flat.reshape(m, m, n_pts).transpose(2, 0, 1)
 
     def _newton_batch(self, base, n_pts):
@@ -401,9 +412,8 @@ class HamiltonianEvaluator:
         args = [*np.asarray(z, dtype=float).tolist(), float(t)]
         if not self.th.is_closed_form:
             args += list(self._newton_point(args))
-        value = float(self._value_fn(*args))
-        grad = np.array([p(*args) for p in self._partials], dtype=float)
-        return value, grad
+        env = self._envelope(*args)
+        return float(env[0]), np.array(env[1:], dtype=float)
 
     def solve_control(self, z, t: float) -> np.ndarray:
         args = [*np.asarray(z, dtype=float).tolist(), float(t)]
@@ -426,19 +436,24 @@ class HamiltonianEvaluator:
         def norm(vec):
             return np.abs(vec).max() if len(vec) else 0.0
 
+        m = len(u)
+
+        def hessian(u):
+            return np.array(self._newton_hess(*base, *u), dtype=float).reshape(m, m)
+
         with np.errstate(all="ignore"):
-            g = np.array([f(*base, *u) for f in self._newton_grad], dtype=float)
+            g = np.array(self._newton_grad(*base, *u), dtype=float)
         if not np.isfinite(g).all():
             return None
         for _ in range(NEWTON_MAX_ITER):
             if norm(g) < NEWTON_TOL:
-                hess = np.array([[f(*base, *u) for f in row] for row in self._newton_hess])
+                hess = hessian(u)
                 sym = 0.5 * (hess + hess.T)
                 if not np.isfinite(sym).all() or np.linalg.eigvalsh(sym).max() >= 0.0:
                     raise SingularHessianAtError(dict(zip(self._grad_syms, base)))
                 return u
             with np.errstate(all="ignore"):
-                hess = np.array([[f(*base, *u) for f in row] for row in self._newton_hess])
+                hess = hessian(u)
             if not np.isfinite(hess).all():
                 return None
             try:
@@ -449,8 +464,7 @@ class HamiltonianEvaluator:
             while lam > 1e-6:
                 cand = u - lam * step
                 with np.errstate(all="ignore"):
-                    g_cand = np.array([f(*base, *cand) for f in self._newton_grad],
-                                      dtype=float)
+                    g_cand = np.array(self._newton_grad(*base, *cand), dtype=float)
                 if np.isfinite(g_cand).all() and norm(g_cand) < norm(g):
                     u, g, improved = cand, g_cand, True
                     break
@@ -475,19 +489,19 @@ class PhaseFunction:
         args = grad_syms + (HAMILTONIAN_SYMBOL,)
         self.has_hamiltonian = HAMILTONIAN_SYMBOL in sx.free_symbols(expr)
         self._value_fn = sx.compile_fn(expr, args)
-        self._partials = [sx.compile_fn(sx.differentiate(expr, s), args)
-                          for s in grad_syms]
-        self._dham = sx.compile_fn(sx.differentiate(expr, HAMILTONIAN_SYMBOL), args)
+        # the partials over the sample rows, then dF/dH, as one compiled call
+        self._gradient_fn = sx.compile_fn(
+            tuple(sx.differentiate(expr, s) for s in args), args)
 
     def values(self, batch: SampleBatch) -> np.ndarray:
         return np.full(batch.size, self._value_fn(*batch.points, batch.hvalue), dtype=float)
 
     def gradient(self, batch: SampleBatch) -> np.ndarray:
         """(2n+1, N) gradient over the sample rows."""
-        args = (*batch.points, batch.hvalue)
-        out = _stacked(self._partials, args, batch.size)
+        stacked = _stacked(self._gradient_fn, (*batch.points, batch.hvalue), batch.size)
+        out = stacked[:-1]
         if self.has_hamiltonian:
-            out += self._dham(*args) * batch.hgrad
+            out += stacked[-1] * batch.hgrad
         return out
 
     def to_symbolic(self, th: TrueHamiltonian) -> Expr:
@@ -510,10 +524,11 @@ class HamiltonianFlow:
         self.evaluator = th.evaluator()
         self.symbolic = None
         if th.is_closed_form:
+            n = th.table.n
+            partials = th.envelope[1:]
             self.symbolic = {
-                "xdot": tuple(sx.differentiate(th.reduced, p) for p in th.table.costates),
-                "psidot": tuple(sx.negate(sx.differentiate(th.reduced, x))
-                                for x in th.table.states),
+                "xdot": partials[n:2 * n],
+                "psidot": tuple(sx.negate(d) for d in partials[:n]),
             }
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:

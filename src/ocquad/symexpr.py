@@ -785,18 +785,23 @@ def _emit(e: Expr, names: dict[Symbol, str]) -> str:
 
 
 @lru_cache(maxsize=8192)
-def compile_fn(e: Expr, args: tuple[Symbol, ...]) -> Callable:
+def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...]) -> Callable:
     """Compile to a positional function over floats or numpy arrays.
 
+    A tuple of expressions compiles to one function returning the tuple of
+    their values, each computed exactly as its own compiled function would.
     The compiled form performs no domain guarding; callers are expected to stay
     inside the region the sampler accepts.
     """
     names = {s: f"a{i}" for i, s in enumerate(args)}
-    missing = e.free() - set(args)
+    exprs = e if isinstance(e, tuple) else (e,)
+    missing = frozenset().union(*(x.free() for x in exprs)) - set(args)
     if missing:
         raise UnboundSymbolError(
             "cannot compile, unbound: " + ", ".join(sorted(s.name for s in missing)))
-    src = "def _f(" + ", ".join(names[s] for s in args) + "):\n    return " + _emit(e, names)
+    body = ("(" + "".join(_emit(x, names) + ", " for x in e) + ")"
+            if isinstance(e, tuple) else _emit(e, names))
+    src = "def _f(" + ", ".join(names[s] for s in args) + "):\n    return " + body
     ns: dict = {"np": np}
     exec(src, ns)
     return ns["_f"]

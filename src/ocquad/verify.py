@@ -17,6 +17,7 @@ from .ocp import (
     HamiltonianEvaluator,
     OcpError,
     PhaseFunction,
+    SampleBatch,
     TrueHamiltonian,
     sample_symbols,
 )
@@ -31,12 +32,25 @@ class PoleEncounteredError(OcpError):
 
 @dataclass
 class Trajectory:
-    """A discretised Pontryagin extremal on a uniform time grid."""
+    """A discretised Pontryagin extremal on a uniform time grid.
 
-    table: SymbolTable
-    points: np.ndarray           # (2n+1, N+1), rows x_1..x_n, psi_1..psi_n, t
-    hamiltonian_values: np.ndarray
-    controls: np.ndarray | None = None
+    `batch` holds the envelope evaluated at every grid point; its `points`
+    are the (2n+1, N+1) grid, rows x_1..x_n, psi_1..psi_n, t.
+    """
+
+    batch: SampleBatch
+
+    @property
+    def table(self) -> SymbolTable:
+        return self.batch.table
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.batch.points
+
+    @property
+    def hamiltonian_values(self) -> np.ndarray:
+        return self.batch.hvalue
 
     @property
     def times(self) -> np.ndarray:
@@ -126,10 +140,9 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
         previous = current
 
     check_denominators(t0, y)
-    states = _rk4(th.flow().rhs, y, times, step, check_denominators)
-    points = np.vstack([states.T, times])
-    batch = _on_grid(th.evaluator(), points, times)
-    return Trajectory(th.table, points, batch.hvalue, batch.controls)
+    flow = th.flow()
+    states = _rk4(flow.rhs, y, times, step, check_denominators)
+    return Trajectory(_on_grid(flow.evaluator, np.vstack([states.T, times]), times))
 
 
 def integrate_autonomized(th: TrueHamiltonian, z0, theta0: float = 0.0,
@@ -150,14 +163,15 @@ def integrate_autonomized(th: TrueHamiltonian, z0, theta0: float = 0.0,
 
     states = _rk4(rhs, np.concatenate([z, [theta0, t0]]), taus, step)
     points = np.vstack([states[:, :2 * n].T, states[:, -1]])
-    k_values = _on_grid(th.evaluator(), points, taus).hvalue - states[:, 2 * n]
+    k_values = _on_grid(evaluator, points, taus).hvalue - states[:, 2 * n]
     return taus, states, k_values
 
 
-def conservation_drift(f, traj: Trajectory, evaluator: HamiltonianEvaluator) -> float:
-    """max_t |F(z(t), t) - F(z(0), t0)| over the trajectory grid."""
+def conservation_drift(f, traj: Trajectory) -> float:
+    """max_t |F(z(t), t) - F(z(0), t0)| over the trajectory grid, read from the
+    envelope batch the trajectory already carries."""
     func = f if isinstance(f, PhaseFunction) else PhaseFunction(f, traj.table)
-    vals = func.values(_on_grid(evaluator, traj.points, traj.times))
+    vals = func.values(traj.batch)
     return float(np.abs(vals - vals[0]).max())
 
 

@@ -147,7 +147,6 @@ class TestCriterion3Trailer:
             symref(HAMILTONIAN_SYMBOL),
         ]
         # conservation along three integrated extremals
-        evaluator = th.evaluator()
         trajectories = 0
         batch = sampler.draw(6)
         for i in range(batch.size):
@@ -159,7 +158,7 @@ class TestCriterion3Trailer:
             except Exception:
                 continue
             for expr in paper:
-                assert conservation_drift(expr, traj, evaluator) < DRIFT_TOL
+                assert conservation_drift(expr, traj) < DRIFT_TOL
             trajectories += 1
         assert trajectories == 3
 

@@ -13,8 +13,8 @@ from ocquad.ocp import (
     solve_stationarity,
     true_hamiltonian,
 )
-from ocquad.problems import builtin, load_problem
-from ocquad.symexpr import evaluate, parse
+from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
+from ocquad.symexpr import HAMILTONIAN_SYMBOL, evaluate, parse, symref
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +324,60 @@ class TestSampler:
                                                             batch.points[-1, i])
             assert abs(value - batch.hvalue[i]) < 1e-10
             assert np.abs(batch.hgrad[:, i] - grad).max() < 1e-8
+
+
+class TestTupleCompile:
+    """A tuple of expressions compiled as one function returns exactly (==)
+    what each expression's own compiled function returns, on scalars and on
+    sample rows, and `_stacked` broadcasts its constant entries."""
+
+    @staticmethod
+    def assert_same(exprs, args, columns):
+        fused = sx.compile_fn(tuple(exprs), args)
+        singles = [sx.compile_fn(e, args) for e in exprs]
+        count = len(columns[0])
+        for i in range(count):
+            scalars = [float(c[i]) for c in columns]
+            got = fused(*scalars)
+            assert len(got) == len(exprs)
+            assert all(g == f(*scalars) for g, f in zip(got, singles))
+        stacked = ocp._stacked(fused, columns, count)
+        for row, got, f in zip(stacked, fused(*columns), singles):
+            want = f(*columns)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(row, np.broadcast_to(want, (count,)))
+        return [e for e in exprs if e.is_constant]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_envelope(self, name):
+        problem, _ = load_problem(builtin(name))
+        th = true_hamiltonian(problem)
+        batch = PointSampler(problem, th.evaluator(), np.random.default_rng(2)).draw(12)
+        args = ocp.sample_symbols(problem.table)
+        columns = list(batch.points)
+        groups = [th.envelope]
+        if not th.is_closed_form:
+            args += problem.table.controls
+            columns += list(batch.controls.T)
+            groups += list(th.control_derivatives)
+        constants = [self.assert_same(g, args, columns) for g in groups]
+        assert constants[0]   # some partial is constant and has to broadcast
+
+    def test_phase_function_with_hamiltonian_placeholder(self, dubins):
+        th = true_hamiltonian(dubins)
+        t = dubins.table
+        expr = sx.add(sx.mul(symref(HAMILTONIAN_SYMBOL), parse("psi3 + x1^2", t)),
+                      parse("sin(x3)*psi2 + 2", t))
+        func = ocp.PhaseFunction(expr, t)
+        batch = PointSampler(dubins, th.evaluator(), np.random.default_rng(3)).draw(12)
+        args = ocp.sample_symbols(t) + (HAMILTONIAN_SYMBOL,)
+        exprs = [sx.differentiate(expr, s) for s in args]
+        columns = [*batch.points, batch.hvalue]
+        assert self.assert_same(exprs, args, columns)
+        partials = [np.broadcast_to(sx.compile_fn(e, args)(*columns), (batch.size,))
+                    for e in exprs]
+        want = np.array(partials[:-1]) + partials[-1] * batch.hgrad
+        assert np.array_equal(func.gradient(batch), want)
 
 
 class TestProblemValidation:

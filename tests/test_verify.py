@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ocquad import symexpr as sx
-from ocquad.ocp import PointSampler, true_hamiltonian
+from ocquad.ocp import HamiltonianEvaluator, PhaseFunction, PointSampler, true_hamiltonian
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
 from ocquad.verify import (
@@ -59,17 +59,15 @@ class TestIntegrateExtremal:
     def test_dubins_energy_drift(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                   horizon=1.0, step=1e-3)
-        ev = dubins_th.evaluator()
-        assert conservation_drift(dubins_th.reduced, traj, ev) < 1e-10
+        assert conservation_drift(dubins_th.reduced, traj) < 1e-10
 
     def test_fourth_order_drift_ratio(self, dubins_th):
-        ev = dubins_th.evaluator()
         coarse = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                     horizon=1.0, step=0.02)
         fine = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                   horizon=1.0, step=0.01)
-        d_coarse = conservation_drift(dubins_th.reduced, coarse, ev)
-        d_fine = conservation_drift(dubins_th.reduced, fine, ev)
+        d_coarse = conservation_drift(dubins_th.reduced, coarse)
+        d_fine = conservation_drift(dubins_th.reduced, fine)
         assert 12.0 <= d_coarse / d_fine <= 20.0
 
     def test_bad_step_rejected(self, dubins_th):
@@ -93,7 +91,7 @@ class TestConservationDrift:
     def test_constant_function(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                   horizon=0.5, step=1e-2)
-        assert conservation_drift(sx.num(3), traj, dubins_th.evaluator()) == 0.0
+        assert conservation_drift(sx.num(3), traj) == 0.0
 
     def test_dubins_angular_integral_along_random_extremals(self, dubins_th):
         t = dubins_th.table
@@ -101,19 +99,40 @@ class TestConservationDrift:
         sampler = PointSampler(dubins_th.problem, dubins_th.evaluator(),
                                np.random.default_rng(0))
         batch = sampler.draw(3)
-        ev = dubins_th.evaluator()
         for i in range(3):
             z0 = [batch.column(s)[i] for s in t.phase]
             traj = integrate_extremal(dubins_th, z0, horizon=1.0, step=1e-3)
-            assert conservation_drift(f, traj, ev) < 1e-6
-            assert conservation_drift(symref(t.state(1)), traj, ev) > 1e-2
+            assert conservation_drift(f, traj) < 1e-6
+            assert conservation_drift(symref(t.state(1)), traj) > 1e-2
 
     def test_hamiltonian_placeholder(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0.1, -0.2, 0.3, 0.8, -0.5, 0.9],
                                   horizon=1.0, step=1e-3)
-        drift = conservation_drift(symref(HAMILTONIAN_SYMBOL), traj,
-                                   dubins_th.evaluator())
+        drift = conservation_drift(symref(HAMILTONIAN_SYMBOL), traj)
         assert drift < 1e-10
+
+
+    def test_reads_the_trajectory_batch(self, dubins_th, monkeypatch):
+        traj = integrate_extremal(dubins_th, [0.1, -0.2, 0.3, 0.8, -0.5, 0.9],
+                                  horizon=0.5, step=1e-2)
+        fresh, keep = dubins_th.evaluator().prepare(traj.points)
+        assert keep.all()
+        calls = []
+        original = HamiltonianEvaluator.prepare
+
+        def counted(self, points):
+            calls.append(points.shape)
+            return original(self, points)
+
+        monkeypatch.setattr(HamiltonianEvaluator, "prepare", counted)
+        t = dubins_th.table
+        for expr in (symref(HAMILTONIAN_SYMBOL),
+                     sx.add(parse("-psi1*x2 + psi2*x1 + psi3", t),
+                            sx.mul(symref(t.time), symref(HAMILTONIAN_SYMBOL)))):
+            drift = conservation_drift(expr, traj)
+            vals = PhaseFunction(expr, t).values(fresh)
+            assert drift == float(np.abs(vals - vals[0]).max())
+        assert calls == []
 
 
 class TestFamilyConservation:
@@ -124,7 +143,6 @@ class TestFamilyConservation:
         th = true_hamiltonian(problem)
         sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(4))
         family = discover_family(th, sampler, degree=2)
-        ev = th.evaluator()
         t = problem.table
         done = 0
         batch = sampler.draw(10)
@@ -137,7 +155,7 @@ class TestFamilyConservation:
             except PoleEncounteredError:
                 continue
             for comp in family.components:
-                assert conservation_drift(comp.function, traj, ev) < 1e-6
+                assert conservation_drift(comp.function, traj) < 1e-6
             done += 1
         assert done == 3
 
