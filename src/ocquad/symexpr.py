@@ -764,7 +764,8 @@ def evaluate(e: Expr, point: Mapping[Symbol, float]) -> float:
     return math.log(arg)
 
 
-def _emit(e: Expr, names: dict[Symbol, str]) -> str:
+def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str]) -> str:
+    """Python source of `e`; a subexpression in `shared` is read from its local."""
     if e.kind == _NUM:
         return repr(float(e.value))
     if e.kind == _SYM:
@@ -772,16 +773,40 @@ def _emit(e: Expr, names: dict[Symbol, str]) -> str:
             return names[e.value]
         except KeyError:
             raise UnboundSymbolError(f"symbol {e.value.name!r} is unbound") from None
+    if e in shared:
+        return shared[e]
     if e.kind == _ADD:
-        return "(" + " + ".join(_emit(c, names) for c in e.children) + ")"
+        return "(" + " + ".join(_emit(c, names, shared) for c in e.children) + ")"
     if e.kind == _MUL:
-        return "(" + " * ".join(_emit(c, names) for c in e.children) + ")"
+        return "(" + " * ".join(_emit(c, names, shared) for c in e.children) + ")"
     if e.kind == _POW:
         exp = e.value
         es = str(exp.numerator) if exp.denominator == 1 else repr(float(exp))
-        return "(" + _emit(e.children[0], names) + " ** " + es + ")"
+        return "(" + _emit(e.children[0], names, shared) + " ** " + es + ")"
     f = {"ln": "log"}.get(e.value, e.value)
-    return f"np.{f}(" + _emit(e.children[0], names) + ")"
+    return f"np.{f}(" + _emit(e.children[0], names, shared) + ")"
+
+
+def _repeated_subexpressions(exprs: tuple[Expr, ...]) -> list[Expr]:
+    """Compound subexpressions met more than once, each after its own."""
+    seen: set[Expr] = set()
+    repeated: set[Expr] = set()
+    order: list[Expr] = []
+
+    def visit(x: Expr) -> None:
+        if x.kind in (_NUM, _SYM):
+            return
+        if x in seen:
+            repeated.add(x)
+            return
+        seen.add(x)
+        for c in x.children:
+            visit(c)
+        order.append(x)
+
+    for x in exprs:
+        visit(x)
+    return [x for x in order if x in repeated]
 
 
 @lru_cache(maxsize=8192)
@@ -789,9 +814,11 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...]) -> Callable
     """Compile to a positional function over floats or numpy arrays.
 
     A tuple of expressions compiles to one function returning the tuple of
-    their values, each computed exactly as its own compiled function would.
-    The compiled form performs no domain guarding; callers are expected to stay
-    inside the region the sampler accepts.
+    their values.  A subexpression that occurs more than once is computed once
+    into a local, so each value is the one its own compiled function would
+    return, from the same floating-point operations.  The compiled form
+    performs no domain guarding; callers are expected to stay inside the
+    region the sampler accepts.
     """
     names = {s: f"a{i}" for i, s in enumerate(args)}
     exprs = e if isinstance(e, tuple) else (e,)
@@ -799,9 +826,14 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...]) -> Callable
     if missing:
         raise UnboundSymbolError(
             "cannot compile, unbound: " + ", ".join(sorted(s.name for s in missing)))
-    body = ("(" + "".join(_emit(x, names) + ", " for x in e) + ")"
-            if isinstance(e, tuple) else _emit(e, names))
-    src = "def _f(" + ", ".join(names[s] for s in args) + "):\n    return " + body
+    shared: dict[Expr, str] = {}
+    lines = ["def _f(" + ", ".join(names[s] for s in args) + "):"]
+    for i, x in enumerate(_repeated_subexpressions(exprs)):
+        lines.append(f"    c{i} = " + _emit(x, names, shared))
+        shared[x] = f"c{i}"
+    body = ("(" + "".join(_emit(x, names, shared) + ", " for x in e) + ")"
+            if isinstance(e, tuple) else _emit(e, names, shared))
+    src = "\n".join(lines + ["    return " + body])
     ns: dict = {"np": np}
     exec(src, ns)
     return ns["_f"]

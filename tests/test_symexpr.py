@@ -314,6 +314,34 @@ class TestCompile:
         with pytest.raises(UnboundSymbolError):
             compile_fn(parse("x1+x2", table3), (table3.state(1),))
 
+    def test_shared_subexpressions_change_no_value(self, table3):
+        # a tuple of an expression and its partials repeats subexpressions;
+        # computing each once must give exactly the values of straight-line
+        # code that recomputes them
+        from ocquad import symexpr
+
+        gen = ExprGen(table3, seed=21)
+        args = table3.phase + (table3.time,)
+        names = {s: f"a{i}" for i, s in enumerate(args)}
+        shared = 0
+        with np.errstate(all="ignore"):
+            for _ in range(60):
+                e = gen.expr(3)
+                exprs = (e,) + tuple(differentiate(e, s) for s in args[:3])
+                shared += len(symexpr._repeated_subexpressions(exprs))
+                ns = {"np": np}
+                exec("def ref(" + ", ".join(names.values()) + "):\n    return ("
+                     + "".join(symexpr._emit(x, names, {}) + ", " for x in exprs) + ")", ns)
+                fused = compile_fn(exprs, args)
+                pt = gen.point()
+                scalars = [pt[s] for s in args]
+                arrays = [np.linspace(v - 0.2, v + 0.2, 5) for v in scalars]
+                for got, want in zip(fused(*scalars), ns["ref"](*scalars)):
+                    assert got == want or (math.isnan(got) and math.isnan(want))
+                for got, want in zip(fused(*arrays), ns["ref"](*arrays)):
+                    assert np.array_equal(got, want, equal_nan=True)
+        assert shared > 0
+
 
 class TestSymbolTable:
     def test_requires_one_time_symbol(self):
