@@ -409,7 +409,7 @@ class HamiltonianEvaluator:
     def value_and_gradient(self, z, t: float):
         """(H, (2n+1,) gradient over x, psi, t) at the phase point z and time
         t; the implicit backend's Newton solve is warm-started."""
-        args = [*np.asarray(z, dtype=float).tolist(), float(t)]
+        args = [*map(float, z), float(t)]
         if not self.th.is_closed_form:
             args += list(self._newton_point(args))
         env = self._envelope(*args)
@@ -522,19 +522,21 @@ class HamiltonianFlow:
     def __init__(self, th: TrueHamiltonian):
         self.th = th
         self.evaluator = th.evaluator()
+        n = th.table.n
+        # gradient rows giving (xdot, psidot), and their signs
+        self._rows = np.r_[n:2 * n, :n]
+        self._signs = np.repeat([1.0, -1.0], n)
         self.symbolic = None
         if th.is_closed_form:
-            n = th.table.n
             partials = th.envelope[1:]
             self.symbolic = {
                 "xdot": partials[n:2 * n],
                 "psidot": tuple(sx.negate(d) for d in partials[:n]),
             }
 
-    def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        n = self.th.table.n
+    def rhs(self, t: float, y) -> np.ndarray:
         _, grad = self.evaluator.value_and_gradient(y, t)
-        return np.concatenate([grad[n:2 * n], -grad[:n]])
+        return grad[self._rows] * self._signs
 
 
 def autonomize(th: TrueHamiltonian):
