@@ -416,7 +416,7 @@ class HamiltonianEvaluator:
         return float(env[0]), np.array(env[1:], dtype=float)
 
     def solve_control(self, z, t: float) -> np.ndarray:
-        args = [*np.asarray(z, dtype=float).tolist(), float(t)]
+        args = [*map(float, z), float(t)]
         if self.th.is_closed_form:
             bindings = dict(zip(self._grad_syms, args))
             return np.array([sx.evaluate(e, bindings) for e in self.th.law.expressions])
