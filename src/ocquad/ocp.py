@@ -485,13 +485,19 @@ class PhaseFunction:
     def __init__(self, expr: Expr, table: SymbolTable):
         self.expr = expr
         self.table = table
-        grad_syms = sample_symbols(table)
-        args = grad_syms + (HAMILTONIAN_SYMBOL,)
         self.has_hamiltonian = HAMILTONIAN_SYMBOL in sx.free_symbols(expr)
-        self._value_fn = sx.compile_fn(expr, args)
-        # the partials over the sample rows, then dF/dH, as one compiled call
-        self._gradient_fn = sx.compile_fn(
-            tuple(sx.differentiate(expr, s) for s in args), args)
+        self._args = sample_symbols(table) + (HAMILTONIAN_SYMBOL,)
+        self._value_fn = sx.compile_fn(expr, self._args)
+
+    @cached_property
+    def _gradient_fn(self):
+        """The partials over the sample rows, then dF/dH, as one compiled call.
+
+        Built on the first `gradient` call: most candidates of a family search
+        are only ever evaluated.
+        """
+        return sx.compile_fn(
+            tuple(sx.differentiate(self.expr, s) for s in self._args), self._args)
 
     def values(self, batch: SampleBatch) -> np.ndarray:
         return np.full(batch.size, self._value_fn(*batch.points, batch.hvalue), dtype=float)

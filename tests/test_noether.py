@@ -174,6 +174,109 @@ class TestNullspace:
             Fraction(1, 2), Fraction(-1), Fraction(0))
         assert rationalize_vector(np.array([np.sqrt(2.0)])) is None
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+    def test_rank_cut_is_relative_to_largest_singular_value(self, scale):
+        # singular values (1, 1e-8, 1e-10) * scale: at svd_tol=1e-9 only the
+        # last one falls below the cut, whatever the scale
+        rng = np.random.default_rng(0)
+        left, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        spectrum = np.zeros((5, 3))
+        spectrum[:3, :3] = np.diag([1.0, 1e-8, 1e-10])
+        matrix = scale * (left @ spectrum @ right.T)
+        basis = nullspace(matrix, svd_tol=1e-9)
+        assert len(basis) == 1
+        # the right singular vector of the smallest value, up to sign
+        unit = basis[0] / np.linalg.norm(basis[0])
+        assert abs(abs(unit @ right[:, 2]) - 1.0) < 1e-9
+
+
+def reference_rationalize(vector):
+    """The per-entry loop `rationalize_vector` must agree with."""
+    out = []
+    for v in vector:
+        f = Fraction(float(v)).limit_denominator(64)
+        if abs(float(f) - float(v)) > 1e-6 * max(1.0, abs(float(v))):
+            return None
+        out.append(f)
+    return tuple(out)
+
+
+def assert_rationalize_agrees(entries):
+    """Entry by entry, then as one vector."""
+    for v in entries:
+        got = rationalize_vector(np.array([v]))
+        assert got == reference_rationalize([v]), repr(v)
+        if got is not None:
+            assert type(got[0]) is Fraction
+    vector = np.array(entries, dtype=float)
+    assert rationalize_vector(vector) == reference_rationalize(vector)
+
+
+class TestRationalizeMatchesReference:
+    def test_zeros_and_integers(self):
+        assert_rationalize_agrees([0.0, -0.0, 1.0, -1.0, 7.0, -99.0, 100.0, -130.0, 4096.0])
+
+    def test_tie_between_zero_and_one_sixty_fourth(self):
+        assert_rationalize_agrees([1 / 128])
+        assert_rationalize_agrees([-1 / 128])
+
+    @pytest.mark.parametrize("q", [1, 3, 7, 63, 64])
+    def test_fractions_with_offsets(self, q):
+        numerators = range(-130 * q, 130 * q + 1, max(1, q // 8))
+        exact = [p / q for p in numerators]
+        for offset in (0.0, 1e-7, 4e-7):
+            # all accepted: compare whole vectors, which also shares Fractions
+            for sign in (1, -1):
+                vector = np.array([x + sign * offset for x in exact])
+                got = rationalize_vector(vector)
+                assert got is not None
+                assert got == reference_rationalize(vector)
+        for offset in (1e-6, 3e-6):
+            assert_rationalize_agrees([x + offset for x in exact] + [x - offset for x in exact])
+
+    def test_large_and_unround_entries(self):
+        assert_rationalize_agrees([123.4567891, 1e5 + 1 / 3, 2.0 ** 60, -(2.0 ** 60)])
+        assert_rationalize_agrees([1e5 + 1 / 3, 0.5])
+
+    def test_subnormals(self):
+        assert_rationalize_agrees([5e-324, -5e-324, 2.2e-308, -1e-310, 1e-320])
+
+    def test_random_log_uniform_magnitudes(self):
+        rng = np.random.default_rng(11)
+        values = np.exp(rng.uniform(np.log(1e-12), np.log(1e4), 3000))
+        values *= rng.choice([-1.0, 1.0], values.size)
+        assert_rationalize_agrees(values.tolist())
+        for _ in range(200):
+            vector = rng.choice(values, rng.integers(1, 8))
+            vector[rng.random(vector.size) < 0.5] = 0.0
+            assert rationalize_vector(vector) == reference_rationalize(vector)
+
+    @pytest.mark.parametrize("name", ["dubins", "martinet", "trailer", "sr-2-3",
+                                      "sr-2-3-4", "sr-2-3-5"])
+    def test_builtin_nullspace_vectors(self, name):
+        _, th, sampler = setup_problem(name)
+        ansatz = build_ansatz(th.table, 2)
+        residual = AnsatzResidual(ansatz, th)
+        matrix = assemble_system(residual, sampler, 3 * ansatz.coefficient_count)
+        basis = nullspace(matrix)
+        assert basis
+        for vector in basis:
+            assert rationalize_vector(vector) == reference_rationalize(vector)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise_as_before(self, bad):
+        def outcome(fn, vector):
+            try:
+                return fn(vector)
+            except Exception as exc:  # noqa: BLE001 - the type is what is compared
+                return type(exc)
+
+        for vector in ([bad], [0.5, bad], [bad, np.sqrt(2.0)], [np.sqrt(2.0), bad]):
+            want = outcome(reference_rationalize, vector)
+            assert outcome(rationalize_vector, np.array(vector)) == want
+        assert outcome(rationalize_vector, np.array([bad])) in (ValueError, OverflowError)
+
 
 class TestExtractFamily:
     def test_dubins_span_contains_paper_integrals(self):
