@@ -311,19 +311,18 @@ def rationalize_vector(vector: np.ndarray):
         q = np.ones(size)
         reject = np.zeros(size, dtype=bool)
         rest = np.flatnonzero(~fallback & (np.abs(v - p) > _NEAR))
-        if rest.size:
-            scaled = v[rest, None] * _DENOMINATORS
-            rounded = np.rint(scaled)
-            dist = np.abs(scaled - rounded) / _DENOMINATORS
-            near = dist <= _NEAR
-            found = near.any(axis=1)
-            # the smallest q with a near fraction gives it in lowest terms
-            first = near.argmax(axis=1)
-            q[rest] = first + 1
-            p[rest] = rounded[np.arange(rest.size), first]
-            far = dist.min(axis=1) > 2 * tol[rest]
-            reject[rest] = ~found & far
-            fallback[rest] = ~found & ~far
+        scaled = v[rest, None] * _DENOMINATORS
+        rounded = np.rint(scaled)
+        dist = np.abs(scaled - rounded) / _DENOMINATORS
+        near = dist <= _NEAR
+        found = near.any(axis=1)
+        # the smallest q with a near fraction gives it in lowest terms
+        first = near.argmax(axis=1)
+        q[rest] = first + 1
+        p[rest] = rounded[np.arange(rest.size), first]
+        far = dist.min(axis=1) > 2 * tol[rest]
+        reject[rest] = ~found & far
+        fallback[rest] = ~found & ~far
         # the loop's own check, on p/q == float(Fraction(p, q))
         reject |= ~fallback & (np.abs(p / q - v) > tol)
     stop = int(reject.argmax()) if reject.any() else size

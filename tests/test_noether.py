@@ -223,7 +223,8 @@ class TestRationalizeMatchesReference:
 
     @pytest.mark.parametrize("q", [1, 3, 7, 63, 64])
     def test_fractions_with_offsets(self, q):
-        numerators = range(-130 * q, 130 * q + 1, max(1, q // 8))
+        # for q = 63, 64 a stride prime to q, so most p/q keep denominator q
+        numerators = range(-130 * q, 130 * q + 1, 1 if q < 8 else 11)
         exact = [p / q for p in numerators]
         for offset in (0.0, 1e-7, 4e-7):
             # all accepted: compare whole vectors, which also shares Fractions
