@@ -111,6 +111,16 @@ def xi_dict(n, **pairs):
     return out
 
 
+# name -> (n, structure vectors, solvable)
+SEED_ALGEBRAS = {
+    "abelian3": (3, xi_dict(3), True),
+    "heisenberg": (3, xi_dict(3, p01=(0, 0, 1)), True),
+    "affine2_pad": (3, xi_dict(3, p01=(0, 1, 0)), True),
+    "sl2": (3, xi_dict(3, p01=(0, 0, 1), p02=(0, -1, 0), p12=(1, 0, 0)), False),
+    "solvable4": (4, xi_dict(4, p01=(0, 0, 1, 0), p02=(0, 0, 0, 1)), True),
+}
+
+
 class TestCheckSolvableLie:
     def test_abelian(self):
         report = check_solvable_lie(xi_dict(3), 3)
@@ -166,13 +176,7 @@ class TestCheckSolvableLie:
 
     def test_agrees_with_brute_force_oracle_on_random_algebras(self):
         rng = np.random.default_rng(11)
-        seeds = {
-            "abelian3": (3, xi_dict(3), True),
-            "heisenberg": (3, xi_dict(3, p01=(0, 0, 1)), True),
-            "affine2_pad": (3, xi_dict(3, p01=(0, 1, 0)), True),
-            "sl2": (3, xi_dict(3, p01=(0, 0, 1), p02=(0, -1, 0), p12=(1, 0, 0)), False),
-            "solvable4": (4, xi_dict(4, p01=(0, 0, 1, 0), p02=(0, 0, 0, 1)), True),
-        }
+        seeds = SEED_ALGEBRAS
         cases = 0
         while cases < 100:
             name = list(seeds)[int(rng.integers(0, len(seeds)))]
@@ -260,6 +264,43 @@ class TestCheckSolvableLie:
                 return False
             basis = np.linalg.svd(mat)[2][:rank]
         return False
+
+
+def random_algebra(rng):
+    """A seed algebra or a built-in pattern in a random unimodular basis."""
+    algebras = [(n, xi) for n, xi, _ in SEED_ALGEBRAS.values()] + [
+        (3, xi_dict(3, p02=(0, -1, 0), p12=(1, 0, 0))),          # dubins
+        (4, xi_dict(4, p01=(0, 0, -1, 0), p02=(0, 1, 0, 0))),    # trailer
+    ]
+    n, xi = algebras[int(rng.integers(0, len(algebras)))]
+    p = TestCheckSolvableLie._random_unimodular(n, rng)
+    return n, TestCheckSolvableLie._change_basis(xi, p, n)
+
+
+class TestFloatStructureVectors:
+    """Float structure vectors, as an unrationalised fit returns them, take
+    the decisions of the exact vectors they approximate."""
+
+    def test_float_copies_match_the_exact_decisions(self):
+        rng = np.random.default_rng(3)
+        for _ in range(120):
+            n, xi = random_algebra(rng)
+            # unit scale: the largest entry is 1; scaling all structure
+            # vectors by c > 0 gives an isomorphic algebra with the same levels
+            top = max((abs(x) for v in xi.values() for x in v), default=Fraction(0))
+            if top:
+                xi = {k: tuple(x / top for x in v) for k, v in xi.items()}
+            exact = check_solvable_lie(xi, n)
+            exact_dim = len(admissible_levels(xi, n))
+            for noise in (0.0, 1e-13):
+                xi_float = {k: tuple(float(x) + noise * rng.uniform(-1, 1) for x in v)
+                            for k, v in xi.items()}
+                report = check_solvable_lie(xi_float, n)
+                assert (report.kind, report.depth, report.prop2_holds) == \
+                    (exact.kind, exact.depth, exact.prop2_holds), (xi, noise)
+                levels = admissible_levels(xi_float, n)
+                assert len(levels) == exact_dim, (xi, noise)
+                assert not any(isinstance(x, Fraction) for r in levels for x in r)
 
 
 class TestAdmissibleLevels:
