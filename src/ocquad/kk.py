@@ -22,9 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as sx
-from .noether import Family, rationalize_vector
+from .noether import Family, rationalize_vector, rref
 from .ocp import PhaseFunction, PointSampler, TrueHamiltonian
-from .poisson import bracket
 from .symexpr import HAMILTONIAN_SYMBOL, Expr
 
 DECOMPOSE_TOL = 1e-7
@@ -47,13 +46,12 @@ class BracketMatrix:
 
     def values(self, batch) -> np.ndarray:
         """(m, m, N) tensor of {F_p, F_q} values; antisymmetric in (p, q)."""
-        gx, gp = self.gradients(batch)
-        return np.einsum("pin,qin->pqn", gx, gp) - np.einsum("pin,qin->pqn", gp, gx)
+        return bracket_tensor(*self.gradients(batch))
 
-    def symbolic_entry(self, p: int, q: int, th: TrueHamiltonian) -> Expr:
-        funcs = self.family.functions()
-        return bracket(funcs[p].to_symbolic(th), funcs[q].to_symbolic(th),
-                       funcs[p].table)
+
+def bracket_tensor(gx: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """(m, m, N) bracket values from (m, n, N) state and costate gradients."""
+    return np.einsum("pin,qin->pqn", gx, gp) - np.einsum("pin,qin->pqn", gp, gx)
 
 
 @dataclass(frozen=True)
@@ -118,35 +116,37 @@ def _xi_rows(xi: dict, n: int) -> list:
     return [xi[(i, j)] for i in range(n) for j in range(i + 1, n)]
 
 
-def _all_rational(rows) -> bool:
-    return all(isinstance(v, Fraction) for row in rows for v in row)
+@dataclass(frozen=True)
+class _Arithmetic:
+    """How structure vectors are compared and reduced: exactly when every
+    entry is a Fraction, else in floats with fixed tolerances."""
+    zero_tol: float   # every xi entry below it: the algebra is abelian
+    cut: float        # pivot cut of the row reduction, and the prop2 tolerance
+    one: object
+    dtype: type
+
+    @property
+    def zero(self):
+        return self.one - self.one
+
+    def unit_vectors(self, n: int) -> list[tuple]:
+        return [tuple(self.one if k == i else self.zero for k in range(n))
+                for i in range(n)]
+
+    def rref(self, vectors) -> tuple[list, list[int]]:
+        """RREF rows and pivot columns of a list of vectors."""
+        if not vectors:
+            return [], []
+        reduced, pivots = rref(np.array(vectors, dtype=self.dtype), self.cut)
+        return [tuple(row) for row in reduced], pivots
 
 
-def _span_dim_and_basis(vectors, exact: bool):
-    """Row-reduce a list of n-vectors; returns an independent basis."""
-    if not vectors:
-        return []
-    if exact:
-        rows = [list(v) for v in vectors]
-        basis = []
-        for row in rows:
-            row = list(row)
-            for piv_col, piv_row in basis:
-                if row[piv_col] != 0:
-                    factor = row[piv_col]
-                    row = [a - factor * b for a, b in zip(row, piv_row)]
-            for col, a in enumerate(row):
-                if a != 0:
-                    row = [x / a for x in row]
-                    basis.append((col, row))
-                    break
-        return [tuple(r) for _, r in basis]
-    a = np.array([[float(v) for v in row] for row in vectors])
-    if not np.any(a):
-        return []
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = int((s > 1e-9 * s[0]).sum())
-    return [tuple(r) for r in vt[:rank]]
+_EXACT = _Arithmetic(zero_tol=0, cut=0, one=Fraction(1), dtype=object)
+_FLOAT = _Arithmetic(zero_tol=1e-12, cut=1e-9, one=1.0, dtype=float)
+
+
+def _arithmetic(rows) -> _Arithmetic:
+    return _EXACT if all(isinstance(v, Fraction) for row in rows for v in row) else _FLOAT
 
 
 def check_solvable_lie(xi: dict, n: int) -> SolvabilityReport:
@@ -158,10 +158,7 @@ def check_solvable_lie(xi: dict, n: int) -> SolvabilityReport:
     exact derived series L >= [L, L] >= ... computed in coordinates.
     """
     rows = _xi_rows(xi, n)
-    exact = _all_rational(rows)
-
-    def is_zero(v):
-        return all(x == 0 for x in v) if exact else all(abs(float(x)) < 1e-12 for x in v)
+    ar = _arithmetic(rows)
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     prop2 = True
@@ -171,15 +168,13 @@ def check_solvable_lie(xi: dict, n: int) -> SolvabilityReport:
         va, vp = xi[(a, b)], xi[(p, q)]
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = va[i] * vp[j]
-                rhs = vp[i] * va[j]
-                if (lhs != rhs) if exact else abs(float(lhs - rhs)) > 1e-9:
+                if abs(va[i] * vp[j] - vp[i] * va[j]) > ar.cut:
                     prop2 = False
-    if all(is_zero(v) for v in rows):
+    if all(x == 0 or abs(x) < ar.zero_tol for v in rows for x in v):
         return SolvabilityReport("abelian", 1, prop2)
 
     def bracket_vec(u, v):
-        out = [Fraction(0)] * n if exact else [0.0] * n
+        out = [ar.zero] * n
         for i in range(n):
             for j in range(i + 1, n):
                 w = u[i] * v[j] - u[j] * v[i]
@@ -188,72 +183,33 @@ def check_solvable_lie(xi: dict, n: int) -> SolvabilityReport:
                         out[s_idx] += w * xi[(i, j)][s_idx]
         return tuple(out)
 
-    if exact:
-        basis = [tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-                 for i in range(n)]
-    else:
-        basis = [tuple(1.0 if k == i else 0.0 for k in range(n)) for i in range(n)]
-    depth = 0
-    prev_dim = len(basis)
-    for _ in range(n + 1):
-        images = [bracket_vec(u, v) for u, v in itertools.combinations(basis, 2)]
-        images = [v for v in images if not is_zero(v)]
-        basis = _span_dim_and_basis(images, exact)
-        depth += 1
-        if not basis:
+    basis = ar.unit_vectors(n)
+    for depth in range(1, n + 2):
+        reduced, _ = ar.rref([bracket_vec(u, v)
+                              for u, v in itertools.combinations(basis, 2)])
+        if not reduced:
             kind = "paper_sufficient" if prop2 else "derived_series"
             return SolvabilityReport(kind, depth, prop2)
-        if len(basis) >= prev_dim:
-            return SolvabilityReport("not_solvable", None, prop2)
-        prev_dim = len(basis)
+        if len(reduced) >= len(basis):
+            break
+        basis = reduced
     return SolvabilityReport("not_solvable", None, prop2)
 
 
 def admissible_levels(xi: dict, n: int) -> list[tuple]:
-    """Basis of {r : sum_s r_s xi^{ij}_s = 0 for all i < j}."""
-    rows = [row for row in _xi_rows(xi, n)]
-    exact = _all_rational(rows)
-    nz = [row for row in rows
-          if any((v != 0) if exact else abs(float(v)) > 1e-12 for v in row)]
-    if not nz:
-        if exact:
-            return [tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-                    for i in range(n)]
-        return [tuple(1.0 if k == i else 0.0 for k in range(n)) for i in range(n)]
-    if exact:
-        return _exact_nullspace(nz, n)
-    a = np.array([[float(v) for v in row] for row in nz])
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = int((s > 1e-9 * s[0]).sum())
-    return [tuple(r) for r in vt[rank:]]
-
-
-def _exact_nullspace(rows, n):
-    rows = [list(r) for r in rows]
-    pivots = {}
-    reduced = []
-    for row in rows:
-        row = list(row)
-        for col, (idx, piv_row) in pivots.items():
-            if row[col] != 0:
-                factor = row[col]
-                row = [a - factor * b for a, b in zip(row, piv_row)]
-        for col, a in enumerate(row):
-            if a != 0:
-                row = [x / a for x in row]
-                pivots[col] = (len(reduced), row)
-                reduced.append(row)
-                break
-    pivot_cols = sorted(pivots)
-    free_cols = [c for c in range(n) if c not in pivots]
+    """Basis of {r : sum_s r_s xi^{ij}_s = 0 for all i < j}, one vector per
+    free column of the reduced xi rows."""
+    rows = _xi_rows(xi, n)
+    ar = _arithmetic(rows)
+    reduced, pivots = ar.rref(rows)
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for col in pivot_cols:
-            _, prow = pivots[col]
-            vec[col] = -prow[fc]
-        basis.append(tuple(vec))
+    for free, unit in enumerate(ar.unit_vectors(n)):
+        if free in pivots:
+            continue
+        r = list(unit)
+        for row, col in zip(reduced, pivots):
+            r[col] = -row[free]
+        basis.append(tuple(r))
     return basis
 
 
@@ -261,7 +217,6 @@ def _exact_nullspace(rows, n):
 class RankEvidence:
     point: dict
     rank: int
-    converged: bool
 
 
 def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
@@ -325,7 +280,7 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
         sv = np.linalg.svd(jac, compute_uv=False)
         rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
         evidence.append(RankEvidence(
-            point={s.name: v for s, v in b.point(0).items()}, rank=rank, converged=True))
+            point={s.name: v for s, v in b.point(0).items()}, rank=rank))
     return evidence, skipped
 
 
@@ -426,8 +381,7 @@ def find_certificate(family: Family, th: TrueHamiltonian, sampler: PointSampler,
     v_hold = family.values_matrix(hold)
     brackets = BracketMatrix(family)
     gx, gp = brackets.gradients(fit)
-    a_fit = (np.einsum("pin,qin->pqn", gx, gp)
-             - np.einsum("pin,qin->pqn", gp, gx))
+    a_fit = bracket_tensor(gx, gp)
     a_hold = brackets.values(hold)
     # (m, 2n, P) Jacobian rows at a few probe points, for the cheap pre-gate
     # that rejects functionally dependent selections before any fitting

@@ -261,12 +261,20 @@ def nullspace(matrix: np.ndarray, svd_tol: float = SVD_TOL) -> list[np.ndarray]:
     null = vt[rank:]
     if null.shape[0] == 0:
         return []
-    rows, _ = _rref(null)
+    rows, _ = rref(null)
     return [rows[i] for i in range(rows.shape[0])]
 
 
-def _rref(rows: np.ndarray, rel_tol: float = 1e-8):
-    rows = np.array(rows, dtype=float)
+def rref(rows, rel_tol: float = 1e-8):
+    """Reduced row echelon form and pivot columns, by Gauss-Jordan elimination.
+
+    A pivot below ``rel_tol * max(1, max |entry|)`` counts as zero.  An object
+    array of Fractions with ``rel_tol=0`` reduces exactly and keeps Fraction
+    entries; anything else is reduced in floats.
+    """
+    rows = np.array(rows)
+    if rows.dtype != object:
+        rows = rows.astype(float, copy=False)
     k, n_cols = rows.shape
     scale = max(float(np.abs(rows).max()), 1.0)
     r = 0
@@ -275,7 +283,7 @@ def _rref(rows: np.ndarray, rel_tol: float = 1e-8):
         if r == k:
             break
         piv = r + int(np.argmax(np.abs(rows[r:, col])))
-        if abs(rows[piv, col]) < rel_tol * scale:
+        if rows[piv, col] == 0 or abs(rows[piv, col]) < rel_tol * scale:
             continue
         rows[[r, piv]] = rows[[piv, r]]
         rows[r] = rows[r] / rows[r, col]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from fractions import Fraction
 
 from . import symexpr as sx
@@ -114,6 +115,20 @@ def _require(doc: dict, key: str, kind):
     return v
 
 
+def _optional(doc: dict, key: str, kind, default):
+    return _require(doc, key, kind) if key in doc else default
+
+
+def _as_float(value, what: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:       # an int too large for a float
+            pass
+    raise ProblemFileError(f"{what} must be a finite number, got {value!r}")
+
+
 def _as_rational(value, what: str) -> Fraction:
     try:
         if isinstance(value, bool):
@@ -144,7 +159,7 @@ def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) ->
     if len(dynamics_src) != len(states):
         raise ProblemFileError(
             f"{len(dynamics_src)} dynamics for {len(states)} states")
-    params = dict(doc.get("parameters", {}))
+    params = dict(_optional(doc, "parameters", dict, {}))
     for pname, pval in (param_overrides or {}).items():
         if pname not in params:
             raise ProblemFileError(f"--param {pname!r} is not a problem parameter")
@@ -192,8 +207,11 @@ def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) ->
         guess = _require(doc, "control_guess", list)
         if len(guess) != len(controls):
             raise ProblemFileError("control_guess must give one value per control")
-        control_guess = tuple(float(g) for g in guess)
-    k_u = int(doc.get("k_u", 0))
+        control_guess = tuple(_as_float(g, f"control_guess[{i}]")
+                              for i, g in enumerate(guess))
+    k_u = doc.get("k_u", 0)
+    if not isinstance(k_u, int) or isinstance(k_u, bool) or k_u < 0:
+        raise ProblemFileError(f"k_u must be a non-negative integer, got {k_u!r}")
     if k_u != 0 and control_law is None:
         raise ProblemFileError("k_u > 0 requires an explicit control_solution")
 
@@ -203,16 +221,19 @@ def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) ->
     box[table.time] = DEFAULT_TIME_BOX
     for s in table.controls:
         box[s] = DEFAULT_BOX
-    for key, rng in dict(doc.get("sampling_box", {})).items():
+    for key, rng in _optional(doc, "sampling_box", dict, {}).items():
         if key not in table:
             raise ProblemFileError(f"sampling_box names unknown symbol {key!r}")
-        if (not isinstance(rng, (list, tuple)) or len(rng) != 2
-                or not all(isinstance(v, (int, float)) for v in rng) or rng[0] >= rng[1]):
+        if not isinstance(rng, (list, tuple)) or len(rng) != 2:
             raise ProblemFileError(f"sampling_box[{key!r}] must be [lo, hi] with lo < hi")
-        box[table.lookup(key)] = (float(rng[0]), float(rng[1]))
+        lo, hi = (_as_float(v, f"sampling_box[{key!r}] bound") for v in rng)
+        if lo >= hi:
+            raise ProblemFileError(f"sampling_box[{key!r}] must be [lo, hi] with lo < hi")
+        box[table.lookup(key)] = (lo, hi)
 
     denominators = tuple(parse_bound(d, f"excluded_denominators[{i}]")
-                         for i, d in enumerate(doc.get("excluded_denominators", [])))
+                         for i, d in enumerate(_optional(doc, "excluded_denominators",
+                                                         list, [])))
 
     problem = Problem(
         name=name,
@@ -238,4 +259,6 @@ def load_problem_file(path: str, param_overrides=None) -> tuple[Problem, dict]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: invalid JSON ({exc})") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemFileError(f"{path}: cannot read the problem file ({exc})") from None
     return load_problem(doc, param_overrides)

@@ -394,15 +394,6 @@ class Expr:
     def __repr__(self) -> str:
         return to_string(self)
 
-    def diff(self, s: Symbol) -> "Expr":
-        return differentiate(self, s)
-
-    def subs(self, bindings: Mapping[Symbol, "Expr"]) -> "Expr":
-        return substitute(self, bindings)
-
-    def eval(self, point: Mapping[Symbol, float]) -> float:
-        return evaluate(self, point)
-
 
 def _as_expr(v) -> Expr:
     if isinstance(v, Expr):

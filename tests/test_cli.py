@@ -39,6 +39,42 @@ class TestExitCodes:
         assert "builtin" in capsys.readouterr().err
 
 
+# (key, value, part of the message) for entries that each make the dubins
+# problem file invalid; a value "@raw" goes into the JSON text unquoted
+HOSTILE_ENTRIES = {
+    "k_u_string": ("k_u", "abc", "k_u must be"),
+    "control_guess_string": ("control_guess", ["abc", 0.0], "control_guess[0]"),
+    "parameters_list": ("parameters", [1, 2], "'parameters' must be a dict"),
+    "sampling_box_list": ("sampling_box", [1], "'sampling_box' must be a dict"),
+    "sampling_box_nan": ("sampling_box", {"x1": [-1, "@NaN"]}, "sampling_box['x1']"),
+    "sampling_box_overflow": ("sampling_box", {"x1": [-1, "@1e400"]}, "sampling_box['x1']"),
+    # a string would be read one character at a time
+    "excluded_denominators_string": ("excluded_denominators", "x1",
+                                     "'excluded_denominators' must be a list"),
+}
+
+
+class TestHostileProblemFiles:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_ENTRIES))
+    def test_bad_entry_is_an_error_not_a_traceback(self, case, tmp_path, capsys):
+        key, value, message = HOSTILE_ENTRIES[case]
+        doc = builtin("dubins")
+        doc[key] = value
+        text = json.dumps(doc)
+        for raw in ("NaN", "1e400"):
+            text = text.replace(f'"@{raw}"', raw)
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+
+    def test_directory_as_problem_path(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical_under_a_seed(self):
         r1, c1 = run("dubins", "--seed", "7")

@@ -320,6 +320,27 @@ class TestAdmissibleLevels:
         assert len(basis) == 1
         assert tuple(float(x) for x in basis[0]) == (0.0, 0.0, 1.0)
 
+    def test_level_clears_entries_above_later_pivots(self):
+        # the rows (1, 1, 0), (0, 1, 1) reduce to (1, 0, -1), (0, 1, 1)
+        basis = admissible_levels(xi_dict(3, p01=(1, 1, 0), p02=(0, 1, 1)), 3)
+        assert basis == [frac(1, -1, 1)]
+        assert all(isinstance(x, Fraction) for x in basis[0])
+
+    def test_levels_annihilate_every_structure_vector(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n, xi = random_algebra(rng)
+            basis = admissible_levels(xi, n)
+            for r in basis:
+                assert all(isinstance(x, Fraction) for x in r)
+                for v in xi.values():
+                    assert sum(a * b for a, b in zip(r, v)) == 0, (xi, r)
+            rows = np.array([[float(x) for x in v] for v in xi.values()])
+            assert len(basis) == n - np.linalg.matrix_rank(rows)
+            if basis:
+                levels = np.array([[float(x) for x in r] for r in basis])
+                assert np.linalg.matrix_rank(levels) == len(basis)
+
 
 class TestIndependenceRank:
     def test_dubins_full_rank_on_level_set(self):
