@@ -21,16 +21,11 @@ from .ocp import (  # noqa: F401
     PointSampler,
     Problem,
     TrueHamiltonian,
-    autonomize,
     build_hamiltonian,
     solve_stationarity,
     true_hamiltonian,
 )
-from .poisson import (  # noqa: F401
-    bracket,
-    homogeneous_correction,
-    is_first_integral,
-)
+from .poisson import bracket  # noqa: F401
 from .noether import (  # noqa: F401
     Ansatz,
     Family,
@@ -52,7 +47,6 @@ from .kk import (  # noqa: F401
 from .verify import (  # noqa: F401
     Trajectory,
     conservation_drift,
-    fd_bracket_oracle,
     integrate_extremal,
 )
 from .problems import BUILTIN_NAMES, builtin, load_problem, load_problem_file  # noqa: F401

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -66,6 +67,17 @@ def _parse_params(entries) -> dict:
         name, value = entry.split("=", 1)
         out[name.strip()] = value.strip()
     return out
+
+
+def _check_options(options) -> None:
+    if options.seed < 0:
+        raise AnalysisError(f"--seed must be a non-negative integer, got {options.seed}")
+    if options.holdout < 1:
+        raise AnalysisError(f"--holdout must be a positive integer, got {options.holdout}")
+    if options.samples is not None and options.samples < 1:
+        raise AnalysisError(f"--samples must be a positive integer, got {options.samples}")
+    if not (math.isfinite(options.tol) and options.tol > 0):
+        raise AnalysisError(f"--tol must be a positive finite number, got {options.tol}")
 
 
 def _resolve_problem(source: str, params: dict):
@@ -200,6 +212,7 @@ def run_analyze(source, options) -> tuple[dict, int]:
     """Full pipeline; returns (report, exit_code)."""
     t_start = time.monotonic()
     timings = {}
+    _check_options(options)
     params = _parse_params(options.param)
     try:
         problem, echo = (load_problem(source, params) if isinstance(source, dict)
@@ -436,13 +449,17 @@ def main(argv=None) -> int:
                 return 1
             return 0
         if args.dump:
-            os.makedirs(args.dump, exist_ok=True)
-            for name in BUILTIN_NAMES:
-                path = os.path.join(args.dump, f"{name}.json")
-                with open(path, "w") as fh:
-                    json.dump(builtin(name), fh, indent=2)
-                    fh.write("\n")
-                print(path)
+            try:
+                os.makedirs(args.dump, exist_ok=True)
+                for name in BUILTIN_NAMES:
+                    path = os.path.join(args.dump, f"{name}.json")
+                    with open(path, "w") as fh:
+                        json.dump(builtin(name), fh, indent=2)
+                        fh.write("\n")
+                    print(path)
+            except OSError as exc:
+                print(f"error: cannot write to {args.dump!r}: {exc.strerror}", file=sys.stderr)
+                return 1
             return 0
         for name in BUILTIN_NAMES:
             print(name)
@@ -456,8 +473,12 @@ def main(argv=None) -> int:
     body = (json.dumps(report, indent=2) + "\n" if args.format == "json"
             else render_text(report))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(body)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            print(f"error: cannot write {args.output!r}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(body)
     return code

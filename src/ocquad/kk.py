@@ -119,9 +119,11 @@ def _xi_rows(xi: dict, n: int) -> list:
 @dataclass(frozen=True)
 class _Arithmetic:
     """How structure vectors are compared and reduced: exactly when every
-    entry is a Fraction, else in floats with fixed tolerances."""
-    zero_tol: float   # every xi entry below it: the algebra is abelian
-    cut: float        # pivot cut of the row reduction, and the prop2 tolerance
+    entry is a Fraction, else in floats with tolerances relative to
+    s = max(1, max |xi|)."""
+    zero_tol: float   # every xi entry below zero_tol * s: the algebra is abelian
+    cut: float        # relative pivot cut of the row reduction; the prop2
+                      # products are compared against cut * s^2
     one: object
     dtype: type
 
@@ -159,6 +161,7 @@ def check_solvable_lie(xi: dict, n: int) -> SolvabilityReport:
     """
     rows = _xi_rows(xi, n)
     ar = _arithmetic(rows)
+    scale = max([1.0] + [abs(float(x)) for v in rows for x in v])
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     prop2 = True
@@ -168,9 +171,9 @@ def check_solvable_lie(xi: dict, n: int) -> SolvabilityReport:
         va, vp = xi[(a, b)], xi[(p, q)]
         for i in range(n):
             for j in range(i + 1, n):
-                if abs(va[i] * vp[j] - vp[i] * va[j]) > ar.cut:
+                if abs(va[i] * vp[j] - vp[i] * va[j]) > ar.cut * scale ** 2:
                     prop2 = False
-    if all(x == 0 or abs(x) < ar.zero_tol for v in rows for x in v):
+    if all(x == 0 or abs(x) < ar.zero_tol * scale for v in rows for x in v):
         return SolvabilityReport("abelian", 1, prop2)
 
     def bracket_vec(u, v):

@@ -391,15 +391,6 @@ class Family:
     def values_matrix(self, batch) -> np.ndarray:
         return np.column_stack([c.function.values(batch) for c in self.components])
 
-    def combine(self, weights) -> PhaseFunction:
-        """The family map at one parameter vector: sum_k weights_k * component_k."""
-        if len(weights) != self.m:
-            raise NoetherError("weight vector length must match family size")
-        expr = sx.add(*(sx.mul(sx.num(_exact(w)), c.expr)
-                        for w, c in zip(weights, self.components)))
-        table = self.components[0].function.table
-        return PhaseFunction(expr, table)
-
 
 def extract_family(residual, basis: list[np.ndarray], th: TrueHamiltonian,
                    sampler: PointSampler, tol: float = FAMILY_TOL,

@@ -21,7 +21,6 @@ from . import symexpr as sx
 from .symexpr import (
     HAMILTONIAN_SYMBOL,
     Expr,
-    Role,
     Symbol,
     SymbolTable,
 )
@@ -415,13 +414,6 @@ class HamiltonianEvaluator:
         env = self._envelope(*args)
         return float(env[0]), np.array(env[1:], dtype=float)
 
-    def solve_control(self, z, t: float) -> np.ndarray:
-        args = [*map(float, z), float(t)]
-        if self.th.is_closed_form:
-            bindings = dict(zip(self._grad_syms, args))
-            return np.array([sx.evaluate(e, bindings) for e in self.th.law.expressions])
-        return self._newton_point(args)
-
     def _newton_point(self, base) -> np.ndarray:
         starts = [self._warm] if self._warm is not None else []
         starts.append(self._guess)
@@ -510,14 +502,6 @@ class PhaseFunction:
             out += stacked[-1] * batch.hgrad
         return out
 
-    def to_symbolic(self, th: TrueHamiltonian) -> Expr:
-        """Substitute the closed-form reduced Hamiltonian for the placeholder."""
-        if not self.has_hamiltonian:
-            return self.expr
-        if not th.is_closed_form:
-            raise OcpError("no closed form available for the Hamiltonian placeholder")
-        return sx.substitute(self.expr, {HAMILTONIAN_SYMBOL: th.reduced})
-
     def __repr__(self) -> str:
         return f"PhaseFunction({sx.to_string(self.expr)})"
 
@@ -526,37 +510,15 @@ class HamiltonianFlow:
     """Right-hand side of xdot = dH/dpsi, psidot = -dH/dx."""
 
     def __init__(self, th: TrueHamiltonian):
-        self.th = th
         self.evaluator = th.evaluator()
         n = th.table.n
         # gradient rows giving (xdot, psidot), and their signs
         self._rows = np.r_[n:2 * n, :n]
         self._signs = np.repeat([1.0, -1.0], n)
-        self.symbolic = None
-        if th.is_closed_form:
-            partials = th.envelope[1:]
-            self.symbolic = {
-                "xdot": partials[n:2 * n],
-                "psidot": tuple(sx.negate(d) for d in partials[:n]),
-            }
 
     def rhs(self, t: float, y) -> np.ndarray:
         _, grad = self.evaluator.value_and_gradient(y, t)
         return grad[self._rows] * self._signs
-
-
-def autonomize(th: TrueHamiltonian):
-    """K(x, psi, theta, t) = reduced H - theta over the table extended with theta.
-
-    Along the extended flow theta follows dH/dt, so K is conserved even for
-    time-dependent problems.
-    """
-    if not th.is_closed_form:
-        raise OcpError("autonomization needs a closed-form reduced Hamiltonian")
-    theta = Symbol("theta", Role.AUTONOMIZATION)
-    extended = th.table.extended(theta)
-    k = sx.add(th.reduced, sx.negate(sx.symref(theta)))
-    return k, extended
 
 
 class PointSampler:

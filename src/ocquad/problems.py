@@ -130,16 +130,14 @@ def _as_float(value, what: str) -> float:
 
 
 def _as_rational(value, what: str) -> Fraction:
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, (int, str)):
-            return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ProblemFileError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            out = Fraction(str(value) if isinstance(value, float) else value)
+            float(out)      # overflows beyond the float range
+            return out
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ProblemFileError(f"{what} must be a finite number, got {value!r}")
 
 
 def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) -> tuple[Problem, dict]:

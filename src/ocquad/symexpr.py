@@ -68,8 +68,7 @@ class Role(Enum):
     CONTROL = 2
     TIME = 3
     PARAMETER = 4
-    AUTONOMIZATION = 5
-    HAMILTONIAN = 6
+    HAMILTONIAN = 5
 
 
 @dataclass(frozen=True)
@@ -150,10 +149,6 @@ class SymbolTable:
         if len(times) != 1:
             raise ValueError("a table needs exactly one time symbol")
         self._time = times[0]
-        autos = [s for s in self._symbols if s.role is Role.AUTONOMIZATION]
-        if len(autos) > 1:
-            raise ValueError("at most one autonomization symbol is allowed")
-        self._auto = autos[0] if autos else None
         for seq in (self._states, self._costates, self._controls):
             if [s.index for s in seq] != list(range(1, len(seq) + 1)):
                 raise ValueError("indices must run 1..k without gaps")
@@ -189,10 +184,6 @@ class SymbolTable:
         return self._time
 
     @property
-    def autonomization(self) -> Symbol | None:
-        return self._auto
-
-    @property
     def parameters(self) -> tuple[Symbol, ...]:
         return tuple(s for s in self._symbols if s.role is Role.PARAMETER)
 
@@ -218,9 +209,6 @@ class SymbolTable:
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
-
-    def extended(self, *extra: Symbol) -> "SymbolTable":
-        return SymbolTable(self._symbols + tuple(extra))
 
 
 # node kinds
@@ -268,10 +256,6 @@ class Expr:
         return self.kind == _POW
 
     @property
-    def is_call(self) -> bool:
-        return self.kind == _CALL
-
-    @property
     def constant(self) -> Fraction:
         if self.kind != _NUM:
             raise ExprError("not a constant")
@@ -302,18 +286,6 @@ class Expr:
         if self.kind != _POW:
             raise ExprError("not a power")
         return self.value
-
-    @property
-    def func_name(self) -> str:
-        if self.kind != _CALL:
-            raise ExprError("not a function application")
-        return self.value
-
-    @property
-    def argument(self) -> "Expr":
-        if self.kind != _CALL:
-            raise ExprError("not a function application")
-        return self.children[0]
 
     # ---- identity ---------------------------------------------------------
     def __eq__(self, other) -> bool:

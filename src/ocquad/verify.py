@@ -1,9 +1,7 @@
-"""Independent numerical oracles: extremal integration, conservation drift,
-and a finite-difference Poisson bracket.
+"""Numerical verification: extremal integration and conservation drift.
 
-Everything here deliberately avoids the symbolic machinery it is meant to
-check: the integrator is plain fixed-step RK4 on the Hamiltonian flow, and the
-bracket oracle uses central differences of pointwise evaluation.
+The integrator is plain fixed-step RK4 on the Hamiltonian flow, so it checks
+the discovered integrals without the symbolic machinery that found them.
 """
 
 from __future__ import annotations
@@ -15,14 +13,13 @@ import numpy as np
 
 from . import symexpr as sx
 from .ocp import (
-    HamiltonianEvaluator,
     OcpError,
     PhaseFunction,
     SampleBatch,
     TrueHamiltonian,
     sample_symbols,
 )
-from .symexpr import Expr, Symbol, SymbolTable
+from .symexpr import SymbolTable
 
 
 class PoleEncounteredError(OcpError):
@@ -50,10 +47,6 @@ class Trajectory:
         return self.batch.points
 
     @property
-    def hamiltonian_values(self) -> np.ndarray:
-        return self.batch.hvalue
-
-    @property
     def times(self) -> np.ndarray:
         return self.points[-1]
 
@@ -63,29 +56,15 @@ class Trajectory:
         return self.points[:-1].T
 
 
-def _checked_start(th: TrueHamiltonian, z0, t0: float, horizon: float, step: float):
-    """The initial (x, psi) as a vector and the grid t0, t0 + step, ..., t0 + horizon."""
-    if not step > 0:
-        raise ValueError("step must be positive")
-    ratio = horizon / step
-    n_steps = int(round(ratio)) if np.isfinite(ratio) else 0
-    if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * max(1.0, abs(horizon)):
-        raise ValueError("horizon must be an integral number of steps")
-    y = np.asarray(z0, dtype=float).copy()
-    if y.shape != (2 * th.table.n,):
-        raise ValueError(f"initial condition must have length {2 * th.table.n}")
-    return y, t0 + step * np.arange(n_steps + 1)
-
-
-def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step=None) -> np.ndarray:
+def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.ndarray:
     """Classical fixed-step RK4 of y' = rhs(t, y) over `times`; (N+1, dim) states.
 
     The state is stepped as a list of floats: for the few coordinates of a
     phase point that costs less than one numpy call per vector operation, and
     every coordinate goes through the same floating-point operations in the
     same order.  A failed control solve, a non-finite right-hand side or a
-    non-finite state raises PoleEncounteredError; `after_step(t, y)` may raise
-    it as well.
+    non-finite state raises PoleEncounteredError; so may `after_step(t, y)`,
+    called after every step.
     """
     half, sixth = step / 2, step / 6
 
@@ -112,18 +91,9 @@ def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step=None) ->
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if not all(map(math.isfinite, y)):
             raise PoleEncounteredError(t)
-        if after_step is not None:
-            after_step(times[k + 1], y)
+        after_step(times[k + 1], y)
         states.append(y)
     return np.array(states)
-
-
-def _on_grid(evaluator: HamiltonianEvaluator, points: np.ndarray, times: np.ndarray):
-    """Envelope batch over every grid point; a dropped point is a pole."""
-    batch, keep = evaluator.prepare(points)
-    if not keep.all():
-        raise PoleEncounteredError(float(times[int(np.argmin(keep))]))
-    return batch
 
 
 def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
@@ -133,7 +103,16 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     `z0` is the initial (x_1..x_n, psi_1..psi_n).  Aborts with
     PoleEncounteredError if the flow leaves the evaluable region.
     """
-    y, times = _checked_start(th, z0, t0, horizon, step)
+    if not step > 0:
+        raise ValueError("step must be positive")
+    ratio = horizon / step
+    n_steps = int(round(ratio)) if np.isfinite(ratio) else 0
+    if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * max(1.0, abs(horizon)):
+        raise ValueError("horizon must be an integral number of steps")
+    y = np.asarray(z0, dtype=float).copy()
+    if y.shape != (2 * th.table.n,):
+        raise ValueError(f"initial condition must have length {2 * th.table.n}")
+    times = t0 + step * np.arange(n_steps + 1)
     denominators = [sx.compile_fn(d, sample_symbols(th.table))
                     for d in th.problem.excluded_denominators]
     previous = [None] * len(denominators)
@@ -149,29 +128,10 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     check_denominators(t0, y)
     flow = th.flow()
     states = _rk4(flow.rhs, y, times, step, check_denominators)
-    return Trajectory(_on_grid(flow.evaluator, np.vstack([states.T, times]), times))
-
-
-def integrate_autonomized(th: TrueHamiltonian, z0, theta0: float = 0.0,
-                          t0: float = 0.0, horizon: float = 1.0,
-                          step: float = 1e-3):
-    """Flow of K = H - theta on the extended space (x, psi, theta, t).
-
-    Returns (tau grid, extended states, K values); theta follows dH/dt and t
-    advances uniformly, so K stays constant even for time-dependent problems.
-    """
-    evaluator = th.evaluator()
-    n = th.table.n
-    z, taus = _checked_start(th, z0, 0.0, horizon, step)
-
-    def rhs(tau, state):
-        _, grad = evaluator.value_and_gradient(state[:2 * n], state[-1])
-        return np.concatenate([grad[n:2 * n], -grad[:n], grad[2 * n:], [1.0]])
-
-    states = _rk4(rhs, np.concatenate([z, [theta0, t0]]), taus, step)
-    points = np.vstack([states[:, :2 * n].T, states[:, -1]])
-    k_values = _on_grid(evaluator, points, taus).hvalue - states[:, 2 * n]
-    return taus, states, k_values
+    batch, keep = flow.evaluator.prepare(np.vstack([states.T, times]))
+    if not keep.all():
+        raise PoleEncounteredError(float(times[int(np.argmin(keep))]))
+    return Trajectory(batch)
 
 
 def conservation_drift(f, traj: Trajectory) -> float:
@@ -180,19 +140,3 @@ def conservation_drift(f, traj: Trajectory) -> float:
     func = f if isinstance(f, PhaseFunction) else PhaseFunction(f, traj.table)
     vals = func.values(traj.batch)
     return float(np.abs(vals - vals[0]).max())
-
-
-def fd_bracket_oracle(f: Expr, g: Expr, table: SymbolTable,
-                      point: dict[Symbol, float], h: float = 1e-5) -> float:
-    """Central-difference approximation of the canonical Poisson bracket."""
-
-    def partial(e, s):
-        up, dn = dict(point), dict(point)
-        up[s] = point[s] + h
-        dn[s] = point[s] - h
-        return (sx.evaluate(e, up) - sx.evaluate(e, dn)) / (2 * h)
-
-    total = 0.0
-    for x, p in zip(table.states, table.costates):
-        total += partial(f, x) * partial(g, p) - partial(f, p) * partial(g, x)
-    return total

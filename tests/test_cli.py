@@ -75,6 +75,40 @@ class TestHostileProblemFiles:
         assert capsys.readouterr().err.startswith("error:")
 
 
+# (problem, flags, part of the message) for command lines that must end with
+# exit code 1 and a one-line error; "{tmp}" stands for a fresh directory
+HOSTILE_FLAGS = {
+    "holdout_zero": ("dubins", ["--holdout", "0"], "--holdout"),
+    "holdout_negative": ("dubins", ["--holdout", "-3"], "--holdout"),
+    "samples_zero": ("dubins", ["--samples", "0"], "--samples"),
+    "samples_negative": ("dubins", ["--samples", "-5"], "--samples"),
+    "tol_nan": ("dubins", ["--tol", "nan"], "--tol"),
+    "seed_negative": ("dubins", ["--seed", "-1"], "--seed"),
+    "output_in_missing_directory": ("dubins", ["--output", "{tmp}/missing/x.json"],
+                                    "cannot write"),
+    "param_overflow": ("martinet", ["--param", "alpha=1e400"], "parameter 'alpha'"),
+}
+
+
+class TestHostileFlags:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_FLAGS))
+    def test_bad_flag_is_an_error_not_a_traceback(self, case, tmp_path, capsys):
+        problem, flags, message = HOSTILE_FLAGS[case]
+        flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+        assert main(["analyze", problem, *flags]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:")
+        assert message in out.err
+
+    def test_dump_onto_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        assert main(["problems", "--dump", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert target.read_text() == "keep"
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical_under_a_seed(self):
         r1, c1 = run("dubins", "--seed", "7")

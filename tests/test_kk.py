@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from ocquad import symexpr as sx
 from ocquad.kk import (
     BracketMatrix,
@@ -15,6 +16,7 @@ from ocquad.noether import Family, FamilyComponent, discover_family
 from ocquad.ocp import PhaseFunction, PointSampler, true_hamiltonian
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
+from oracles import combine
 
 
 def setup_problem(name, backend="auto", seed=42):
@@ -68,7 +70,7 @@ class TestBracketMatrix:
             lam1 = rng.integers(-2, 3, fam.m).astype(float)
             lam2 = rng.integers(-2, 3, fam.m).astype(float)
             via_tensor = np.einsum("m,mkn,k->n", lam1, a, lam2)
-            direct = bracket_values(fam.combine(lam1), fam.combine(lam2), batch)
+            direct = bracket_values(combine(fam, lam1), combine(fam, lam2), batch)
             assert np.abs(via_tensor - direct).max() < 1e-9
 
 
@@ -301,6 +303,21 @@ class TestFloatStructureVectors:
                 levels = admissible_levels(xi_float, n)
                 assert len(levels) == exact_dim, (xi, noise)
                 assert not any(isinstance(x, Fraction) for r in levels for x in r)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+    def test_decision_does_not_depend_on_scale(self, scale):
+        # Heisenberg: [e0, e1] = e2; scaling every structure vector by c > 0
+        # gives an isomorphic algebra, so the verdict must not move
+        xi = xi_dict(3, p01=(0, 0, 1))
+        exact = check_solvable_lie(xi, 3)
+        assert (exact.kind, exact.depth, exact.prop2_holds) == ("paper_sufficient", 2, True)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            xi_float = {k: tuple(scale * (float(x) + 1e-13 * rng.uniform(-1, 1)) for x in v)
+                        for k, v in xi.items()}
+            report = check_solvable_lie(xi_float, 3)
+            assert (report.kind, report.depth, report.prop2_holds) == \
+                (exact.kind, exact.depth, exact.prop2_holds), xi_float
 
 
 class TestAdmissibleLevels:

@@ -9,7 +9,6 @@ from ocquad.ocp import (
     PointSampler,
     Problem,
     build_hamiltonian,
-    autonomize,
     solve_stationarity,
     true_hamiltonian,
 )
@@ -209,7 +208,7 @@ class TestEvalTrueHamiltonian:
             for pt in phase_points(problem, 250, seed=4):
                 if problem is martinet and abs(1 + pt[t.state(1)]) < 0.1:
                     continue
-                u_star = ev.solve_control(*positional(problem, pt))
+                u_star = [evaluate(e, pt) for e in th.law.expressions]
                 full = dict(pt)
                 full.update(zip(t.controls, u_star))
                 _, grad = ev.value_and_gradient(*positional(problem, pt))
@@ -243,8 +242,7 @@ class TestEvalTrueHamiltonian:
         grads = [sx.differentiate(th.hamiltonian, u) for u in t.controls]
         for i in range(batch.size):
             full = batch.point(i)
-            u_star = ev.solve_control(batch.points[:-1, i], batch.points[-1, i])
-            full.update(zip(t.controls, u_star))
+            full.update(zip(t.controls, batch.controls[i]))
             for g in grads:
                 assert abs(evaluate(g, full)) <= 1e-9
 
@@ -254,11 +252,9 @@ class TestFlow:
         problem = scalar_problem()
         th = true_hamiltonian(problem)
         flow = th.flow()
-        t = problem.table
-        assert flow.symbolic["xdot"][0] == parse("psi1", t)
-        assert flow.symbolic["psidot"][0] == sx.num(0)
-        rhs = flow.rhs(0.0, np.array([0.0, 1.0]))
-        assert np.allclose(rhs, [1.0, 0.0])
+        # H = psi1^2/2: xdot = psi1, psidot = 0
+        for t, y in [(0.0, [0.0, 1.0]), (0.3, [0.7, -1.3]), (2.0, [-5.0, 0.25])]:
+            assert np.allclose(flow.rhs(t, np.array(y)), [y[1], 0.0], atol=1e-15)
 
     def test_dubins_adjoint_component(self, dubins):
         th = true_hamiltonian(dubins)
@@ -267,27 +263,9 @@ class TestFlow:
         expected = parse(
             "(cos(x3)*psi1 + sin(x3)*psi2) * (sin(x3)*psi1 - cos(x3)*psi2)",
             t)
-        got = flow.symbolic["psidot"][2]
         for pt in phase_points(dubins, 30, seed=6):
-            assert abs(evaluate(got, pt) - evaluate(expected, pt)) < 1e-12
-
-
-class TestAutonomize:
-    def test_structure_and_zero_level(self, dubins):
-        th = true_hamiltonian(dubins)
-        k, table = autonomize(th)
-        theta = table.autonomization
-        assert k == sx.add(th.reduced, sx.negate(sx.symref(theta)))
-        pt = phase_points(dubins, 1, seed=7)[0]
-        value = evaluate(th.reduced, pt)
-        pt_ext = dict(pt)
-        pt_ext[theta] = value
-        assert abs(evaluate(k, pt_ext)) < 1e-15
-
-    def test_requires_closed_form(self, trailer):
-        th = true_hamiltonian(trailer)
-        with pytest.raises(OcpError):
-            autonomize(th)
+            got = flow.rhs(pt[t.time], np.array([pt[s] for s in t.phase]))[t.n + 2]
+            assert abs(got - evaluate(expected, pt)) < 1e-12
 
 
 class TestSampler:

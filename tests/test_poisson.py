@@ -7,17 +7,11 @@ import pytest
 from ocquad import ocp
 from ocquad import symexpr as sx
 from ocquad.ocp import PhaseFunction, PointSampler, true_hamiltonian
-from ocquad.poisson import (
-    Residual,
-    bracket,
-    bracket_values,
-    homogeneous_correction,
-    is_first_integral,
-)
+from ocquad.poisson import bracket, bracket_values
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import evaluate, parse, symref
-from ocquad.verify import fd_bracket_oracle
 from conftest import ExprGen
+from oracles import Residual, fd_bracket_oracle
 
 
 @pytest.fixture(scope="module")
@@ -166,59 +160,36 @@ class TestResidual:
             assert abs(vals[i] - evaluate(symb, batch.point(i))) < 1e-10
 
 
+def max_residual(f, th, sampler, n_samples=100):
+    """Largest |R(F)| over fresh draws."""
+    return float(np.abs(Residual(f, th).values(sampler.draw(n_samples))).max())
+
+
 class TestIsFirstIntegral:
     def test_symbolic_zero_for_martinet_psi3(self, martinet_th):
-        verdict = is_first_integral(symref(martinet_th.table.costate(3)),
-                                    martinet_th, sampler_for(martinet_th, 4))
-        assert verdict.kind == "symbolic_zero"
+        r = Residual(symref(martinet_th.table.costate(3)), martinet_th)
+        assert sx.is_symbolically_zero(r.symbolic())
 
     def test_autonomous_hamiltonian_is_conserved_sr(self):
         problem, _ = load_problem(builtin("sr-2-3-5"))
         th = true_hamiltonian(problem)
-        verdict = is_first_integral(th.reduced, th, sampler_for(th, 5))
-        assert verdict.kind in ("symbolic_zero", "numeric_zero")
-        assert verdict.max_residual < 1e-10
+        assert max_residual(th.reduced, th, sampler_for(th, 5)) < 1e-10
 
     def test_nonzero_with_witness(self, dubins_th):
-        verdict = is_first_integral(symref(dubins_th.table.state(3)),
-                                    dubins_th, sampler_for(dubins_th, 6))
-        assert verdict.kind == "nonzero"
-        assert verdict.witness is not None
         r = Residual(symref(dubins_th.table.state(3)), dubins_th)
-        sym = r.symbolic()
-        assert abs(evaluate(sym, verdict.witness)) > 1e-6
+        batch = sampler_for(dubins_th, 6).draw(100)
+        vals = r.values(batch)
+        worst = int(np.argmax(np.abs(vals)))
+        assert abs(vals[worst]) >= 1e-8
+        assert abs(evaluate(r.symbolic(), batch.point(worst))) > 1e-6
 
     def test_works_on_implicit_backend(self):
         problem, _ = load_problem(builtin("trailer"))
         th = true_hamiltonian(problem)
         sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(7))
         f = parse("-psi1*x2 + psi2*x1 + psi3 + psi4", problem.table)
-        verdict = is_first_integral(f, th, sampler)
-        assert verdict.kind == "numeric_zero"
-        assert verdict.max_residual < 1e-9
-        bad = is_first_integral(symref(problem.table.state(1)), th, sampler)
-        assert bad.kind == "nonzero"
-
-
-class TestHomogeneousCorrection:
-    def test_martinet_dilation(self, martinet_th):
-        t = martinet_th.table
-        g = parse("(1 + x1)*psi1 + x3*psi3", t)
-        c, f = homogeneous_correction(g, martinet_th, sampler_for(martinet_th, 8))
-        assert c == Fraction(2)
-        verdict = is_first_integral(f, martinet_th, sampler_for(martinet_th, 9))
-        assert verdict.is_integral
-
-    def test_plain_integral_gets_zero_constant(self, dubins_th):
-        c, f = homogeneous_correction(symref(dubins_th.table.costate(1)),
-                                      dubins_th, sampler_for(dubins_th, 10))
-        assert c == 0
-        assert f == symref(dubins_th.table.costate(1))
-
-    def test_rejects_non_candidates(self, dubins_th):
-        out = homogeneous_correction(symref(dubins_th.table.state(1)),
-                                     dubins_th, sampler_for(dubins_th, 11))
-        assert out is None
+        assert max_residual(f, th, sampler) < 1e-9
+        assert max_residual(symref(problem.table.state(1)), th, sampler) >= 1e-8
 
 
 class TestBracketValues:

@@ -5,14 +5,9 @@ from ocquad import symexpr as sx
 from ocquad.ocp import HamiltonianEvaluator, PhaseFunction, PointSampler, true_hamiltonian
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
-from ocquad.verify import (
-    PoleEncounteredError,
-    conservation_drift,
-    fd_bracket_oracle,
-    integrate_autonomized,
-    integrate_extremal,
-)
+from ocquad.verify import PoleEncounteredError, conservation_drift, integrate_extremal
 from conftest import ExprGen
+from oracles import fd_bracket_oracle
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +49,7 @@ class TestIntegrateExtremal:
         traj = integrate_extremal(th, [0.0, 1.0], horizon=1.0, step=0.01)
         assert np.allclose(traj.states[:, 0], traj.times, atol=1e-14)
         assert np.allclose(traj.states[:, 1], 1.0, atol=1e-14)
-        assert np.allclose(traj.hamiltonian_values, 0.5, atol=1e-14)
+        assert np.allclose(traj.batch.hvalue, 0.5, atol=1e-14)
 
     def test_dubins_energy_drift(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
@@ -73,10 +68,9 @@ class TestIntegrateExtremal:
     def test_bad_step_rejected(self, dubins_th):
         z0 = [0, 0, 0, 1, 1, 1]
         cases = [(z0, -0.1), (z0, 0.3), (z0, 0.0), ([0, 0, 0, 1], 0.01)]
-        for integrate in (integrate_extremal, integrate_autonomized):
-            for start, step in cases:
-                with pytest.raises(ValueError):
-                    integrate(dubins_th, start, horizon=1.0, step=step)
+        for start, step in cases:
+            with pytest.raises(ValueError):
+                integrate_extremal(dubins_th, start, horizon=1.0, step=step)
 
     def test_pole_abort(self):
         # flow of the Martinet problem pushed across the 1 + x1 = 0 line
@@ -160,24 +154,13 @@ class TestFamilyConservation:
         assert done == 3
 
 
-class TestAutonomizedFlow:
-    def test_k_conserved_for_autonomous_problem(self):
-        problem, _ = load_problem(builtin("martinet"))
-        th = true_hamiltonian(problem)
-        _, _, k_values = integrate_autonomized(th, [0.2, 0.1, 0.0, 0.5, 0.4, 0.3],
-                                               theta0=0.25, horizon=1.0, step=1e-3)
-        assert np.abs(k_values - k_values[0]).max() < 1e-8
-
-    def test_k_conserved_for_time_dependent_problem(self):
+class TestTimeDependentFlow:
+    def test_hamiltonian_drifts_for_time_dependent_problem(self):
         th = nonautonomous_th()
         assert sx.free_symbols(th.reduced) & {th.table.time}
-        _, _, k_values = integrate_autonomized(th, [0.3, -0.4], theta0=0.0,
-                                               horizon=1.0, step=1e-3)
-        assert np.abs(k_values - k_values[0]).max() < 1e-8
-        # the plain Hamiltonian itself drifts: theta absorbs dH/dt
+        # along the flow dH/dt is the explicit time derivative, here -x
         traj = integrate_extremal(th, [0.3, -0.4], horizon=1.0, step=1e-3)
-        assert np.abs(traj.hamiltonian_values
-                      - traj.hamiltonian_values[0]).max() > 1e-3
+        assert np.abs(traj.batch.hvalue - traj.batch.hvalue[0]).max() > 1e-3
 
 
 class TestFdBracketOracle:
