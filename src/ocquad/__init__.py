@@ -43,6 +43,7 @@ from .kk import (  # noqa: F401
     decompose_in_span,
     find_certificate,
     independence_rank,
+    sample_span,
 )
 from .verify import (  # noqa: F401
     Trajectory,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import symexpr as sx
-from .kk import Certificate, decompose_in_span, find_certificate
+from .kk import Certificate, SpanSample, decompose_in_span, find_certificate, sample_span
 from .noether import (
     EmptyNullspaceError,
     Family,
@@ -102,7 +102,8 @@ def _family_block(family: Family) -> list[dict]:
     return out
 
 
-def _structure_block(family: Family, sampler) -> dict:
+def _structure_block(span: SpanSample) -> dict:
+    family = span.family
     if family.m > STRUCTURE_FAMILY_CAP:
         return {"skipped": f"family has {family.m} components "
                            f"(cap {STRUCTURE_FAMILY_CAP} for the full table)"}
@@ -110,8 +111,8 @@ def _structure_block(family: Family, sampler) -> dict:
     worst = 0.0
     for p in range(family.m):
         for q in range(p + 1, family.m):
-            dec = decompose_in_span(
-                _pair_bracket_function(family, p, q), family, sampler)
+            dec = decompose_in_span(span.brackets_fit[p, q], span.brackets_hold[p, q],
+                                    span.values_fit, span.values_hold)
             entry = {"pair": [p, q]}
             if dec.ok:
                 entry["xi"] = _vector(dec.coefficients)
@@ -121,21 +122,6 @@ def _structure_block(family: Family, sampler) -> dict:
                 entry["unresolved_residual"] = float(dec.residual)
             pairs.append(entry)
     return {"pairs": pairs, "closure_residual": float(worst)}
-
-
-def _pair_bracket_function(family: Family, p: int, q: int):
-    from .poisson import bracket_values
-
-    fp = family.components[p].function
-    fq = family.components[q].function
-
-    class _BracketValues:
-        table = fp.table
-
-        def values(self, batch):
-            return bracket_values(fp, fq, batch)
-
-    return _BracketValues()
 
 
 def _certificate_block(cert: Certificate) -> dict:
@@ -282,12 +268,13 @@ def run_analyze(source, options) -> tuple[dict, int]:
     report["family"] = _family_block(family)
 
     t0 = time.monotonic()
-    report["structure"] = _structure_block(family, sampler)
+    span = sample_span(family, sampler)
+    report["structure"] = _structure_block(span)
     timings["structure"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    cert = find_certificate(family, th, sampler,
-                            np.random.default_rng(s_cert))
+    cert = find_certificate(span, th, sampler, np.random.default_rng(s_cert))
+    del span   # free the bracket tensors before the polynomial search
     timings["certificate"] = time.monotonic() - t0
     report["certificate"] = _certificate_block(cert)
     if cert.solvable:

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import poisson
 from . import symexpr as sx
 from .noether import Family, rationalize_vector, rref
 from .ocp import PhaseFunction, PointSampler, TrueHamiltonian
@@ -29,29 +30,41 @@ from .symexpr import HAMILTONIAN_SYMBOL, Expr
 DECOMPOSE_TOL = 1e-7
 RANK_SV_TOL = 1e-8
 PROJECTION_TOL = 1e-10
+RANK_POINTS = 5                # level points the rank gate must reach
+MAX_RANDOM_SELECTIONS = 50     # random integer selections after the structured ones
+MAX_CANDIDATES = 20000
+GENERIC_PROBES = 4             # fit points of the functional-independence pre-gate
 
 
-class BracketMatrix:
-    """Pairwise Poisson brackets of the family components."""
+@dataclass(frozen=True)
+class SpanSample:
+    """A family evaluated once for every bracket-closure fit.
 
-    def __init__(self, family: Family):
-        self.family = family
-
-    def gradients(self, batch):
-        """Stacked (m, n, N) state and costate gradients of the components."""
-        funcs = self.family.functions()
-        n = funcs[0].table.n
-        grads = np.stack([f.gradient(batch) for f in funcs])
-        return np.ascontiguousarray(grads[:, :n]), np.ascontiguousarray(grads[:, n:2 * n])
-
-    def values(self, batch) -> np.ndarray:
-        """(m, m, N) tensor of {F_p, F_q} values; antisymmetric in (p, q)."""
-        return bracket_tensor(*self.gradients(batch))
+    `values_*` are the (N, m) component values and `brackets_*` the (m, m, N)
+    bracket tensors {F_p, F_q} on one fit and one holdout batch; `jacobian`
+    holds the (m, 2n, P) phase-space gradients at the first P fit points.
+    """
+    family: Family
+    values_fit: np.ndarray
+    values_hold: np.ndarray
+    brackets_fit: np.ndarray
+    brackets_hold: np.ndarray
+    jacobian: np.ndarray
 
 
-def bracket_tensor(gx: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    """(m, m, N) bracket values from (m, n, N) state and costate gradients."""
-    return np.einsum("pin,qin->pqn", gx, gp) - np.einsum("pin,qin->pqn", gp, gx)
+def sample_span(family: Family, sampler: PointSampler) -> SpanSample:
+    """Draw the fit and holdout batches and evaluate the family on them."""
+    funcs = family.functions()
+    fit = sampler.draw(max(3 * family.m, 60))
+    hold = sampler.draw(max(family.m, 60))
+    probes = fit.take(slice(GENERIC_PROBES))
+    return SpanSample(
+        family=family,
+        values_fit=family.values_matrix(fit),
+        values_hold=family.values_matrix(hold),
+        brackets_fit=poisson.bracket_values(funcs, fit),
+        brackets_hold=poisson.bracket_values(funcs, hold),
+        jacobian=np.stack([f.gradient(probes)[:-1] for f in funcs]))
 
 
 @dataclass(frozen=True)
@@ -65,8 +78,15 @@ class Decomposition:
         return self.coefficients is not None
 
 
-def _fit_span(y_fit, y_hold, basis_fit, basis_hold, tol) -> Decomposition:
-    """Least squares without a constant column, accepted on holdout."""
+def decompose_in_span(y_fit, y_hold, basis_fit, basis_hold,
+                      tol: float = DECOMPOSE_TOL) -> Decomposition:
+    """Least-squares fit of sampled values over the basis columns, without a
+    constant column.
+
+    The coefficients are accepted when the holdout residual, relative to
+    max(1, max |y_hold|), is below `tol`: rationalised first, else as floats.
+    A failure carries the witness residual.
+    """
     coeff, *_ = np.linalg.lstsq(basis_fit, y_fit, rcond=None)
 
     def rel_residual(c):
@@ -83,22 +103,6 @@ def _fit_span(y_fit, y_hold, basis_fit, basis_hold, tol) -> Decomposition:
     if r < tol:
         return Decomposition(tuple(coeff), r, rational=False)
     return Decomposition(None, r)
-
-
-def decompose_in_span(g, family: Family, sampler: PointSampler,
-                      tol: float = DECOMPOSE_TOL) -> Decomposition:
-    """Fit a function over span{F_1..F_m}; Fail carries the witness residual.
-
-    `g` may be an Expr, a PhaseFunction, or any object with a
-    ``values(batch)`` method (e.g. a bracket evaluator).
-    """
-    funcs = family.functions()
-    table = funcs[0].table
-    target = g if hasattr(g, "values") else PhaseFunction(g, table)
-    fit = sampler.draw(max(3 * family.m, 30))
-    hold = sampler.draw(max(family.m, 30))
-    return _fit_span(target.values(fit), target.values(hold),
-                     family.values_matrix(fit), family.values_matrix(hold), tol)
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,7 @@ class RankEvidence:
 
 def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
                       th: TrueHamiltonian, sampler: PointSampler,
-                      k_points: int = 5, max_attempts: int | None = None):
+                      k_points: int = RANK_POINTS):
     """Manufacture points on the admissible level manifold and record the rank
     of the selection's (x, psi) Jacobian there.
 
@@ -236,11 +240,10 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
     n_sel = len(selection)
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
         if r_basis else np.zeros((n_sel, 0))
-    attempts_cap = max_attempts if max_attempts is not None else 4 * k_points
     evidence: list[RankEvidence] = []
     skipped = 0
     attempts = 0
-    while len(evidence) < k_points and attempts < attempts_cap:
+    while len(evidence) < k_points and attempts < 4 * k_points:
         attempts += 1
         point = sampler.draw_point()
         z, t_val = point[:-1], point[-1]
@@ -328,8 +331,7 @@ def _search_order(family: Family) -> list[int]:
                                  _polynomial_degree(family.components[k].expr), k))
 
 
-def _candidate_selections(family: Family, n: int, rng: np.random.Generator,
-                          max_random: int):
+def _candidate_selections(family: Family, n: int, rng: np.random.Generator):
     """Deterministic search order: subsets, Hamiltonian-augmented, random."""
     m = family.m
     order = _search_order(family)
@@ -356,69 +358,59 @@ def _candidate_selections(family: Family, n: int, rng: np.random.Generator,
                     lam[row, idx] = 1.0
                 lam[aug, h_idx] += 1.0
                 yield lam, None
-    for _ in range(max_random):
+    for _ in range(MAX_RANDOM_SELECTIONS):
         lam = rng.integers(-2, 3, size=(n, m)).astype(float)
         if len({tuple(row) for row in lam}) == n:
             yield lam, None
 
 
-def find_certificate(family: Family, th: TrueHamiltonian, sampler: PointSampler,
-                     rng: np.random.Generator, n: int | None = None,
-                     tol: float = DECOMPOSE_TOL, k_points: int = 5,
-                     max_random: int = 50,
-                     max_candidates: int = 20000) -> Certificate:
+def find_certificate(span: SpanSample, th: TrueHamiltonian, sampler: PointSampler,
+                     rng: np.random.Generator) -> Certificate:
     """Search lambda-selections for one passing all Kozlov-Kolesnikov gates.
 
-    Returns the first passing selection in the deterministic search order, or
-    an inconclusive certificate carrying the furthest-gate diagnostics.
+    Every closure fit reads the values and bracket tensors of `span`; the
+    sampler serves only the rank gate's projections.  Returns the first
+    passing selection in the deterministic search order, or an inconclusive
+    certificate carrying the furthest-gate diagnostics.
     """
-    n = n if n is not None else th.table.n
+    family = span.family
+    n = th.table.n
     if family.m < n:
         return Certificate(
             verdict="inconclusive",
             diagnostics=f"family has {family.m} components but {n} independent "
                         "integrals are needed")
-    fit = sampler.draw(max(3 * family.m, 60))
-    hold = sampler.draw(max(family.m, 60))
-    v_fit = family.values_matrix(fit)
-    v_hold = family.values_matrix(hold)
-    brackets = BracketMatrix(family)
-    gx, gp = brackets.gradients(fit)
-    a_fit = bracket_tensor(gx, gp)
-    a_hold = brackets.values(hold)
-    # (m, 2n, P) Jacobian rows at a few probe points, for the cheap pre-gate
-    # that rejects functionally dependent selections before any fitting
-    probes = min(4, fit.size)
-    jac_rows = np.concatenate([gx[:, :, :probes], gp[:, :, :probes]], axis=1)
 
     best_gate = -1
     best_diag = "no candidate selections"
     examined = 0
-    for lam, combo in _candidate_selections(family, n, rng, max_random):
+    for lam, combo in _candidate_selections(family, n, rng):
         examined += 1
-        if examined > max_candidates:
+        if examined > MAX_CANDIDATES:
             break
         label = (f"selection {combo}" if combo is not None
                  else f"selection with weights {lam.tolist()}")
+        # cheap pre-gate: reject functionally dependent selections before
+        # any fitting
         generic_rank = max(
-            np.linalg.matrix_rank(lam @ jac_rows[:, :, p], tol=1e-10)
-            for p in range(probes))
+            np.linalg.matrix_rank(lam @ span.jacobian[:, :, p], tol=1e-10)
+            for p in range(span.jacobian.shape[2]))
         if generic_rank < n:
             if best_gate < 0:
                 best_gate = 0
                 best_diag = (f"{label}: only {generic_rank} functionally "
                              f"independent integrals at generic points")
             continue
-        sel_fit = v_fit @ lam.T
-        sel_hold = v_hold @ lam.T
+        sel_fit = span.values_fit @ lam.T
+        sel_hold = span.values_hold @ lam.T
         xi: dict = {}
         closure_residual = 0.0
         failed_pair = None
         for i in range(n):
             for j in range(i + 1, n):
-                y_fit = np.einsum("m,mkn,k->n", lam[i], a_fit, lam[j])
-                y_hold = np.einsum("m,mkn,k->n", lam[i], a_hold, lam[j])
-                dec = _fit_span(y_fit, y_hold, sel_fit, sel_hold, tol)
+                y_fit = np.einsum("m,mkn,k->n", lam[i], span.brackets_fit, lam[j])
+                y_hold = np.einsum("m,mkn,k->n", lam[i], span.brackets_hold, lam[j])
+                dec = decompose_in_span(y_fit, y_hold, sel_fit, sel_hold)
                 if not dec.ok:
                     failed_pair = (i, j, dec.residual)
                     break
@@ -445,14 +437,13 @@ def find_certificate(family: Family, th: TrueHamiltonian, sampler: PointSampler,
                 best_diag = f"{label}: only the zero level satisfies r . xi = 0"
             continue
         selection_funcs = _selection_functions(family, lam)
-        evidence, skipped = independence_rank(selection_funcs, r_basis, th,
-                                              sampler, k_points)
-        if len(evidence) < k_points or any(e.rank != n for e in evidence):
+        evidence, skipped = independence_rank(selection_funcs, r_basis, th, sampler)
+        if len(evidence) < RANK_POINTS or any(e.rank != n for e in evidence):
             if best_gate < 3:
                 best_gate = 3
                 ranks = [e.rank for e in evidence]
                 best_diag = (f"{label}: rank gate failed "
-                             f"({len(evidence)}/{k_points} projections converged, "
+                             f"({len(evidence)}/{RANK_POINTS} projections converged, "
                              f"ranks {ranks}, {skipped} skipped)")
             continue
         return Certificate(

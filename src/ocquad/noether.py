@@ -461,14 +461,13 @@ def extract_family(residual, basis: list[np.ndarray], th: TrueHamiltonian,
 
 def discover_family(th: TrueHamiltonian, sampler: PointSampler, degree: int = 2,
                     include_time: bool = True, n_samples: int | None = None,
-                    svd_tol: float = SVD_TOL, tol: float = FAMILY_TOL,
-                    holdout: int = 100) -> Family:
+                    tol: float = FAMILY_TOL, holdout: int = 100) -> Family:
     """Full pipeline for the separated generator ansatz."""
     ansatz = build_ansatz(th.table, degree, include_time)
     residual = AnsatzResidual(ansatz, th)
     count = n_samples if n_samples is not None else 3 * ansatz.coefficient_count
     matrix = assemble_system(residual, sampler, count)
-    basis = nullspace(matrix, svd_tol)
+    basis = nullspace(matrix)
     return extract_family(residual, basis, th, sampler, tol, holdout)
 
 
@@ -476,16 +475,13 @@ def discover_polynomial_integrals(th: TrueHamiltonian, sampler: PointSampler,
                                   degree: int, include_time: bool = False,
                                   variables: tuple[Symbol, ...] | None = None,
                                   include_hamiltonian: bool = True,
-                                  n_samples: int | None = None,
-                                  svd_tol: float = SVD_TOL, tol: float = FAMILY_TOL,
-                                  holdout: int = 100) -> Family:
+                                  tol: float = FAMILY_TOL, holdout: int = 100) -> Family:
     """Direct polynomial-integral search over the (restricted) phase variables."""
     if variables is None:
         variables = th.table.phase + ((th.table.time,) if include_time else ())
     residual = PolynomialResidual(th, degree, tuple(variables), include_hamiltonian)
     if residual.coefficient_count > 5000:
         raise NoetherError("polynomial ansatz too large; restrict variables or degree")
-    count = n_samples if n_samples is not None else 3 * residual.coefficient_count
-    matrix = assemble_system(residual, sampler, count)
-    basis = nullspace(matrix, svd_tol)
+    matrix = assemble_system(residual, sampler, 3 * residual.coefficient_count)
+    basis = nullspace(matrix)
     return extract_family(residual, basis, th, sampler, tol, holdout)

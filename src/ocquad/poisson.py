@@ -24,12 +24,14 @@ def bracket(f: Expr, g: Expr, table: SymbolTable) -> Expr:
     return sx.add(*terms)
 
 
-def bracket_values(f: PhaseFunction, g: PhaseFunction, batch) -> np.ndarray:
-    """{f, g} evaluated on a batch; works for Hamiltonian-bearing functions."""
-    fg = f.gradient(batch)
-    gg = g.gradient(batch)
-    n = f.table.n
-    out = np.zeros(batch.size)
-    for i in range(n):
-        out += fg[i] * gg[n + i] - fg[n + i] * gg[i]
-    return out
+def bracket_values(funcs: list[PhaseFunction], batch) -> np.ndarray:
+    """(m, m, N) tensor of {F_p, F_q} on a batch; antisymmetric in (p, q).
+
+    Works for Hamiltonian-bearing functions: the gradients are chain-ruled
+    through the batch's envelope gradient.
+    """
+    n = funcs[0].table.n
+    grads = np.stack([f.gradient(batch) for f in funcs])
+    gx = np.ascontiguousarray(grads[:, :n])
+    gp = np.ascontiguousarray(grads[:, n:2 * n])
+    return np.einsum("pin,qin->pqn", gx, gp) - np.einsum("pin,qin->pqn", gp, gx)

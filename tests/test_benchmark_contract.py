@@ -3,8 +3,9 @@
 `perfbench/spans.py` patches functions on the modules whose globals their
 callers read (`ocquad.cli.find_certificate`, `ocquad.kk.check_solvable_lie`,
 ...).  Moving a name, or importing it into another module under the same
-name, leaves a wrapper no caller goes through.  One traced dubins analysis
-reaches every layer the benchmark expects on `closed-form`.
+name, leaves a wrapper no caller goes through.  A traced dubins analysis
+reaches every layer the benchmark expects on `closed-form`, and a traced
+trailer analysis every layer it expects on `gates`.
 """
 
 import json
@@ -14,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -22,18 +25,20 @@ def _predictions():
     return runpy.run_path(str(PERFBENCH / "workloads.py"))["PREDICTIONS"]
 
 
-def test_traced_dubins_reaches_every_closed_form_layer():
+@pytest.mark.parametrize("problem, workload", [("dubins", "closed-form"),
+                                               ("trailer", "gates")])
+def test_traced_run_reaches_every_predicted_layer(problem, workload):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")   # nothing lands in perfbench/
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), "0", "1", "dubins", "--seed", "42"],
+        [sys.executable, str(PERFBENCH / "child.py"), "0", "1", problem, "--seed", "42"],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["error"] is None and result["exit"] == 0
     layers = result["layers"]
-    expected = [name for p in _predictions() if "closed-form" in p["nonzero"]
+    expected = [name for p in _predictions() if workload in p["nonzero"]
                 for name in p["layers"]]
     assert expected
     uncalled = [name for name in expected if layers.get(name, {}).get("calls", 0) == 0]

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -166,6 +167,25 @@ class TestReportContent:
         assert cert["solvability"]["prop2_identity"] is False
         assert "bracket_convention" in cert
         assert len(report["verification"]["trajectories"]) == 3
+
+    @pytest.mark.parametrize("name", ["dubins", "trailer"])
+    def test_structure_table_agrees_with_certificate(self, name):
+        # the table entry of each selected pair holds the certificate's xi,
+        # placed at the selection's family indices
+        report, code = run(name, "--seed", "42")
+        assert code == 0
+        cert = report["certificate"]
+        sel = cert["selection"]
+        table = {tuple(e["pair"]): e for e in report["structure"]["pairs"]}
+        m = len(report["family"])
+        for entry in cert["xi"]:
+            a, b = entry["pair"]
+            want = [Fraction(0)] * m
+            for s, v in zip(sel, entry["coefficients"]):
+                want[s] = Fraction(v)
+            row = table[(sel[a], sel[b])]
+            assert "xi" in row, f"pair {(sel[a], sel[b])} unresolved"
+            assert [Fraction(v) for v in row["xi"]] == want
 
     def test_timings_only_on_request(self):
         plain, _ = run("dubins")

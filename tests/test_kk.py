@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from ocquad import symexpr as sx
 from ocquad.kk import (
-    BracketMatrix,
     Certificate,
     admissible_levels,
     check_solvable_lie,
     decompose_in_span,
     find_certificate,
     independence_rank,
+    sample_span,
 )
 from ocquad.noether import Family, FamilyComponent, discover_family
 from ocquad.ocp import PhaseFunction, PointSampler, true_hamiltonian
+from ocquad.poisson import bracket_values
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
 from oracles import combine
@@ -49,7 +50,7 @@ class TestBracketMatrix:
             parse("-psi1*x2 + psi2*x1 + psi3", t),
         ], t)
         batch = sampler.draw(60)
-        a = BracketMatrix(fam).values(batch)
+        a = bracket_values(fam.functions(), batch)
         psi1 = batch.column(t.costate(1))
         psi2 = batch.column(t.costate(2))
         assert np.abs(a[0, 3] + psi2).max() < 1e-10   # {psi1, F} = -psi2
@@ -63,22 +64,31 @@ class TestBracketMatrix:
         _, th, sampler = setup_problem("dubins")
         fam = discover_family(th, sampler, degree=1)
         batch = sampler.draw(50)
-        a = BracketMatrix(fam).values(batch)
+        a = bracket_values(fam.functions(), batch)
         rng = np.random.default_rng(0)
-        from ocquad.poisson import bracket_values
         for _ in range(5):
             lam1 = rng.integers(-2, 3, fam.m).astype(float)
             lam2 = rng.integers(-2, 3, fam.m).astype(float)
             via_tensor = np.einsum("m,mkn,k->n", lam1, a, lam2)
-            direct = bracket_values(combine(fam, lam1), combine(fam, lam2), batch)
+            direct = bracket_values([combine(fam, lam1), combine(fam, lam2)], batch)[0, 1]
             assert np.abs(via_tensor - direct).max() < 1e-9
+
+
+def fit_in_span(expr, fam, sampler):
+    """decompose_in_span of one expression on freshly drawn fit and holdout
+    batches."""
+    target = PhaseFunction(expr, fam.components[0].function.table)
+    fit = sampler.draw(max(3 * fam.m, 30))
+    hold = sampler.draw(max(fam.m, 30))
+    return decompose_in_span(target.values(fit), target.values(hold),
+                             fam.values_matrix(fit), fam.values_matrix(hold))
 
 
 class TestDecomposeInSpan:
     def test_zero_target(self):
         problem, th, sampler = setup_problem("dubins")
         fam = discover_family(th, sampler, degree=1)
-        dec = decompose_in_span(sx.num(0), fam, sampler)
+        dec = fit_in_span(sx.num(0), fam, sampler)
         assert dec.ok
         assert all(c == 0 for c in dec.coefficients)
 
@@ -89,14 +99,14 @@ class TestDecomposeInSpan:
             symref(t.costate(1)), symref(t.costate(2)),
             parse("-psi1*x2 + psi2*x1 + psi3", t),
         ], t)
-        dec = decompose_in_span(symref(t.costate(1)), fam, sampler)
+        dec = fit_in_span(symref(t.costate(1)), fam, sampler)
         assert dec.ok and dec.rational
         assert dec.coefficients == frac(1, 0, 0)
 
     def test_non_member_fails_with_residual(self):
         problem, th, sampler = setup_problem("dubins")
         fam = discover_family(th, sampler, degree=1)
-        dec = decompose_in_span(symref(problem.table.state(1)), fam, sampler)
+        dec = fit_in_span(symref(problem.table.state(1)), fam, sampler)
         assert not dec.ok
         assert dec.residual > 1e-3
 
@@ -406,7 +416,7 @@ class TestFindCertificate:
             symref(t.costate(1)), symref(t.costate(2)),
             parse("-psi1*x2 + psi2*x1 + psi3", t),
         ], t)
-        cert = find_certificate(fam, th, sampler, np.random.default_rng(1))
+        cert = find_certificate(sample_span(fam, sampler), th, sampler, np.random.default_rng(1))
         assert cert.solvable
         assert cert.selection == [0, 1, 2]
         assert cert.xi[(0, 1)] == frac(0, 0, 0)
@@ -425,7 +435,7 @@ class TestFindCertificate:
             symref(t.costate(1)), symref(t.costate(2)),
             symref(HAMILTONIAN_SYMBOL),
         ], t)
-        cert = find_certificate(fam, th, sampler, np.random.default_rng(1))
+        cert = find_certificate(sample_span(fam, sampler), th, sampler, np.random.default_rng(1))
         assert cert.solvable
         assert cert.solvability.kind == "abelian"
         assert len(cert.r_basis) == 3
@@ -434,22 +444,22 @@ class TestFindCertificate:
         problem, th, sampler = setup_problem("dubins")
         t = problem.table
         fam = manual_family([symref(t.costate(1))], t)
-        cert = find_certificate(fam, th, sampler, np.random.default_rng(1))
+        cert = find_certificate(sample_span(fam, sampler), th, sampler, np.random.default_rng(1))
         assert not cert.solvable
         assert "components" in cert.diagnostics
 
     def test_closure_soundness_of_emitted_xi(self):
         problem, th, sampler = setup_problem("trailer", backend="implicit")
         fam = discover_family(th, sampler, degree=2)
-        cert = find_certificate(fam, th, sampler, np.random.default_rng(9))
+        cert = find_certificate(sample_span(fam, sampler), th, sampler, np.random.default_rng(9))
         assert cert.solvable
         sel = [fam.components[i].function for i in cert.selection]
         fresh = PointSampler(problem, th.evaluator(), np.random.default_rng(999))
         batch = fresh.draw(80)
-        from ocquad.poisson import bracket_values
+        brackets = bracket_values(sel, batch)
         n = len(sel)
         for (i, j), xi in cert.xi.items():
-            got = bracket_values(sel[i], sel[j], batch)
+            got = brackets[i, j]
             want = np.zeros(batch.size)
             for s in range(n):
                 want += float(xi[s]) * sel[s].values(batch)
@@ -459,7 +469,8 @@ class TestFindCertificate:
         def one():
             problem, th, sampler = setup_problem("dubins")
             fam = discover_family(th, sampler, degree=2)
-            return find_certificate(fam, th, sampler, np.random.default_rng(5))
+            return find_certificate(sample_span(fam, sampler), th, sampler,
+                                    np.random.default_rng(5))
         a, b = one(), one()
         assert a.selection == b.selection
         assert a.xi == b.xi

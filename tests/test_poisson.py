@@ -200,5 +200,5 @@ class TestBracketValues:
             sx.num(2) * symref(t.time) * symref(sx.HAMILTONIAN_SYMBOL))
         hf = PhaseFunction(symref(sx.HAMILTONIAN_SYMBOL), t)
         batch = sampler_for(martinet_th, 12).draw(60)
-        vals = bracket_values(PhaseFunction(f2, t), hf, batch)
+        vals = bracket_values([PhaseFunction(f2, t), hf], batch)[0, 1]
         assert np.abs(vals - 2 * batch.hvalue).max() < 1e-10
