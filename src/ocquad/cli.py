@@ -239,7 +239,7 @@ def run_analyze(source, options) -> tuple[dict, int]:
                              else "implicit (pointwise Newton on dH/du = 0)"),
         "control_law": ([sx.to_string(e) for e in th.law.expressions]
                         if th.is_closed_form
-                        else {"newton_guess": [float(g) for g in th.law.guess]}),
+                        else {"newton_guess": list(th.law.guess)}),
     }
 
     t0 = time.monotonic()

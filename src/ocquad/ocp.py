@@ -11,6 +11,7 @@ interface: values and the envelope gradient of the reduced Hamiltonian over
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -50,12 +51,6 @@ class InvalidControlLawError(OcpError):
 class NewtonDivergenceError(OcpError):
     def __init__(self, point):
         super().__init__(f"control Newton solve diverged at {_fmt_point(point)}")
-        self.point = point
-
-
-class SingularHessianAtError(OcpError):
-    def __init__(self, point):
-        super().__init__(f"control Hessian not negative definite at {_fmt_point(point)}")
         self.point = point
 
 
@@ -101,11 +96,6 @@ class Problem:
                 raise OcpError("excluded denominators may not depend on controls")
         if self.control_law is not None and len(self.control_law) != self.table.m_ctl:
             raise OcpError("control law must give one expression per control")
-
-    def guess_vector(self) -> np.ndarray:
-        if self.control_guess is not None:
-            return np.asarray(self.control_guess, dtype=float)
-        return np.zeros(self.table.m_ctl)
 
 
 @dataclass(frozen=True)
@@ -198,11 +188,13 @@ class TrueHamiltonian:
         return (h,) + tuple(sx.differentiate(h, s) for s in sample_symbols(self.table))
 
     @cached_property
-    def control_derivatives(self) -> tuple[tuple[Expr, ...], tuple[Expr, ...]]:
-        """(dH/du_j, d2H/du_j du_k row-major) for the implicit backend's Newton step."""
+    def newton_system(self) -> tuple[Expr, ...]:
+        """(dH/du_1, .., dH/du_m, then the lower triangle of d2H/du^2 row by
+        row: H_11, H_21, H_22, H_31, ..) for the implicit backend's Newton step."""
         controls = self.table.controls
         grads = tuple(sx.differentiate(self.hamiltonian, u) for u in controls)
-        return grads, tuple(sx.differentiate(g, u) for g in grads for u in controls)
+        return grads + tuple(sx.differentiate(grads[i], controls[j])
+                             for i in range(len(controls)) for j in range(i + 1))
 
     def evaluator(self) -> "HamiltonianEvaluator":
         return HamiltonianEvaluator(self)
@@ -215,16 +207,15 @@ def true_hamiltonian(problem: Problem, hamiltonian: Expr | None = None,
                      law=None, backend: str = "auto") -> TrueHamiltonian:
     """Build the true Hamiltonian, choosing or forcing a control backend."""
     h = hamiltonian if hamiltonian is not None else build_hamiltonian(problem)
+    if law is None and backend != "implicit":
+        try:
+            law = solve_stationarity(problem, h)
+        except NotAffineInControlError:
+            if backend == "closed":
+                raise
     if law is None:
-        if backend == "implicit":
-            law = ImplicitLaw(tuple(problem.guess_vector()))
-        else:
-            try:
-                law = solve_stationarity(problem, h)
-            except NotAffineInControlError:
-                if backend == "closed":
-                    raise
-                law = ImplicitLaw(tuple(problem.guess_vector()))
+        guess = problem.control_guess or (0.0,) * problem.table.m_ctl
+        law = ImplicitLaw(tuple(map(float, guess)))
     if isinstance(law, ClosedFormLaw):
         for e in law.expressions:
             if sx.free_symbols(e) & set(problem.table.controls):
@@ -306,15 +297,53 @@ class SampleBatch:
                            np.hstack([self.hgrad, other.hgrad]), ctl)
 
 
+def _ldl_solve(lower, rhs):
+    """Solve A s = rhs for the symmetric m x m matrix A whose lower triangle
+    `lower` lists row by row (A_11, A_21, A_22, A_31, ..), on Python floats.
+
+    A = L D L^T without pivoting.  Returns (s, negative_definite), or None when
+    a pivot is zero or not finite.  By Sylvester's criterion A is negative
+    definite exactly when every pivot is below 0.
+    """
+    m = len(rhs)
+    rows, pivots, y = [], [], []     # L below the diagonal, D, and L^-1 rhs
+    for i in range(m):
+        a = lower[i * (i + 1) // 2:]
+        row = []
+        for j in range(i):
+            s = a[j]
+            for p in range(j):
+                s -= row[p] * rows[j][p] * pivots[p]
+            row.append(s / pivots[j])
+        d, s = a[i], rhs[i]
+        for p in range(i):
+            d -= row[p] * row[p] * pivots[p]
+            s -= row[p] * y[p]
+        if d == 0 or not math.isfinite(d):
+            return None
+        rows.append(row)
+        pivots.append(d)
+        y.append(s)
+    x = [0.0] * m
+    for i in reversed(range(m)):
+        s = y[i] / pivots[i]
+        for p in range(i + 1, m):
+            s -= rows[p][i] * x[p]
+        x[i] = s
+    return x, all(d < 0 for d in pivots)
+
+
 class HamiltonianEvaluator:
     """Values and envelope gradient of the reduced Hamiltonian over (x, psi, t).
 
     With a closed-form law the gradient comes from compiled symbolic partials
-    of the reduced expression.  With an implicit law, each point gets a damped
-    Newton solve of dH/du = 0 (negative-definite control Hessian enforced) and
-    the gradient is the envelope gradient of H at the solved control.  The
-    value and the whole gradient are one compiled call, `_envelope`, on both
-    paths; so are the Newton gradient and the Newton Hessian.
+    of the reduced expression.  With an implicit law each point gets its own
+    Newton solve of dH/du = 0, `_newton`, on Python floats: one compiled call
+    per iteration returns the control gradient and the lower triangle of the
+    control Hessian, and `_ldl_solve` gives the step and, at the solution,
+    the negative-definiteness test.  The gradient is then the envelope
+    gradient of H at the solved control.  The value and the whole gradient
+    are one compiled call, `_envelope`, on both paths.
     """
 
     def __init__(self, th: TrueHamiltonian):
@@ -323,13 +352,9 @@ class HamiltonianEvaluator:
         args = self._grad_syms + (() if th.is_closed_form else th.table.controls)
         self._envelope = sx.compile_fn(th.envelope, args)
         if not th.is_closed_form:
-            grads_u, hess_u = th.control_derivatives
-            self._newton_grad = sx.compile_fn(grads_u, args)
-            self._newton_hess = sx.compile_fn(hess_u, args)
-            self._guess = np.asarray(th.law.guess, dtype=float)
-            self._warm: np.ndarray | None = None
+            self._newton_fn = sx.compile_fn(th.newton_system, args)
+            self._warm = None
 
-    # ---- batch path --------------------------------------------------------
     def prepare(self, points: np.ndarray):
         """Evaluate the envelope over a (2n+1, N) array of sample points.
 
@@ -342,126 +367,65 @@ class HamiltonianEvaluator:
         keep = np.ones(n_pts, dtype=bool)
         u_sol = None
         if not self.th.is_closed_form:
-            u_sol, keep = self._newton_batch(args, n_pts)
+            guess = self.th.law.guess
+            solved = [self._newton(column, guess) for column in points.T.tolist()]
+            keep = np.array([u is not None for u in solved], dtype=bool)
+            u_sol = np.array([guess if u is None else u for u in solved],
+                             dtype=float).reshape(n_pts, len(guess))
             args += list(u_sol.T)
         with np.errstate(all="ignore"):
             env = _stacked(self._envelope, args, n_pts)
         keep &= np.isfinite(env).all(axis=0)
         return SampleBatch(self.th.table, points, env[0], env[1:], u_sol).take(keep), keep
 
-    def _hessians(self, args, n_pts) -> np.ndarray:
-        """(N, m, m) control Hessians of H."""
-        m = self.th.table.m_ctl
-        flat = _stacked(self._newton_hess, args, n_pts)
-        return flat.reshape(m, m, n_pts).transpose(2, 0, 1)
-
-    def _newton_batch(self, base, n_pts):
-        m = self.th.table.m_ctl
-        u = np.tile(self._guess, (n_pts, 1))
-        ok = np.ones(n_pts, dtype=bool)
-        if m == 0:
-            return u, ok
-        converged = np.zeros(n_pts, dtype=bool)
-        for _ in range(NEWTON_MAX_ITER):
-            with np.errstate(all="ignore"):
-                g = _stacked(self._newton_grad, base + list(u.T), n_pts).T
-            finite = np.isfinite(g).all(axis=1)
-            ok &= finite | converged
-            converged = converged | (ok & (np.abs(g).max(axis=1) < NEWTON_TOL))
-            active = ok & ~converged
-            if not active.any():
-                break
-            with np.errstate(all="ignore"):
-                hess = self._hessians(base + list(u.T), n_pts)
-            hess_ok = np.isfinite(hess).all(axis=(1, 2))
-            ok &= hess_ok | converged
-            active &= hess_ok
-            if not active.any():
-                continue
-            step = np.zeros_like(u)
-            try:
-                step[active] = np.linalg.solve(hess[active], g[active, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                for i in np.nonzero(active)[0]:
-                    try:
-                        step[i] = np.linalg.solve(hess[i], g[i])
-                    except np.linalg.LinAlgError:
-                        ok[i] = False
-                        active[i] = False
-            step = np.clip(step, -2.0, 2.0)
-            u = np.where(active[:, None], u - step, u)
-            bounded = np.abs(u).max(axis=1) < 1e6
-            ok &= bounded | converged
-        ok &= converged
-        if ok.any():
-            with np.errstate(all="ignore"):
-                hess = self._hessians(base + list(u.T), n_pts)
-            sym = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-            bad = np.zeros(n_pts, dtype=bool)
-            idx = np.nonzero(ok)[0]
-            eig = np.linalg.eigvalsh(sym[idx])
-            bad[idx] = eig.max(axis=1) >= 0.0
-            ok &= ~bad
-        return u, ok
-
-    # ---- scalar path -------------------------------------------------------
     def value_and_gradient(self, z, t: float):
         """(H, (2n+1,) gradient over x, psi, t) at the phase point z and time
-        t; the implicit backend's Newton solve is warm-started."""
+        t; the implicit backend's Newton solve starts from the last solved
+        control, then from the guess.  An evaluation that leaves the real
+        domain (a complex power, a zero base under a negative power) raises
+        OcpError."""
         args = [*map(float, z), float(t)]
-        if not self.th.is_closed_form:
-            args += list(self._newton_point(args))
-        env = self._envelope(*args)
-        return float(env[0]), np.array(env[1:], dtype=float)
+        try:
+            if not self.th.is_closed_form:
+                args += self._solve(args)
+            env = self._envelope(*args)
+            return float(env[0]), np.array(env[1:], dtype=float)
+        except (ArithmeticError, TypeError):
+            point = dict(zip(self._grad_syms, args))
+            raise OcpError(f"Hamiltonian leaves the real domain at {_fmt_point(point)}") from None
 
-    def _newton_point(self, base) -> np.ndarray:
-        starts = [self._warm] if self._warm is not None else []
-        starts.append(self._guess)
-        for u0 in starts:
-            u = self._newton_damped(base, np.array(u0, dtype=float))
+    def _solve(self, base):
+        guess = self.th.law.guess
+        for u0 in ((guess,) if self._warm is None else (self._warm, guess)):
+            u = self._newton(base, u0)
             if u is not None:
-                self._warm = u.copy()
+                self._warm = u
                 return u
         raise NewtonDivergenceError(dict(zip(self._grad_syms, base)))
 
-    def _newton_damped(self, base, u):
-        def norm(vec):
-            return np.abs(vec).max() if len(vec) else 0.0
-
+    def _newton(self, base, u):
+        """dH/du = 0 at the sample point `base` by Newton from the control `u`,
+        each step clipped to [-2, 2].  Returns the control, or None when an
+        evaluation is not finite or not real, a pivot breaks down, |u| reaches
+        1e6, the iteration does not converge, or the control Hessian at the
+        solution is not negative definite."""
         m = len(u)
-
-        def hessian(u):
-            return np.array(self._newton_hess(*base, *u), dtype=float).reshape(m, m)
-
         with np.errstate(all="ignore"):
-            g = np.array(self._newton_grad(*base, *u), dtype=float)
-        if not np.isfinite(g).all():
-            return None
-        for _ in range(NEWTON_MAX_ITER):
-            if norm(g) < NEWTON_TOL:
-                hess = hessian(u)
-                sym = 0.5 * (hess + hess.T)
-                if not np.isfinite(sym).all() or np.linalg.eigvalsh(sym).max() >= 0.0:
-                    raise SingularHessianAtError(dict(zip(self._grad_syms, base)))
-                return u
-            with np.errstate(all="ignore"):
-                hess = hessian(u)
-            if not np.isfinite(hess).all():
-                return None
             try:
-                step = np.linalg.solve(hess, g)
-            except np.linalg.LinAlgError:
-                return None
-            lam, improved = 1.0, False
-            while lam > 1e-6:
-                cand = u - lam * step
-                with np.errstate(all="ignore"):
-                    g_cand = np.array(self._newton_grad(*base, *cand), dtype=float)
-                if np.isfinite(g_cand).all() and norm(g_cand) < norm(g):
-                    u, g, improved = cand, g_cand, True
-                    break
-                lam *= 0.5
-            if not improved:
+                for _ in range(NEWTON_MAX_ITER):
+                    out = self._newton_fn(*base, *u)
+                    if not all(map(math.isfinite, out)):
+                        return None
+                    solved = _ldl_solve(out[m:], out[:m])
+                    if solved is None:
+                        return None
+                    step, negative_definite = solved
+                    if all(abs(g) < NEWTON_TOL for g in out[:m]):
+                        return u if negative_definite else None
+                    u = [a - min(max(s, -2.0), 2.0) for a, s in zip(u, step)]
+                    if not all(abs(a) < 1e6 for a in u):
+                        return None
+            except (ArithmeticError, TypeError):
                 return None
         return None
 

@@ -62,9 +62,11 @@ def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.n
     The state is stepped as a list of floats: for the few coordinates of a
     phase point that costs less than one numpy call per vector operation, and
     every coordinate goes through the same floating-point operations in the
-    same order.  A failed control solve, a non-finite right-hand side or a
-    non-finite state raises PoleEncounteredError; so may `after_step(t, y)`,
-    called after every step.
+    same order.  Every OcpError of a right-hand side evaluation (a control
+    solve that finds no concave stationary point, or a stage that leaves the
+    real domain, such as a negative base under a fractional power), a
+    non-finite right-hand side or a non-finite state raises
+    PoleEncounteredError; so may `after_step(t, y)`, called after every step.
     """
     half, sixth = step / 2, step / 6
 

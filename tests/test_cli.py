@@ -76,6 +76,24 @@ class TestHostileProblemFiles:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    def test_flow_leaving_the_real_domain_is_not_a_traceback(self, tmp_path, capsys):
+        # x1 starts in [0.001, 0.02] and RK4 stages step it below 0, where
+        # x1^(1/2) and x1^(-1/2) are not real; those trajectories are skipped
+        doc = {
+            "name": "sqrt-drift",
+            "states": ["x1", "x2"],
+            "controls": ["u1"],
+            "time": "t",
+            "lagrangian": "u1^2/2",
+            "dynamics": ["u1", "(x1)^(1/2)"],
+            "sampling_box": {"x1": [0.001, 0.02]},
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) in (0, 2)
+        json.loads(capsys.readouterr().out)
+
+
 # (problem, flags, part of the message) for command lines that must end with
 # exit code 1 and a one-line error; "{tmp}" stands for a fresh directory
 HOSTILE_FLAGS = {

@@ -48,6 +48,25 @@ def scalar_problem():
     return problem
 
 
+THREE_CONTROLS = "three-controls"
+
+
+def named_problem(name):
+    """A built-in problem, or THREE_CONTROLS: L = |u|^2/2 with dynamics affine
+    in three controls, whose closed form is u1 = psi1, u2 = psi2,
+    u3 = x2*psi1 + x1*psi3."""
+    doc = builtin(name) if name != THREE_CONTROLS else {
+        "name": THREE_CONTROLS,
+        "states": ["x1", "x2", "x3"],
+        "controls": ["u1", "u2", "u3"],
+        "time": "t",
+        "lagrangian": "(u1^2 + u2^2 + u3^2)/2",
+        "dynamics": ["u1 + x2*u3", "u2", "x1*u3"],
+    }
+    problem, _ = load_problem(doc)
+    return problem
+
+
 def phase_points(problem, count, seed=0, lo=-1.0, hi=1.0):
     rng = np.random.default_rng(seed)
     table = problem.table
@@ -179,9 +198,9 @@ class TestEvalTrueHamiltonian:
                       - ev.value_and_gradient(dn[:-1], dn[-1])[0]) / (2 * h)
                 assert abs(grad[r] - fd) < 1e-6
 
-    @pytest.mark.parametrize("name", ["dubins", "martinet", "sr-2-3-5"])
+    @pytest.mark.parametrize("name", ["dubins", "martinet", "sr-2-3-5", THREE_CONTROLS])
     def test_implicit_backend_agrees_with_closed_form(self, name):
-        problem, _ = load_problem(builtin(name))
+        problem = named_problem(name)
         th_closed = true_hamiltonian(problem)
         th_impl = true_hamiltonian(problem, backend="implicit")
         assert not th_impl.is_closed_form
@@ -288,12 +307,15 @@ class TestSampler:
             assert np.array_equal(b1.column(s), b2.column(s))
         assert np.array_equal(b1.hvalue, b2.hvalue)
 
-    @pytest.mark.parametrize("name", ["trailer", "dubins", "martinet", "sr-2-3-5"])
+    @pytest.mark.parametrize("name", ["trailer", "dubins", "martinet", "sr-2-3-5",
+                                      THREE_CONTROLS])
     def test_implicit_batch_matches_scalar(self, name):
         # the batch path (prepare, used for sampling) and the scalar path
-        # (value_and_gradient, used by RK4) agree point by point
-        problem, _ = load_problem(builtin(name))
-        th = true_hamiltonian(problem)
+        # (value_and_gradient, used by RK4) agree point by point; the
+        # three-control problem runs on the implicit backend
+        problem = named_problem(name)
+        th = true_hamiltonian(problem, backend="implicit" if name == THREE_CONTROLS else "auto")
+        assert th.is_closed_form == (name not in ("trailer", THREE_CONTROLS))
         ev = th.evaluator()
         sampler = PointSampler(problem, ev, np.random.default_rng(1))
         batch = sampler.draw(20)
@@ -302,6 +324,66 @@ class TestSampler:
                                                             batch.points[-1, i])
             assert abs(value - batch.hvalue[i]) < 1e-10
             assert np.abs(batch.hgrad[:, i] - grad).max() < 1e-8
+
+
+class TestLdlSolve:
+    """The elementwise LDL^T step of the Newton loop agrees with
+    np.linalg.solve, and its pivot test with eigvalsh(...).max() < 0, on
+    random symmetric matrices; a singular matrix is never accepted."""
+
+    @staticmethod
+    def lower(a):
+        m = len(a)
+        return tuple(float(a[i, j]) for i in range(m) for j in range(i + 1))
+
+    @staticmethod
+    def spectral(rng, eigenvalues):
+        q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues),) * 2))
+        a = q @ np.diag(eigenvalues) @ q.T
+        return (a + a.T) / 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_negative_definite(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(200):
+            a = self.spectral(rng, -rng.uniform(0.2, 5.0, m))
+            g = rng.normal(size=m)
+            step, negative_definite = ocp._ldl_solve(self.lower(a), g.tolist())
+            assert negative_definite and np.linalg.eigvalsh(a).max() < 0
+            assert np.allclose(step, np.linalg.solve(a, g), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_indefinite(self, m):
+        rng = np.random.default_rng(10 + m)
+        for _ in range(200):
+            eigenvalues = rng.uniform(0.2, 5.0, m) * rng.choice([-1.0, 1.0], m)
+            eigenvalues[0] = abs(eigenvalues[0])
+            a = self.spectral(rng, eigenvalues)
+            g = rng.normal(size=m)
+            result = ocp._ldl_solve(self.lower(a), g.tolist())
+            assert np.linalg.eigvalsh(a).max() > 0
+            if result is None:      # a zero leading minor: no step, and rejected
+                continue
+            step, negative_definite = result
+            assert not negative_definite
+            assert np.allclose(a @ step, g, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_singular_is_rejected(self, m):
+        # A = L D L^T with an integer unit lower L and D = diag of -1, -2, -4
+        # and one 0: every float operation is exact, so the zero pivot is 0
+        rng = np.random.default_rng(20 + m)
+        for _ in range(200):
+            unit = np.tril(rng.integers(-2, 3, (m, m)), -1) + np.eye(m)
+            d = rng.choice([-1.0, -2.0, -4.0], m)
+            d[rng.integers(m)] = 0.0
+            a = unit @ np.diag(d) @ unit.T
+            assert np.linalg.matrix_rank(a) < m
+            result = ocp._ldl_solve(self.lower(a), rng.normal(size=m).tolist())
+            assert result is None or not result[1]
+
+    def test_empty_system(self):
+        assert ocp._ldl_solve((), []) == ([], True)
 
 
 class TestTupleCompile:
@@ -337,7 +419,7 @@ class TestTupleCompile:
         if not th.is_closed_form:
             args += problem.table.controls
             columns += list(batch.controls.T)
-            groups += list(th.control_derivatives)
+            groups.append(th.newton_system)
         constants = [self.assert_same(g, args, columns) for g in groups]
         assert constants[0]   # some partial is constant and has to broadcast
 
