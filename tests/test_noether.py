@@ -8,6 +8,7 @@ from ocquad import symexpr as sx
 from ocquad.noether import (
     AnsatzResidual,
     EmptyNullspaceError,
+    PolynomialResidual,
     assemble_system,
     build_ansatz,
     discover_family,
@@ -118,6 +119,24 @@ class TestAnsatzResidual:
             direct = matrix @ coeffs.astype(float)
             assembled = Residual(ansatz.family_expr(coeffs), th).values(batch)
             assert np.abs(direct - assembled).max() < 1e-9
+
+
+class TestPolynomialResidual:
+    @pytest.mark.parametrize("name, include_time", [("dubins", False), ("sr-2-3", True)])
+    def test_matrix_columns_match_whole_expression_residual(self, name, include_time):
+        # the dense degree-3 columns, H element included, against R of the
+        # assembled polynomial
+        _, th, sampler = setup_problem(name)
+        variables = th.table.phase + ((th.table.time,) if include_time else ())
+        residual = PolynomialResidual(th, 3, variables, True)
+        batch = sampler.draw(200)
+        matrix = residual.matrix(batch)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            coeffs = rng.integers(-3, 4, size=residual.coefficient_count)
+            direct = matrix @ coeffs.astype(float)
+            assembled = Residual(residual.family_expr(coeffs), th).values(batch)
+            assert np.abs(direct - assembled).max() < 1e-9 * max(1.0, np.abs(direct).max())
 
 
 class TestAssembleSystem:
