@@ -1,17 +1,16 @@
-"""Variational-symmetry search: generator ansatz, residual linear system,
-nullspace extraction, and the resulting family of first integrals.
+"""Variational-symmetry search: one monomial ansatz, the sampled residual
+system, nullspace extraction, and the resulting family of first integrals.
 
-The generator pair (T, X_1..X_n) is additively separated: every term is an
-unknown coefficient times a power of a single variable (t or one phase
-coordinate).  The conserved candidate is ``F = psi . X - H T``, whose
-residual R(F) is linear and homogeneous in the coefficients, so sampling the
-residual's coefficient gradient at random points turns the invariance PDE
+A candidate F is a sum of unknown coefficients times monomials over the rows
+x, psi, t and the Hamiltonian H.  The separated generator ansatz
+(`build_ansatz`) takes F = psi . X - H T, where every term of T and of each
+X_i is a power of a single variable (t or one phase coordinate); the dense
+ansatz (`polynomial_ansatz`) takes every monomial of the chosen variables up
+to a total degree, optionally with H itself.  The residual
+R(F) = dF/dt + {F, H} is linear and homogeneous in the coefficients, so
+sampling each monomial's residual at random points turns the invariance PDE
 into a plain linear system.  Its nullspace, canonicalised and rationalised,
 yields the family components.
-
-A second, denser ansatz (``discover_polynomial_integrals``) drops the
-separated structure and searches full multivariate polynomials, optionally
-with the Hamiltonian itself as an extra basis element.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as sx
-from .ocp import PhaseFunction, PointSampler, TrueHamiltonian, sample_row
+from .ocp import PhaseFunction, PointSampler, TrueHamiltonian, sample_row, sample_symbols
 from .symexpr import Expr, HAMILTONIAN_SYMBOL, Symbol, SymbolTable
 
 SVD_TOL = 1e-9
@@ -45,54 +44,77 @@ class EmptyNullspaceError(NoetherError):
 
 
 @dataclass(frozen=True)
-class AnsatzTerm:
-    template: int          # 0 for T, i for X_i
-    variable: Symbol | None  # None marks the merged constant term
-    power: int
-
-    def label(self) -> str:
-        tmpl = "T" if self.template == 0 else f"X{self.template}"
-        if self.variable is None:
-            return f"{tmpl}:1"
-        return f"{tmpl}:{self.variable.name}^{self.power}"
-
-
-@dataclass(frozen=True)
 class Ansatz:
-    """Separated polynomial templates for (T, X_1..X_n) with merged constants."""
+    """F as unknown coefficients times monomials over the rows z = (x, psi, t, H).
+
+    Term k is (group, exponents over z); its monomial is the group's factor,
+    a (sign, exponents) pair, times prod_r z_r^exponents[r].  The generator
+    ansatz has the groups T (factor -H) and X_1..X_n (factor psi_i); the
+    dense ansatz has one group with factor 1 and names itself in `label`.
+    """
 
     table: SymbolTable
-    degree: int
-    include_time: bool
-    terms: tuple[AnsatzTerm, ...]
+    factors: tuple[tuple[int, tuple[int, ...]], ...]
+    terms: tuple[tuple[int, tuple[int, ...]], ...]
+    label: str | None = None
 
     @property
     def coefficient_count(self) -> int:
         return len(self.terms)
 
-    def template_exprs(self, coefficients) -> tuple[Expr, tuple[Expr, ...]]:
-        """(T, (X_1..X_n)) with the given numeric coefficients substituted."""
-        n = self.table.n
-        buckets: list[list[Expr]] = [[] for _ in range(n + 1)]
-        for term, c in zip(self.terms, coefficients):
+    def matrix(self, batch) -> np.ndarray:
+        """(N, terms) residual columns R(m) = sum_r dm/dz_r * zdot_r at the
+        batch's points: zdot is `batch.velocity()` and zdot_H = dH/dt.  Exact
+        because R is linear and homogeneous in the coefficients; only envelope
+        data of the Hamiltonian enters, so both control backends work."""
+        z = [*batch.points, batch.hvalue]
+        zdot = [*batch.velocity(), batch.hgrad[-1]]
+        signs, factors = zip(*self.factors)
+        groups = [g for g, _ in self.terms]
+        # each term's whole monomial: its factor's exponents plus its own
+        full = np.array(factors)[groups] + np.array(
+            [e for _, e in self.terms], dtype=int).reshape(len(groups), len(z))
+        powers = [[np.ones(batch.size)] for _ in z]
+        for p, row, top in zip(powers, z, full.max(axis=0, initial=0).tolist()):
+            for _ in range(top):
+                p.append(p[-1] * row)
+        out = np.empty((batch.size, self.coefficient_count))
+        for k, (group, expo) in enumerate(zip(groups, full.tolist())):
+            mono = [(r, e) for r, e in enumerate(expo) if e]
+            acc = np.zeros(batch.size)
+            for r, e in mono:
+                partial = e * powers[r][e - 1]
+                for rr, ee in mono:
+                    if rr != r:
+                        partial = partial * powers[rr][ee]
+                acc += partial * zdot[r]
+            out[:, k] = acc if signs[group] > 0 else -acc
+        return out
+
+    def group_exprs(self, coefficients) -> list[Expr]:
+        """Each group's sum of coefficients times monomials, its factor left out."""
+        buckets: list[list[Expr]] = [[] for _ in self.factors]
+        for (group, expo), c in zip(self.terms, coefficients):
             c = _exact(c)
-            if c == 0:
-                continue
-            if term.variable is None:
-                piece = sx.num(c)
-            else:
-                piece = sx.mul(sx.num(c), sx.power(sx.symref(term.variable), term.power))
-            buckets[term.template].append(piece)
-        built = [sx.add(*b) if b else sx.ZERO for b in buckets]
-        return built[0], tuple(built[1:])
+            if c != 0:
+                buckets[group].append(self._monomial(c, expo))
+        return [sx.add(*b) if b else sx.ZERO for b in buckets]
 
     def family_expr(self, coefficients) -> Expr:
-        """psi . X - H T with the Hamiltonian as a placeholder symbol."""
-        t_expr, x_exprs = self.template_exprs(coefficients)
-        terms = [sx.mul(sx.symref(p), xi)
-                 for p, xi in zip(self.table.costates, x_exprs)]
-        terms.append(sx.negate(sx.mul(sx.symref(HAMILTONIAN_SYMBOL), t_expr)))
-        return sx.add(*terms)
+        """F with the Hamiltonian as a placeholder symbol."""
+        return sx.add(*(sx.mul(self._monomial(*factor), e)
+                        for factor, e in zip(self.factors, self.group_exprs(coefficients))))
+
+    def provenance(self, coefficients) -> dict:
+        """The report's `generators` entry: T and X_1..X_n, or the ansatz's label."""
+        if self.label is not None:
+            return {"ansatz": self.label}
+        t_expr, *x_exprs = map(sx.to_string, self.group_exprs(coefficients))
+        return {"T": t_expr, "X": x_exprs}
+
+    def _monomial(self, c, expo) -> Expr:
+        rows = sample_symbols(self.table) + (HAMILTONIAN_SYMBOL,)
+        return sx.mul(sx.num(c), *(sx.power(sx.symref(s), e) for s, e in zip(rows, expo) if e))
 
 
 def _exact(c) -> Fraction:
@@ -103,136 +125,53 @@ def _exact(c) -> Fraction:
     return Fraction(float(c))
 
 
-def build_ansatz(table: SymbolTable, degree: int, include_time: bool = True) -> Ansatz:
-    """Templates of single-variable powers up to `degree`.
+def _unit(table: SymbolTable, row: int, power: int = 1) -> tuple[int, ...]:
+    """Exponents over the rows (x, psi, t, H): `power` at `row`, 0 elsewhere."""
+    expo = [0] * (2 * table.n + 2)
+    expo[row] = power
+    return tuple(expo)
 
-    The degree-zero powers of every variable collapse to one constant per
-    template, so each template carries 1 + degree*(2n+1) coefficients
-    (2n without the time terms).
+
+def build_ansatz(table: SymbolTable, degree: int, include_time: bool = True) -> Ansatz:
+    """The separated generator ansatz F = psi . X - H T.
+
+    T and each X_i are single-variable powers up to `degree`.  The
+    degree-zero powers of every variable collapse to one constant per
+    template, so each template carries 1 + degree*(2n+1) coefficients (2n
+    without the time terms).
     """
     if degree < 0:
         raise NoetherError("ansatz degree must be >= 0")
-    variables: tuple[Symbol, ...] = ()
-    if include_time:
-        variables += (table.time,)
-    variables += table.phase
+    n = table.n
+    rows = ((2 * n,) if include_time else ()) + tuple(range(2 * n))
+    factors = ((-1, _unit(table, 2 * n + 1)),) + tuple(
+        (1, _unit(table, n + i)) for i in range(n))
     terms = []
-    for template in range(table.n + 1):
-        terms.append(AnsatzTerm(template, None, 0))
+    for group in range(n + 1):
+        terms.append((group, (0,) * (2 * n + 2)))
         for mu in range(1, degree + 1):
-            for v in variables:
-                terms.append(AnsatzTerm(template, v, mu))
-    return Ansatz(table, degree, include_time, tuple(terms))
+            terms.extend((group, _unit(table, r, mu)) for r in rows)
+    return Ansatz(table, factors, tuple(terms))
 
 
-class AnsatzResidual:
-    """Per-coefficient residual columns of R(psi . X - H T).
-
-    Row k of `matrix` is the gradient of the residual with respect to the
-    coefficients at sample point k; exact because the residual is linear and
-    homogeneous in the coefficients.  Works for both control backends since
-    only envelope data of the Hamiltonian enters.
-    """
-
-    def __init__(self, ansatz: Ansatz, th: TrueHamiltonian):
-        self.ansatz = ansatz
-        self.th = th
-        self._rows = [None if term.variable is None
-                      else sample_row(ansatz.table, term.variable) for term in ansatz.terms]
-
-    def matrix(self, batch) -> np.ndarray:
-        n = self.ansatz.table.n
-        hgrad, hvalue, velocity = batch.hgrad, batch.hvalue, batch.velocity()
-        out = np.empty((batch.size, self.ansatz.coefficient_count))
-        for k, (term, row) in enumerate(zip(self.ansatz.terms, self._rows)):
-            if row is None:
-                b = np.ones(batch.size)
-                flow_db = 0.0
-            else:
-                col = batch.points[row]
-                b = col ** term.power
-                flow_db = term.power * col ** (term.power - 1) * velocity[row]
-            if term.template == 0:
-                out[:, k] = -(hgrad[-1] * b + hvalue * flow_db)
-            else:
-                i = term.template
-                out[:, k] = -hgrad[i - 1] * b + batch.points[n + i - 1] * flow_db
-        return out
-
-    def family_expr(self, coefficients) -> Expr:
-        return self.ansatz.family_expr(coefficients)
-
-    def provenance(self, coefficients):
-        t_expr, x_exprs = self.ansatz.template_exprs(coefficients)
-        return {"T": sx.to_string(t_expr), "X": [sx.to_string(x) for x in x_exprs]}
-
-
-class PolynomialResidual:
-    """Residual columns for a dense multivariate polynomial ansatz.
-
-    Basis: all monomials of total degree 1..degree over the chosen variables,
-    plus (optionally) the reduced Hamiltonian as one extra element.
-    """
-
-    def __init__(self, th: TrueHamiltonian, degree: int,
-                 variables: tuple[Symbol, ...], include_hamiltonian: bool):
-        if degree < 1:
-            raise NoetherError("polynomial ansatz degree must be >= 1")
-        self.th = th
-        self.variables = variables
-        self._rows = [sample_row(th.table, v) for v in variables]
-        self.degree = degree
-        self.include_hamiltonian = include_hamiltonian
-        self.monomials = [e for e in _exponents(len(variables), degree)
-                          if sum(e) >= 1]
-
-    @property
-    def coefficient_count(self) -> int:
-        return len(self.monomials) + (1 if self.include_hamiltonian else 0)
-
-    def matrix(self, batch) -> np.ndarray:
-        velocity = batch.velocity()
-        cols = [batch.points[r] for r in self._rows]
-        powers = [[np.ones(batch.size)] for _ in self.variables]
-        for j, c in enumerate(cols):
-            for _ in range(self.degree):
-                powers[j].append(powers[j][-1] * c)
-        out = np.empty((batch.size, self.coefficient_count))
-        for k, expo in enumerate(self.monomials):
-            acc = np.zeros(batch.size)
-            for j, (row, e) in enumerate(zip(self._rows, expo)):
-                if e == 0:
-                    continue
-                partial = e * powers[j][e - 1]
-                for jj, ee in enumerate(expo):
-                    if jj != j and ee:
-                        partial = partial * powers[jj][ee]
-                acc += partial * velocity[row]
-            out[:, k] = acc
-        if self.include_hamiltonian:
-            out[:, -1] = batch.hgrad[-1]
-        return out
-
-    def family_expr(self, coefficients) -> Expr:
-        terms = []
-        coeffs = list(coefficients)
-        for expo, c in zip(self.monomials, coeffs):
-            c = _exact(c)
-            if c == 0:
-                continue
-            factors = [sx.num(c)]
-            for v, e in zip(self.variables, expo):
-                if e:
-                    factors.append(sx.power(sx.symref(v), e))
-            terms.append(sx.mul(*factors))
-        if self.include_hamiltonian:
-            c = _exact(coeffs[-1])
-            if c != 0:
-                terms.append(sx.mul(sx.num(c), sx.symref(HAMILTONIAN_SYMBOL)))
-        return sx.add(*terms)
-
-    def provenance(self, coefficients):
-        return {"ansatz": f"polynomial, total degree <= {self.degree}"}
+def polynomial_ansatz(table: SymbolTable, degree: int, variables: tuple[Symbol, ...],
+                      include_hamiltonian: bool) -> Ansatz:
+    """All monomials of total degree 1..degree over `variables`, then
+    (optionally) the Hamiltonian as one extra element."""
+    if degree < 1:
+        raise NoetherError("polynomial ansatz degree must be >= 1")
+    rows = [sample_row(table, v) for v in variables]
+    terms = []
+    for expo in _exponents(len(rows), degree):
+        if sum(expo) >= 1:
+            full = [0] * (2 * table.n + 2)
+            for r, e in zip(rows, expo):
+                full[r] += e
+            terms.append((0, tuple(full)))
+    if include_hamiltonian:
+        terms.append((0, _unit(table, 2 * table.n + 1)))
+    return Ansatz(table, ((1, (0,) * (2 * table.n + 2)),), tuple(terms),
+                  f"polynomial, total degree <= {degree}")
 
 
 def _exponents(n_vars: int, degree: int):
@@ -244,10 +183,9 @@ def _exponents(n_vars: int, degree: int):
             yield (head,) + rest
 
 
-def assemble_system(residual, sampler: PointSampler, n_samples: int) -> np.ndarray:
-    """Sampled residual-gradient matrix (n_samples x coefficient count)."""
-    batch = sampler.draw(n_samples)
-    return residual.matrix(batch)
+def assemble_system(ansatz: Ansatz, sampler: PointSampler, n_samples: int) -> np.ndarray:
+    """Sampled residual matrix (n_samples x coefficient count)."""
+    return ansatz.matrix(sampler.draw(n_samples))
 
 
 def nullspace(matrix: np.ndarray, svd_tol: float = SVD_TOL) -> list[np.ndarray]:
@@ -287,9 +225,9 @@ def rref(rows, rel_tol: float = 1e-8):
             continue
         rows[[r, piv]] = rows[[piv, r]]
         rows[r] = rows[r] / rows[r, col]
-        for i in range(k):
-            if i != r and rows[i, col] != 0.0:
-                rows[i] = rows[i] - rows[i, col] * rows[r]
+        factor = rows[:, col].copy()
+        factor[r] = 0
+        rows -= factor[:, None] * rows[r]
         pivots.append(col)
         r += 1
     return rows[:r], pivots
@@ -392,7 +330,7 @@ class Family:
         return np.column_stack([c.function.values(batch) for c in self.components])
 
 
-def extract_family(residual, basis: list[np.ndarray], th: TrueHamiltonian,
+def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
                    sampler: PointSampler, tol: float = FAMILY_TOL,
                    holdout: int = 100) -> Family:
     """Verify, rationalise, prune, and order the nullspace into a Family.
@@ -405,7 +343,7 @@ def extract_family(residual, basis: list[np.ndarray], th: TrueHamiltonian,
     if not basis:
         raise EmptyNullspaceError("no symmetry found at this ansatz degree")
     hold_batch = sampler.draw(holdout)
-    hold_matrix = residual.matrix(hold_batch)
+    hold_matrix = ansatz.matrix(hold_batch)
     prelim = []
     for vector in basis:
         chosen = None
@@ -422,7 +360,7 @@ def extract_family(residual, basis: list[np.ndarray], th: TrueHamiltonian,
                 chosen, rational, resid = tuple(vector), False, r
         if chosen is None:
             continue
-        expr = sx.simplify(residual.family_expr(chosen))
+        expr = sx.simplify(ansatz.family_expr(chosen))
         if sx.is_zero(expr):
             continue
         nonzero = np.flatnonzero(np.abs(vector) > 1e-8)
@@ -433,27 +371,27 @@ def extract_family(residual, basis: list[np.ndarray], th: TrueHamiltonian,
             rational=rational,
             pivot=pivot,
             holdout_residual=resid,
-            generators=residual.provenance(chosen),
+            generators=ansatz.provenance(chosen),
         ))
     if not prelim:
         raise EmptyNullspaceError("all nullspace candidates failed holdout verification")
     # drop components that are constant functions
     values = np.column_stack([c.function.values(hold_batch) for c in prelim])
     spread = values.max(axis=0) - values.min(axis=0)
-    keepers = [c for c, s in zip(prelim, spread) if s > 1e-10]
-    keepers.sort(key=lambda c: (c.uses_hamiltonian, c.pivot))
+    keepers = sorted(np.flatnonzero(spread > 1e-10).tolist(),
+                     key=lambda i: (prelim[i].uses_hamiltonian, prelim[i].pivot))
     # greedy linear-independence filter on sampled values
     chosen_cols: list[np.ndarray] = []
     final = []
-    for comp in keepers:
-        col = comp.function.values(hold_batch)
+    for i in keepers:
+        col = values[:, i]
         if chosen_cols:
             a = np.column_stack(chosen_cols)
             fit, *_ = np.linalg.lstsq(a, col, rcond=None)
             if np.abs(col - a @ fit).max() <= 1e-8 * max(1.0, np.abs(col).max()):
                 continue
         chosen_cols.append(col)
-        final.append(comp)
+        final.append(prelim[i])
     if not final:
         raise EmptyNullspaceError("all candidates pruned as constant or dependent")
     return Family(final)
@@ -464,11 +402,8 @@ def discover_family(th: TrueHamiltonian, sampler: PointSampler, degree: int = 2,
                     tol: float = FAMILY_TOL, holdout: int = 100) -> Family:
     """Full pipeline for the separated generator ansatz."""
     ansatz = build_ansatz(th.table, degree, include_time)
-    residual = AnsatzResidual(ansatz, th)
     count = n_samples if n_samples is not None else 3 * ansatz.coefficient_count
-    matrix = assemble_system(residual, sampler, count)
-    basis = nullspace(matrix)
-    return extract_family(residual, basis, th, sampler, tol, holdout)
+    return _solve(ansatz, th, sampler, count, tol, holdout)
 
 
 def discover_polynomial_integrals(th: TrueHamiltonian, sampler: PointSampler,
@@ -479,9 +414,14 @@ def discover_polynomial_integrals(th: TrueHamiltonian, sampler: PointSampler,
     """Direct polynomial-integral search over the (restricted) phase variables."""
     if variables is None:
         variables = th.table.phase + ((th.table.time,) if include_time else ())
-    residual = PolynomialResidual(th, degree, tuple(variables), include_hamiltonian)
-    if residual.coefficient_count > 5000:
+    ansatz = polynomial_ansatz(th.table, degree, tuple(variables), include_hamiltonian)
+    if ansatz.coefficient_count > 5000:
         raise NoetherError("polynomial ansatz too large; restrict variables or degree")
-    matrix = assemble_system(residual, sampler, 3 * residual.coefficient_count)
-    basis = nullspace(matrix)
-    return extract_family(residual, basis, th, sampler, tol, holdout)
+    return _solve(ansatz, th, sampler, 3 * ansatz.coefficient_count, tol, holdout)
+
+
+def _solve(ansatz: Ansatz, th: TrueHamiltonian, sampler: PointSampler, n_samples: int,
+           tol: float, holdout: int) -> Family:
+    """Assemble, take the nullspace and extract the family: both searches' path."""
+    basis = nullspace(assemble_system(ansatz, sampler, n_samples))
+    return extract_family(ansatz, basis, th, sampler, tol, holdout)

@@ -203,29 +203,28 @@ class TrueHamiltonian:
         return HamiltonianFlow(self)
 
 
-def true_hamiltonian(problem: Problem, hamiltonian: Expr | None = None,
-                     law=None, backend: str = "auto") -> TrueHamiltonian:
+def true_hamiltonian(problem: Problem, backend: str = "auto") -> TrueHamiltonian:
     """Build the true Hamiltonian, choosing or forcing a control backend."""
-    h = hamiltonian if hamiltonian is not None else build_hamiltonian(problem)
-    if law is None and backend != "implicit":
+    h = build_hamiltonian(problem)
+    if backend != "implicit":
         try:
             law = solve_stationarity(problem, h)
         except NotAffineInControlError:
             if backend == "closed":
                 raise
-    if law is None:
-        guess = problem.control_guess or (0.0,) * problem.table.m_ctl
-        law = ImplicitLaw(tuple(map(float, guess)))
-    if isinstance(law, ClosedFormLaw):
-        for e in law.expressions:
-            if sx.free_symbols(e) & set(problem.table.controls):
-                raise InvalidControlLawError("closed-form law must be control-free")
-        bindings = dict(zip(problem.table.controls, law.expressions))
-        reduced = sx.expand(sx.substitute(h, bindings))
-        if sx.free_symbols(reduced) & set(problem.table.controls):
-            raise InvalidControlLawError("reduced Hamiltonian still mentions controls")
-        return TrueHamiltonian(problem, h, law, reduced, k_u=problem.k_u)
-    return TrueHamiltonian(problem, h, law, None, k_u=problem.k_u)
+        else:
+            controls = set(problem.table.controls)
+            for e in law.expressions:
+                if sx.free_symbols(e) & controls:
+                    raise InvalidControlLawError("closed-form law must be control-free")
+            reduced = sx.expand(sx.substitute(h, dict(zip(problem.table.controls,
+                                                          law.expressions))))
+            if sx.free_symbols(reduced) & controls:
+                raise InvalidControlLawError("reduced Hamiltonian still mentions controls")
+            return TrueHamiltonian(problem, h, law, reduced, k_u=problem.k_u)
+    guess = problem.control_guess or (0.0,) * problem.table.m_ctl
+    return TrueHamiltonian(problem, h, ImplicitLaw(tuple(map(float, guess))), None,
+                           k_u=problem.k_u)
 
 
 def sample_symbols(table: SymbolTable) -> tuple[Symbol, ...]:

@@ -64,9 +64,10 @@ def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.n
     every coordinate goes through the same floating-point operations in the
     same order.  Every OcpError of a right-hand side evaluation (a control
     solve that finds no concave stationary point, or a stage that leaves the
-    real domain, such as a negative base under a fractional power), a
-    non-finite right-hand side or a non-finite state raises
-    PoleEncounteredError; so may `after_step(t, y)`, called after every step.
+    real domain, such as a negative base under a fractional power), every
+    FloatingPointError (under the caller's ``np.errstate``), a non-finite
+    right-hand side or a non-finite state raises PoleEncounteredError; so may
+    `after_step(t, y)`, called after every step.
     """
     half, sixth = step / 2, step / 6
 
@@ -85,7 +86,7 @@ def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.n
             k2 = f(t + half, [a + half * b for a, b in zip(y, k1)])
             k3 = f(t + half, [a + half * b for a, b in zip(y, k2)])
             k4 = f(t + step, [a + step * b for a, b in zip(y, k3)])
-        except OcpError as exc:
+        except (OcpError, FloatingPointError) as exc:
             if isinstance(exc, PoleEncounteredError):
                 raise
             raise PoleEncounteredError(t) from exc
@@ -103,7 +104,11 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     """Classical RK4 on xdot = dH/dpsi, psidot = -dH/dx.
 
     `z0` is the initial (x_1..x_n, psi_1..psi_n).  Aborts with
-    PoleEncounteredError if the flow leaves the evaluable region.
+    PoleEncounteredError if the flow leaves the evaluable region.  The run
+    sits in one ``np.errstate`` that raises on invalid operations and
+    division by zero, so a numpy scalar that leaves the real domain (the
+    square root of a negative ``np.sin`` value) stops it as a Python float
+    does, instead of giving nan and a RuntimeWarning.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -121,15 +126,19 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
 
     def check_denominators(t, state):
         nonlocal previous
-        current = [float(d(*state, t)) for d in denominators]
+        try:
+            current = [float(d(*state, t)) for d in denominators]
+        except ArithmeticError:
+            raise PoleEncounteredError(t) from None
         for before, now in zip(previous, current):
             if abs(now) < 1e-2 or (before is not None and before * now < 0):
                 raise PoleEncounteredError(t)
         previous = current
 
-    check_denominators(t0, y)
     flow = th.flow()
-    states = _rk4(flow.rhs, y, times, step, check_denominators)
+    with np.errstate(invalid="raise", divide="raise"):
+        check_denominators(t0, y)
+        states = _rk4(flow.rhs, y, times, step, check_denominators)
     batch, keep = flow.evaluator.prepare(np.vstack([states.T, times]))
     if not keep.all():
         raise PoleEncounteredError(float(times[int(np.argmin(keep))]))

@@ -287,6 +287,8 @@ class TestCriterion5PropertySuites:
         equivalence = test_noether.TestAnsatzResidual()
         equivalence.test_matrix_columns_match_whole_expression_residual("dubins")
         equivalence.test_matrix_columns_match_whole_expression_residual("martinet")
+        dense = test_noether.TestPolynomialResidual()
+        dense.test_matrix_columns_match_whole_expression_residual("sr-2-3", True)
 
         solver = test_kk.TestCheckSolvableLie()
         solver.test_agrees_with_brute_force_oracle_on_random_algebras()

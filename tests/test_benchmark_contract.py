@@ -4,8 +4,9 @@
 callers read (`ocquad.cli.find_certificate`, `ocquad.kk.check_solvable_lie`,
 ...).  Moving a name, or importing it into another module under the same
 name, leaves a wrapper no caller goes through.  A traced dubins analysis
-reaches every layer the benchmark expects on `closed-form`, and a traced
-trailer analysis every layer it expects on `gates`.
+reaches every layer the benchmark expects on `closed-form`, a traced trailer
+analysis every layer it expects on `gates`, and a traced
+`sr-2-3 --poly-degree 4` analysis every layer it expects on `poly-dense`.
 """
 
 import json
@@ -25,14 +26,17 @@ def _predictions():
     return runpy.run_path(str(PERFBENCH / "workloads.py"))["PREDICTIONS"]
 
 
-@pytest.mark.parametrize("problem, workload", [("dubins", "closed-form"),
-                                               ("trailer", "gates")])
-def test_traced_run_reaches_every_predicted_layer(problem, workload):
+@pytest.mark.parametrize("problem, flags, workload", [
+    ("dubins", (), "closed-form"),
+    ("trailer", (), "gates"),
+    ("sr-2-3", ("--poly-degree", "4"), "poly-dense"),
+], ids=["dubins-closed-form", "trailer-gates", "sr-2-3-poly-dense"])
+def test_traced_run_reaches_every_predicted_layer(problem, flags, workload):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")   # nothing lands in perfbench/
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), "0", "1", problem, "--seed", "42"],
+        [sys.executable, str(PERFBENCH / "child.py"), "0", "1", problem, *flags, "--seed", "42"],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,33 @@ class TestHostileProblemFiles:
         path.write_text(json.dumps(doc))
         assert main(["analyze", str(path)]) in (0, 2)
         json.loads(capsys.readouterr().out)
+
+    def test_numpy_scalar_leaving_the_real_domain_warns_nothing(self, tmp_path):
+        # sin(x1) evaluates to a numpy scalar, and RK4 stages step x1 below 0,
+        # where its square root is not real: under -W error::RuntimeWarning
+        # the run must end as the plain run does, with nothing on stderr
+        doc = {
+            "name": "sin-root-drift",
+            "states": ["x1", "x2"],
+            "controls": ["u1"],
+            "time": "t",
+            "lagrangian": "u1^2/2",
+            "dynamics": ["u1", "(sin(x1))^(1/2)"],
+            "sampling_box": {"x1": [0.001, 0.02]},
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        plain, strict = (
+            subprocess.run([sys.executable, *flags, "-m", "ocquad.cli", "analyze", str(path)],
+                           capture_output=True, text=True, env=env, timeout=300)
+            for flags in ([], ["-W", "error::RuntimeWarning"]))
+        assert plain.returncode in (0, 2)
+        assert strict.returncode == plain.returncode
+        assert plain.stderr == strict.stderr == ""
+        assert strict.stdout == plain.stdout
 
 
 # (problem, flags, part of the message) for command lines that must end with

@@ -6,17 +6,17 @@ import pytest
 from ocquad import ocp
 from ocquad import symexpr as sx
 from ocquad.noether import (
-    AnsatzResidual,
     EmptyNullspaceError,
-    PolynomialResidual,
     assemble_system,
     build_ansatz,
     discover_family,
     discover_polynomial_integrals,
     nullspace,
+    polynomial_ansatz,
     rationalize_vector,
+    rref,
 )
-from ocquad.ocp import PointSampler, true_hamiltonian
+from ocquad.ocp import PointSampler, sample_row, true_hamiltonian
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import parse, symref
 from oracles import Residual, combine
@@ -41,14 +41,14 @@ class TestBuildAnsatz:
         from conftest import make_table
         table = make_table(1)
         ansatz = build_ansatz(table, 1)
-        per_template = [t for t in ansatz.terms if t.template == 0]
+        per_template = [t for t in ansatz.terms if t[0] == 0]
         assert len(per_template) == 4  # c0 + c1 t + c2 x1 + c3 psi1
         assert ansatz.coefficient_count == 2 * 4
 
     def test_counts_for_three_states_degree_two(self):
         problem, _, _ = setup_problem("dubins")
         ansatz = build_ansatz(problem.table, 2)
-        per_template = [t for t in ansatz.terms if t.template == 0]
+        per_template = [t for t in ansatz.terms if t[0] == 0]
         assert len(per_template) == 1 + 2 * 7
         assert ansatz.coefficient_count == 4 * 15
 
@@ -56,29 +56,30 @@ class TestBuildAnsatz:
         problem, _, _ = setup_problem("dubins")
         ansatz = build_ansatz(problem.table, 0)
         assert ansatz.coefficient_count == 4
-        assert all(t.variable is None for t in ansatz.terms)
+        assert all(not any(expo) for _, expo in ansatz.terms)
 
     def test_time_terms_can_be_disabled(self):
         problem, _, _ = setup_problem("dubins")
         ansatz = build_ansatz(problem.table, 2, include_time=False)
         assert ansatz.coefficient_count == 4 * (1 + 2 * 6)
-        assert all(t.variable is not problem.table.time for t in ansatz.terms)
+        time_row = sample_row(problem.table, problem.table.time)
+        assert all(expo[time_row] == 0 for _, expo in ansatz.terms)
 
 
 class TestAnsatzResidual:
     def coefficient_index(self, ansatz, template, var_name, power):
-        for k, t in enumerate(ansatz.terms):
-            name = t.variable.name if t.variable is not None else None
-            if t.template == template and name == var_name and t.power == power:
-                return k
-        raise AssertionError("term not found")
+        # the term of `template` (0 for T, i for X_i) that is var_name^power,
+        # or the template's constant when var_name is None
+        expo = [0] * (2 * ansatz.table.n + 2)
+        if var_name is not None:
+            expo[sample_row(ansatz.table, ansatz.table.lookup(var_name))] = power
+        return ansatz.terms.index((template, tuple(expo)))
 
     def test_pure_time_template_measures_dh_dt(self):
         _, th, sampler = setup_problem("dubins")
         ansatz = build_ansatz(th.table, 2)
-        residual = AnsatzResidual(ansatz, th)
         batch = sampler.draw(40)
-        matrix = residual.matrix(batch)
+        matrix = ansatz.matrix(batch)
         k = self.coefficient_index(ansatz, 0, None, 0)
         # autonomous problem: R(-H) = -dH/dt = 0
         assert np.abs(matrix[:, k]).max() < 1e-14
@@ -86,18 +87,16 @@ class TestAnsatzResidual:
     def test_single_costate_generator_is_not_a_symmetry(self):
         _, th, sampler = setup_problem("dubins")
         ansatz = build_ansatz(th.table, 2)
-        residual = AnsatzResidual(ansatz, th)
         batch = sampler.draw(40)
-        matrix = residual.matrix(batch)
+        matrix = ansatz.matrix(batch)
         k = self.coefficient_index(ansatz, 3, None, 0)  # X = (0, 0, 1)
         assert np.abs(matrix[:, k]).max() > 1e-3
 
     def test_rotation_generator_is_a_symmetry(self):
         _, th, sampler = setup_problem("dubins")
         ansatz = build_ansatz(th.table, 2)
-        residual = AnsatzResidual(ansatz, th)
         batch = sampler.draw(60)
-        matrix = residual.matrix(batch)
+        matrix = ansatz.matrix(batch)
         vec = np.zeros(ansatz.coefficient_count)
         vec[self.coefficient_index(ansatz, 1, "x2", 1)] = -1.0
         vec[self.coefficient_index(ansatz, 2, "x1", 1)] = 1.0
@@ -110,9 +109,8 @@ class TestAnsatzResidual:
         # the flow-substituted invariance identity and dF/dt + {F, H} agree
         _, th, sampler = setup_problem(name)
         ansatz = build_ansatz(th.table, 2)
-        residual = AnsatzResidual(ansatz, th)
         batch = sampler.draw(200)
-        matrix = residual.matrix(batch)
+        matrix = ansatz.matrix(batch)
         rng = np.random.default_rng(5)
         for _ in range(6):
             coeffs = rng.integers(-3, 4, size=ansatz.coefficient_count)
@@ -128,14 +126,14 @@ class TestPolynomialResidual:
         # assembled polynomial
         _, th, sampler = setup_problem(name)
         variables = th.table.phase + ((th.table.time,) if include_time else ())
-        residual = PolynomialResidual(th, 3, variables, True)
+        ansatz = polynomial_ansatz(th.table, 3, variables, True)
         batch = sampler.draw(200)
-        matrix = residual.matrix(batch)
+        matrix = ansatz.matrix(batch)
         rng = np.random.default_rng(5)
         for _ in range(4):
-            coeffs = rng.integers(-3, 4, size=residual.coefficient_count)
+            coeffs = rng.integers(-3, 4, size=ansatz.coefficient_count)
             direct = matrix @ coeffs.astype(float)
-            assembled = Residual(residual.family_expr(coeffs), th).values(batch)
+            assembled = Residual(ansatz.family_expr(coeffs), th).values(batch)
             assert np.abs(direct - assembled).max() < 1e-9 * max(1.0, np.abs(direct).max())
 
 
@@ -143,19 +141,17 @@ class TestAssembleSystem:
     def test_duplicate_points_give_identical_rows(self):
         _, th, sampler = setup_problem("dubins")
         ansatz = build_ansatz(th.table, 2)
-        residual = AnsatzResidual(ansatz, th)
         batch = sampler.draw(10)
         doubled = batch.concat(batch)
-        matrix = residual.matrix(doubled)
+        matrix = ansatz.matrix(doubled)
         assert np.array_equal(matrix[:10], matrix[10:])
 
     def test_rank_plateau(self):
         _, th, sampler = setup_problem("dubins")
         ansatz = build_ansatz(th.table, 2)
-        residual = AnsatzResidual(ansatz, th)
         c = ansatz.coefficient_count
-        small = assemble_system(residual, sampler, c)
-        big = assemble_system(residual, sampler, 3 * c)
+        small = assemble_system(ansatz, sampler, c)
+        big = assemble_system(ansatz, sampler, 3 * c)
 
         def rank(m):
             s = np.linalg.svd(m, compute_uv=False)
@@ -180,8 +176,7 @@ class TestNullspace:
     def test_dubins_dimension_and_certificate(self):
         _, th, sampler = setup_problem("dubins")
         ansatz = build_ansatz(th.table, 2)
-        residual = AnsatzResidual(ansatz, th)
-        matrix = assemble_system(residual, sampler, 3 * ansatz.coefficient_count)
+        matrix = assemble_system(ansatz, sampler, 3 * ansatz.coefficient_count)
         basis = nullspace(matrix)
         assert len(basis) >= 4
         norm = np.abs(matrix).max()
@@ -208,6 +203,60 @@ class TestNullspace:
         # the right singular vector of the smallest value, up to sign
         unit = basis[0] / np.linalg.norm(basis[0])
         assert abs(abs(unit @ right[:, 2]) - 1.0) < 1e-9
+
+
+def reference_rref(rows, rel_tol=1e-8):
+    """The row-at-a-time Gauss-Jordan loop `rref` must agree with."""
+    rows = np.array(rows)
+    if rows.dtype != object:
+        rows = rows.astype(float, copy=False)
+    k, n_cols = rows.shape
+    scale = max(float(np.abs(rows).max()), 1.0)
+    r = 0
+    pivots = []
+    for col in range(n_cols):
+        if r == k:
+            break
+        piv = r + int(np.argmax(np.abs(rows[r:, col])))
+        if rows[piv, col] == 0 or abs(rows[piv, col]) < rel_tol * scale:
+            continue
+        rows[[r, piv]] = rows[[piv, r]]
+        rows[r] = rows[r] / rows[r, col]
+        for i in range(k):
+            if i != r and rows[i, col] != 0.0:
+                rows[i] = rows[i] - rows[i, col] * rows[r]
+        pivots.append(col)
+        r += 1
+    return rows[:r], pivots
+
+
+class TestRrefMatchesReference:
+    def test_random_fraction_matrices(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            shape = rng.integers(1, 7), rng.integers(1, 9)
+            a = np.empty(shape, dtype=object)
+            for index in np.ndindex(*shape):
+                a[index] = (Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
+                            if rng.random() < 0.6 else Fraction(0))
+            got, got_pivots = rref(a, rel_tol=0)
+            want, want_pivots = reference_rref(a, rel_tol=0)
+            assert got_pivots == want_pivots
+            assert got.shape == want.shape and (got == want).all()
+            assert all(type(x) is Fraction for x in got.flat)
+
+    @pytest.mark.parametrize("name", ["dubins", "sr-2-3"])
+    def test_float_nullspace_bases(self, name):
+        # the right singular vectors `nullspace` reduces, before the reduction
+        _, th, sampler = setup_problem(name)
+        ansatz = build_ansatz(th.table, 2)
+        matrix = assemble_system(ansatz, sampler, 3 * ansatz.coefficient_count)
+        _, s, vt = np.linalg.svd(matrix, full_matrices=False)
+        null = vt[int((s > 1e-9 * s[0]).sum()):]
+        got, got_pivots = rref(null)
+        want, want_pivots = reference_rref(null)
+        assert got_pivots == want_pivots
+        assert (got == want).all()
 
 
 def reference_rationalize(vector):
@@ -277,8 +326,7 @@ class TestRationalizeMatchesReference:
     def test_builtin_nullspace_vectors(self, name):
         _, th, sampler = setup_problem(name)
         ansatz = build_ansatz(th.table, 2)
-        residual = AnsatzResidual(ansatz, th)
-        matrix = assemble_system(residual, sampler, 3 * ansatz.coefficient_count)
+        matrix = assemble_system(ansatz, sampler, 3 * ansatz.coefficient_count)
         basis = nullspace(matrix)
         assert basis
         for vector in basis:
