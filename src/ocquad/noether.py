@@ -10,7 +10,10 @@ to a total degree, optionally with H itself.  The residual
 R(F) = dF/dt + {F, H} is linear and homogeneous in the coefficients, so
 sampling each monomial's residual at random points turns the invariance PDE
 into a plain linear system.  Its nullspace, canonicalised and rationalised,
-yields the family components.
+yields the family components.  When H is a polynomial in x, psi and t with
+rational coefficients, the dense search skips the sampling: R maps monomial
+coefficients to monomial coefficients exactly, and that map splits into small
+independent blocks (`block_nullspace`).
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ _DENOMINATORS = np.arange(1, RATIONALIZE_MAX_DENOMINATOR + 1, dtype=float)
 _NEAR = 1e-5
 _FAST_LIMIT = 100.0          # larger entries take the exact per-entry path
 FAMILY_TOL = 1e-8
+
+# A polynomial over the sample rows (x, psi, t): {exponents: coefficient}.
+Poly = dict[tuple[int, ...], Fraction]
 
 
 class NoetherError(Exception):
@@ -91,25 +97,59 @@ class Ansatz:
             out[:, k] = acc if signs[group] > 0 else -acc
         return out
 
-    def group_exprs(self, coefficients) -> list[Expr]:
-        """Each group's sum of coefficients times monomials, its factor left out."""
+    def exact_columns(self, hamiltonian: Poly) -> list[Poly]:
+        """The residual column of every term as an exact polynomial over the
+        sample rows (x, psi, t), for a polynomial H read by `sx.polynomial`.
+        The rule of `matrix`, R(m) = sum_r dm/dz_r * zdot_r, with
+        xdot = dH/dpsi, psidot = -dH/dx, tdot = 1 and Hdot = dH/dt; a power
+        of H is expanded by polynomial multiplication."""
+        n = self.table.n
+        width = 2 * n + 1
+        grad = [_derivative(hamiltonian, r) for r in range(width)]
+        one = {(0,) * width: Fraction(1)}
+        zdot = grad[n:2 * n] + [{m: -c for m, c in g.items()} for g in grad[:n]] + [one]
+        h_powers = [one]
+        columns = []
+        for group, expo in self.terms:
+            sign, factor = self.factors[group]
+            full = [a + b for a, b in zip(factor, expo)]
+            rows, k = full[:width], full[width]
+            while len(h_powers) <= k:
+                h_powers.append(_product(h_powers[-1], hamiltonian))
+            column: Poly = {}
+            for r, e in enumerate(rows):
+                if e:
+                    _accumulate(column, _shifted(zdot[r], rows, r), sign * e)
+            if k:
+                column = _product(column, h_powers[k])
+                _accumulate(column, _product(_shifted(h_powers[k - 1], rows),
+                                             grad[2 * n]), sign * k)
+            columns.append({m: c for m, c in column.items() if c})
+        return columns
+
+    def group_exprs(self, coefficients, support=None) -> list[Expr]:
+        """Each group's sum of coefficients times monomials, its factor left
+        out.  `support` lists the indices of the coefficients that may be
+        nonzero; only those are read."""
         buckets: list[list[Expr]] = [[] for _ in self.factors]
-        for (group, expo), c in zip(self.terms, coefficients):
-            c = _exact(c)
+        for k in range(len(self.terms)) if support is None else support:
+            c = _exact(coefficients[k])
             if c != 0:
+                group, expo = self.terms[k]
                 buckets[group].append(self._monomial(c, expo))
         return [sx.add(*b) if b else sx.ZERO for b in buckets]
 
-    def family_expr(self, coefficients) -> Expr:
+    def family_expr(self, coefficients, support=None) -> Expr:
         """F with the Hamiltonian as a placeholder symbol."""
+        groups = self.group_exprs(coefficients, support)
         return sx.add(*(sx.mul(self._monomial(*factor), e)
-                        for factor, e in zip(self.factors, self.group_exprs(coefficients))))
+                        for factor, e in zip(self.factors, groups)))
 
-    def provenance(self, coefficients) -> dict:
+    def provenance(self, coefficients, support=None) -> dict:
         """The report's `generators` entry: T and X_1..X_n, or the ansatz's label."""
         if self.label is not None:
             return {"ansatz": self.label}
-        t_expr, *x_exprs = map(sx.to_string, self.group_exprs(coefficients))
+        t_expr, *x_exprs = map(sx.to_string, self.group_exprs(coefficients, support))
         return {"T": t_expr, "X": x_exprs}
 
     def _monomial(self, c, expo) -> Expr:
@@ -123,6 +163,36 @@ def _exact(c) -> Fraction:
     if isinstance(c, (int, np.integer)):
         return Fraction(int(c))
     return Fraction(float(c))
+
+
+def _derivative(p: Poly, row: int) -> Poly:
+    out = {}
+    for m, c in p.items():
+        if m[row]:
+            d = list(m)
+            d[row] -= 1
+            out[tuple(d)] = c * m[row]
+    return out
+
+
+def _shifted(p: Poly, expo, drop: int | None = None) -> Poly:
+    """p times the monomial with exponents `expo`, one power of row `drop` taken off."""
+    shift = list(expo)
+    if drop is not None:
+        shift[drop] -= 1
+    return {tuple(a + b for a, b in zip(m, shift)): c for m, c in p.items()}
+
+
+def _accumulate(acc: Poly, p: Poly, scale) -> None:
+    for m, c in p.items():
+        acc[m] = acc.get(m, 0) + scale * c
+
+
+def _product(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for m, c in a.items():
+        _accumulate(out, _shifted(b, m), c)
+    return out
 
 
 def _unit(table: SymbolTable, row: int, power: int = 1) -> tuple[int, ...]:
@@ -194,6 +264,9 @@ def nullspace(matrix: np.ndarray, svd_tol: float = SVD_TOL) -> list[np.ndarray]:
     n_cols = a.shape[1]
     if a.size == 0 or not np.any(a):
         return [row.copy() for row in np.eye(n_cols)]
+    if a.shape[0] >= n_cols:
+        # R of a = QR has a's singular values and right vectors; Q is never formed
+        a = np.linalg.qr(a, mode="r")
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < n_cols)
     rank = int((s > svd_tol * s[0]).sum())
     null = vt[rank:]
@@ -201,6 +274,53 @@ def nullspace(matrix: np.ndarray, svd_tol: float = SVD_TOL) -> list[np.ndarray]:
         return []
     rows, _ = rref(null)
     return [rows[i] for i in range(rows.shape[0])]
+
+
+def block_nullspace(columns: list[Poly]) -> list[np.ndarray]:
+    """`nullspace` of the exact residual map, one independent block at a time.
+
+    Two columns share a block when they share an output monomial (union-find),
+    so no block has a row in common with another.  Each block becomes a small
+    float matrix for `nullspace`; its basis rows, embedded at the block's
+    columns and sorted by pivot column, together form the global RREF basis.
+    """
+    parent = list(range(len(columns)))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    owner: dict[tuple[int, ...], int] = {}
+    for k, column in enumerate(columns):
+        for m in column:
+            a, b = root(owner.setdefault(m, k)), root(k)
+            parent[max(a, b)] = min(a, b)
+    blocks: dict[int, list[int]] = {}
+    for k in range(len(columns)):
+        blocks.setdefault(root(k), []).append(k)
+    basis = []
+    for cols in blocks.values():
+        rows: dict[tuple[int, ...], int] = {}
+        entries = [(rows.setdefault(m, len(rows)), j, c)
+                   for j, k in enumerate(cols) for m, c in columns[k].items()]
+        block = np.zeros((len(rows), len(cols)))
+        for i, j, c in entries:
+            block[i, j] = c
+        for vector in nullspace(block):
+            row = np.zeros(len(columns))
+            row[cols] = vector
+            basis.append(row)
+    # the key skips float noise left of a pivot, which a first-nonzero key sorts by
+    basis.sort(key=_pivot)
+    return basis
+
+
+def _pivot(vector: np.ndarray) -> int:
+    """Index of the first entry above 1e-8 (0 when there is none)."""
+    big = np.flatnonzero(np.abs(vector) > 1e-8)
+    return int(big[0]) if big.size else 0
 
 
 def rref(rows, rel_tol: float = 1e-8):
@@ -347,31 +467,33 @@ def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
     prelim = []
     for vector in basis:
         chosen = None
-        rational = False
-        resid = None
         rat = rationalize_vector(vector)
         if rat is not None:
-            r = float(np.abs(hold_matrix @ np.array([float(f) for f in rat])).max())
+            # rationalize_vector turns every entry within _NEAR of 0 into 0
+            support = np.flatnonzero(np.abs(vector) > _NEAR)
+            exact = np.zeros(vector.size)
+            exact[support] = [float(rat[k]) for k in support]
+            r = float(np.abs(hold_matrix @ exact).max())
             if r < tol:
                 chosen, rational, resid = rat, True, r
         if chosen is None:
             r = float(np.abs(hold_matrix @ vector).max())
             if r < tol:
                 chosen, rational, resid = tuple(vector), False, r
+                support = np.flatnonzero(vector)
         if chosen is None:
             continue
-        expr = sx.simplify(ansatz.family_expr(chosen))
+        support = support.tolist()
+        expr = sx.simplify(ansatz.family_expr(chosen, support))
         if sx.is_zero(expr):
             continue
-        nonzero = np.flatnonzero(np.abs(vector) > 1e-8)
-        pivot = int(nonzero[0]) if nonzero.size else 0
         prelim.append(FamilyComponent(
             function=PhaseFunction(expr, th.table),
             coefficients=chosen,
             rational=rational,
-            pivot=pivot,
+            pivot=_pivot(vector),
             holdout_residual=resid,
-            generators=ansatz.provenance(chosen),
+            generators=ansatz.provenance(chosen, support),
         ))
     if not prelim:
         raise EmptyNullspaceError("all nullspace candidates failed holdout verification")
@@ -380,21 +502,29 @@ def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
     spread = values.max(axis=0) - values.min(axis=0)
     keepers = sorted(np.flatnonzero(spread > 1e-10).tolist(),
                      key=lambda i: (prelim[i].uses_hamiltonian, prelim[i].pivot))
-    # greedy linear-independence filter on sampled values
-    chosen_cols: list[np.ndarray] = []
-    final = []
-    for i in keepers:
-        col = values[:, i]
-        if chosen_cols:
-            a = np.column_stack(chosen_cols)
-            fit, *_ = np.linalg.lstsq(a, col, rcond=None)
-            if np.abs(col - a @ fit).max() <= 1e-8 * max(1.0, np.abs(col).max()):
-                continue
-        chosen_cols.append(col)
-        final.append(prelim[i])
+    final = [prelim[i] for i in independent_columns(values, keepers)]
     if not final:
         raise EmptyNullspaceError("all candidates pruned as constant or dependent")
     return Family(final)
+
+
+def independent_columns(values: np.ndarray, order: list[int]) -> list[int]:
+    """Greedy linear-independence filter: the columns of `values`, visited in
+    `order`, that lie farther than 1e-8 * max(1, max|col|) (max norm) from the
+    span of the columns already kept.  The span is one orthonormal basis,
+    grown by classical Gram-Schmidt applied twice."""
+    q = np.empty((values.shape[0], len(order)))
+    kept: list[int] = []
+    for i in order:
+        col = values[:, i]
+        basis = q[:, :len(kept)]
+        rest = col - basis @ (basis.T @ col)
+        rest -= basis @ (basis.T @ rest)
+        if kept and np.abs(rest).max() <= 1e-8 * max(1.0, np.abs(col).max()):
+            continue
+        q[:, len(kept)] = rest / np.linalg.norm(rest)
+        kept.append(i)
+    return kept
 
 
 def discover_family(th: TrueHamiltonian, sampler: PointSampler, degree: int = 2,
@@ -411,13 +541,20 @@ def discover_polynomial_integrals(th: TrueHamiltonian, sampler: PointSampler,
                                   variables: tuple[Symbol, ...] | None = None,
                                   include_hamiltonian: bool = True,
                                   tol: float = FAMILY_TOL, holdout: int = 100) -> Family:
-    """Direct polynomial-integral search over the (restricted) phase variables."""
+    """Direct polynomial-integral search over the (restricted) phase variables.
+
+    A polynomial H (`sx.polynomial` of the envelope's H) gives exact residual
+    columns, solved block by block; any other H takes the sampled system."""
     if variables is None:
         variables = th.table.phase + ((th.table.time,) if include_time else ())
     ansatz = polynomial_ansatz(th.table, degree, tuple(variables), include_hamiltonian)
     if ansatz.coefficient_count > 5000:
         raise NoetherError("polynomial ansatz too large; restrict variables or degree")
-    return _solve(ansatz, th, sampler, 3 * ansatz.coefficient_count, tol, holdout)
+    hamiltonian = sx.polynomial(th.envelope[0], sample_symbols(th.table))
+    if hamiltonian is None:
+        return _solve(ansatz, th, sampler, 3 * ansatz.coefficient_count, tol, holdout)
+    basis = block_nullspace(ansatz.exact_columns(hamiltonian))
+    return extract_family(ansatz, basis, th, sampler, tol, holdout)
 
 
 def _solve(ansatz: Ansatz, th: TrueHamiltonian, sampler: PointSampler, n_samples: int,

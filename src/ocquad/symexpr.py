@@ -47,6 +47,7 @@ __all__ = [
     "substitute",
     "simplify",
     "expand",
+    "polynomial",
     "is_symbolically_zero",
     "evaluate",
     "compile_fn",
@@ -660,6 +661,29 @@ def _distribute(a: Expr, b: Expr) -> Expr:
     if len(lhs) == 1 and len(rhs) == 1:
         return mul(a, b)
     return add(*(mul(x, y) for x in lhs for y in rhs))
+
+
+def polynomial(e: Expr, rows: tuple[Symbol, ...]) -> dict[tuple[int, ...], Fraction] | None:
+    """``expand(e)`` as {exponents over `rows`: rational coefficient}, zero
+    coefficients left out; None when a term holds a call, a negative or
+    fractional power, a power of anything but a symbol, or a symbol outside
+    `rows`."""
+    index = {s: i for i, s in enumerate(rows)}
+    out: dict[tuple[int, ...], Fraction] = {}
+    for term in expand(e).terms:
+        coeff = Fraction(1)
+        expo = [0] * len(rows)
+        for f in term.factors:
+            if f.kind == _NUM:
+                coeff *= f.value
+                continue
+            base, k = (f.children[0], f.value) if f.kind == _POW else (f, Fraction(1))
+            if base.kind != _SYM or base.value not in index or k.denominator != 1 or k < 0:
+                return None
+            expo[index[base.value]] += int(k)
+        key = tuple(expo)
+        out[key] = out.get(key, 0) + coeff
+    return {key: c for key, c in out.items() if c != 0}
 
 
 def is_zero(e: Expr) -> bool:

@@ -253,6 +253,14 @@ class TestReportContent:
         exprs = [c["expr"] for c in report["polynomial_family"]]
         assert any("H" in e for e in exprs)
 
+    def test_degree_five_polynomial_family(self):
+        # 3,003 coefficients, solved on the exact block path
+        report, code = run("sr-2-3-5", "--poly-degree", "5")
+        assert code == 0
+        poly = report["polynomial_family"]
+        assert len(poly) == 95
+        assert all(c["rational"] and c["holdout_residual"] < 1e-8 for c in poly)
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["analyze", "dubins", "--output", str(out)]) == 0

@@ -3,21 +3,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ocquad import ocp
+from ocquad import noether, ocp
 from ocquad import symexpr as sx
 from ocquad.noether import (
     EmptyNullspaceError,
     assemble_system,
+    block_nullspace,
     build_ansatz,
     discover_family,
     discover_polynomial_integrals,
+    independent_columns,
     nullspace,
     polynomial_ansatz,
     rationalize_vector,
     rref,
 )
-from ocquad.ocp import PointSampler, sample_row, true_hamiltonian
-from ocquad.problems import builtin, load_problem
+from ocquad.ocp import PointSampler, sample_row, sample_symbols, true_hamiltonian
+from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import parse, symref
 from oracles import Residual, combine
 
@@ -135,6 +137,85 @@ class TestPolynomialResidual:
             direct = matrix @ coeffs.astype(float)
             assembled = Residual(ansatz.family_expr(coeffs), th).values(batch)
             assert np.abs(direct - assembled).max() < 1e-9 * max(1.0, np.abs(direct).max())
+
+
+def timed_harmonic_th():
+    """H = psi1^2/2 + t*x1^2/2: a polynomial Hamiltonian with dH/dt != 0."""
+    doc = {
+        "name": "timed-harmonic",
+        "states": ["x1"],
+        "controls": ["u1"],
+        "time": "t",
+        "lagrangian": "u1^2/2 - t*x1^2/2",
+        "dynamics": ["u1"],
+    }
+    problem, _ = load_problem(doc)
+    return true_hamiltonian(problem)
+
+
+def polynomial_case(name):
+    if name == "timed-harmonic":
+        th = timed_harmonic_th()
+        return th, PointSampler(th.problem, th.evaluator(), np.random.default_rng(3))
+    _, th, sampler = setup_problem(name)
+    return th, sampler
+
+
+def exact_hamiltonian(th):
+    return sx.polynomial(th.envelope[0], sample_symbols(th.table))
+
+
+def columns_at(columns, batch):
+    """The exact residual columns evaluated at a batch's points."""
+    out = np.zeros((batch.size, len(columns)))
+    for k, column in enumerate(columns):
+        for m, c in column.items():
+            out[:, k] += float(c) * np.prod(batch.points ** np.array(m)[:, None], axis=0)
+    return out
+
+
+class TestExactColumns:
+    @pytest.mark.parametrize("name", ["sr-2-3-5", "timed-harmonic"])
+    def test_dense_columns_match_the_sampled_matrix(self, name):
+        th, sampler = polynomial_case(name)
+        ansatz = polynomial_ansatz(th.table, 3, th.table.phase + (th.table.time,), True)
+        batch = sampler.draw(50)
+        want = ansatz.matrix(batch)
+        got = columns_at(ansatz.exact_columns(exact_hamiltonian(th)), batch)
+        assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("name", ["sr-2-3-4", "timed-harmonic"])
+    def test_generator_columns_with_the_h_factor(self, name):
+        # the T group carries the factor -H: its columns expand H by
+        # multiplication, and with dH/dt != 0 the Hdot term enters
+        th, sampler = polynomial_case(name)
+        ansatz = build_ansatz(th.table, 2)
+        batch = sampler.draw(50)
+        want = ansatz.matrix(batch)
+        got = columns_at(ansatz.exact_columns(exact_hamiltonian(th)), batch)
+        assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
+
+
+class TestBlockNullspace:
+    @pytest.mark.parametrize("name", ["sr-2-3", "sr-2-3-4", "sr-2-3-5"])
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_exact_blocks_match_the_sampled_system(self, name, degree):
+        _, th, sampler = setup_problem(name)
+        ansatz = polynomial_ansatz(th.table, degree, th.table.phase, True)
+        sampled = nullspace(assemble_system(ansatz, sampler, 3 * ansatz.coefficient_count))
+        exact = block_nullspace(ansatz.exact_columns(exact_hamiltonian(th)))
+        assert len(exact) == len(sampled) > 0
+        assert ([rationalize_vector(v) for v in exact]
+                == [rationalize_vector(v) for v in sampled])
+
+    def test_blocks_form_one_rref(self):
+        # columns 0 and 2 share the output monomial (1,), column 1 stands
+        # alone, column 3 is zero
+        columns = [{(1,): Fraction(1)}, {(2,): Fraction(1), (3,): Fraction(1)},
+                   {(1,): Fraction(-2)}, {}]
+        basis = block_nullspace(columns)
+        assert [rationalize_vector(v) for v in basis] == [
+            (1, 0, Fraction(1, 2), 0), (0, 0, 0, 1)]
 
 
 class TestAssembleSystem:
@@ -442,6 +523,56 @@ class TestExtractFamily:
             discover_family(th, sampler, degree=0, include_time=False)
 
 
+def reference_independent(values, order):
+    """The refit loop `independent_columns` replaced: one lstsq fit against
+    every kept column per candidate."""
+    chosen_cols = []
+    kept = []
+    for i in order:
+        col = values[:, i]
+        if chosen_cols:
+            a = np.column_stack(chosen_cols)
+            fit, *_ = np.linalg.lstsq(a, col, rcond=None)
+            if np.abs(col - a @ fit).max() <= 1e-8 * max(1.0, np.abs(col).max()):
+                continue
+        chosen_cols.append(col)
+        kept.append(i)
+    return kept
+
+
+class TestIndependentColumns:
+    def test_random_columns_with_planted_dependents(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            rank = int(rng.integers(1, 30))
+            base = rng.standard_normal((100, rank)) * 10.0 ** rng.uniform(-3, 3, rank)
+            mix = rng.integers(-3, 4, size=(rank, int(rng.integers(0, 30))))
+            mix = mix[:, mix.any(axis=0)]
+            dependents = base @ mix + 1e-13 * rng.standard_normal((100, mix.shape[1]))
+            values = np.hstack([base, dependents])
+            order = rng.permutation(values.shape[1]).tolist()
+            got = independent_columns(values, order)
+            assert got == reference_independent(values, order)
+            assert len(got) == rank
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_holdout_values_of_the_builtin_families(self, name, monkeypatch):
+        calls = []
+
+        def spy(values, order):
+            calls.append((values, list(order)))
+            return independent_columns(values, order)
+
+        monkeypatch.setattr(noether, "independent_columns", spy)
+        _, th, sampler = setup_problem(name)
+        discover_family(th, sampler)
+        if th.is_closed_form:
+            discover_polynomial_integrals(th, sampler, degree=3)
+        assert calls
+        for values, order in calls:
+            assert independent_columns(values, order) == reference_independent(values, order)
+
+
 def harmonic_th():
     doc = {
         "name": "harmonic",
@@ -515,6 +646,29 @@ class TestDiscoverPolynomialIntegrals:
         batch = sampler.draw(100)
         y = ocp.PhaseFunction(symref(sx.HAMILTONIAN_SYMBOL), th.table).values(batch)
         assert span_residual(y, fam.values_matrix(batch)) < 1e-7
+
+    def test_dubins_keeps_the_sampled_path(self, monkeypatch):
+        # cos and sin in H: no exact columns, the sampled system as before
+        sizes = []
+
+        def spy(ansatz, sampler, n_samples):
+            sizes.append((n_samples, ansatz.coefficient_count))
+            return assemble_system(ansatz, sampler, n_samples)
+
+        monkeypatch.setattr(noether, "assemble_system", spy)
+        _, th, sampler = setup_problem("dubins")
+        fam = discover_polynomial_integrals(th, sampler, degree=2)
+        assert sizes == [(84, 28)]
+        assert [sx.to_string(c.expr) for c in fam.components] == [
+            "psi3 - x2*psi1 + x1*psi2", "psi2", "psi2^2", "psi1", "psi1*psi2", "psi1^2", "H"]
+
+    def test_polynomial_hamiltonian_skips_the_sampled_system(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("sampled system assembled for a polynomial H")
+
+        monkeypatch.setattr(noether, "assemble_system", refuse)
+        _, th, sampler = setup_problem("sr-2-3")
+        assert discover_polynomial_integrals(th, sampler, degree=2).m > 0
 
     def test_sr235_degree_four_recovers_cross_integral(self):
         # restricted to the variables the involutive construction needs

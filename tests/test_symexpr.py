@@ -289,6 +289,56 @@ class TestExpand:
             done += 1
 
 
+class TestPolynomialReader:
+    @staticmethod
+    def rows(table):
+        return table.phase + (table.time,)
+
+    def test_reads_a_product_of_sums(self, table3):
+        from ocquad.symexpr import polynomial
+        got = polynomial(parse("(x1 + psi2/2)^2 - x1^2 + 3*t", table3), self.rows(table3))
+        # rows x1 x2 x3 psi1 psi2 psi3 t
+        assert got == {(1, 0, 0, 0, 1, 0, 0): Fraction(1),
+                       (0, 0, 0, 0, 2, 0, 0): Fraction(1, 4),
+                       (0, 0, 0, 0, 0, 0, 1): Fraction(3)}
+
+    def test_zero_is_the_empty_polynomial(self, table3):
+        from ocquad.symexpr import polynomial
+        assert polynomial(parse("x1*psi1 - psi1*x1", table3), self.rows(table3)) == {}
+
+    @pytest.mark.parametrize("text", ["sin(x1)", "x1^(1/2)", "psi1/(1 + x1)^2", "x1^(-1)",
+                                      "u1*psi1"])
+    def test_rejects_what_is_not_a_polynomial_in_the_rows(self, table3, text):
+        from ocquad.symexpr import polynomial
+        assert polynomial(parse(text, table3), self.rows(table3)) is None
+
+    def test_rejects_martinets_hamiltonian(self):
+        from ocquad.ocp import sample_symbols, true_hamiltonian
+        from ocquad.problems import builtin, load_problem
+        from ocquad.symexpr import polynomial
+        problem, _ = load_problem(builtin("martinet"))
+        th = true_hamiltonian(problem)
+        assert polynomial(th.envelope[0], sample_symbols(problem.table)) is None
+
+    def test_values_match_the_expression_on_random_trees(self, table3):
+        from ocquad.symexpr import polynomial
+        gen = ExprGen(table3, seed=8, funcs=("sin",))
+        rows = self.rows(table3)
+        read = 0
+        for _ in range(400):
+            e = gen.expr(3)
+            poly = polynomial(e, rows)
+            if poly is None:
+                continue
+            pt = gen.point()
+            want = evaluate(e, pt)
+            got = sum(float(c) * math.prod(pt[s] ** k for s, k in zip(rows, m))
+                      for m, c in poly.items())
+            assert abs(got - want) <= 1e-9 * (1 + abs(want))
+            read += 1
+        assert read >= 50
+
+
 class TestCompile:
     def test_agrees_with_evaluate(self, table3):
         gen = ExprGen(table3, seed=13)
