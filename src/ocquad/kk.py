@@ -24,7 +24,7 @@ import numpy as np
 from . import poisson
 from . import symexpr as sx
 from .noether import Family, rationalize_vector, rref
-from .ocp import PhaseFunction, PointSampler, TrueHamiltonian
+from .ocp import HamiltonianEvaluator, PhaseFunction, PointSampler, TrueHamiltonian
 from .symexpr import HAMILTONIAN_SYMBOL, Expr
 
 DECOMPOSE_TOL = 1e-7
@@ -234,60 +234,71 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
 
     Random seeds are Gauss-Newton projected onto {F_i = r*_i} with r* the
     orthogonal projection of F(seed) onto span(r_basis); divergent seeds are
-    skipped and counted.
+    skipped and counted.  Seeds are projected in waves: each wave draws as
+    many seeds as points are still missing (within the 4 * k_points attempts)
+    and projects them together.  So the sampler sees the same draws, and the
+    evidence keeps the same order, as when each seed is projected before the
+    next is drawn.
     """
     evaluator = th.evaluator()
-    n_sel = len(selection)
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
-        if r_basis else np.zeros((n_sel, 0))
+        if r_basis else np.zeros((len(selection), 0))
     evidence: list[RankEvidence] = []
-    skipped = 0
     attempts = 0
     while len(evidence) < k_points and attempts < 4 * k_points:
-        attempts += 1
-        point = sampler.draw_point()
-        z, t_val = point[:-1], point[-1]
+        need = min(k_points - len(evidence), 4 * k_points - attempts)
+        attempts += need
+        seeds = np.stack([sampler.draw_point() for _ in range(need)], axis=1)
+        for point, jac in _project_to_level(selection, r_mat, evaluator, seeds):
+            sv = np.linalg.svd(jac, compute_uv=False)
+            rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
+            evidence.append(RankEvidence(point=point, rank=rank))
+    return evidence, attempts - len(evidence)
 
-        def values_at(zv):
-            """(batch, selection values) at (zv, t_val), or (None, None)."""
-            b, keep = evaluator.prepare(np.append(zv, t_val)[:, None])
-            if not keep.all():
-                return None, None
-            return b, np.array([f.values(b)[0] for f in selection])
 
-        b, vals = values_at(z)
-        if b is None:
-            skipped += 1
-            continue
-        if r_mat.shape[1]:
-            proj, *_ = np.linalg.lstsq(r_mat, vals, rcond=None)
-            target = r_mat @ proj
-        else:
-            target = np.zeros(n_sel)
-        ok = False
-        jac = None
-        for it in range(50):
-            if it:  # the seed's batch and values serve the first step
-                b, vals = values_at(z)
-            if b is None or np.abs(z).max() > 1e3:
-                break
-            jac = np.array([f.gradient(b)[:-1, 0] for f in selection])
-            resid = vals - target
-            if np.abs(resid).max() < PROJECTION_TOL:
-                ok = True
-                break
-            step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-            if not np.isfinite(step).all():
-                break
-            z = z - step
-        if not ok:
-            skipped += 1
-            continue
-        sv = np.linalg.svd(jac, compute_uv=False)
-        rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
-        evidence.append(RankEvidence(
-            point={s.name: v for s, v in b.point(0).items()}, rank=rank))
-    return evidence, skipped
+def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
+                      evaluator: HamiltonianEvaluator,
+                      seeds: np.ndarray) -> list[tuple[dict, np.ndarray]]:
+    """Gauss-Newton projection of the (2n+1, k) seed columns onto their
+    levels, all columns at once; t stays fixed.
+
+    A column ends when its point drops out of `prepare`, leaves |z| <= 1e3,
+    has a non-finite Jacobian or step, or has not converged after 50
+    iterations.  Each step is the minimum-norm least-squares step, with the
+    singular-value cutoff of `np.linalg.lstsq`.  Returns (point, (n_sel, 2n)
+    Jacobian) of the converged columns, in seed order.
+    """
+    batch, keep = evaluator.prepare(seeds)
+    seed_of = np.flatnonzero(keep)
+    vals = np.array([f.values(batch) for f in selection])
+    target = r_mat @ np.linalg.lstsq(r_mat, vals, rcond=None)[0] if r_mat.shape[1] \
+        else np.zeros_like(vals)
+    rcond = np.finfo(float).eps * max(len(selection), seeds.shape[0] - 1)
+    converged = {}
+    for it in range(50):
+        if it:  # the seeds' batch and values serve the first step
+            batch, keep = evaluator.prepare(points)
+            seed_of, target = seed_of[keep], target[:, keep]
+            vals = np.array([f.values(batch) for f in selection])
+        inside = ~(np.abs(batch.points[:-1]).max(axis=0) > 1e3)
+        batch, seed_of, target = batch.take(inside), seed_of[inside], target[:, inside]
+        resid = vals[:, inside] - target
+        jac = np.stack([f.gradient(batch)[:-1] for f in selection]).transpose(2, 0, 1)
+        done = np.abs(resid).max(axis=0) < PROJECTION_TOL
+        for c in np.flatnonzero(done):
+            converged[seed_of[c]] = ({s.name: v for s, v in batch.point(c).items()}, jac[c])
+        # a non-finite Jacobian would fail the SVD of the whole stack
+        go = ~done & np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(resid).all(axis=0)
+        step = np.zeros((jac.shape[2], len(go)))
+        step[:, go] = (np.linalg.pinv(jac[go], rcond=rcond)
+                       @ resid[:, go].T[:, :, None])[:, :, 0].T
+        go &= np.isfinite(step).all(axis=0)
+        if not go.any():
+            break
+        points = batch.points[:, go]
+        points[:-1] -= step[:, go]
+        seed_of, target = seed_of[go], target[:, go]
+    return [converged[k] for k in sorted(converged)]
 
 
 @dataclass

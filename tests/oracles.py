@@ -3,12 +3,17 @@
 `fd_bracket_oracle` approximates the canonical Poisson bracket by central
 differences of pointwise evaluation; `Residual` evaluates
 R(F) = dF/dt + {F, H} of a whole candidate expression; `combine` builds the
-family map at one parameter vector.  None of them is used by the pipeline.
+family map at one parameter vector; `independence_rank_sequential` is the
+rank gate projecting one seed at a time.  None of them is used by the
+pipeline.
 """
 
 from fractions import Fraction
 
+import numpy as np
+
 from ocquad import symexpr as sx
+from ocquad.kk import PROJECTION_TOL, RANK_POINTS, RANK_SV_TOL, RankEvidence
 from ocquad.ocp import PhaseFunction
 from ocquad.poisson import bracket
 from ocquad.symexpr import HAMILTONIAN_SYMBOL
@@ -60,3 +65,62 @@ def combine(family, weights):
     expr = sx.add(*(sx.mul(sx.num(Fraction(int(w))), c.expr)
                     for w, c in zip(weights, family.components)))
     return PhaseFunction(expr, family.components[0].function.table)
+
+
+def independence_rank_sequential(selection, r_basis, th, sampler, k_points=RANK_POINTS):
+    """The rank gate one seed at a time: each drawn seed is Gauss-Newton
+    projected on its own, with a per-point `np.linalg.lstsq` step, before the
+    next seed is drawn.  `kk.independence_rank` projects them in waves and
+    must give the same evidence from the same draws."""
+    evaluator = th.evaluator()
+    n_sel = len(selection)
+    r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
+        if r_basis else np.zeros((n_sel, 0))
+    evidence = []
+    skipped = 0
+    attempts = 0
+    while len(evidence) < k_points and attempts < 4 * k_points:
+        attempts += 1
+        point = sampler.draw_point()
+        z, t_val = point[:-1], point[-1]
+
+        def values_at(zv):
+            """(batch, selection values) at (zv, t_val), or (None, None)."""
+            b, keep = evaluator.prepare(np.append(zv, t_val)[:, None])
+            if not keep.all():
+                return None, None
+            return b, np.array([f.values(b)[0] for f in selection])
+
+        b, vals = values_at(z)
+        if b is None:
+            skipped += 1
+            continue
+        if r_mat.shape[1]:
+            proj, *_ = np.linalg.lstsq(r_mat, vals, rcond=None)
+            target = r_mat @ proj
+        else:
+            target = np.zeros(n_sel)
+        ok = False
+        jac = None
+        for it in range(50):
+            if it:  # the seed's batch and values serve the first step
+                b, vals = values_at(z)
+            if b is None or np.abs(z).max() > 1e3:
+                break
+            jac = np.array([f.gradient(b)[:-1, 0] for f in selection])
+            resid = vals - target
+            if np.abs(resid).max() < PROJECTION_TOL:
+                ok = True
+                break
+            step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
+            if not np.isfinite(step).all():
+                break
+            z = z - step
+        if not ok:
+            skipped += 1
+            continue
+        sv = np.linalg.svd(jac, compute_uv=False)
+        rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
+        evidence.append(RankEvidence(
+            point={s.name: v for s, v in b.point(0).items()}, rank=rank))
+    return evidence, skipped

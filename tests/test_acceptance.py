@@ -101,6 +101,10 @@ class TestCriterion2Martinet:
             ["--degree", "2", "--param", "alpha=1"]))
         elapsed_main = time.monotonic() - t0
         assert elapsed_main < 10.0
+        # with t-terms the family is complete, but the rank gate still fails
+        assert code == 2
+        assert report["certificate"]["verdict"] == "Inconclusive"
+        assert "rank gate failed" in report["certificate"]["diagnostics"]
 
         problem, th, sampler, family, cert, _ = pipeline("martinet")
         table = problem.table
@@ -121,7 +125,8 @@ class TestCriterion2Martinet:
         _, _, sampler_nt, family_nt, _, _ = pipeline("martinet", include_time=False)
         assert not span_contains(family_nt, f2, table, sampler_nt)
         report_criterion(2, "Martinet family holds H, psi3 and the nonautonomous "
-                            "F2; disabling t-terms fails to certify "
+                            "F2, and the run is Inconclusive at the rank gate; "
+                            "without t-terms F2 is gone and it stays Inconclusive "
                             f"({elapsed_main:.1f}s / {elapsed_nt:.1f}s < 10s)")
 
 

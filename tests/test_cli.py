@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -137,6 +138,9 @@ HOSTILE_FLAGS = {
     "output_in_missing_directory": ("dubins", ["--output", "{tmp}/missing/x.json"],
                                     "cannot write"),
     "param_overflow": ("martinet", ["--param", "alpha=1e400"], "parameter 'alpha'"),
+    # 2,804 coefficients at 3 sample rows each, refused before sampling
+    "degree_oversized": ("dubins", ["--degree", "100"], "sampled system too large"),
+    "samples_oversized": ("dubins", ["--samples", "1000000"], "sampled system too large"),
 }
 
 
@@ -150,6 +154,12 @@ class TestHostileFlags:
         assert out.out == ""
         assert out.err.startswith("error:")
         assert message in out.err
+
+    def test_oversized_generator_ansatz_fails_at_once(self, capsys):
+        start = time.monotonic()
+        assert main(["analyze", "dubins", "--degree", "100"]) == 1
+        assert time.monotonic() - start < 5.0
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_dump_onto_an_existing_file(self, tmp_path, capsys):
         target = tmp_path / "taken"

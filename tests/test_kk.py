@@ -17,7 +17,7 @@ from ocquad.ocp import PhaseFunction, PointSampler, true_hamiltonian
 from ocquad.poisson import bracket_values
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
-from oracles import combine
+from oracles import combine, independence_rank_sequential
 
 
 def setup_problem(name, backend="auto", seed=42):
@@ -406,6 +406,65 @@ class TestIndependenceRank:
         evidence, _ = independence_rank(funcs, full, th, sampler, k_points=5)
         assert len(evidence) == 5
         assert all(e.rank == 5 for e in evidence)
+
+
+def martinet_integrals(table):
+    """psi3, -H, the nonautonomous F2, -psi3*H and -H*psi3^2: the martinet
+    family members the rank gate sees at seed 42."""
+    h = symref(HAMILTONIAN_SYMBOL)
+    psi3 = symref(table.costate(3))
+    f2 = parse("x3*psi3/2 + psi1*(1/2 + x1/2)", table) - symref(table.time) * h
+    return [psi3, -h, f2, -(psi3 * h), -(h * psi3 ** 2)]
+
+
+def project_both_ways(name, pick, r_basis, backend="auto", seed=42):
+    """Run the wave and the one-seed-at-a-time rank gate on identical fresh
+    samplers and assert they agree, the sampler's final RNG state included."""
+    runs = []
+    for rank_fn in (independence_rank, independence_rank_sequential):
+        problem, th, sampler = setup_problem(name, backend=backend, seed=seed)
+        funcs = [PhaseFunction(e, problem.table) for e in pick(problem.table)]
+        evidence, skipped = rank_fn(funcs, r_basis, th, sampler)
+        runs.append((evidence, skipped, sampler.rng.bit_generator.state))
+    (evidence, skipped, state), (want, want_skipped, want_state) = runs
+    assert skipped == want_skipped
+    assert [e.rank for e in evidence] == [e.rank for e in want]
+    for got, ref in zip(evidence, want):   # in the same order
+        assert got.point.keys() == ref.point.keys()
+        assert max(abs(got.point[k] - ref.point[k]) for k in ref.point) < 1e-9
+    assert state == want_state
+    return evidence, skipped
+
+
+class TestWavesMatchSequential:
+    def test_martinet_level_that_every_seed_misses(self):
+        evidence, skipped = project_both_ways(
+            "martinet", lambda t: [martinet_integrals(t)[k] for k in (0, 1, 2)],
+            [frac(0, 0, 1)])
+        assert (len(evidence), skipped) == (0, 20)
+
+    def test_martinet_second_shorter_wave(self):
+        # at seed 7 one of the first five seeds diverges, so a second wave
+        # draws a single seed
+        evidence, skipped = project_both_ways(
+            "martinet", lambda t: [martinet_integrals(t)[k] for k in (1, 2, 4)],
+            [frac(0, 1, 0)], seed=7)
+        assert len(evidence) == 5 and 1 <= skipped <= 3
+
+    def test_dubins_full_rank(self):
+        evidence, skipped = project_both_ways(
+            "dubins", lambda t: [symref(t.costate(1)), symref(t.costate(2)),
+                                 parse("-psi1*x2 + psi2*x1 + psi3", t)],
+            [frac(0, 0, 1)])
+        assert len(evidence) == 5 and all(e.rank == 3 for e in evidence)
+
+    def test_trailer_implicit_backend(self):
+        evidence, _ = project_both_ways(
+            "trailer", lambda t: [symref(t.costate(1)),
+                                  parse("-x1*psi2 - psi3 - psi4 + x2*psi1", t),
+                                  symref(t.costate(2)), -symref(HAMILTONIAN_SYMBOL)],
+            [frac(0, 1, 0, 0), frac(0, 0, 0, 1)], backend="implicit")
+        assert len(evidence) == 5 and all(e.rank == 4 for e in evidence)
 
 
 class TestFindCertificate:
