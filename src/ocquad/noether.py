@@ -36,7 +36,7 @@ _DENOMINATORS = np.arange(1, RATIONALIZE_MAX_DENOMINATOR + 1, dtype=float)
 _NEAR = 1e-5
 _FAST_LIMIT = 100.0          # larger entries take the exact per-entry path
 FAMILY_TOL = 1e-8
-MAX_SAMPLED_CELLS = 8_000_000   # entries of a sampled system: 64 MB of floats
+MAX_SAMPLED_CELLS = 8_000_000   # entries of a generator ansatz's system: 64 MB of floats
 
 # A polynomial over the sample rows (x, psi, t): {exponents: coefficient}.
 Poly = dict[tuple[int, ...], Fraction]
@@ -531,9 +531,16 @@ def independent_columns(values: np.ndarray, order: list[int]) -> list[int]:
 def discover_family(th: TrueHamiltonian, sampler: PointSampler, degree: int = 2,
                     include_time: bool = True, n_samples: int | None = None,
                     tol: float = FAMILY_TOL, holdout: int = 100) -> Family:
-    """Full pipeline for the separated generator ansatz."""
+    """Full pipeline for the separated generator ansatz.
+
+    A system of more than MAX_SAMPLED_CELLS entries is refused before any
+    point is drawn."""
     ansatz = build_ansatz(th.table, degree, include_time)
     count = n_samples if n_samples is not None else 3 * ansatz.coefficient_count
+    if count * ansatz.coefficient_count > MAX_SAMPLED_CELLS:
+        raise NoetherError(
+            f"sampled system too large ({count} x {ansatz.coefficient_count}, "
+            f"cap {MAX_SAMPLED_CELLS:,} entries); lower the degree or the samples")
     return _solve(ansatz, th, sampler, count, tol, holdout)
 
 
@@ -560,13 +567,6 @@ def discover_polynomial_integrals(th: TrueHamiltonian, sampler: PointSampler,
 
 def _solve(ansatz: Ansatz, th: TrueHamiltonian, sampler: PointSampler, n_samples: int,
            tol: float, holdout: int) -> Family:
-    """Assemble, take the nullspace and extract the family: both searches' path.
-
-    A system of more than MAX_SAMPLED_CELLS entries is refused before any
-    point is drawn."""
-    if n_samples * ansatz.coefficient_count > MAX_SAMPLED_CELLS:
-        raise NoetherError(
-            f"sampled system too large ({n_samples} x {ansatz.coefficient_count}, "
-            f"cap {MAX_SAMPLED_CELLS:,} entries); lower the degree or the samples")
+    """Assemble, take the nullspace and extract the family: both searches' path."""
     basis = nullspace(assemble_system(ansatz, sampler, n_samples))
     return extract_family(ansatz, basis, th, sampler, tol, holdout)

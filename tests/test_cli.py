@@ -149,17 +149,14 @@ class TestHostileFlags:
     def test_bad_flag_is_an_error_not_a_traceback(self, case, tmp_path, capsys):
         problem, flags, message = HOSTILE_FLAGS[case]
         flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+        start = time.monotonic()
         assert main(["analyze", problem, *flags]) == 1
+        assert time.monotonic() - start < 5.0
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error:")
+        assert out.err.count("\n") == 1
         assert message in out.err
-
-    def test_oversized_generator_ansatz_fails_at_once(self, capsys):
-        start = time.monotonic()
-        assert main(["analyze", "dubins", "--degree", "100"]) == 1
-        assert time.monotonic() - start < 5.0
-        assert capsys.readouterr().err.count("\n") == 1
 
     def test_dump_onto_an_existing_file(self, tmp_path, capsys):
         target = tmp_path / "taken"

@@ -1,9 +1,10 @@
 """Record the benchmark of one checkout in `BENCH_<label>.json`.
 
-    python3 tools/record_bench.py <label> [--root DIR] [--seconds 44] [--seed 42]
+    python3 tools/record_bench.py <label> [--root DIR]
 
-Runs `perfbench/run.py --workload all` of the checkout at `--root` (this
-repository by default).  That one call runs every workload untraced
+Runs `perfbench/run.py --workload all --seconds 44 --seed 42` of the
+checkout at `--root` (this repository by default).  Seconds and seed are
+fixed, so any two BENCH files can be compared.  That one call runs every workload untraced
 (`--trace 0`: the end-to-end metrics) and then traced (`--trace 1`: the
 per-layer metrics).  Then it times one `sr-2-3-5 --poly-degree 5` analysis
 through `perfbench/child.py`, outside the gated workloads.
@@ -32,13 +33,16 @@ END_TO_END_LINE = re.compile(
     r"^(\S+)\s+(pass_s|setup_s|peak_rss_mb)\s+(\S+)\s+\S+\s+"
     r"\(median of (\d+), quartiles (\S+)\.\.(\S+)\)$")
 EXTRA = ["sr-2-3-5", "--poly-degree", "5"]
+SECONDS = 44
+SEED = 42
+COMMAND = ["perfbench/run.py", "--workload", "all", "--seconds", str(SECONDS),
+           "--seed", str(SEED)]
 
 
-def run_benchmark(root: Path, seconds: float, seed: int) -> tuple[list[str], dict]:
+def run_benchmark(root: Path) -> tuple[list[str], dict]:
     """Stdout lines and the last-line summary of `perfbench/run.py --workload all`."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all",
-         "--seconds", str(seconds), "--seed", str(seed)],
+        [sys.executable, *COMMAND],
         cwd=root, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     return lines, json.loads(lines[-1])
@@ -81,12 +85,12 @@ def machine(lines: list[str]) -> tuple[dict, dict]:
     return block, speed
 
 
-def extra_analysis(root: Path, seed: int) -> dict:
+def extra_analysis(root: Path) -> dict:
     """Seconds and peak RSS of one analysis outside the gated workloads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                       env.get("PYTHONPATH")]))
-    args = [*EXTRA, "--seed", str(seed)]
+    args = [*EXTRA, "--seed", str(SEED)]
     proc = subprocess.run(
         [sys.executable, "perfbench/child.py", repr(time.monotonic()), "0", *args],
         cwd=root, env=env, capture_output=True, text=True, check=True)
@@ -100,20 +104,17 @@ def main(argv=None) -> int:
     parser.add_argument("label")
     parser.add_argument("--root", type=Path, default=REPO,
                         help="checkout whose perfbench/run.py and src/ are measured")
-    parser.add_argument("--seconds", type=float, default=44.0)
-    parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
                             capture_output=True, text=True).stdout.strip() or None
-    lines, summary = run_benchmark(root, args.seconds, args.seed)
+    lines, summary = run_benchmark(root)
     block, speed = machine(lines)
     record = {
         "label": args.label,
         "commit": commit,
-        "command": f"perfbench/run.py --workload all --seconds {args.seconds:g} "
-                   f"--seed {args.seed}",
+        "command": " ".join(COMMAND),
         "machine": block,
         "host_speed": speed,
         "correct": summary["correct"],
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
         "failed": summary["failed"],
         "end_to_end": end_to_end(lines),
         "per_layer": per_layer(summary),
-        "extra": extra_analysis(root, args.seed),
+        "extra": extra_analysis(root),
     }
     path = REPO / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
