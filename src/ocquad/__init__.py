@@ -10,7 +10,6 @@ from .symexpr import (  # noqa: F401
     Symbol,
     SymbolTable,
     differentiate,
-    evaluate,
     parse,
     simplify,
     substitute,

@@ -253,42 +253,40 @@ def run_analyze(source, options) -> tuple[dict, int]:
             n_samples=options.samples, tol=options.tol,
             holdout=options.holdout)
     except EmptyNullspaceError as exc:
+        family = None
         report["family"] = []
         report["structure"] = {"skipped": "empty family"}
         report["certificate"] = {"verdict": "Inconclusive",
                                  "diagnostics": str(exc),
                                  "bracket_convention": BRACKET_CONVENTION}
-        report["verification"] = {"trajectories": [], "drift": []}
-        if options.timings:
-            timings["total"] = time.monotonic() - t_start
-            report["timings"] = {k: round(v, 3) for k, v in timings.items()}
-        return report, exit_code
     timings["family"] = time.monotonic() - t0
 
-    report["family"] = _family_block(family)
+    if family is not None:
+        report["family"] = _family_block(family)
 
-    t0 = time.monotonic()
-    span = sample_span(family, sampler)
-    report["structure"] = _structure_block(span)
-    timings["structure"] = time.monotonic() - t0
+        t0 = time.monotonic()
+        span = sample_span(family, sampler)
+        report["structure"] = _structure_block(span)
+        timings["structure"] = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    cert = find_certificate(span, th, sampler, np.random.default_rng(s_cert))
-    del span   # free the bracket tensors before the polynomial search
-    timings["certificate"] = time.monotonic() - t0
-    report["certificate"] = _certificate_block(cert)
-    if cert.solvable:
-        exit_code = 0
+        t0 = time.monotonic()
+        cert = find_certificate(span, th, sampler, np.random.default_rng(s_cert))
+        del span   # free the bracket tensors before the polynomial search
+        timings["certificate"] = time.monotonic() - t0
+        report["certificate"] = _certificate_block(cert)
+        if cert.solvable:
+            exit_code = 0
 
     if options.poly_degree is not None:
         t0 = time.monotonic()
         variables = None
         if options.poly_vars:
+            rows = {s.name: s for s in sample_symbols(problem.table)}
             try:
-                variables = tuple(problem.table.lookup(v.strip())
-                                  for v in options.poly_vars.split(","))
+                variables = tuple(rows[v.strip()] for v in options.poly_vars.split(","))
             except KeyError as exc:
-                raise AnalysisError(str(exc)) from exc
+                raise AnalysisError(
+                    f"--poly-vars: {exc.args[0]!r} is not a state, costate or t") from exc
         poly_sampler = PointSampler(problem, th.evaluator(),
                                     np.random.default_rng(s_poly))
         try:
@@ -305,8 +303,9 @@ def run_analyze(source, options) -> tuple[dict, int]:
         timings["polynomial_family"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    report["verification"] = _verification_block(
-        th, family, np.random.default_rng(s_verify))
+    report["verification"] = (
+        {"trajectories": [], "drift": []} if family is None
+        else _verification_block(th, family, np.random.default_rng(s_verify)))
     timings["verify"] = time.monotonic() - t0
 
     if options.timings:

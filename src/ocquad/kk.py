@@ -78,14 +78,13 @@ class Decomposition:
         return self.coefficients is not None
 
 
-def decompose_in_span(y_fit, y_hold, basis_fit, basis_hold,
-                      tol: float = DECOMPOSE_TOL) -> Decomposition:
+def decompose_in_span(y_fit, y_hold, basis_fit, basis_hold) -> Decomposition:
     """Least-squares fit of sampled values over the basis columns, without a
     constant column.
 
     The coefficients are accepted when the holdout residual, relative to
-    max(1, max |y_hold|), is below `tol`: rationalised first, else as floats.
-    A failure carries the witness residual.
+    max(1, max |y_hold|), is below DECOMPOSE_TOL: rationalised first, else as
+    floats.  A failure carries the witness residual.
     """
     coeff, *_ = np.linalg.lstsq(basis_fit, y_fit, rcond=None)
 
@@ -97,10 +96,10 @@ def decompose_in_span(y_fit, y_hold, basis_fit, basis_hold,
     if rat is not None:
         c_rat = np.array([float(f) for f in rat])
         r = rel_residual(c_rat)
-        if r < tol:
+        if r < DECOMPOSE_TOL:
             return Decomposition(rat, r, rational=True)
     r = rel_residual(coeff)
-    if r < tol:
+    if r < DECOMPOSE_TOL:
         return Decomposition(tuple(coeff), r, rational=False)
     return Decomposition(None, r)
 

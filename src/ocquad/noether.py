@@ -25,7 +25,7 @@ import numpy as np
 
 from . import symexpr as sx
 from .ocp import PhaseFunction, PointSampler, TrueHamiltonian, sample_row, sample_symbols
-from .symexpr import Expr, HAMILTONIAN_SYMBOL, Symbol, SymbolTable
+from .symexpr import Expr, HAMILTONIAN_SYMBOL, Poly, Symbol, SymbolTable
 
 SVD_TOL = 1e-9
 RATIONALIZE_MAX_DENOMINATOR = 64
@@ -37,9 +37,6 @@ _NEAR = 1e-5
 _FAST_LIMIT = 100.0          # larger entries take the exact per-entry path
 FAMILY_TOL = 1e-8
 MAX_SAMPLED_CELLS = 8_000_000   # entries of a generator ansatz's system: 64 MB of floats
-
-# A polynomial over the sample rows (x, psi, t): {exponents: coefficient}.
-Poly = dict[tuple[int, ...], Fraction]
 
 
 class NoetherError(Exception):
@@ -106,9 +103,9 @@ class Ansatz:
         of H is expanded by polynomial multiplication."""
         n = self.table.n
         width = 2 * n + 1
-        grad = [_derivative(hamiltonian, r) for r in range(width)]
-        one = {(0,) * width: Fraction(1)}
-        zdot = grad[n:2 * n] + [{m: -c for m, c in g.items()} for g in grad[:n]] + [one]
+        grad = [sx.poly_derivative(hamiltonian, r) for r in range(width)]
+        one = sx.polynomial(sx.ONE, sample_symbols(self.table))
+        zdot = grad[n:2 * n] + [sx.poly_accumulate({}, g, -1) for g in grad[:n]] + [one]
         h_powers = [one]
         columns = []
         for group, expo in self.terms:
@@ -116,16 +113,16 @@ class Ansatz:
             full = [a + b for a, b in zip(factor, expo)]
             rows, k = full[:width], full[width]
             while len(h_powers) <= k:
-                h_powers.append(_product(h_powers[-1], hamiltonian))
+                h_powers.append(sx.poly_product(h_powers[-1], hamiltonian))
             column: Poly = {}
             for r, e in enumerate(rows):
                 if e:
-                    _accumulate(column, _shifted(zdot[r], rows, r), sign * e)
+                    sx.poly_accumulate(column, sx.poly_shifted(zdot[r], rows, r), sign * e)
             if k:
-                column = _product(column, h_powers[k])
-                _accumulate(column, _product(_shifted(h_powers[k - 1], rows),
-                                             grad[2 * n]), sign * k)
-            columns.append({m: c for m, c in column.items() if c})
+                column = sx.poly_product(column, h_powers[k])
+                sx.poly_accumulate(column, sx.poly_product(sx.poly_shifted(h_powers[k - 1], rows),
+                                                           grad[2 * n]), sign * k)
+            columns.append(column)
         return columns
 
     def group_exprs(self, coefficients, support=None) -> list[Expr]:
@@ -164,36 +161,6 @@ def _exact(c) -> Fraction:
     if isinstance(c, (int, np.integer)):
         return Fraction(int(c))
     return Fraction(float(c))
-
-
-def _derivative(p: Poly, row: int) -> Poly:
-    out = {}
-    for m, c in p.items():
-        if m[row]:
-            d = list(m)
-            d[row] -= 1
-            out[tuple(d)] = c * m[row]
-    return out
-
-
-def _shifted(p: Poly, expo, drop: int | None = None) -> Poly:
-    """p times the monomial with exponents `expo`, one power of row `drop` taken off."""
-    shift = list(expo)
-    if drop is not None:
-        shift[drop] -= 1
-    return {tuple(a + b for a, b in zip(m, shift)): c for m, c in p.items()}
-
-
-def _accumulate(acc: Poly, p: Poly, scale) -> None:
-    for m, c in p.items():
-        acc[m] = acc.get(m, 0) + scale * c
-
-
-def _product(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for m, c in a.items():
-        _accumulate(out, _shifted(b, m), c)
-    return out
 
 
 def _unit(table: SymbolTable, row: int, power: int = 1) -> tuple[int, ...]:
@@ -259,7 +226,7 @@ def assemble_system(ansatz: Ansatz, sampler: PointSampler, n_samples: int) -> np
     return ansatz.matrix(sampler.draw(n_samples))
 
 
-def nullspace(matrix: np.ndarray, svd_tol: float = SVD_TOL) -> list[np.ndarray]:
+def nullspace(matrix: np.ndarray) -> list[np.ndarray]:
     """Canonical (reduced-row-echelon) basis of the numerical nullspace."""
     a = np.asarray(matrix, dtype=float)
     n_cols = a.shape[1]
@@ -269,7 +236,7 @@ def nullspace(matrix: np.ndarray, svd_tol: float = SVD_TOL) -> list[np.ndarray]:
         # R of a = QR has a's singular values and right vectors; Q is never formed
         a = np.linalg.qr(a, mode="r")
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < n_cols)
-    rank = int((s > svd_tol * s[0]).sum())
+    rank = int((s > SVD_TOL * s[0]).sum())
     null = vt[rank:]
     if null.shape[0] == 0:
         return []
@@ -549,13 +516,15 @@ def discover_polynomial_integrals(th: TrueHamiltonian, sampler: PointSampler,
                                   variables: tuple[Symbol, ...] | None = None,
                                   include_hamiltonian: bool = True,
                                   tol: float = FAMILY_TOL, holdout: int = 100) -> Family:
-    """Direct polynomial-integral search over the (restricted) phase variables.
+    """Direct polynomial-integral search over the (restricted) phase variables,
+    and t when `include_time` is set.
 
     A polynomial H (`sx.polynomial` of the envelope's H) gives exact residual
     columns, solved block by block; any other H takes the sampled system."""
-    if variables is None:
-        variables = th.table.phase + ((th.table.time,) if include_time else ())
-    ansatz = polynomial_ansatz(th.table, degree, tuple(variables), include_hamiltonian)
+    variables = tuple(th.table.phase if variables is None else variables)
+    if include_time and th.table.time not in variables:
+        variables += (th.table.time,)
+    ansatz = polynomial_ansatz(th.table, degree, variables, include_hamiltonian)
     if ansatz.coefficient_count > 5000:
         raise NoetherError("polynomial ansatz too large; restrict variables or degree")
     hamiltonian = sx.polynomial(th.envelope[0], sample_symbols(th.table))

@@ -84,7 +84,7 @@ class Problem:
         costates = set(self.table.costates)
         for label, e in [("lagrangian", self.lagrangian)] + [
                 (f"dynamics[{i}]", d) for i, d in enumerate(self.dynamics)]:
-            if sx.free_symbols(e) & costates:
+            if e.free() & costates:
                 raise OcpError(f"{label} must not mention costates")
         sampled = set(self.table.phase) | {self.table.time}
         missing = sampled - set(self.sampling_box)
@@ -92,7 +92,7 @@ class Problem:
             raise OcpError("sampling box misses " + ", ".join(sorted(s.name for s in missing)))
         controls = set(self.table.controls)
         for e in self.excluded_denominators:
-            if sx.free_symbols(e) & controls:
+            if e.free() & controls:
                 raise OcpError("excluded denominators may not depend on controls")
         if self.control_law is not None and len(self.control_law) != self.table.m_ctl:
             raise OcpError("control law must give one expression per control")
@@ -137,7 +137,7 @@ def solve_stationarity(problem: Problem, hamiltonian: Expr):
     for j, gj in enumerate(grads):
         for k, uk in enumerate(controls):
             m_jk = sx.differentiate(gj, uk)
-            if sx.free_symbols(m_jk) & control_set:
+            if m_jk.free() & control_set:
                 raise NotAffineInControlError(
                     f"dH/d{controls[j].name} is not affine in the controls")
             if j != k and not sx.is_symbolically_zero(m_jk):
@@ -215,11 +215,11 @@ def true_hamiltonian(problem: Problem, backend: str = "auto") -> TrueHamiltonian
         else:
             controls = set(problem.table.controls)
             for e in law.expressions:
-                if sx.free_symbols(e) & controls:
+                if e.free() & controls:
                     raise InvalidControlLawError("closed-form law must be control-free")
             reduced = sx.expand(sx.substitute(h, dict(zip(problem.table.controls,
                                                           law.expressions))))
-            if sx.free_symbols(reduced) & controls:
+            if reduced.free() & controls:
                 raise InvalidControlLawError("reduced Hamiltonian still mentions controls")
             return TrueHamiltonian(problem, h, law, reduced, k_u=problem.k_u)
     guess = problem.control_guess or (0.0,) * problem.table.m_ctl
@@ -440,7 +440,7 @@ class PhaseFunction:
     def __init__(self, expr: Expr, table: SymbolTable):
         self.expr = expr
         self.table = table
-        self.has_hamiltonian = HAMILTONIAN_SYMBOL in sx.free_symbols(expr)
+        self.has_hamiltonian = HAMILTONIAN_SYMBOL in expr.free()
         self._args = sample_symbols(table) + (HAMILTONIAN_SYMBOL,)
         self._value_fn = sx.compile_fn(expr, self._args)
 

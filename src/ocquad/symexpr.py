@@ -1,11 +1,11 @@
 """Exact symbolic expressions over the variables of an optimal control problem.
 
 Expressions are immutable trees whose constants are exact rationals; floating
-point enters only through :func:`evaluate` and :func:`compile_fn`.  Every
-constructor canonicalises its result (flattened and ordered sums/products,
-folded constants, collected like terms), so structural equality doubles as a
-cheap syntactic equality test and ``parse(to_string(e)) == e`` holds for every
-expression the module can build.
+point enters only through :func:`compile_fn`.  Every constructor canonicalises
+its result (flattened and ordered sums/products, folded constants, collected
+like terms), so structural equality doubles as a cheap syntactic equality test
+and ``parse(to_string(e)) == e`` holds for every expression the module can
+build.
 
 Simplification is deliberately shallow: no trigonometric identities, no ring
 expansion, no factorisation.  Callers that need a "this is zero" statement for
@@ -14,7 +14,6 @@ an expression the canonical form cannot collapse must fall back to sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,8 +30,6 @@ __all__ = [
     "ExprError",
     "EvaluationError",
     "DivisionByZeroError",
-    "DomainError",
-    "PoleError",
     "UnboundSymbolError",
     "ParseError",
     "num",
@@ -47,20 +44,21 @@ __all__ = [
     "substitute",
     "simplify",
     "expand",
+    "Poly",
     "polynomial",
+    "poly_derivative",
+    "poly_shifted",
+    "poly_accumulate",
+    "poly_product",
     "is_symbolically_zero",
-    "evaluate",
     "compile_fn",
     "to_string",
     "parse",
-    "free_symbols",
     "HAMILTONIAN_SYMBOL",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln")
 _RESERVED = set(FUNCTIONS) | {"sqrt"}
-
-_TAN_POLE_GUARD = 1e-9
 
 
 class Role(Enum):
@@ -102,14 +100,6 @@ class EvaluationError(ExprError):
 
 
 class DivisionByZeroError(EvaluationError):
-    pass
-
-
-class DomainError(EvaluationError):
-    pass
-
-
-class PoleError(EvaluationError):
     pass
 
 
@@ -663,13 +653,18 @@ def _distribute(a: Expr, b: Expr) -> Expr:
     return add(*(mul(x, y) for x in lhs for y in rhs))
 
 
-def polynomial(e: Expr, rows: tuple[Symbol, ...]) -> dict[tuple[int, ...], Fraction] | None:
+# An exact polynomial over fixed rows of symbols, {exponents: coefficient} with
+# no zero coefficient: `polynomial` reads one, the poly_* functions do arithmetic.
+Poly = dict[tuple[int, ...], Fraction]
+
+
+def polynomial(e: Expr, rows: tuple[Symbol, ...]) -> Poly | None:
     """``expand(e)`` as {exponents over `rows`: rational coefficient}, zero
     coefficients left out; None when a term holds a call, a negative or
     fractional power, a power of anything but a symbol, or a symbol outside
     `rows`."""
     index = {s: i for i, s in enumerate(rows)}
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: Poly = {}
     for term in expand(e).terms:
         coeff = Fraction(1)
         expo = [0] * len(rows)
@@ -686,6 +681,41 @@ def polynomial(e: Expr, rows: tuple[Symbol, ...]) -> dict[tuple[int, ...], Fract
     return {key: c for key, c in out.items() if c != 0}
 
 
+def poly_derivative(p: Poly, row: int) -> Poly:
+    """dp/dz, z the symbol at `row`."""
+    out = {}
+    for m, c in p.items():
+        if m[row]:
+            d = list(m)
+            d[row] -= 1
+            out[tuple(d)] = c * m[row]
+    return out
+
+
+def poly_shifted(p: Poly, expo, drop: int | None = None) -> Poly:
+    """p times the monomial with exponents `expo`, one power of row `drop` taken off."""
+    shift = list(expo)
+    if drop is not None:
+        shift[drop] -= 1
+    return {tuple(a + b for a, b in zip(m, shift)): c for m, c in p.items()}
+
+
+def poly_accumulate(acc: Poly, p: Poly, scale) -> Poly:
+    """acc += scale * p in place, a coefficient that cancels dropped; returns acc."""
+    for m, c in p.items():
+        acc[m] = acc.get(m, 0) + scale * c
+        if not acc[m]:
+            del acc[m]
+    return acc
+
+
+def poly_product(a: Poly, b: Poly) -> Poly:
+    out: Poly = {}
+    for m, c in a.items():
+        poly_accumulate(out, poly_shifted(b, m), c)
+    return out
+
+
 def is_zero(e: Expr) -> bool:
     return e.kind == _NUM and e.value == 0
 
@@ -700,56 +730,9 @@ def is_symbolically_zero(e: Expr) -> bool:
         return False
 
 
-def free_symbols(e: Expr) -> frozenset:
-    return e.free()
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def evaluate(e: Expr, point: Mapping[Symbol, float]) -> float:
-    """Pointwise IEEE-double evaluation with domain guards."""
-    if e.kind == _NUM:
-        return float(e.value)
-    if e.kind == _SYM:
-        try:
-            return float(point[e.value])
-        except KeyError:
-            raise UnboundSymbolError(f"symbol {e.value.name!r} is unbound") from None
-    if e.kind == _ADD:
-        return math.fsum(evaluate(c, point) for c in e.children)
-    if e.kind == _MUL:
-        out = 1.0
-        for c in e.children:
-            out *= evaluate(c, point)
-        return out
-    if e.kind == _POW:
-        b = evaluate(e.children[0], point)
-        exp = e.value
-        if b == 0.0 and exp < 0:
-            raise DivisionByZeroError("division by zero")
-        if exp.denominator == 1:
-            return b ** exp.numerator
-        if b < 0.0:
-            raise DomainError("fractional power of a negative base")
-        return b ** float(exp)
-    arg = evaluate(e.children[0], point)
-    name = e.value
-    if name == "sin":
-        return math.sin(arg)
-    if name == "cos":
-        return math.cos(arg)
-    if name == "tan":
-        if abs(math.cos(arg)) < _TAN_POLE_GUARD:
-            raise PoleError(f"tan evaluated within {_TAN_POLE_GUARD} of a pole")
-        return math.tan(arg)
-    if name == "exp":
-        return math.exp(arg)
-    if arg <= 0.0:
-        raise DomainError("ln of a non-positive value")
-    return math.log(arg)
-
 
 def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str]) -> str:
     """Python source of `e`; a subexpression in `shared` is read from its local."""

@@ -141,6 +141,10 @@ HOSTILE_FLAGS = {
     # 2,804 coefficients at 3 sample rows each, refused before sampling
     "degree_oversized": ("dubins", ["--degree", "100"], "sampled system too large"),
     "samples_oversized": ("dubins", ["--samples", "1000000"], "sampled system too large"),
+    # the dense search runs over x, psi and t only
+    "poly_vars_control": ("martinet", ["--poly-degree", "2", "--poly-vars", "u1"], "'u1'"),
+    "poly_vars_parameter": ("martinet", ["--poly-degree", "2", "--poly-vars", "alpha"],
+                            "'alpha'"),
 }
 
 
@@ -259,6 +263,24 @@ class TestReportContent:
         report, _ = run("dubins", "--poly-degree", "2")
         exprs = [c["expr"] for c in report["polynomial_family"]]
         assert any("H" in e for e in exprs)
+
+    def test_poly_time_joins_explicit_poly_vars(self):
+        # the free particle: x1 - psi1*t is an integral only once t is a variable
+        doc = {"name": "free-particle", "time": "t", "states": ["x1"], "controls": ["u1"],
+               "lagrangian": "u1^2/2", "dynamics": ["u1"]}
+        report, _ = run(doc, "--poly-degree", "2", "--poly-vars", "x1,psi1", "--poly-time")
+        assert report["options"]["poly_include_time"] is True
+        assert "-x1 + psi1*t" in [c["expr"] for c in report["polynomial_family"]]
+
+    def test_dense_search_runs_when_the_generator_family_is_empty(self):
+        doc = {"name": "timed-scaling", "time": "t", "states": ["x1"], "controls": ["u1"],
+               "lagrangian": "u1^2/2", "dynamics": ["u1*x1*t"]}
+        report, code = run(doc, "--degree", "0", "--poly-degree", "2")
+        assert code == 2
+        assert report["family"] == []
+        assert report["certificate"]["verdict"] == "Inconclusive"
+        assert "x1*psi1" in [c["expr"] for c in report["polynomial_family"]]
+        assert report["verification"] == {"trajectories": [], "drift": []}
 
     def test_degree_five_polynomial_family(self):
         # 3,003 coefficients, solved on the exact block path

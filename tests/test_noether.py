@@ -271,15 +271,16 @@ class TestNullspace:
 
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
     def test_rank_cut_is_relative_to_largest_singular_value(self, scale):
-        # singular values (1, 1e-8, 1e-10) * scale: at svd_tol=1e-9 only the
-        # last one falls below the cut, whatever the scale
+        # singular values (1, 1e-8, 1e-10) * scale: at SVD_TOL = 1e-9 only
+        # the last one falls below the cut, whatever the scale
         rng = np.random.default_rng(0)
         left, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         right, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         spectrum = np.zeros((5, 3))
         spectrum[:3, :3] = np.diag([1.0, 1e-8, 1e-10])
         matrix = scale * (left @ spectrum @ right.T)
-        basis = nullspace(matrix, svd_tol=1e-9)
+        assert noether.SVD_TOL == 1e-9
+        basis = nullspace(matrix)
         assert len(basis) == 1
         # the right singular vector of the smallest value, up to sign
         unit = basis[0] / np.linalg.norm(basis[0])

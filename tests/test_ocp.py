@@ -13,7 +13,8 @@ from ocquad.ocp import (
     true_hamiltonian,
 )
 from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
-from ocquad.symexpr import HAMILTONIAN_SYMBOL, evaluate, parse, symref
+from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
+from oracles import evaluate
 
 
 @pytest.fixture(scope="module")

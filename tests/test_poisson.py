@@ -9,9 +9,9 @@ from ocquad import symexpr as sx
 from ocquad.ocp import PhaseFunction, PointSampler, true_hamiltonian
 from ocquad.poisson import bracket, bracket_values
 from ocquad.problems import builtin, load_problem
-from ocquad.symexpr import evaluate, parse, symref
+from ocquad.symexpr import parse, symref
 from conftest import ExprGen
-from oracles import Residual, fd_bracket_oracle
+from oracles import Residual, evaluate, fd_bracket_oracle
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,7 @@ import pytest
 from ocquad.symexpr import (
     ExprError,
     DivisionByZeroError,
-    DomainError,
     ParseError,
-    PoleError,
     Role,
     Symbol,
     SymbolTable,
@@ -17,9 +16,7 @@ from ocquad.symexpr import (
     add,
     compile_fn,
     differentiate,
-    evaluate,
     fn,
-    free_symbols,
     mul,
     negate,
     num,
@@ -31,6 +28,7 @@ from ocquad.symexpr import (
     to_string,
 )
 from conftest import ExprGen, make_table
+from oracles import DomainError, PoleError, evaluate
 
 
 def central_diff(e, s, point, h=1e-5):
@@ -339,13 +337,44 @@ class TestPolynomialReader:
         assert read >= 50
 
 
+class TestPolynomialArithmetic:
+    """`poly_product` and `poly_derivative` agree with `mul` and `differentiate`
+    on random polynomial trees, each read back by `polynomial`."""
+
+    @staticmethod
+    def random_polynomial(rng, rows, depth):
+        if depth == 0 or rng.random() < 0.2:
+            if rng.random() < 0.3:
+                return f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"
+            return rng.choice(rows).name
+        parts = [TestPolynomialArithmetic.random_polynomial(rng, rows, depth - 1)
+                 for _ in range(rng.randint(2, 3))]
+        pick = rng.random()
+        if pick < 0.4:
+            return "(" + rng.choice([" + ", " - "]).join(parts) + ")"
+        if pick < 0.8:
+            return "(" + "*".join(parts) + ")"
+        return f"({parts[0]})^{rng.randint(2, 3)}"
+
+    def test_product_and_derivative_match_the_trees(self, table3):
+        from ocquad.symexpr import poly_derivative, poly_product, polynomial
+        rng = random.Random(17)
+        rows = table3.phase + (table3.time,)
+        for _ in range(150):
+            a, b = (parse(self.random_polynomial(rng, rows, 3), table3) for _ in range(2))
+            pa, pb = polynomial(a, rows), polynomial(b, rows)
+            assert polynomial(mul(a, b), rows) == poly_product(pa, pb)
+            for r, s in enumerate(rows):
+                assert polynomial(differentiate(a, s), rows) == poly_derivative(pa, r)
+
+
 class TestCompile:
     def test_agrees_with_evaluate(self, table3):
         gen = ExprGen(table3, seed=13)
         done = 0
         while done < 100:
             e = gen.expr(3)
-            args = tuple(sorted(free_symbols(e), key=lambda s: s.sort_key))
+            args = tuple(sorted(e.free(), key=lambda s: s.sort_key))
             pt = gen.point()
             try:
                 v = evaluate(e, pt)
