@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -369,6 +370,30 @@ class TestAdmissibleLevels:
                 assert np.linalg.matrix_rank(levels) == len(basis)
 
 
+class TestSolvableAlgebrasHaveLevels:
+    """A solvable verdict leaves at least one admissible level: the first
+    step of the derived series reduces the same xi rows as the levels do, so
+    a solvable algebra has xi rank below n."""
+
+    def test_solvable_implies_a_nonzero_level(self):
+        rng = np.random.default_rng(23)
+        solvable = 0
+        for _ in range(150):
+            n, xi = random_algebra(rng)
+            top = max((abs(x) for v in xi.values() for x in v), default=Fraction(0))
+            if top:
+                xi = {k: tuple(x / top for x in v) for k, v in xi.items()}
+            copies = [xi] + [
+                {k: tuple(float(x) + noise * rng.uniform(-1, 1) for x in v)
+                 for k, v in xi.items()}
+                for noise in (0.0, 1e-13, 1e-10)]
+            for copy in copies:
+                if check_solvable_lie(copy, n).solvable:
+                    solvable += 1
+                    assert admissible_levels(copy, n), copy
+        assert solvable > 300
+
+
 class TestIndependenceRank:
     def test_dubins_full_rank_on_level_set(self):
         problem, th, sampler = setup_problem("dubins")
@@ -467,6 +492,9 @@ class TestWavesMatchSequential:
         assert len(evidence) == 5 and all(e.rank == 4 for e in evidence)
 
 
+SO3_MOMENTA = ["x2*psi3 - x3*psi2", "x3*psi1 - x1*psi3", "x1*psi2 - x2*psi1"]
+
+
 class TestFindCertificate:
     def test_dubins_golden(self):
         problem, th, sampler = setup_problem("dubins")
@@ -506,6 +534,37 @@ class TestFindCertificate:
         cert = find_certificate(sample_span(fam, sampler), th, sampler, np.random.default_rng(1))
         assert not cert.solvable
         assert "components" in cert.diagnostics
+
+    @staticmethod
+    def _dubins_diagnostics(exprs):
+        problem, th, sampler = setup_problem("dubins")
+        t = problem.table
+        fam = manual_family([parse(e, t) for e in exprs], t)
+        cert = find_certificate(sample_span(fam, sampler), th, sampler, np.random.default_rng(1))
+        assert cert.verdict == "inconclusive"
+        return cert.diagnostics
+
+    def test_dependent_selection_stops_at_the_generic_rank(self):
+        assert self._dubins_diagnostics(["psi1", "psi1", "psi2"]) == (
+            "selection [0, 1, 2]: only 2 functionally independent integrals "
+            "at generic points")
+
+    def test_open_bracket_names_the_pair_and_residual(self):
+        diag = self._dubins_diagnostics(["psi1", "x1*psi2", "x1^2*psi3"])
+        assert re.fullmatch(r"selection \[0, 1, 2\]: bracket of pair \(0, 1\) does not "
+                            r"close over the span \(residual [0-9.e+-]+\)", diag), diag
+
+    def test_first_selection_at_the_furthest_gate_wins(self):
+        # so(3): every random combination of the momenta that is independent
+        # closes on a non-solvable algebra, so the standard subset comes first
+        assert self._dubins_diagnostics(SO3_MOMENTA) == (
+            "selection [0, 1, 2]: closed brackets but the algebra is not solvable")
+
+    def test_furthest_gate_beats_an_earlier_selection(self):
+        # [0, 1, 2] fails closure ({psi1, M2} = psi3 is outside its span);
+        # [1, 2, 3] closes and reaches the solvability gate
+        assert self._dubins_diagnostics(["psi1"] + SO3_MOMENTA) == (
+            "selection [1, 2, 3]: closed brackets but the algebra is not solvable")
 
     def test_closure_soundness_of_emitted_xi(self):
         problem, th, sampler = setup_problem("trailer", backend="implicit")
