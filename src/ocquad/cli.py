@@ -94,7 +94,7 @@ def _family_block(family: Family) -> list[dict]:
     out = []
     for comp in family.components:
         out.append({
-            "expr": sx.to_string(comp.expr),
+            "expr": sx.to_string(comp.function.expr),
             "holdout_residual": float(comp.holdout_residual),
             "rational": comp.rational,
             "generators": comp.generators,
@@ -171,7 +171,7 @@ def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
                              "step": TRAJECTORY_STEP})
     return {
         "trajectories": trajectories,
-        "drift": [{"expr": sx.to_string(c.expr), "max_drift": float(d)}
+        "drift": [{"expr": sx.to_string(c.function.expr), "max_drift": float(d)}
                   for c, d in zip(family.components, drift_max)],
     }
 
@@ -205,6 +205,14 @@ def run_analyze(source, options) -> tuple[dict, int]:
                          else _resolve_problem(source, params))
     except (ProblemFileError, OcpError) as exc:
         raise AnalysisError(str(exc)) from exc
+    variables = None
+    if options.poly_vars:
+        rows = {s.name: s for s in sample_symbols(problem.table)}
+        try:
+            variables = tuple(rows[v.strip()] for v in options.poly_vars.split(","))
+        except KeyError as exc:
+            raise AnalysisError(
+                f"--poly-vars: {exc.args[0]!r} is not a state, costate or t") from exc
 
     seed_root = np.random.SeedSequence(options.seed)
     s_family, s_cert, s_verify, s_poly = seed_root.spawn(4)
@@ -279,14 +287,6 @@ def run_analyze(source, options) -> tuple[dict, int]:
 
     if options.poly_degree is not None:
         t0 = time.monotonic()
-        variables = None
-        if options.poly_vars:
-            rows = {s.name: s for s in sample_symbols(problem.table)}
-            try:
-                variables = tuple(rows[v.strip()] for v in options.poly_vars.split(","))
-            except KeyError as exc:
-                raise AnalysisError(
-                    f"--poly-vars: {exc.args[0]!r} is not a state, costate or t") from exc
         poly_sampler = PointSampler(problem, th.evaluator(),
                                     np.random.default_rng(s_poly))
         try:

@@ -4,8 +4,10 @@ Given a family of first integrals, search for n of them whose pairwise
 Poisson brackets close linearly over the selection ({F_i, F_j} =
 sum_s xi^{ij}_s F_s), whose span is a solvable Lie algebra, which admit a
 nontrivial space of level values r with r . xi^{ij} = 0, and which stay
-functionally independent on the level manifold.  A selection passing all four
-gates certifies that extremals on that level set can be found by quadratures.
+functionally independent on the level manifold.  A solvable span always admits
+such levels, so three gates decide: closure, solvability and the rank on the
+level set.  A selection passing them certifies that extremals on that level
+set can be found by quadratures.
 
 The bilinear system in (lambda, xi) is attacked by structured search over
 selections (standard-basis subsets first, then Hamiltonian-augmented and
@@ -336,36 +338,32 @@ def _polynomial_degree(e: Expr) -> int:
 
 def _search_order(family: Family) -> list[int]:
     """Try plain, low-degree integrals first; Hamiltonian-bearing ones last."""
-    return sorted(range(family.m),
-                  key=lambda k: (family.components[k].uses_hamiltonian,
-                                 _polynomial_degree(family.components[k].expr), k))
+    funcs = family.functions()
+    return sorted(range(family.m), key=lambda k: (
+        funcs[k].has_hamiltonian, _polynomial_degree(funcs[k].expr), k))
 
 
 def _candidate_selections(family: Family, n: int, rng: np.random.Generator):
     """Deterministic search order: subsets, Hamiltonian-augmented, random."""
     m = family.m
     order = _search_order(family)
-    for positions in itertools.combinations(range(m), n):
-        combo = sorted(order[p] for p in positions)
-        lam = np.zeros((n, m))
-        for row, idx in enumerate(combo):
-            lam[row, idx] = 1.0
-        yield lam, combo
-    h_idx = None
-    for k, comp in enumerate(family.components):
-        e = comp.expr
-        if e == sx.symref(HAMILTONIAN_SYMBOL) or e == sx.negate(sx.symref(HAMILTONIAN_SYMBOL)):
-            h_idx = k
-            break
-    if h_idx is not None:
+    unit = np.eye(m)
+
+    def subsets():
         for positions in itertools.combinations(range(m), n):
-            combo = sorted(order[p] for p in positions)
+            yield sorted(order[p] for p in positions)
+
+    for combo in subsets():
+        yield unit[combo], combo
+    h = sx.symref(HAMILTONIAN_SYMBOL)
+    h_idx = next((k for k, c in enumerate(family.components)
+                  if c.function.expr in (h, sx.negate(h))), None)
+    if h_idx is not None:
+        for combo in subsets():
             if h_idx in combo:
                 continue
             for aug in range(n):
-                lam = np.zeros((n, m))
-                for row, idx in enumerate(combo):
-                    lam[row, idx] = 1.0
+                lam = unit[combo]
                 lam[aug, h_idx] += 1.0
                 yield lam, None
     for _ in range(MAX_RANDOM_SELECTIONS):
@@ -374,14 +372,73 @@ def _candidate_selections(family: Family, n: int, rng: np.random.Generator):
             yield lam, None
 
 
+def _gates(lam: np.ndarray, combo: list | None, span: SpanSample, th: TrueHamiltonian,
+           sampler: PointSampler) -> Certificate | tuple[int, str]:
+    """Apply the Kozlov-Kolesnikov gates to one selection, in order.
+
+    Returns the certificate when every gate passes, else (gate, reason): gate
+    0 is the generic functional rank or the bracket closure, 1 solvability,
+    2 the rank on the level set.  The levels need no gate of their own: the
+    first step of the derived series reduces the xi rows that
+    `admissible_levels` reduces, with the same cut, so a solvable algebra has
+    xi rank below n and at least one admissible level.
+    """
+    n = len(lam)
+    label = (f"selection {combo}" if combo is not None
+             else f"selection with weights {lam.tolist()}")
+    # cheap pre-gate: reject functionally dependent selections before any fitting
+    generic_rank = max(
+        np.linalg.matrix_rank(lam @ span.jacobian[:, :, p], tol=1e-10)
+        for p in range(span.jacobian.shape[2]))
+    if generic_rank < n:
+        return 0, (f"{label}: only {generic_rank} functionally "
+                   f"independent integrals at generic points")
+    sel_fit = span.values_fit @ lam.T
+    sel_hold = span.values_hold @ lam.T
+    xi: dict = {}
+    closure_residual = 0.0
+    for i, j in itertools.combinations(range(n), 2):
+        y_fit = np.einsum("m,mkn,k->n", lam[i], span.brackets_fit, lam[j])
+        y_hold = np.einsum("m,mkn,k->n", lam[i], span.brackets_hold, lam[j])
+        dec = decompose_in_span(y_fit, y_hold, sel_fit, sel_hold)
+        if not dec.ok:
+            return 0, (f"{label}: bracket of pair {(i, j)} does not "
+                       f"close over the span (residual {dec.residual:.3g})")
+        xi[(i, j)] = dec.coefficients
+        closure_residual = max(closure_residual, dec.residual)
+    solv = check_solvable_lie(xi, n)
+    if not solv.solvable:
+        return 1, f"{label}: closed brackets but the algebra is not solvable"
+    r_basis = admissible_levels(xi, n)
+    selection_funcs = _selection_functions(span.family, lam)
+    evidence, skipped = independence_rank(selection_funcs, r_basis, th, sampler)
+    if len(evidence) < RANK_POINTS or any(e.rank != n for e in evidence):
+        return 2, (f"{label}: rank gate failed "
+                   f"({len(evidence)}/{RANK_POINTS} projections converged, "
+                   f"ranks {[e.rank for e in evidence]}, {skipped} skipped)")
+    return Certificate(
+        verdict="solvable_on_level_set",
+        selection=combo,
+        lambdas=[tuple(row) for row in lam],
+        selected_exprs=[sx.to_string(f.expr) for f in selection_funcs],
+        xi=xi,
+        closure_residual=closure_residual,
+        solvability=solv,
+        r_basis=r_basis,
+        rank_evidence=evidence,
+        rank_skipped=skipped,
+    )
+
+
 def find_certificate(span: SpanSample, th: TrueHamiltonian, sampler: PointSampler,
                      rng: np.random.Generator) -> Certificate:
     """Search lambda-selections for one passing all Kozlov-Kolesnikov gates.
 
     Every closure fit reads the values and bracket tensors of `span`; the
     sampler serves only the rank gate's projections.  Returns the first
-    passing selection in the deterministic search order, or an inconclusive
-    certificate carrying the furthest-gate diagnostics.
+    passing selection among the first MAX_CANDIDATES in the deterministic
+    search order, or an inconclusive certificate with the diagnostic of the
+    first selection that reached the furthest gate.
     """
     family = span.family
     n = th.table.n
@@ -390,92 +447,22 @@ def find_certificate(span: SpanSample, th: TrueHamiltonian, sampler: PointSample
             verdict="inconclusive",
             diagnostics=f"family has {family.m} components but {n} independent "
                         "integrals are needed")
-
-    best_gate = -1
-    best_diag = "no candidate selections"
-    examined = 0
-    for lam, combo in _candidate_selections(family, n, rng):
-        examined += 1
-        if examined > MAX_CANDIDATES:
-            break
-        label = (f"selection {combo}" if combo is not None
-                 else f"selection with weights {lam.tolist()}")
-        # cheap pre-gate: reject functionally dependent selections before
-        # any fitting
-        generic_rank = max(
-            np.linalg.matrix_rank(lam @ span.jacobian[:, :, p], tol=1e-10)
-            for p in range(span.jacobian.shape[2]))
-        if generic_rank < n:
-            if best_gate < 0:
-                best_gate = 0
-                best_diag = (f"{label}: only {generic_rank} functionally "
-                             f"independent integrals at generic points")
-            continue
-        sel_fit = span.values_fit @ lam.T
-        sel_hold = span.values_hold @ lam.T
-        xi: dict = {}
-        closure_residual = 0.0
-        failed_pair = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                y_fit = np.einsum("m,mkn,k->n", lam[i], span.brackets_fit, lam[j])
-                y_hold = np.einsum("m,mkn,k->n", lam[i], span.brackets_hold, lam[j])
-                dec = decompose_in_span(y_fit, y_hold, sel_fit, sel_hold)
-                if not dec.ok:
-                    failed_pair = (i, j, dec.residual)
-                    break
-                xi[(i, j)] = dec.coefficients
-                closure_residual = max(closure_residual, dec.residual)
-            if failed_pair:
-                break
-        if failed_pair:
-            if best_gate < 0:
-                best_gate = 0
-                best_diag = (f"{label}: bracket of pair {failed_pair[:2]} does not "
-                             f"close over the span (residual {failed_pair[2]:.3g})")
-            continue
-        solv = check_solvable_lie(xi, n)
-        if not solv.solvable:
-            if best_gate < 1:
-                best_gate = 1
-                best_diag = f"{label}: closed brackets but the algebra is not solvable"
-            continue
-        r_basis = admissible_levels(xi, n)
-        if not r_basis:
-            if best_gate < 2:
-                best_gate = 2
-                best_diag = f"{label}: only the zero level satisfies r . xi = 0"
-            continue
-        selection_funcs = _selection_functions(family, lam)
-        evidence, skipped = independence_rank(selection_funcs, r_basis, th, sampler)
-        if len(evidence) < RANK_POINTS or any(e.rank != n for e in evidence):
-            if best_gate < 3:
-                best_gate = 3
-                ranks = [e.rank for e in evidence]
-                best_diag = (f"{label}: rank gate failed "
-                             f"({len(evidence)}/{RANK_POINTS} projections converged, "
-                             f"ranks {ranks}, {skipped} skipped)")
-            continue
-        return Certificate(
-            verdict="solvable_on_level_set",
-            selection=combo,
-            lambdas=[tuple(row) for row in lam],
-            selected_exprs=[sx.to_string(f.expr) for f in selection_funcs],
-            xi=xi,
-            closure_residual=closure_residual,
-            solvability=solv,
-            r_basis=r_basis,
-            rank_evidence=evidence,
-            rank_skipped=skipped,
-        )
-    return Certificate(verdict="inconclusive", diagnostics=best_diag)
+    furthest, diagnostic = -1, "no candidate selections"
+    candidates = _candidate_selections(family, n, rng)
+    for lam, combo in itertools.islice(candidates, MAX_CANDIDATES):
+        outcome = _gates(lam, combo, span, th, sampler)
+        if isinstance(outcome, Certificate):
+            return outcome
+        if outcome[0] > furthest:
+            furthest, diagnostic = outcome
+    return Certificate(verdict="inconclusive", diagnostics=diagnostic)
 
 
 def _selection_functions(family: Family, lam: np.ndarray) -> list[PhaseFunction]:
     funcs = []
     table = family.components[0].function.table
     for row in lam:
-        expr = sx.add(*(sx.mul(sx.num(Fraction(float(w))), c.expr)
+        expr = sx.add(*(sx.mul(sx.num(Fraction(float(w))), c.function.expr)
                         for w, c in zip(row, family.components) if w != 0.0))
         funcs.append(PhaseFunction(expr, table))
     return funcs

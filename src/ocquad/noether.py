@@ -388,19 +388,9 @@ def _rationalize_entry(v: float):
 @dataclass
 class FamilyComponent:
     function: PhaseFunction
-    coefficients: tuple
     rational: bool
-    pivot: int
     holdout_residual: float
     generators: dict
-
-    @property
-    def expr(self) -> Expr:
-        return self.function.expr
-
-    @property
-    def uses_hamiltonian(self) -> bool:
-        return self.function.has_hamiltonian
 
 
 @dataclass
@@ -432,7 +422,7 @@ def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
         raise EmptyNullspaceError("no symmetry found at this ansatz degree")
     hold_batch = sampler.draw(holdout)
     hold_matrix = ansatz.matrix(hold_batch)
-    prelim = []
+    prelim, pivots = [], []
     for vector in basis:
         chosen = None
         rat = rationalize_vector(vector)
@@ -457,19 +447,18 @@ def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
             continue
         prelim.append(FamilyComponent(
             function=PhaseFunction(expr, th.table),
-            coefficients=chosen,
             rational=rational,
-            pivot=_pivot(vector),
             holdout_residual=resid,
             generators=ansatz.provenance(chosen, support),
         ))
+        pivots.append(_pivot(vector))
     if not prelim:
         raise EmptyNullspaceError("all nullspace candidates failed holdout verification")
     # drop components that are constant functions
     values = np.column_stack([c.function.values(hold_batch) for c in prelim])
     spread = values.max(axis=0) - values.min(axis=0)
     keepers = sorted(np.flatnonzero(spread > 1e-10).tolist(),
-                     key=lambda i: (prelim[i].uses_hamiltonian, prelim[i].pivot))
+                     key=lambda i: (prelim[i].function.has_hamiltonian, pivots[i]))
     final = [prelim[i] for i in independent_columns(values, keepers)]
     if not final:
         raise EmptyNullspaceError("all candidates pruned as constant or dependent")

@@ -118,7 +118,7 @@ def combine(family, weights):
     """The family map at one integer parameter vector:
     sum_k weights_k * component_k."""
     assert len(weights) == family.m
-    expr = sx.add(*(sx.mul(sx.num(Fraction(int(w))), c.expr)
+    expr = sx.add(*(sx.mul(sx.num(Fraction(int(w))), c.function.expr)
                     for w, c in zip(weights, family.components)))
     return PhaseFunction(expr, family.components[0].function.table)
 

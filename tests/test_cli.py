@@ -145,6 +145,8 @@ HOSTILE_FLAGS = {
     "poly_vars_control": ("martinet", ["--poly-degree", "2", "--poly-vars", "u1"], "'u1'"),
     "poly_vars_parameter": ("martinet", ["--poly-degree", "2", "--poly-vars", "alpha"],
                             "'alpha'"),
+    # checked whether or not the dense search runs
+    "poly_vars_without_degree": ("dubins", ["--poly-vars", "u1"], "'u1'"),
 }
 
 

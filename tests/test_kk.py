@@ -29,10 +29,9 @@ def setup_problem(name, backend="auto", seed=42):
 
 
 def manual_family(exprs, table):
-    comps = [FamilyComponent(function=PhaseFunction(e, table), coefficients=(),
-                             rational=True, pivot=k, holdout_residual=0.0,
-                             generators={})
-             for k, e in enumerate(exprs)]
+    comps = [FamilyComponent(function=PhaseFunction(e, table), rational=True,
+                             holdout_residual=0.0, generators={})
+             for e in exprs]
     return Family(comps)
 
 

@@ -660,7 +660,7 @@ class TestDiscoverPolynomialIntegrals:
         _, th, sampler = setup_problem("dubins")
         fam = discover_polynomial_integrals(th, sampler, degree=2)
         assert sizes == [(84, 28)]
-        assert [sx.to_string(c.expr) for c in fam.components] == [
+        assert [sx.to_string(c.function.expr) for c in fam.components] == [
             "psi3 - x2*psi1 + x1*psi2", "psi2", "psi2^2", "psi1", "psi1*psi2", "psi1^2", "H"]
 
     def test_polynomial_hamiltonian_skips_the_sampled_system(self, monkeypatch):
