@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ocquad import noether, ocp
+from ocquad import kk, noether, ocp
 from ocquad import symexpr as sx
 from ocquad.noether import (
     EmptyNullspaceError,
@@ -414,6 +414,31 @@ class TestRationalizeMatchesReference:
         for vector in basis:
             assert rationalize_vector(vector) == reference_rationalize(vector)
 
+    def test_exact_block_nullspace_vectors(self):
+        _, th, _ = setup_problem("sr-2-3")
+        ansatz = polynomial_ansatz(th.table, 4, th.table.phase, True)
+        basis = block_nullspace(ansatz.exact_columns(exact_hamiltonian(th)))
+        assert basis
+        for vector in basis:
+            assert rationalize_vector(vector) == reference_rationalize(vector)
+
+    @pytest.mark.parametrize("name", ["martinet", "trailer"])
+    def test_span_fit_coefficients_of_the_certificate_search(self, name, monkeypatch):
+        _, th, sampler = setup_problem(name)
+        fam = discover_family(th, sampler, degree=2)
+        seen = []
+
+        def record(vector):
+            seen.append(np.array(vector))
+            return rationalize_vector(vector)
+
+        monkeypatch.setattr(kk, "rationalize_vector", record)
+        kk.find_certificate(kk.sample_span(fam, sampler), th, sampler,
+                            np.random.default_rng(1))
+        assert seen
+        for vector in seen:
+            assert rationalize_vector(vector) == reference_rationalize(vector)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_raise_as_before(self, bad):
         def outcome(fn, vector):
@@ -422,7 +447,10 @@ class TestRationalizeMatchesReference:
             except Exception as exc:  # noqa: BLE001 - the type is what is compared
                 return type(exc)
 
-        for vector in ([bad], [0.5, bad], [bad, np.sqrt(2.0)], [np.sqrt(2.0), bad]):
+        # 3 + 5e-6 is within _NEAR of 3 but outside the tolerance
+        far_integer = 3 + 5e-6
+        for vector in ([bad], [0.5, bad], [bad, np.sqrt(2.0)], [np.sqrt(2.0), bad],
+                       [far_integer, bad], [bad, far_integer]):
             want = outcome(reference_rationalize, vector)
             assert outcome(rationalize_vector, np.array(vector)) == want
         assert outcome(rationalize_vector, np.array([bad])) in (ValueError, OverflowError)
