@@ -44,9 +44,5 @@ from .kk import (  # noqa: F401
     independence_rank,
     sample_span,
 )
-from .verify import (  # noqa: F401
-    Trajectory,
-    conservation_drift,
-    integrate_extremal,
-)
+from .verify import conservation_drift, integrate_extremal  # noqa: F401
 from .problems import BUILTIN_NAMES, builtin, load_problem, load_problem_file  # noqa: F401

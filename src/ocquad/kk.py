@@ -73,7 +73,6 @@ def sample_span(family: Family, sampler: PointSampler) -> SpanSample:
 class Decomposition:
     coefficients: tuple | None
     residual: float
-    rational: bool = False
 
     @property
     def ok(self) -> bool:
@@ -99,10 +98,10 @@ def decompose_in_span(y_fit, y_hold, basis_fit, basis_hold) -> Decomposition:
         c_rat = np.array([float(f) for f in rat])
         r = rel_residual(c_rat)
         if r < DECOMPOSE_TOL:
-            return Decomposition(rat, r, rational=True)
+            return Decomposition(rat, r)
     r = rel_residual(coeff)
     if r < DECOMPOSE_TOL:
-        return Decomposition(tuple(coeff), r, rational=False)
+        return Decomposition(tuple(coeff), r)
     return Decomposition(None, r)
 
 

@@ -30,11 +30,9 @@ from .symexpr import Expr, HAMILTONIAN_SYMBOL, Poly, Symbol, SymbolTable
 SVD_TOL = 1e-9
 RATIONALIZE_MAX_DENOMINATOR = 64
 RATIONALIZE_ENTRY_TOL = 1e-6
-_DENOMINATORS = np.arange(1, RATIONALIZE_MAX_DENOMINATOR + 1, dtype=float)
-# An entry within _NEAR of p/q has p/q as its unique nearest fraction: two
-# fractions with denominators <= 64 are at least 1/4032 ~ 2.5e-4 apart.
+# An entry within _NEAR of an integer p has p as its unique nearest fraction
+# with denominator <= 64: every other such fraction is at least 1/64 from p.
 _NEAR = 1e-5
-_FAST_LIMIT = 100.0          # larger entries take the exact per-entry path
 FAMILY_TOL = 1e-8
 MAX_SAMPLED_CELLS = 8_000_000   # entries of a generator ansatz's system: 64 MB of floats
 
@@ -326,56 +324,28 @@ def rationalize_vector(vector: np.ndarray):
 
     Each entry v becomes ``Fraction(v).limit_denominator(64)``, rejected when
     that fraction lies more than ``RATIONALIZE_ENTRY_TOL * max(1, |v|)`` from
-    v.  The rounding runs on the whole vector: the nearest p/q for each
-    q = 1..64 is ``rint(v*q)/q``, and two distinct fractions with such
-    denominators are at least 1/4032 apart, so one within `_NEAR` of v is the
-    unique nearest and is what `limit_denominator` returns.  An entry whose
-    nearest fraction is more than twice the tolerance away is rejected as the
-    loop would reject it.  Every other entry (|v| >= 100, non-finite, near
-    ties, borderline distances) goes through `_rationalize_entry` in vector
+    v.  Most entries are integers, so only the integer test runs on the whole
+    vector: an entry within `_NEAR` of p = rint(v) has p as its nearest
+    fraction.  Every other entry goes through `_rationalize_entry` in vector
     order, so the result, and the exception a bad entry raises, are those of
     the plain per-entry loop.
     """
     v = np.asarray(vector, dtype=float)
-    size = v.size
     with np.errstate(invalid="ignore"):
-        tol = RATIONALIZE_ENTRY_TOL * np.maximum(1.0, np.abs(v))
-        fallback = ~(np.abs(v) < _FAST_LIMIT)   # also every non-finite entry
-        p = np.rint(v)                          # q = 1: integers, zeros, float noise
-        q = np.ones(size)
-        reject = np.zeros(size, dtype=bool)
-        rest = np.flatnonzero(~fallback & (np.abs(v - p) > _NEAR))
-        scaled = v[rest, None] * _DENOMINATORS
-        rounded = np.rint(scaled)
-        dist = np.abs(scaled - rounded) / _DENOMINATORS
-        near = dist <= _NEAR
-        found = near.any(axis=1)
-        # the smallest q with a near fraction gives it in lowest terms
-        first = near.argmax(axis=1)
-        q[rest] = first + 1
-        p[rest] = rounded[np.arange(rest.size), first]
-        far = dist.min(axis=1) > 2 * tol[rest]
-        reject[rest] = ~found & far
-        fallback[rest] = ~found & ~far
-        # the loop's own check, on p/q == float(Fraction(p, q))
-        reject |= ~fallback & (np.abs(p / q - v) > tol)
-    stop = int(reject.argmax()) if reject.any() else size
-    exact = []
-    for i in np.flatnonzero(fallback[:stop]):
-        f = _rationalize_entry(v[i])
-        if f is None:
+        p = np.rint(v)
+        gap = np.abs(v - p)
+        near = gap <= _NEAR                     # False for every non-finite entry
+        far = near & (gap > RATIONALIZE_ENTRY_TOL * np.maximum(1.0, np.abs(v)))
+    stop = int(far.argmax()) if far.any() else v.size
+    out = p.tolist()
+    for i in np.flatnonzero(~near[:stop]).tolist():
+        out[i] = _rationalize_entry(v[i])
+        if out[i] is None:
             return None
-        exact.append(f)
-    if stop < size:
+    if stop < v.size:
         return None
-    fast = np.flatnonzero(~fallback)
-    _, first_seen, inverse = np.unique(p[fast] / q[fast], return_index=True,
-                                       return_inverse=True)
-    table = [Fraction(int(p[i]), int(q[i])) for i in fast[first_seen]] + exact
-    index = np.empty(size, dtype=np.intp)
-    index[fast] = inverse
-    index[fallback] = np.arange(first_seen.size, len(table))
-    return tuple(map(table.__getitem__, index.tolist()))
+    integers = {r: Fraction(int(r)) for r in set(p[near].tolist())}
+    return tuple(integers[f] if is_near else f for f, is_near in zip(out, near.tolist()))
 
 
 def _rationalize_entry(v: float):

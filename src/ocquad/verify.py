@@ -7,7 +7,6 @@ the discovered integrals without the symbolic machinery that found them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,41 +18,12 @@ from .ocp import (
     TrueHamiltonian,
     sample_symbols,
 )
-from .symexpr import SymbolTable
 
 
 class PoleEncounteredError(OcpError):
     def __init__(self, time: float):
         super().__init__(f"flow left the evaluable region near t = {time:.6g}")
         self.time = time
-
-
-@dataclass
-class Trajectory:
-    """A discretised Pontryagin extremal on a uniform time grid.
-
-    `batch` holds the envelope evaluated at every grid point; its `points`
-    are the (2n+1, N+1) grid, rows x_1..x_n, psi_1..psi_n, t.
-    """
-
-    batch: SampleBatch
-
-    @property
-    def table(self) -> SymbolTable:
-        return self.batch.table
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.batch.points
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.points[-1]
-
-    @property
-    def states(self) -> np.ndarray:
-        """(N+1, 2n) phase points, columns x_1..x_n, psi_1..psi_n."""
-        return self.points[:-1].T
 
 
 def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.ndarray:
@@ -100,10 +70,12 @@ def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.n
 
 
 def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
-                       horizon: float = 1.0, step: float = 1e-3) -> Trajectory:
+                       horizon: float = 1.0, step: float = 1e-3) -> SampleBatch:
     """Classical RK4 on xdot = dH/dpsi, psidot = -dH/dx.
 
-    `z0` is the initial (x_1..x_n, psi_1..psi_n).  Aborts with
+    `z0` is the initial (x_1..x_n, psi_1..psi_n).  Returns the envelope batch
+    at every point of the uniform time grid; its `points` are the
+    (2n+1, N+1) grid, rows x_1..x_n, psi_1..psi_n, t.  Aborts with
     PoleEncounteredError if the flow leaves the evaluable region.  The run
     sits in one ``np.errstate`` that raises on invalid operations and
     division by zero, so a numpy scalar that leaves the real domain (the
@@ -142,12 +114,12 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     batch, keep = flow.evaluator.prepare(np.vstack([states.T, times]))
     if not keep.all():
         raise PoleEncounteredError(float(times[int(np.argmin(keep))]))
-    return Trajectory(batch)
+    return batch
 
 
-def conservation_drift(f, traj: Trajectory) -> float:
+def conservation_drift(f, traj: SampleBatch) -> float:
     """max_t |F(z(t), t) - F(z(0), t0)| over the trajectory grid, read from the
-    envelope batch the trajectory already carries."""
+    envelope batch `integrate_extremal` returns."""
     func = f if isinstance(f, PhaseFunction) else PhaseFunction(f, traj.table)
-    vals = func.values(traj.batch)
+    vals = func.values(traj)
     return float(np.abs(vals - vals[0]).max())

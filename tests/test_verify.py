@@ -47,9 +47,9 @@ class TestIntegrateExtremal:
     def test_free_particle_is_exact(self):
         th = scalar_th()
         traj = integrate_extremal(th, [0.0, 1.0], horizon=1.0, step=0.01)
-        assert np.allclose(traj.states[:, 0], traj.times, atol=1e-14)
-        assert np.allclose(traj.states[:, 1], 1.0, atol=1e-14)
-        assert np.allclose(traj.batch.hvalue, 0.5, atol=1e-14)
+        assert np.allclose(traj.points[0], traj.points[-1], atol=1e-14)
+        assert np.allclose(traj.points[1], 1.0, atol=1e-14)
+        assert np.allclose(traj.hvalue, 0.5, atol=1e-14)
 
     def test_dubins_energy_drift(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
@@ -160,7 +160,7 @@ class TestTimeDependentFlow:
         assert th.reduced.free() & {th.table.time}
         # along the flow dH/dt is the explicit time derivative, here -x
         traj = integrate_extremal(th, [0.3, -0.4], horizon=1.0, step=1e-3)
-        assert np.abs(traj.batch.hvalue - traj.batch.hvalue[0]).max() > 1e-3
+        assert np.abs(traj.hvalue - traj.hvalue[0]).max() > 1e-3
 
 
 class TestFdBracketOracle:
