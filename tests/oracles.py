@@ -6,8 +6,9 @@ domain guards; it is the reference for `symexpr.compile_fn`.
 differences of pointwise evaluation; `Residual` evaluates
 R(F) = dF/dt + {F, H} of a whole candidate expression; `combine` builds the
 family map at one parameter vector; `independence_rank_sequential` is the
-rank gate projecting one seed at a time.  None of them is used by the
-pipeline.
+rank gate projecting one seed at a time; `ldl_solve` and
+`reference_newton` are the generic LDL^T solve and the Newton loop around it
+that `ocp._newton_kernel` unrolls.  None of them is used by the pipeline.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from ocquad import symexpr as sx
 from ocquad.kk import PROJECTION_TOL, RANK_POINTS, RANK_SV_TOL, RankEvidence
-from ocquad.ocp import PhaseFunction
+from ocquad.ocp import NEWTON_MAX_ITER, NEWTON_TOL, PhaseFunction
 from ocquad.poisson import bracket
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, Expr
 
@@ -180,3 +181,65 @@ def independence_rank_sequential(selection, r_basis, th, sampler, k_points=RANK_
         evidence.append(RankEvidence(
             point={s.name: v for s, v in b.point(0).items()}, rank=rank))
     return evidence, skipped
+
+
+def ldl_solve(lower, rhs):
+    """Solve A s = rhs for the symmetric m x m matrix A whose lower triangle
+    `lower` lists row by row (A_11, A_21, A_22, A_31, ..), on Python floats.
+
+    A = L D L^T without pivoting.  Returns (s, negative_definite), or None when
+    a pivot is zero or not finite.  By Sylvester's criterion A is negative
+    definite exactly when every pivot is below 0.
+    """
+    m = len(rhs)
+    rows, pivots, y = [], [], []     # L below the diagonal, D, and L^-1 rhs
+    for i in range(m):
+        a = lower[i * (i + 1) // 2:]
+        row = []
+        for j in range(i):
+            s = a[j]
+            for p in range(j):
+                s -= row[p] * rows[j][p] * pivots[p]
+            row.append(s / pivots[j])
+        d, s = a[i], rhs[i]
+        for p in range(i):
+            d -= row[p] * row[p] * pivots[p]
+            s -= row[p] * y[p]
+        if d == 0 or not math.isfinite(d):
+            return None
+        rows.append(row)
+        pivots.append(d)
+        y.append(s)
+    x = [0.0] * m
+    for i in reversed(range(m)):
+        s = y[i] / pivots[i]
+        for p in range(i + 1, m):
+            s -= rows[p][i] * x[p]
+        x[i] = s
+    return x, all(d < 0 for d in pivots)
+
+
+def reference_newton(newton_fn, base, u):
+    """dH/du = 0 at the sample point `base` by Newton from the control `u`,
+    with `newton_fn` the compiled `TrueHamiltonian.newton_system` over
+    (sample rows, controls) and `ldl_solve` the step.  Returns what
+    `HamiltonianEvaluator._newton` must return: the control, or None."""
+    m = len(u)
+    with np.errstate(all="ignore"):
+        try:
+            for _ in range(NEWTON_MAX_ITER):
+                out = newton_fn(*base, *u)
+                if not all(map(math.isfinite, out)):
+                    return None
+                solved = ldl_solve(out[m:], out[:m])
+                if solved is None:
+                    return None
+                step, negative_definite = solved
+                if all(abs(g) < NEWTON_TOL for g in out[:m]):
+                    return u if negative_definite else None
+                u = [a - min(max(s, -2.0), 2.0) for a, s in zip(u, step)]
+                if not all(abs(a) < 1e6 for a in u):
+                    return None
+        except (ArithmeticError, TypeError):
+            return None
+    return None

@@ -14,7 +14,7 @@ from ocquad.ocp import (
 )
 from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
-from oracles import evaluate
+from oracles import evaluate, ldl_solve, reference_newton
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +288,56 @@ class TestFlow:
             assert abs(got - evaluate(expected, pt)) < 1e-12
 
 
+def bits(values):
+    """The IEEE bit pattern of a float vector, or None."""
+    return None if values is None else np.asarray(values, dtype=float).tobytes()
+
+
+class TestFlowParity:
+    @pytest.mark.parametrize("name", ["dubins", "trailer", "sr-2-3-5"])
+    def test_rhs_matches_the_array_path(self, name):
+        # rhs equals grad[rows] * signs on the evaluator's gradient, bit for
+        # bit; a second evaluator walks the same points, so the implicit
+        # backend's warm starts match
+        problem = named_problem(name)
+        th = true_hamiltonian(problem)
+        flow, ev = th.flow(), th.evaluator()
+        n = problem.table.n
+        rows, signs = np.r_[n:2 * n, :n], np.repeat([1.0, -1.0], n)
+        batch = PointSampler(problem, th.evaluator(), np.random.default_rng(8)).draw(50)
+        for column in batch.points.T:
+            y, t = column[:-1], column[-1]
+            _, grad = ev.value_and_gradient(y, t)
+            assert bits(flow.rhs(t, y)) == bits(np.asarray(grad, dtype=float)[rows] * signs)
+
+
+class TestNewtonParity:
+    """`_newton` returns bit for bit what the reference loop around the
+    generic LDL^T solve returns, from the guess and warm-started from the
+    previous point's control, on sampler points and on raw box draws (where
+    some solves fail)."""
+
+    @pytest.mark.parametrize("name", ["trailer", THREE_CONTROLS])
+    def test_matches_reference(self, name):
+        problem = named_problem(name)
+        th = true_hamiltonian(problem, backend="implicit")
+        ev = th.evaluator()
+        guess = th.law.guess
+        sampled = PointSampler(problem, ev, np.random.default_rng(4)).draw(200).points
+        rng = np.random.default_rng(5)
+        raw = np.array([rng.uniform(*problem.sampling_box[s], 200)
+                        for s in ocp.sample_symbols(problem.table)])
+        for points, admissible in ((sampled, True), (raw, False)):
+            warm = guess
+            for column in points.T.tolist():
+                cold = ev._newton(column, guess)
+                assert bits(cold) == bits(reference_newton(ev._newton_fn, column, guess))
+                assert cold is not None or not admissible
+                got = ev._newton(column, warm)
+                assert bits(got) == bits(reference_newton(ev._newton_fn, column, warm))
+                warm = guess if cold is None else cold
+
+
 class TestSampler:
     def test_respects_exclusions_and_box(self, martinet):
         th = true_hamiltonian(martinet)
@@ -328,7 +378,7 @@ class TestSampler:
 
 
 class TestLdlSolve:
-    """The elementwise LDL^T step of the Newton loop agrees with
+    """The reference LDL^T step of the Newton loop agrees with
     np.linalg.solve, and its pivot test with eigvalsh(...).max() < 0, on
     random symmetric matrices; a singular matrix is never accepted."""
 
@@ -349,7 +399,7 @@ class TestLdlSolve:
         for _ in range(200):
             a = self.spectral(rng, -rng.uniform(0.2, 5.0, m))
             g = rng.normal(size=m)
-            step, negative_definite = ocp._ldl_solve(self.lower(a), g.tolist())
+            step, negative_definite = ldl_solve(self.lower(a), g.tolist())
             assert negative_definite and np.linalg.eigvalsh(a).max() < 0
             assert np.allclose(step, np.linalg.solve(a, g), rtol=1e-10, atol=1e-12)
 
@@ -361,7 +411,7 @@ class TestLdlSolve:
             eigenvalues[0] = abs(eigenvalues[0])
             a = self.spectral(rng, eigenvalues)
             g = rng.normal(size=m)
-            result = ocp._ldl_solve(self.lower(a), g.tolist())
+            result = ldl_solve(self.lower(a), g.tolist())
             assert np.linalg.eigvalsh(a).max() > 0
             if result is None:      # a zero leading minor: no step, and rejected
                 continue
@@ -380,11 +430,11 @@ class TestLdlSolve:
             d[rng.integers(m)] = 0.0
             a = unit @ np.diag(d) @ unit.T
             assert np.linalg.matrix_rank(a) < m
-            result = ocp._ldl_solve(self.lower(a), rng.normal(size=m).tolist())
+            result = ldl_solve(self.lower(a), rng.normal(size=m).tolist())
             assert result is None or not result[1]
 
     def test_empty_system(self):
-        assert ocp._ldl_solve((), []) == ([], True)
+        assert ldl_solve((), []) == ([], True)
 
 
 class TestTupleCompile:
