@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -296,40 +296,54 @@ class SampleBatch:
                            np.hstack([self.hgrad, other.hgrad]), ctl)
 
 
-def _ldl_solve(lower, rhs):
-    """Solve A s = rhs for the symmetric m x m matrix A whose lower triangle
-    `lower` lists row by row (A_11, A_21, A_22, A_31, ..), on Python floats.
+@cache
+def _newton_kernel(m: int):
+    """One Newton iteration of dH/du = 0 for m controls, as straight-line
+    Python built once per m.
 
-    A = L D L^T without pivoting.  Returns (s, negative_definite), or None when
-    a pivot is zero or not finite.  By Sylvester's criterion A is negative
-    definite exactly when every pivot is below 0.
+    `step(out, u)` takes `out`, the compiled `newton_system` at the control
+    `u` (g_1..g_m, then the lower triangle A_11, A_21, A_22, .. of the
+    control Hessian).  It solves A s = g by A = L D L^T without pivoting, and
+    returns None when an entry or a pivot is not finite or a pivot is zero.
+    When every |g_i| is below NEWTON_TOL it returns whether every pivot is
+    below 0, that is, by Sylvester's criterion, whether A is negative
+    definite.  Otherwise it returns the next control, u - s with each step
+    clipped to [-2, 2], or None when some |u_i| reaches 1e6.
     """
-    m = len(rhs)
-    rows, pivots, y = [], [], []     # L below the diagonal, D, and L^-1 rhs
+    g = [f"g{i}" for i in range(m)]
+    d = [f"d{i}" for i in range(m)]
+    lo = [[f"a{i}_{j}" for j in range(i + 1)] for i in range(m)]
+    lines = ["def _step(out, u):"]
+    if m:
+        entries = g + [a for row in lo for a in row]
+        lines += [f"    {', '.join(entries)}, = out",
+                  f"    {', '.join(f'u{i}' for i in range(m))}, = u",
+                  "    if not (" + " and ".join(f"isfinite({e})" for e in entries) + "):",
+                  "        return None"]
     for i in range(m):
-        a = lower[i * (i + 1) // 2:]
-        row = []
         for j in range(i):
-            s = a[j]
-            for p in range(j):
-                s -= row[p] * rows[j][p] * pivots[p]
-            row.append(s / pivots[j])
-        d, s = a[i], rhs[i]
-        for p in range(i):
-            d -= row[p] * row[p] * pivots[p]
-            s -= row[p] * y[p]
-        if d == 0 or not math.isfinite(d):
-            return None
-        rows.append(row)
-        pivots.append(d)
-        y.append(s)
-    x = [0.0] * m
+            terms = "".join(f" - l{i}_{p} * l{j}_{p} * d{p}" for p in range(j))
+            lines.append(f"    l{i}_{j} = ({lo[i][j]}{terms}) / d{j}")
+        lines += [f"    d{i} = {lo[i][i]}" + "".join(f" - l{i}_{p} * l{i}_{p} * d{p}"
+                                                 for p in range(i)),
+                  f"    y{i} = g{i}" + "".join(f" - l{i}_{p} * y{p}" for p in range(i)),
+                  f"    if d{i} == 0 or not isfinite(d{i}):",
+                  "        return None"]
     for i in reversed(range(m)):
-        s = y[i] / pivots[i]
-        for p in range(i + 1, m):
-            s -= rows[p][i] * x[p]
-        x[i] = s
-    return x, all(d < 0 for d in pivots)
+        lines.append(f"    x{i} = y{i} / d{i}" + "".join(f" - l{p}_{i} * x{p}"
+                                                       for p in range(i + 1, m)))
+    if m:
+        lines += ["    if " + " and ".join(f"abs({x}) < TOL" for x in g) + ":",
+                  "        return bool(" + " and ".join(f"{x} < 0" for x in d) + ")"]
+        lines += [f"    v{i} = u{i} - min(max(x{i}, -2.0), 2.0)" for i in range(m)]
+        lines += ["    if " + " and ".join(f"abs(v{i}) < 1e6" for i in range(m)) + ":",
+                  f"        return [{', '.join(f'v{i}' for i in range(m))}]",
+                  "    return None"]
+    else:
+        lines.append("    return True")
+    ns = {"isfinite": math.isfinite, "TOL": NEWTON_TOL}
+    exec("\n".join(lines), ns)
+    return ns["_step"]
 
 
 class HamiltonianEvaluator:
@@ -339,10 +353,10 @@ class HamiltonianEvaluator:
     of the reduced expression.  With an implicit law each point gets its own
     Newton solve of dH/du = 0, `_newton`, on Python floats: one compiled call
     per iteration returns the control gradient and the lower triangle of the
-    control Hessian, and `_ldl_solve` gives the step and, at the solution,
-    the negative-definiteness test.  The gradient is then the envelope
-    gradient of H at the solved control.  The value and the whole gradient
-    are one compiled call, `_envelope`, on both paths.
+    control Hessian, and the generated kernel `_newton_kernel(m)` takes the
+    step and, at the solution, the negative-definiteness test.  The gradient
+    is then the envelope gradient of H at the solved control.  The value and
+    the whole gradient are one compiled call, `_envelope`, on both paths.
     """
 
     def __init__(self, th: TrueHamiltonian):
@@ -352,6 +366,7 @@ class HamiltonianEvaluator:
         self._envelope = sx.compile_fn(th.envelope, args)
         if not th.is_closed_form:
             self._newton_fn = sx.compile_fn(th.newton_system, args)
+            self._newton_step = _newton_kernel(th.table.m_ctl)
             self._warm = None
 
     def prepare(self, points: np.ndarray):
@@ -378,17 +393,17 @@ class HamiltonianEvaluator:
         return SampleBatch(self.th.table, points, env[0], env[1:], u_sol).take(keep), keep
 
     def value_and_gradient(self, z, t: float):
-        """(H, (2n+1,) gradient over x, psi, t) at the phase point z and time
-        t; the implicit backend's Newton solve starts from the last solved
-        control, then from the guess.  An evaluation that leaves the real
-        domain (a complex power, a zero base under a negative power) raises
-        OcpError."""
+        """(H, the gradient over x, psi, t as a list of 2n+1 floats) at the
+        phase point z and time t; the implicit backend's Newton solve starts
+        from the last solved control, then from the guess.  An evaluation
+        that leaves the real domain (a complex power, a zero base under a
+        negative power) raises OcpError."""
         args = [*map(float, z), float(t)]
         try:
             if not self.th.is_closed_form:
                 args += self._solve(args)
             env = self._envelope(*args)
-            return float(env[0]), np.array(env[1:], dtype=float)
+            return float(env[0]), [float(g) for g in env[1:]]
         except (ArithmeticError, TypeError):
             point = dict(zip(self._grad_syms, args))
             raise OcpError(f"Hamiltonian leaves the real domain at {_fmt_point(point)}") from None
@@ -408,22 +423,15 @@ class HamiltonianEvaluator:
         evaluation is not finite or not real, a pivot breaks down, |u| reaches
         1e6, the iteration does not converge, or the control Hessian at the
         solution is not negative definite."""
-        m = len(u)
         with np.errstate(all="ignore"):
             try:
                 for _ in range(NEWTON_MAX_ITER):
-                    out = self._newton_fn(*base, *u)
-                    if not all(map(math.isfinite, out)):
+                    new = self._newton_step(self._newton_fn(*base, *u), u)
+                    if new is True:
+                        return u
+                    if not new:     # None, or converged where A is not definite
                         return None
-                    solved = _ldl_solve(out[m:], out[:m])
-                    if solved is None:
-                        return None
-                    step, negative_definite = solved
-                    if all(abs(g) < NEWTON_TOL for g in out[:m]):
-                        return u if negative_definite else None
-                    u = [a - min(max(s, -2.0), 2.0) for a, s in zip(u, step)]
-                    if not all(abs(a) < 1e6 for a in u):
-                        return None
+                    u = new
             except (ArithmeticError, TypeError):
                 return None
         return None
@@ -474,14 +482,13 @@ class HamiltonianFlow:
 
     def __init__(self, th: TrueHamiltonian):
         self.evaluator = th.evaluator()
-        n = th.table.n
-        # gradient rows giving (xdot, psidot), and their signs
-        self._rows = np.r_[n:2 * n, :n]
-        self._signs = np.repeat([1.0, -1.0], n)
+        self._n = th.table.n
 
-    def rhs(self, t: float, y) -> np.ndarray:
+    def rhs(self, t: float, y) -> list:
+        """(xdot, psidot) as a list of floats."""
         _, grad = self.evaluator.value_and_gradient(y, t)
-        return grad[self._rows] * self._signs
+        n = self._n
+        return grad[n:2 * n] + [-g for g in grad[:n]]
 
 
 class PointSampler:

@@ -29,7 +29,7 @@ class PoleEncounteredError(OcpError):
 def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.ndarray:
     """Classical fixed-step RK4 of y' = rhs(t, y) over `times`; (N+1, dim) states.
 
-    The state is stepped as a list of floats: for the few coordinates of a
+    `rhs` returns a list of floats.  The state is stepped as a list of floats: for the few coordinates of a
     phase point that costs less than one numpy call per vector operation, and
     every coordinate goes through the same floating-point operations in the
     same order.  Every OcpError of a right-hand side evaluation (a control
@@ -42,7 +42,7 @@ def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.n
     half, sixth = step / 2, step / 6
 
     def f(t, state):
-        out = rhs(t, state).tolist()
+        out = rhs(t, state)
         if not all(map(math.isfinite, out)):
             raise PoleEncounteredError(t)
         return out
@@ -100,7 +100,7 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
         nonlocal previous
         try:
             current = [float(d(*state, t)) for d in denominators]
-        except ArithmeticError:
+        except (ArithmeticError, TypeError):    # a pole, or a complex value
             raise PoleEncounteredError(t) from None
         for before, now in zip(previous, current):
             if abs(now) < 1e-2 or (before is not None and before * now < 0):

@@ -6,9 +6,9 @@ domain guards; it is the reference for `symexpr.compile_fn`.
 differences of pointwise evaluation; `Residual` evaluates
 R(F) = dF/dt + {F, H} of a whole candidate expression; `combine` builds the
 family map at one parameter vector; `independence_rank_sequential` is the
-rank gate projecting one seed at a time; `ldl_solve` and
-`reference_newton` are the generic LDL^T solve and the Newton loop around it
-that `ocp._newton_kernel` unrolls.  None of them is used by the pipeline.
+rank gate projecting one seed at a time; `ldl_solve`, `reference_step` and
+`reference_newton` are the generic LDL^T solve, the Newton iteration that
+`ocp._newton_kernel` unrolls, and the Newton loop.  None of them is used by the pipeline.
 """
 
 import math
@@ -219,27 +219,40 @@ def ldl_solve(lower, rhs):
     return x, all(d < 0 for d in pivots)
 
 
+def reference_step(out, u):
+    """One pass of the reference Newton loop: `out` is the compiled
+    `newton_system` at the control `u` (g_1..g_m, then the lower triangle of
+    the control Hessian).  Returns what `ocp._newton_kernel(m)` must return:
+    None on a non-finite entry or a broken-down pivot; whether the Hessian is
+    negative definite once every |g_i| is below NEWTON_TOL; else the clipped
+    update, or None when some |u_i| reaches 1e6."""
+    m = len(u)
+    if not all(map(math.isfinite, out)):
+        return None
+    solved = ldl_solve(out[m:], out[:m])
+    if solved is None:
+        return None
+    step, negative_definite = solved
+    if all(abs(g) < NEWTON_TOL for g in out[:m]):
+        return negative_definite
+    u = [a - min(max(s, -2.0), 2.0) for a, s in zip(u, step)]
+    return u if all(abs(a) < 1e6 for a in u) else None
+
+
 def reference_newton(newton_fn, base, u):
     """dH/du = 0 at the sample point `base` by Newton from the control `u`,
     with `newton_fn` the compiled `TrueHamiltonian.newton_system` over
-    (sample rows, controls) and `ldl_solve` the step.  Returns what
+    (sample rows, controls) and `reference_step` the iteration.  Returns what
     `HamiltonianEvaluator._newton` must return: the control, or None."""
-    m = len(u)
     with np.errstate(all="ignore"):
         try:
             for _ in range(NEWTON_MAX_ITER):
-                out = newton_fn(*base, *u)
-                if not all(map(math.isfinite, out)):
+                new = reference_step(newton_fn(*base, *u), u)
+                if isinstance(new, bool):
+                    return u if new else None
+                if new is None:
                     return None
-                solved = ldl_solve(out[m:], out[:m])
-                if solved is None:
-                    return None
-                step, negative_definite = solved
-                if all(abs(g) < NEWTON_TOL for g in out[:m]):
-                    return u if negative_definite else None
-                u = [a - min(max(s, -2.0), 2.0) for a, s in zip(u, step)]
-                if not all(abs(a) < 1e6 for a in u):
-                    return None
+                u = new
         except (ArithmeticError, TypeError):
             return None
     return None

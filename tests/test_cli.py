@@ -98,6 +98,24 @@ class TestHostileProblemFiles:
         assert main(["analyze", str(path)]) in (0, 2)
         json.loads(capsys.readouterr().out)
 
+    def test_complex_excluded_denominator_skips_the_trajectory(self, tmp_path, capsys):
+        # at seed 1 an RK4 step takes x1 below 0, where the excluded
+        # denominator x1^(1/2) is complex; that trajectory is skipped
+        doc = {
+            "name": "sqrtden",
+            "states": ["x1"],
+            "controls": ["u1"],
+            "time": "t",
+            "lagrangian": "u1^2/2",
+            "dynamics": ["u1"],
+            "excluded_denominators": ["x1^(1/2)"],
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path), "--seed", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["verification"]["trajectories"]) == 3
+
     def test_numpy_scalar_leaving_the_real_domain_warns_nothing(self, tmp_path):
         # sin(x1) evaluates to a numpy scalar, and RK4 stages step x1 below 0,
         # where its square root is not real: under -W error::RuntimeWarning

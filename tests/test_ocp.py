@@ -14,7 +14,7 @@ from ocquad.ocp import (
 )
 from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
-from oracles import evaluate, ldl_solve, reference_newton
+from oracles import evaluate, ldl_solve, reference_newton, reference_step
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +214,7 @@ class TestEvalTrueHamiltonian:
             vc, gc = ev_c.value_and_gradient(*positional(problem, pt))
             vi, gi = ev_i.value_and_gradient(*positional(problem, pt))
             assert abs(vc - vi) < 1e-9
-            assert np.abs(gc - gi).max() < 1e-9
+            assert np.abs(np.subtract(gc, gi)).max() < 1e-9
 
     def test_envelope_identity(self, dubins, martinet):
         # gradient of reduced H equals the partials of H frozen at u = u_bar
@@ -336,6 +336,65 @@ class TestNewtonParity:
                 got = ev._newton(column, warm)
                 assert bits(got) == bits(reference_newton(ev._newton_fn, column, warm))
                 warm = guess if cold is None else cold
+
+
+class TestNewtonKernel:
+    """One call of the generated kernel returns bit for bit what one pass of
+    the reference iteration returns: the next control, True or False at
+    convergence, or None."""
+
+    @staticmethod
+    def cases(m, rng):
+        """(out, u) pairs: `out` lists g, then the lower triangle of A."""
+        def lower(a):
+            return [float(a[i, j]) for i in range(m) for j in range(i + 1)]
+
+        def spectral(eigenvalues):
+            q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            a = q @ np.diag(eigenvalues) @ q.T
+            return (a + a.T) / 2
+
+        out = []
+        for _ in range(40):
+            u = rng.uniform(-3.0, 3.0, m).tolist()
+            eigenvalues = rng.uniform(0.2, 5.0, m) * rng.choice([-1.0, 1.0], m)
+            eigenvalues[0] = abs(eigenvalues[0])
+            for a in (spectral(-rng.uniform(0.2, 5.0, m)), spectral(eigenvalues)):
+                g = rng.normal(size=m)
+                # a plain step, a step clipped at +-2, and convergence
+                for scale in (1.0, 100.0, 1e-13):
+                    out.append(((g * scale).tolist() + lower(a), u))
+            # an exact zero pivot: integer unit L and D with one 0
+            unit = np.tril(rng.integers(-2, 3, (m, m)), -1) + np.eye(m)
+            d = rng.choice([-1.0, -2.0, -4.0], m)
+            d[rng.integers(m)] = 0.0
+            out.append((rng.normal(size=m).tolist() + lower(unit @ np.diag(d) @ unit.T), u))
+            # a NaN or infinite entry
+            entries = rng.normal(size=m).tolist() + lower(spectral(-np.ones(m)))
+            entries[rng.integers(len(entries))] = rng.choice([np.nan, np.inf, -np.inf])
+            out.append((entries, u))
+            # a control near 1e6, stepped to either side of it
+            big = (rng.choice([-1.0, 1.0], m) * (1e6 - 1.0)).tolist()
+            out.append((rng.normal(size=m).tolist() + lower(spectral(-np.ones(m))), big))
+        # numpy scalars, as compiled trigonometric expressions return them
+        return out + [(list(map(np.float64, o)), list(map(np.float64, u)))
+                      for o, u in out[::3]]
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_matches_one_reference_iteration(self, m):
+        step = ocp._newton_kernel(m)
+        assert ocp._newton_kernel(m) is step
+        seen = set()
+        for out, u in self.cases(m, np.random.default_rng(30 + m)) if m else [([], [])]:
+            with np.errstate(all="ignore"):
+                got, want = step(out, u), reference_step(out, u)
+            if isinstance(want, list):
+                assert isinstance(got, list) and bits(got) == bits(want)
+                seen.add("step")
+            else:
+                assert got is want
+                seen.add(want)
+        assert seen == ({"step", True, False, None} if m else {True})
 
 
 class TestSampler:

@@ -44,6 +44,23 @@ def nonautonomous_th():
 
 
 class TestIntegrateExtremal:
+    def test_complex_excluded_denominator_is_a_pole(self):
+        # xdot = psi1 = -1 takes x1 below 0 in one step, where the excluded
+        # x1^(1/2) is complex: the trajectory ends, without a TypeError
+        doc = {
+            "name": "sqrtden",
+            "states": ["x1"],
+            "controls": ["u1"],
+            "time": "t",
+            "lagrangian": "u1^2/2",
+            "dynamics": ["u1"],
+            "excluded_denominators": ["x1^(1/2)"],
+        }
+        problem, _ = load_problem(doc)
+        with pytest.raises(PoleEncounteredError):
+            integrate_extremal(true_hamiltonian(problem), [0.0005, -1.0],
+                               horizon=0.01, step=1e-3)
+
     def test_free_particle_is_exact(self):
         th = scalar_th()
         traj = integrate_extremal(th, [0.0, 1.0], horizon=1.0, step=0.01)
