@@ -310,16 +310,17 @@ def _newton_kernel(m: int):
     definite.  Otherwise it returns the next control, u - s with each step
     clipped to [-2, 2], or None when some |u_i| reaches 1e6.
     """
+    if not m:   # nothing to solve, and the empty Hessian is negative definite
+        return lambda out, u: True
     g = [f"g{i}" for i in range(m)]
     d = [f"d{i}" for i in range(m)]
     lo = [[f"a{i}_{j}" for j in range(i + 1)] for i in range(m)]
-    lines = ["def _step(out, u):"]
-    if m:
-        entries = g + [a for row in lo for a in row]
-        lines += [f"    {', '.join(entries)}, = out",
-                  f"    {', '.join(f'u{i}' for i in range(m))}, = u",
-                  "    if not (" + " and ".join(f"isfinite({e})" for e in entries) + "):",
-                  "        return None"]
+    entries = g + [a for row in lo for a in row]
+    lines = ["def _step(out, u):",
+             f"    {', '.join(entries)}, = out",
+             f"    {', '.join(f'u{i}' for i in range(m))}, = u",
+             "    if not (" + " and ".join(f"isfinite({e})" for e in entries) + "):",
+             "        return None"]
     for i in range(m):
         for j in range(i):
             terms = "".join(f" - l{i}_{p} * l{j}_{p} * d{p}" for p in range(j))
@@ -332,15 +333,12 @@ def _newton_kernel(m: int):
     for i in reversed(range(m)):
         lines.append(f"    x{i} = y{i} / d{i}" + "".join(f" - l{p}_{i} * x{p}"
                                                        for p in range(i + 1, m)))
-    if m:
-        lines += ["    if " + " and ".join(f"abs({x}) < TOL" for x in g) + ":",
-                  "        return bool(" + " and ".join(f"{x} < 0" for x in d) + ")"]
-        lines += [f"    v{i} = u{i} - min(max(x{i}, -2.0), 2.0)" for i in range(m)]
-        lines += ["    if " + " and ".join(f"abs(v{i}) < 1e6" for i in range(m)) + ":",
-                  f"        return [{', '.join(f'v{i}' for i in range(m))}]",
-                  "    return None"]
-    else:
-        lines.append("    return True")
+    lines += ["    if " + " and ".join(f"abs({x}) < TOL" for x in g) + ":",
+              "        return bool(" + " and ".join(f"{x} < 0" for x in d) + ")",
+              *(f"    v{i} = u{i} - min(max(x{i}, -2.0), 2.0)" for i in range(m)),
+              "    if " + " and ".join(f"abs(v{i}) < 1e6" for i in range(m)) + ":",
+              f"        return [{', '.join(f'v{i}' for i in range(m))}]",
+              "    return None"]
     ns = {"isfinite": math.isfinite, "TOL": NEWTON_TOL}
     exec("\n".join(lines), ns)
     return ns["_step"]

@@ -29,10 +29,12 @@ class PoleEncounteredError(OcpError):
 def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.ndarray:
     """Classical fixed-step RK4 of y' = rhs(t, y) over `times`; (N+1, dim) states.
 
-    `rhs` returns a list of floats.  The state is stepped as a list of floats: for the few coordinates of a
-    phase point that costs less than one numpy call per vector operation, and
-    every coordinate goes through the same floating-point operations in the
-    same order.  Every OcpError of a right-hand side evaluation (a control
+    `rhs` returns a list of floats, and the state is stepped as one: for the
+    few coordinates of a phase point that costs less than one numpy call per
+    vector operation, and every coordinate goes through the same
+    floating-point operations in the same order.  Each step's state is copied
+    into one preallocated array, which holds the grid in less memory than a
+    list of per-step lists.  Every OcpError of a right-hand side evaluation (a control
     solve that finds no concave stationary point, or a stage that leaves the
     real domain, such as a negative base under a fractional power), every
     FloatingPointError (under the caller's ``np.errstate``), a non-finite
@@ -47,8 +49,9 @@ def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.n
             raise PoleEncounteredError(t)
         return out
 
+    states = np.empty((len(times), len(y)))
+    states[0] = y
     y = y.tolist()
-    states = [y]
     for k in range(len(times) - 1):
         t = times[k]
         try:
@@ -65,8 +68,8 @@ def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.n
         if not all(map(math.isfinite, y)):
             raise PoleEncounteredError(t)
         after_step(times[k + 1], y)
-        states.append(y)
-    return np.array(states)
+        states[k + 1] = y
+    return states
 
 
 def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
