@@ -380,7 +380,9 @@ class HamiltonianEvaluator:
         u_sol = None
         if not self.th.is_closed_form:
             guess = self.th.law.guess
-            solved = [self._newton(column, guess) for column in points.T.tolist()]
+            # one column list at a time: all of them at once would hold
+            # 1,001 lists for a verified trajectory
+            solved = [self._newton(column.tolist(), guess) for column in points.T]
             keep = np.array([u is not None for u in solved], dtype=bool)
             u_sol = np.array([guess if u is None else u for u in solved],
                              dtype=float).reshape(n_pts, len(guess))

@@ -34,4 +34,6 @@ def bracket_values(funcs: list[PhaseFunction], batch) -> np.ndarray:
     grads = np.stack([f.gradient(batch) for f in funcs])
     gx = np.ascontiguousarray(grads[:, :n])
     gp = np.ascontiguousarray(grads[:, n:2 * n])
-    return np.einsum("pin,qin->pqn", gx, gp) - np.einsum("pin,qin->pqn", gp, gx)
+    out = np.einsum("pin,qin->pqn", gx, gp)
+    out -= np.einsum("pin,qin->pqn", gp, gx)    # in place: one (m, m, N) temporary
+    return out

@@ -34,12 +34,12 @@ def _rk4(rhs, y: np.ndarray, times: np.ndarray, step: float, after_step) -> np.n
     vector operation, and every coordinate goes through the same
     floating-point operations in the same order.  Each step's state is copied
     into one preallocated array, which holds the grid in less memory than a
-    list of per-step lists.  Every OcpError of a right-hand side evaluation (a control
-    solve that finds no concave stationary point, or a stage that leaves the
-    real domain, such as a negative base under a fractional power), every
-    FloatingPointError (under the caller's ``np.errstate``), a non-finite
-    right-hand side or a non-finite state raises PoleEncounteredError; so may
-    `after_step(t, y)`, called after every step.
+    list of per-step lists.  Every OcpError of a right-hand side evaluation
+    (a control solve that finds no concave stationary point, or a stage that
+    leaves the real domain, such as a negative base under a fractional
+    power), every FloatingPointError (under the caller's ``np.errstate``), a
+    non-finite right-hand side or a non-finite state raises
+    PoleEncounteredError; so may `after_step(t, y)`, called after every step.
     """
     half, sixth = step / 2, step / 6
 

@@ -8,7 +8,8 @@ R(F) = dF/dt + {F, H} of a whole candidate expression; `combine` builds the
 family map at one parameter vector; `independence_rank_sequential` is the
 rank gate projecting one seed at a time; `ldl_solve`, `reference_step` and
 `reference_newton` are the generic LDL^T solve, the Newton iteration that
-`ocp._newton_kernel` unrolls, and the Newton loop.  None of them is used by the pipeline.
+`ocp._newton_kernel` unrolls, and the Newton loop around it.  None of them
+is used by the pipeline.
 """
 
 import math
