@@ -85,6 +85,11 @@ def positional(problem, pt):
     return [pt[s] for s in table.phase], pt[table.time]
 
 
+def bits(values):
+    """The IEEE bit pattern of a float vector, or None."""
+    return None if values is None else np.asarray(values, dtype=float).tobytes()
+
+
 class TestBuildHamiltonian:
     def test_dubins(self, dubins):
         h = build_hamiltonian(dubins)
@@ -287,13 +292,6 @@ class TestFlow:
             got = flow.rhs(pt[t.time], np.array([pt[s] for s in t.phase]))[t.n + 2]
             assert abs(got - evaluate(expected, pt)) < 1e-12
 
-
-def bits(values):
-    """The IEEE bit pattern of a float vector, or None."""
-    return None if values is None else np.asarray(values, dtype=float).tobytes()
-
-
-class TestFlowParity:
     @pytest.mark.parametrize("name", ["dubins", "trailer", "sr-2-3-5"])
     def test_rhs_matches_the_array_path(self, name):
         # rhs equals grad[rows] * signs on the evaluator's gradient, bit for
