@@ -434,6 +434,27 @@ class TestSampler:
             assert abs(value - batch.hvalue[i]) < 1e-10
             assert np.abs(batch.hgrad[:, i] - grad).max() < 1e-8
 
+    @pytest.mark.parametrize("name", ["trailer", "dubins"])
+    def test_prepare_ignores_the_warm_start(self, name):
+        # `prepare` solves every point from the guess, so value_and_gradient
+        # calls on the same evaluator, which move its warm start, leave the
+        # batch bit for bit unchanged
+        problem = named_problem(name)
+        th = true_hamiltonian(problem)
+        ev = ocp.HamiltonianEvaluator(th)
+        sampler = PointSampler(problem, ev, np.random.default_rng(11))
+        points = sampler.draw(50).points.copy()
+        others = sampler.draw(200).points
+        before, keep_before = ev.prepare(points)
+        for column in others.T:
+            ev.value_and_gradient(column[:-1], column[-1])
+        if not th.is_closed_form:
+            assert ev._warm is not None and list(ev._warm) != list(th.law.guess)
+        after, keep_after = ev.prepare(points)
+        assert bits(keep_after) == bits(keep_before)
+        for field in ("points", "hvalue", "hgrad", "controls"):
+            assert bits(getattr(after, field)) == bits(getattr(before, field))
+
 
 class TestLdlSolve:
     """The reference LDL^T step of the Newton loop agrees with
