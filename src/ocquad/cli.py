@@ -150,7 +150,7 @@ def _certificate_block(cert: Certificate) -> dict:
 
 
 def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
-    sampler = PointSampler(th.problem, th.evaluator(), rng)
+    sampler = PointSampler(th, rng)
     trajectories = []
     drift_max = [0.0] * family.m
     attempts = 0
@@ -176,13 +176,13 @@ def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
     }
 
 
-def _validate_user_law(problem, th) -> None:
+def _validate_user_law(th) -> None:
     """A file-supplied closed-form law must satisfy stationarity on samples."""
-    table = problem.table
+    table = th.table
     grads = [sx.differentiate(th.hamiltonian, u) for u in table.controls]
     bindings = dict(zip(table.controls, th.law.expressions))
     residuals = [sx.substitute(g, bindings) for g in grads]
-    sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(0))
+    sampler = PointSampler(th, np.random.default_rng(0))
     batch = sampler.draw(50)
     syms = sample_symbols(table)
     for r, u in zip(residuals, table.controls):
@@ -220,8 +220,8 @@ def run_analyze(source, options) -> tuple[dict, int]:
     t0 = time.monotonic()
     try:
         th = true_hamiltonian(problem, backend=options.backend)
-        if problem.control_law is not None and th.is_closed_form and th.k_u == 0:
-            _validate_user_law(problem, th)
+        if problem.control_law is not None and th.is_closed_form and problem.k_u == 0:
+            _validate_user_law(th)
     except OcpError as exc:
         raise AnalysisError(f"control elimination failed: {exc}") from exc
     timings["hamiltonian"] = time.monotonic() - t0
@@ -251,8 +251,7 @@ def run_analyze(source, options) -> tuple[dict, int]:
     }
 
     t0 = time.monotonic()
-    sampler = PointSampler(problem, th.evaluator(),
-                           np.random.default_rng(s_family))
+    sampler = PointSampler(th, np.random.default_rng(s_family))
     exit_code = 2
     try:
         family = discover_family(
@@ -287,8 +286,7 @@ def run_analyze(source, options) -> tuple[dict, int]:
 
     if options.poly_degree is not None:
         t0 = time.monotonic()
-        poly_sampler = PointSampler(problem, th.evaluator(),
-                                    np.random.default_rng(s_poly))
+        poly_sampler = PointSampler(th, np.random.default_rng(s_poly))
         try:
             poly = discover_polynomial_integrals(
                 th, poly_sampler, degree=options.poly_degree,

@@ -227,29 +227,27 @@ class RankEvidence:
 
 
 def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
-                      th: TrueHamiltonian, sampler: PointSampler,
-                      k_points: int = RANK_POINTS):
-    """Manufacture points on the admissible level manifold and record the rank
-    of the selection's (x, psi) Jacobian there.
+                      sampler: PointSampler):
+    """Manufacture RANK_POINTS points on the admissible level manifold and
+    record the rank of the selection's (x, psi) Jacobian there.
 
     Random seeds are Gauss-Newton projected onto {F_i = r*_i} with r* the
-    orthogonal projection of F(seed) onto span(r_basis); divergent seeds are
-    skipped and counted.  Seeds are projected in waves: each wave draws as
-    many seeds as points are still missing (within the 4 * k_points attempts)
-    and projects them together.  So the sampler sees the same draws, and the
-    evidence keeps the same order, as when each seed is projected before the
-    next is drawn.
+    orthogonal projection of F(seed) onto span(r_basis), through the
+    sampler's evaluator; divergent seeds are skipped and counted.  Seeds are
+    projected in waves: each wave draws as many seeds as points are still
+    missing (within the 4 * RANK_POINTS attempts) and projects them together.
+    So the sampler sees the same draws, and the evidence keeps the same
+    order, as when each seed is projected before the next is drawn.
     """
-    evaluator = th.evaluator()
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
         if r_basis else np.zeros((len(selection), 0))
     evidence: list[RankEvidence] = []
     attempts = 0
-    while len(evidence) < k_points and attempts < 4 * k_points:
-        need = min(k_points - len(evidence), 4 * k_points - attempts)
+    while len(evidence) < RANK_POINTS and attempts < 4 * RANK_POINTS:
+        need = min(RANK_POINTS - len(evidence), 4 * RANK_POINTS - attempts)
         attempts += need
         seeds = np.stack([sampler.draw_point() for _ in range(need)], axis=1)
-        for point, jac in _project_to_level(selection, r_mat, evaluator, seeds):
+        for point, jac in _project_to_level(selection, r_mat, sampler.evaluator, seeds):
             sv = np.linalg.svd(jac, compute_uv=False)
             rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
             evidence.append(RankEvidence(point=point, rank=rank))
@@ -371,7 +369,7 @@ def _candidate_selections(family: Family, n: int, rng: np.random.Generator):
             yield lam, None
 
 
-def _gates(lam: np.ndarray, combo: list | None, span: SpanSample, th: TrueHamiltonian,
+def _gates(lam: np.ndarray, combo: list | None, span: SpanSample,
            sampler: PointSampler) -> Certificate | tuple[int, str]:
     """Apply the Kozlov-Kolesnikov gates to one selection, in order.
 
@@ -410,7 +408,7 @@ def _gates(lam: np.ndarray, combo: list | None, span: SpanSample, th: TrueHamilt
         return 1, f"{label}: closed brackets but the algebra is not solvable"
     r_basis = admissible_levels(xi, n)
     selection_funcs = _selection_functions(span.family, lam)
-    evidence, skipped = independence_rank(selection_funcs, r_basis, th, sampler)
+    evidence, skipped = independence_rank(selection_funcs, r_basis, sampler)
     if len(evidence) < RANK_POINTS or any(e.rank != n for e in evidence):
         return 2, (f"{label}: rank gate failed "
                    f"({len(evidence)}/{RANK_POINTS} projections converged, "
@@ -449,7 +447,7 @@ def find_certificate(span: SpanSample, th: TrueHamiltonian, sampler: PointSample
     furthest, diagnostic = -1, "no candidate selections"
     candidates = _candidate_selections(family, n, rng)
     for lam, combo in itertools.islice(candidates, MAX_CANDIDATES):
-        outcome = _gates(lam, combo, span, th, sampler)
+        outcome = _gates(lam, combo, span, sampler)
         if isinstance(outcome, Certificate):
             return outcome
         if outcome[0] > furthest:

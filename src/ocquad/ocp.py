@@ -169,7 +169,6 @@ class TrueHamiltonian:
     hamiltonian: Expr
     law: ClosedFormLaw | ImplicitLaw
     reduced: Expr | None
-    k_u: int = 0
 
     @property
     def is_closed_form(self) -> bool:
@@ -196,12 +195,6 @@ class TrueHamiltonian:
         return grads + tuple(sx.differentiate(grads[i], controls[j])
                              for i in range(len(controls)) for j in range(i + 1))
 
-    def evaluator(self) -> "HamiltonianEvaluator":
-        return HamiltonianEvaluator(self)
-
-    def flow(self) -> "HamiltonianFlow":
-        return HamiltonianFlow(self)
-
 
 def true_hamiltonian(problem: Problem, backend: str = "auto") -> TrueHamiltonian:
     """Build the true Hamiltonian, choosing or forcing a control backend."""
@@ -221,10 +214,9 @@ def true_hamiltonian(problem: Problem, backend: str = "auto") -> TrueHamiltonian
                                                           law.expressions))))
             if reduced.free() & controls:
                 raise InvalidControlLawError("reduced Hamiltonian still mentions controls")
-            return TrueHamiltonian(problem, h, law, reduced, k_u=problem.k_u)
+            return TrueHamiltonian(problem, h, law, reduced)
     guess = problem.control_guess or (0.0,) * problem.table.m_ctl
-    return TrueHamiltonian(problem, h, ImplicitLaw(tuple(map(float, guess))), None,
-                           k_u=problem.k_u)
+    return TrueHamiltonian(problem, h, ImplicitLaw(tuple(map(float, guess))), None)
 
 
 def sample_symbols(table: SymbolTable) -> tuple[Symbol, ...]:
@@ -481,7 +473,7 @@ class HamiltonianFlow:
     """Right-hand side of xdot = dH/dpsi, psidot = -dH/dx."""
 
     def __init__(self, th: TrueHamiltonian):
-        self.evaluator = th.evaluator()
+        self.evaluator = HamiltonianEvaluator(th)
         self._n = th.table.n
 
     def rhs(self, t: float, y) -> list:
@@ -492,20 +484,19 @@ class HamiltonianFlow:
 
 
 class PointSampler:
-    """Uniform draws from the problem's sampling box.
+    """Uniform draws from the problem's sampling box, evaluated by the
+    sampler's own HamiltonianEvaluator.
 
     Points where an excluded denominator comes within 0.1 of zero are
     rejected, as are points the implicit backend cannot solve.
     """
 
-    def __init__(self, problem: Problem, evaluator: HamiltonianEvaluator,
-                 rng: np.random.Generator):
-        self.problem = problem
-        self.evaluator = evaluator
+    def __init__(self, th: TrueHamiltonian, rng: np.random.Generator):
+        self.evaluator = HamiltonianEvaluator(th)
         self.rng = rng
-        syms = sample_symbols(problem.table)
-        self._bounds = [problem.sampling_box[s] for s in syms]
-        self._denoms = [sx.compile_fn(d, syms) for d in problem.excluded_denominators]
+        syms = sample_symbols(th.table)
+        self._bounds = [th.problem.sampling_box[s] for s in syms]
+        self._denoms = [sx.compile_fn(d, syms) for d in th.problem.excluded_denominators]
 
     def draw(self, count: int) -> SampleBatch:
         got: SampleBatch | None = None

@@ -175,10 +175,6 @@ class SymbolTable:
         return self._time
 
     @property
-    def parameters(self) -> tuple[Symbol, ...]:
-        return tuple(s for s in self._symbols if s.role is Role.PARAMETER)
-
-    @property
     def phase(self) -> tuple[Symbol, ...]:
         """(x_1..x_n, psi_1..psi_n)."""
         return self._states + self._costates

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import symexpr as sx
 from .ocp import (
+    HamiltonianFlow,
     OcpError,
     PhaseFunction,
     SampleBatch,
@@ -110,7 +111,7 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
                 raise PoleEncounteredError(t)
         previous = current
 
-    flow = th.flow()
+    flow = HamiltonianFlow(th)
     with np.errstate(invalid="raise", divide="raise"):
         check_denominators(t0, y)
         states = _rk4(flow.rhs, y, times, step, check_denominators)
@@ -120,9 +121,8 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     return batch
 
 
-def conservation_drift(f, traj: SampleBatch) -> float:
+def conservation_drift(f: PhaseFunction, traj: SampleBatch) -> float:
     """max_t |F(z(t), t) - F(z(0), t0)| over the trajectory grid, read from the
     envelope batch `integrate_extremal` returns."""
-    func = f if isinstance(f, PhaseFunction) else PhaseFunction(f, traj.table)
-    vals = func.values(traj)
+    vals = f.values(traj)
     return float(np.abs(vals - vals[0]).max())

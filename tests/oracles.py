@@ -19,7 +19,7 @@ import numpy as np
 
 from ocquad import symexpr as sx
 from ocquad.kk import PROJECTION_TOL, RANK_POINTS, RANK_SV_TOL, RankEvidence
-from ocquad.ocp import NEWTON_MAX_ITER, NEWTON_TOL, PhaseFunction
+from ocquad.ocp import NEWTON_MAX_ITER, NEWTON_TOL, HamiltonianEvaluator, PhaseFunction
 from ocquad.poisson import bracket
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, Expr
 
@@ -125,19 +125,20 @@ def combine(family, weights):
     return PhaseFunction(expr, family.components[0].function.table)
 
 
-def independence_rank_sequential(selection, r_basis, th, sampler, k_points=RANK_POINTS):
+def independence_rank_sequential(selection, r_basis, sampler):
     """The rank gate one seed at a time: each drawn seed is Gauss-Newton
     projected on its own, with a per-point `np.linalg.lstsq` step, before the
-    next seed is drawn.  `kk.independence_rank` projects them in waves and
-    must give the same evidence from the same draws."""
-    evaluator = th.evaluator()
+    next seed is drawn.  `kk.independence_rank` projects them in waves, through
+    the sampler's evaluator, and must give the same evidence from the same
+    draws; this one projects through an evaluator of its own."""
+    evaluator = HamiltonianEvaluator(sampler.evaluator.th)
     n_sel = len(selection)
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
         if r_basis else np.zeros((n_sel, 0))
     evidence = []
     skipped = 0
     attempts = 0
-    while len(evidence) < k_points and attempts < 4 * k_points:
+    while len(evidence) < RANK_POINTS and attempts < 4 * RANK_POINTS:
         attempts += 1
         point = sampler.draw_point()
         z, t_val = point[:-1], point[-1]

@@ -35,7 +35,7 @@ def pipeline(name, backend="auto", degree=2, include_time=True, seed=42):
     problem, _ = load_problem(builtin(name))
     th = true_hamiltonian(problem, backend=backend)
     s_family, s_cert, s_verify, s_poly = np.random.SeedSequence(seed).spawn(4)
-    sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(s_family))
+    sampler = PointSampler(th, np.random.default_rng(s_family))
     family = discover_family(th, sampler, degree=degree, include_time=include_time)
     cert = find_certificate(sample_span(family, sampler), th, sampler,
                             np.random.default_rng(s_cert))
@@ -164,7 +164,7 @@ class TestCriterion3Trailer:
             except Exception:
                 continue
             for expr in paper:
-                assert conservation_drift(expr, traj) < DRIFT_TOL
+                assert conservation_drift(PhaseFunction(expr, table), traj) < DRIFT_TOL
             trajectories += 1
         assert trajectories == 3
 
@@ -251,8 +251,7 @@ class TestCriterion4SubRiemannian:
         table = problem.table
         th = true_hamiltonian(problem)
         s_family, s_cert, s_verify, s_poly = np.random.SeedSequence(42).spawn(4)
-        poly_sampler = PointSampler(problem, th.evaluator(),
-                                    np.random.default_rng(s_poly))
+        poly_sampler = PointSampler(th, np.random.default_rng(s_poly))
         poly = discover_polynomial_integrals(th, poly_sampler, degree=4)
         f = parse("-psi1*psi5 + psi2*psi4 - (psi3 + 1/2*psi5*x2)*x2*psi5", table)
         assert span_contains(poly, f, table, poly_sampler)

@@ -24,7 +24,7 @@ from oracles import combine, independence_rank_sequential
 def setup_problem(name, backend="auto", seed=42):
     problem, _ = load_problem(builtin(name))
     th = true_hamiltonian(problem, backend=backend)
-    sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(seed))
+    sampler = PointSampler(th, np.random.default_rng(seed))
     return problem, th, sampler
 
 
@@ -402,7 +402,7 @@ class TestIndependenceRank:
                  PhaseFunction(symref(t.costate(2)), t),
                  PhaseFunction(parse("-psi1*x2 + psi2*x1 + psi3", t), t)]
         r_basis = [frac(0, 0, 1)]
-        evidence, skipped = independence_rank(funcs, r_basis, th, sampler, k_points=5)
+        evidence, skipped = independence_rank(funcs, r_basis, sampler)
         assert len(evidence) == 5
         assert all(e.rank == 3 for e in evidence)
         for e in evidence:
@@ -415,8 +415,7 @@ class TestIndependenceRank:
         f = PhaseFunction(symref(t.costate(1)), t)
         funcs = [f, PhaseFunction(symref(t.costate(1)), t),
                  PhaseFunction(symref(t.costate(2)), t)]
-        evidence, _ = independence_rank(funcs, [frac(1, 1, 0), frac(0, 0, 1)],
-                                        th, sampler, k_points=3)
+        evidence, _ = independence_rank(funcs, [frac(1, 1, 0), frac(0, 0, 1)], sampler)
         assert evidence and all(e.rank < 3 for e in evidence)
 
     def test_sr235_involutive_set_rank_five(self):
@@ -428,7 +427,7 @@ class TestIndependenceRank:
             symref(t.costate(4)), symref(t.costate(5)))]
         full = [tuple(Fraction(1 if i == j else 0) for j in range(5))
                 for i in range(5)]
-        evidence, _ = independence_rank(funcs, full, th, sampler, k_points=5)
+        evidence, _ = independence_rank(funcs, full, sampler)
         assert len(evidence) == 5
         assert all(e.rank == 5 for e in evidence)
 
@@ -449,7 +448,7 @@ def project_both_ways(name, pick, r_basis, backend="auto", seed=42):
     for rank_fn in (independence_rank, independence_rank_sequential):
         problem, th, sampler = setup_problem(name, backend=backend, seed=seed)
         funcs = [PhaseFunction(e, problem.table) for e in pick(problem.table)]
-        evidence, skipped = rank_fn(funcs, r_basis, th, sampler)
+        evidence, skipped = rank_fn(funcs, r_basis, sampler)
         runs.append((evidence, skipped, sampler.rng.bit_generator.state))
     (evidence, skipped, state), (want, want_skipped, want_state) = runs
     assert skipped == want_skipped
@@ -572,7 +571,7 @@ class TestFindCertificate:
         cert = find_certificate(sample_span(fam, sampler), th, sampler, np.random.default_rng(9))
         assert cert.solvable
         sel = [fam.components[i].function for i in cert.selection]
-        fresh = PointSampler(problem, th.evaluator(), np.random.default_rng(999))
+        fresh = PointSampler(th, np.random.default_rng(999))
         batch = fresh.draw(80)
         brackets = bracket_values(sel, batch)
         n = len(sel)

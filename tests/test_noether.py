@@ -27,7 +27,7 @@ from oracles import Residual, combine
 def setup_problem(name, backend="auto", seed=42):
     problem, _ = load_problem(builtin(name))
     th = true_hamiltonian(problem, backend=backend)
-    sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(seed))
+    sampler = PointSampler(th, np.random.default_rng(seed))
     return problem, th, sampler
 
 
@@ -156,7 +156,7 @@ def timed_harmonic_th():
 def polynomial_case(name):
     if name == "timed-harmonic":
         th = timed_harmonic_th()
-        return th, PointSampler(th.problem, th.evaluator(), np.random.default_rng(3))
+        return th, PointSampler(th, np.random.default_rng(3))
     _, th, sampler = setup_problem(name)
     return th, sampler
 
@@ -504,7 +504,7 @@ class TestExtractFamily:
     def test_every_component_passes_fresh_holdout(self):
         _, th, sampler = setup_problem("dubins")
         fam = discover_family(th, sampler, degree=2)
-        fresh = PointSampler(th.problem, th.evaluator(), np.random.default_rng(777))
+        fresh = PointSampler(th, np.random.default_rng(777))
         for comp in fam.components:
             residual = Residual(comp.function, th).values(fresh.draw(100))
             assert np.abs(residual).max() < 1e-8
@@ -547,7 +547,7 @@ class TestExtractFamily:
         }
         problem, _ = load_problem(doc)
         th = true_hamiltonian(problem)
-        sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(0))
+        sampler = PointSampler(th, np.random.default_rng(0))
         with pytest.raises(EmptyNullspaceError):
             discover_family(th, sampler, degree=0, include_time=False)
 
@@ -661,7 +661,7 @@ def harmonic_polynomial_kernel(degree):
 class TestDiscoverPolynomialIntegrals:
     def test_harmonic_matches_exact_monomial_solve(self):
         th = harmonic_th()
-        sampler = PointSampler(th.problem, th.evaluator(), np.random.default_rng(1))
+        sampler = PointSampler(th, np.random.default_rng(1))
         fam = discover_polynomial_integrals(th, sampler, degree=2,
                                             include_hamiltonian=False)
         assert fam.m == harmonic_polynomial_kernel(2) == 1

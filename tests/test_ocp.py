@@ -4,6 +4,8 @@ import pytest
 from ocquad import ocp
 from ocquad import symexpr as sx
 from ocquad.ocp import (
+    HamiltonianEvaluator,
+    HamiltonianFlow,
     NotAffineInControlError,
     OcpError,
     PointSampler,
@@ -182,7 +184,7 @@ class TestEvalTrueHamiltonian:
         th = true_hamiltonian(problem)
         t = problem.table
         assert th.reduced == parse("psi1^2/2", t)
-        value, grad = th.evaluator().value_and_gradient([0.3, -0.7], 0.1)
+        value, grad = HamiltonianEvaluator(th).value_and_gradient([0.3, -0.7], 0.1)
         assert abs(value - 0.5 * 0.7 ** 2) < 1e-15
         assert grad[0] == 0.0                    # x1
         assert abs(grad[1] - (-0.7)) < 1e-15     # psi1
@@ -190,7 +192,7 @@ class TestEvalTrueHamiltonian:
 
     def test_closed_form_gradient_matches_finite_differences(self, dubins):
         th = true_hamiltonian(dubins)
-        ev = th.evaluator()
+        ev = HamiltonianEvaluator(th)
         h = 1e-6
         for pt in phase_points(dubins, 20, seed=2):
             z, t = positional(dubins, pt)
@@ -210,8 +212,8 @@ class TestEvalTrueHamiltonian:
         th_closed = true_hamiltonian(problem)
         th_impl = true_hamiltonian(problem, backend="implicit")
         assert not th_impl.is_closed_form
-        ev_c = th_closed.evaluator()
-        ev_i = th_impl.evaluator()
+        ev_c = HamiltonianEvaluator(th_closed)
+        ev_i = HamiltonianEvaluator(th_impl)
         x1 = problem.table.state(1)
         for pt in phase_points(problem, 30, seed=3):
             if name == "martinet" and abs(1 + pt[x1]) < 0.1:
@@ -225,7 +227,7 @@ class TestEvalTrueHamiltonian:
         # gradient of reduced H equals the partials of H frozen at u = u_bar
         for problem in (dubins, martinet):
             th = true_hamiltonian(problem)
-            ev = th.evaluator()
+            ev = HamiltonianEvaluator(th)
             t = problem.table
             h_partials = [sx.differentiate(th.hamiltonian, s)
                           for s in t.phase + (t.time,)]
@@ -253,16 +255,15 @@ class TestEvalTrueHamiltonian:
               t.state(4): -0.04102, t.costate(1): 0.917, t.costate(2): -0.3654,
               t.costate(3): -0.1958, t.costate(4): -0.9982, t.time: 0.4202}
         with pytest.raises(ocp.NewtonDivergenceError) as exc:
-            th.evaluator().value_and_gradient(*positional(trailer, pt))
+            HamiltonianEvaluator(th).value_and_gradient(*positional(trailer, pt))
         assert exc.value.point is not None
 
     def test_implicit_stationarity_on_samples(self, trailer):
         # points come from the sampler: phase points with no concave
         # stationary control (they exist for the trailer) are out of domain
         th = true_hamiltonian(trailer)
-        ev = th.evaluator()
         t = trailer.table
-        sampler = PointSampler(trailer, ev, np.random.default_rng(5))
+        sampler = PointSampler(th, np.random.default_rng(5))
         batch = sampler.draw(25)
         grads = [sx.differentiate(th.hamiltonian, u) for u in t.controls]
         for i in range(batch.size):
@@ -276,14 +277,14 @@ class TestFlow:
     def test_free_particle(self):
         problem = scalar_problem()
         th = true_hamiltonian(problem)
-        flow = th.flow()
+        flow = HamiltonianFlow(th)
         # H = psi1^2/2: xdot = psi1, psidot = 0
         for t, y in [(0.0, [0.0, 1.0]), (0.3, [0.7, -1.3]), (2.0, [-5.0, 0.25])]:
             assert np.allclose(flow.rhs(t, np.array(y)), [y[1], 0.0], atol=1e-15)
 
     def test_dubins_adjoint_component(self, dubins):
         th = true_hamiltonian(dubins)
-        flow = th.flow()
+        flow = HamiltonianFlow(th)
         t = dubins.table
         expected = parse(
             "(cos(x3)*psi1 + sin(x3)*psi2) * (sin(x3)*psi1 - cos(x3)*psi2)",
@@ -299,10 +300,10 @@ class TestFlow:
         # backend's warm starts match
         problem = named_problem(name)
         th = true_hamiltonian(problem)
-        flow, ev = th.flow(), th.evaluator()
+        flow, ev = HamiltonianFlow(th), HamiltonianEvaluator(th)
         n = problem.table.n
         rows, signs = np.r_[n:2 * n, :n], np.repeat([1.0, -1.0], n)
-        batch = PointSampler(problem, th.evaluator(), np.random.default_rng(8)).draw(50)
+        batch = PointSampler(th, np.random.default_rng(8)).draw(50)
         for column in batch.points.T:
             y, t = column[:-1], column[-1]
             _, grad = ev.value_and_gradient(y, t)
@@ -319,9 +320,9 @@ class TestNewtonParity:
     def test_matches_reference(self, name):
         problem = named_problem(name)
         th = true_hamiltonian(problem, backend="implicit")
-        ev = th.evaluator()
+        ev = HamiltonianEvaluator(th)
         guess = th.law.guess
-        sampled = PointSampler(problem, ev, np.random.default_rng(4)).draw(200).points
+        sampled = PointSampler(th, np.random.default_rng(4)).draw(200).points
         rng = np.random.default_rng(5)
         raw = np.array([rng.uniform(*problem.sampling_box[s], 200)
                         for s in ocp.sample_symbols(problem.table)])
@@ -399,7 +400,7 @@ class TestNewtonKernel:
 class TestSampler:
     def test_respects_exclusions_and_box(self, martinet):
         th = true_hamiltonian(martinet)
-        sampler = PointSampler(martinet, th.evaluator(), np.random.default_rng(0))
+        sampler = PointSampler(th, np.random.default_rng(0))
         batch = sampler.draw(200)
         assert batch.size == 200
         x1 = batch.column(martinet.table.state(1))
@@ -410,8 +411,8 @@ class TestSampler:
 
     def test_deterministic_under_seed(self, dubins):
         th = true_hamiltonian(dubins)
-        b1 = PointSampler(dubins, th.evaluator(), np.random.default_rng(9)).draw(50)
-        b2 = PointSampler(dubins, th.evaluator(), np.random.default_rng(9)).draw(50)
+        b1 = PointSampler(th, np.random.default_rng(9)).draw(50)
+        b2 = PointSampler(th, np.random.default_rng(9)).draw(50)
         for s in dubins.table.phase:
             assert np.array_equal(b1.column(s), b2.column(s))
         assert np.array_equal(b1.hvalue, b2.hvalue)
@@ -425,12 +426,11 @@ class TestSampler:
         problem = named_problem(name)
         th = true_hamiltonian(problem, backend="implicit" if name == THREE_CONTROLS else "auto")
         assert th.is_closed_form == (name not in ("trailer", THREE_CONTROLS))
-        ev = th.evaluator()
-        sampler = PointSampler(problem, ev, np.random.default_rng(1))
+        sampler = PointSampler(th, np.random.default_rng(1))
         batch = sampler.draw(20)
         for i in range(batch.size):
-            value, grad = th.evaluator().value_and_gradient(batch.points[:-1, i],
-                                                            batch.points[-1, i])
+            value, grad = HamiltonianEvaluator(th).value_and_gradient(batch.points[:-1, i],
+                                                                      batch.points[-1, i])
             assert abs(value - batch.hvalue[i]) < 1e-10
             assert np.abs(batch.hgrad[:, i] - grad).max() < 1e-8
 
@@ -441,8 +441,8 @@ class TestSampler:
         # batch bit for bit unchanged
         problem = named_problem(name)
         th = true_hamiltonian(problem)
-        ev = ocp.HamiltonianEvaluator(th)
-        sampler = PointSampler(problem, ev, np.random.default_rng(11))
+        sampler = PointSampler(th, np.random.default_rng(11))
+        ev = sampler.evaluator
         points = sampler.draw(50).points.copy()
         others = sampler.draw(200).points
         before, keep_before = ev.prepare(points)
@@ -542,7 +542,7 @@ class TestTupleCompile:
     def test_envelope(self, name):
         problem, _ = load_problem(builtin(name))
         th = true_hamiltonian(problem)
-        batch = PointSampler(problem, th.evaluator(), np.random.default_rng(2)).draw(12)
+        batch = PointSampler(th, np.random.default_rng(2)).draw(12)
         args = ocp.sample_symbols(problem.table)
         columns = list(batch.points)
         groups = [th.envelope]
@@ -559,7 +559,7 @@ class TestTupleCompile:
         expr = sx.add(sx.mul(symref(HAMILTONIAN_SYMBOL), parse("psi3 + x1^2", t)),
                       parse("sin(x3)*psi2 + 2", t))
         func = ocp.PhaseFunction(expr, t)
-        batch = PointSampler(dubins, th.evaluator(), np.random.default_rng(3)).draw(12)
+        batch = PointSampler(th, np.random.default_rng(3)).draw(12)
         args = ocp.sample_symbols(t) + (HAMILTONIAN_SYMBOL,)
         exprs = [sx.differentiate(expr, s) for s in args]
         columns = [*batch.points, batch.hvalue]

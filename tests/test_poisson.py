@@ -27,7 +27,7 @@ def martinet_th():
 
 
 def sampler_for(th, seed=0):
-    return PointSampler(th.problem, th.evaluator(), np.random.default_rng(seed))
+    return PointSampler(th, np.random.default_rng(seed))
 
 
 def random_polynomial(gen, table, max_degree=2):
@@ -186,7 +186,7 @@ class TestIsFirstIntegral:
     def test_works_on_implicit_backend(self):
         problem, _ = load_problem(builtin("trailer"))
         th = true_hamiltonian(problem)
-        sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(7))
+        sampler = PointSampler(th, np.random.default_rng(7))
         f = parse("-psi1*x2 + psi2*x1 + psi3 + psi4", problem.table)
         assert max_residual(f, th, sampler) < 1e-9
         assert max_residual(symref(problem.table.state(1)), th, sampler) >= 1e-8

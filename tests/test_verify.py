@@ -71,15 +71,16 @@ class TestIntegrateExtremal:
     def test_dubins_energy_drift(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                   horizon=1.0, step=1e-3)
-        assert conservation_drift(dubins_th.reduced, traj) < 1e-10
+        assert conservation_drift(PhaseFunction(dubins_th.reduced, dubins_th.table), traj) < 1e-10
 
     def test_fourth_order_drift_ratio(self, dubins_th):
         coarse = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                     horizon=1.0, step=0.02)
         fine = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                   horizon=1.0, step=0.01)
-        d_coarse = conservation_drift(dubins_th.reduced, coarse)
-        d_fine = conservation_drift(dubins_th.reduced, fine)
+        energy = PhaseFunction(dubins_th.reduced, dubins_th.table)
+        d_coarse = conservation_drift(energy, coarse)
+        d_fine = conservation_drift(energy, fine)
         assert 12.0 <= d_coarse / d_fine <= 20.0
 
     def test_bad_step_rejected(self, dubins_th):
@@ -102,31 +103,31 @@ class TestConservationDrift:
     def test_constant_function(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                   horizon=0.5, step=1e-2)
-        assert conservation_drift(sx.num(3), traj) == 0.0
+        assert conservation_drift(PhaseFunction(sx.num(3), dubins_th.table), traj) == 0.0
 
     def test_dubins_angular_integral_along_random_extremals(self, dubins_th):
         t = dubins_th.table
-        f = parse("-psi1*x2 + psi2*x1 + psi3", t)
-        sampler = PointSampler(dubins_th.problem, dubins_th.evaluator(),
-                               np.random.default_rng(0))
+        f = PhaseFunction(parse("-psi1*x2 + psi2*x1 + psi3", t), t)
+        sampler = PointSampler(dubins_th, np.random.default_rng(0))
         batch = sampler.draw(3)
         for i in range(3):
             z0 = [batch.column(s)[i] for s in t.phase]
             traj = integrate_extremal(dubins_th, z0, horizon=1.0, step=1e-3)
             assert conservation_drift(f, traj) < 1e-6
-            assert conservation_drift(symref(t.state(1)), traj) > 1e-2
+            assert conservation_drift(PhaseFunction(symref(t.state(1)), t), traj) > 1e-2
 
     def test_hamiltonian_placeholder(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0.1, -0.2, 0.3, 0.8, -0.5, 0.9],
                                   horizon=1.0, step=1e-3)
-        drift = conservation_drift(symref(HAMILTONIAN_SYMBOL), traj)
+        h = PhaseFunction(symref(HAMILTONIAN_SYMBOL), dubins_th.table)
+        drift = conservation_drift(h, traj)
         assert drift < 1e-10
 
 
     def test_reads_the_trajectory_batch(self, dubins_th, monkeypatch):
         traj = integrate_extremal(dubins_th, [0.1, -0.2, 0.3, 0.8, -0.5, 0.9],
                                   horizon=0.5, step=1e-2)
-        fresh, keep = dubins_th.evaluator().prepare(traj.points)
+        fresh, keep = HamiltonianEvaluator(dubins_th).prepare(traj.points)
         assert keep.all()
         calls = []
         original = HamiltonianEvaluator.prepare
@@ -140,7 +141,7 @@ class TestConservationDrift:
         for expr in (symref(HAMILTONIAN_SYMBOL),
                      sx.add(parse("-psi1*x2 + psi2*x1 + psi3", t),
                             sx.mul(symref(t.time), symref(HAMILTONIAN_SYMBOL)))):
-            drift = conservation_drift(expr, traj)
+            drift = conservation_drift(PhaseFunction(expr, t), traj)
             vals = PhaseFunction(expr, t).values(fresh)
             assert drift == float(np.abs(vals - vals[0]).max())
         assert calls == []
@@ -152,7 +153,7 @@ class TestFamilyConservation:
         from ocquad.noether import discover_family
         problem, _ = load_problem(builtin(name))
         th = true_hamiltonian(problem)
-        sampler = PointSampler(problem, th.evaluator(), np.random.default_rng(4))
+        sampler = PointSampler(th, np.random.default_rng(4))
         family = discover_family(th, sampler, degree=2)
         t = problem.table
         done = 0
