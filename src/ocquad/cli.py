@@ -451,7 +451,7 @@ def main(argv=None) -> int:
 
     try:
         report, code = run_analyze(args.problem, args)
-    except (AnalysisError, ProblemFileError, OcpError, NoetherError) as exc:
+    except (AnalysisError, ProblemFileError, OcpError, NoetherError, sx.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     body = (json.dumps(report, indent=2) + "\n" if args.format == "json"

@@ -784,7 +784,9 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...]) -> Callable
     into a local, so each value is the one its own compiled function would
     return, from the same floating-point operations.  The compiled form
     performs no domain guarding; callers are expected to stay inside the
-    region the sampler accepts.
+    region the sampler accepts.  A constant beyond the float range, or an
+    expression too long or too deeply nested for the Python compiler, raises
+    EvaluationError.
     """
     names = {s: f"a{i}" for i, s in enumerate(args)}
     exprs = e if isinstance(e, tuple) else (e,)
@@ -794,14 +796,20 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...]) -> Callable
             "cannot compile, unbound: " + ", ".join(sorted(s.name for s in missing)))
     shared: dict[Expr, str] = {}
     lines = ["def _f(" + ", ".join(names[s] for s in args) + "):"]
-    for i, x in enumerate(_repeated_subexpressions(exprs)):
-        lines.append(f"    c{i} = " + _emit(x, names, shared))
-        shared[x] = f"c{i}"
-    body = ("(" + "".join(_emit(x, names, shared) + ", " for x in e) + ")"
-            if isinstance(e, tuple) else _emit(e, names, shared))
-    src = "\n".join(lines + ["    return " + body])
     ns: dict = {"np": np}
-    exec(src, ns)
+    try:
+        for i, x in enumerate(_repeated_subexpressions(exprs)):
+            lines.append(f"    c{i} = " + _emit(x, names, shared))
+            shared[x] = f"c{i}"
+        body = ("(" + "".join(_emit(x, names, shared) + ", " for x in e) + ")"
+                if isinstance(e, tuple) else _emit(e, names, shared))
+        exec("\n".join(lines + ["    return " + body]), ns)
+    except OverflowError:
+        raise EvaluationError("cannot compile: a constant is beyond the float range "
+                              "(magnitude above 1.8e308)") from None
+    except (RecursionError, SyntaxError) as exc:    # the compiler's nesting limits
+        raise EvaluationError("cannot compile: expression too long or too deeply "
+                              f"nested ({type(exc).__name__})") from None
     return ns["_f"]
 
 
@@ -1000,4 +1008,8 @@ class _Parser:
 
 def parse(text: str, table: SymbolTable) -> Expr:
     """Parse an expression string against a symbol table."""
-    return _Parser(text, table).parse()
+    parser = _Parser(text, table)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None

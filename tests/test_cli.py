@@ -60,6 +60,25 @@ HOSTILE_ENTRIES = {
 }
 
 
+def _polynomial(var, terms):
+    return " + ".join(["1"] + [f"{var}^{k}" for k in range(1, terms)])
+
+
+# (dynamics, parameters, part of the message) for problem files whose
+# expressions the parser or the compiler cannot take
+HOSTILE_EXPRESSIONS = {
+    "nested_parentheses": (["(" * 400 + "u1" + ")" * 400], {}, "nested too deeply"),
+    "unary_minus_chain": (["-" * 3000 + "u1"], {}, "nested too deeply"),
+    "power_chain": (["u1" + "^1" * 3000], {}, "nested too deeply"),
+    "constant_overflow": (["u1*10^400"], {}, "beyond the float range"),
+    # a finite parameter whose square in the reduced H is not
+    "parameter_square_overflow": (["a*u1"], {"a": 1e200}, "beyond the float range"),
+    # the reduced H expands to one flat sum of 3,600 terms
+    "flat_sum_too_long": (["u1", f"({_polynomial('x1', 60)})*({_polynomial('x2', 60)})"],
+                          {}, "too long or too deeply nested"),
+}
+
+
 class TestHostileProblemFiles:
     @pytest.mark.parametrize("case", sorted(HOSTILE_ENTRIES))
     def test_bad_entry_is_an_error_not_a_traceback(self, case, tmp_path, capsys):
@@ -75,6 +94,21 @@ class TestHostileProblemFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert message in err
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_EXPRESSIONS))
+    def test_hostile_expression_is_an_error_not_a_traceback(self, case, tmp_path, capsys):
+        dynamics, parameters, message = HOSTILE_EXPRESSIONS[case]
+        doc = {"name": case, "states": [f"x{i + 1}" for i in range(len(dynamics))],
+               "controls": ["u1"], "time": "t", "lagrangian": "u1^2/2",
+               "dynamics": dynamics, "parameters": parameters}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:")
+        assert out.err.count("\n") == 1
+        assert message in out.err
 
     def test_directory_as_problem_path(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path)]) == 1
@@ -156,6 +190,8 @@ HOSTILE_FLAGS = {
     "output_in_missing_directory": ("dubins", ["--output", "{tmp}/missing/x.json"],
                                     "cannot write"),
     "param_overflow": ("martinet", ["--param", "alpha=1e400"], "parameter 'alpha'"),
+    # alpha is finite, but alpha^2 in the reduced H is not
+    "param_square_overflow": ("sr-2-3-5", ["--param", "alpha=1e200"], "beyond the float range"),
     # 2,804 coefficients at 3 sample rows each, refused before sampling
     "degree_oversized": ("dubins", ["--degree", "100"], "sampled system too large"),
     "samples_oversized": ("dubins", ["--samples", "1000000"], "sampled system too large"),

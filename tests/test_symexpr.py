@@ -8,6 +8,7 @@ import pytest
 from ocquad.symexpr import (
     ExprError,
     DivisionByZeroError,
+    EvaluationError,
     ParseError,
     Role,
     Symbol,
@@ -75,6 +76,16 @@ class TestParse:
     def test_unary_minus_binds_like_a_factor(self, table3):
         assert parse("-x1^2", table3) == negate(power(symref(table3.state(1)), 2))
         assert parse("-2*x1", table3) == mul(num(-2), symref(table3.state(1)))
+
+    @pytest.mark.parametrize("text", ["(" * 400 + "x1" + ")" * 400,
+                                      "-" * 3000 + "x1",
+                                      "x1" + "^1" * 3000,
+                                      "sin(" * 400 + "x1" + ")" * 400],
+                             ids=["parentheses", "unary_minus", "power_chain", "calls"])
+    def test_deep_nesting_is_a_parse_error(self, table3, text):
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            parse(text, table3)
+        assert 0 <= exc.value.position < len(text)
 
 
 class TestCanonicalForm:
@@ -392,6 +403,30 @@ class TestCompile:
     def test_unbound_symbol_rejected(self, table3):
         with pytest.raises(UnboundSymbolError):
             compile_fn(parse("x1+x2", table3), (table3.state(1),))
+
+    @pytest.mark.parametrize("value", [Fraction(10) ** 400, -Fraction(10) ** 400,
+                                       Fraction(1, 3) * Fraction(10) ** 309],
+                             ids=["1e400", "-1e400", "1e309/3"])
+    def test_constant_beyond_the_float_range(self, table3, value):
+        x1 = table3.state(1)
+        with pytest.raises(EvaluationError, match="float range"):
+            compile_fn(mul(num(value), symref(x1)), (x1,))
+        with pytest.raises(EvaluationError, match="float range"):
+            compile_fn((symref(x1), num(value)), (x1,))
+
+    def test_flat_sum_too_long_to_compile(self):
+        table = make_table(10000)
+        e = add(*(symref(s) for s in table.states))
+        with pytest.raises(EvaluationError, match="too long or too deeply nested"):
+            compile_fn(e, table.states)
+
+    def test_nesting_too_deep_to_compile(self, table3):
+        x1 = table3.state(1)
+        e = symref(x1)
+        for _ in range(400):
+            e = fn("sin", e)
+        with pytest.raises(EvaluationError, match="too long or too deeply nested"):
+            compile_fn(e, (x1,))
 
     def test_shared_subexpressions_change_no_value(self, table3):
         # a tuple of an expression and its partials repeats subexpressions;
