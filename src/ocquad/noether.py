@@ -220,8 +220,17 @@ def _exponents(n_vars: int, degree: int):
 
 
 def assemble_system(ansatz: Ansatz, sampler: PointSampler, n_samples: int) -> np.ndarray:
-    """Sampled residual matrix (n_samples x coefficient count)."""
-    return ansatz.matrix(sampler.draw(n_samples))
+    """Sampled residual matrix (n_samples x coefficient count).  Raises
+    NoetherError when an entry is not finite: the monomials overflow at the
+    points of a sampling box that is too large."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = ansatz.matrix(sampler.draw(n_samples))
+    # min and max carry a NaN and show an inf without a flag array the size
+    # of the matrix, which would raise the peak memory of the analysis
+    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+        raise NoetherError("the sampled residual system is not finite; "
+                           "shrink the problem's sampling_box")
+    return matrix
 
 
 def nullspace(matrix: np.ndarray) -> list[np.ndarray]:

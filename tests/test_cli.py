@@ -110,6 +110,21 @@ class TestHostileProblemFiles:
         assert out.err.count("\n") == 1
         assert message in out.err
 
+    def test_sampled_system_beyond_the_float_range(self, tmp_path, capsys):
+        # monomials of x1 in [-1e100, 1e100] overflow: the residual system
+        # is not finite, which is an error naming the box, not an SVD failure
+        doc = {"name": "bigbox", "states": ["x1", "x2"], "controls": ["u1"],
+               "time": "t", "lagrangian": "u1^2/2", "dynamics": ["u1", "x1*u1"],
+               "sampling_box": {"x1": [-1e100, 1e100]}}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:")
+        assert out.err.count("\n") == 1
+        assert "sampling_box" in out.err
+
     def test_directory_as_problem_path(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
