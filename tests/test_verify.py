@@ -57,9 +57,28 @@ class TestIntegrateExtremal:
             "excluded_denominators": ["x1^(1/2)"],
         }
         problem, _ = load_problem(doc)
-        with pytest.raises(PoleEncounteredError):
+        with pytest.raises(PoleEncounteredError) as err:
             integrate_extremal(true_hamiltonian(problem), [0.0005, -1.0],
                                horizon=0.01, step=1e-3)
+        # the guard after the first step reports that step's end time
+        assert err.value.time == pytest.approx(1e-3, abs=1e-12)
+
+    def test_failed_stage_reports_the_step_start(self):
+        # xdot1 = psi1 = -1 from x1 = 0.0024: the second stage of the third
+        # step reaches x1 = -0.0001, where x1^(1/2) is not real
+        doc = {
+            "name": "sqrt-drift",
+            "states": ["x1", "x2"],
+            "controls": ["u1"],
+            "time": "t",
+            "lagrangian": "u1^2/2",
+            "dynamics": ["u1", "x1^(1/2)"],
+        }
+        problem, _ = load_problem(doc)
+        with pytest.raises(PoleEncounteredError) as err:
+            integrate_extremal(true_hamiltonian(problem), [0.0024, 0.0, -1.0, 0.0],
+                               horizon=0.01, step=1e-3)
+        assert err.value.time == pytest.approx(2e-3, abs=1e-12)
 
     def test_free_particle_is_exact(self):
         th = scalar_th()
@@ -94,9 +113,16 @@ class TestIntegrateExtremal:
         # flow of the Martinet problem pushed across the 1 + x1 = 0 line
         problem, _ = load_problem(builtin("martinet"))
         th = true_hamiltonian(problem)
-        with pytest.raises(PoleEncounteredError):
+        with pytest.raises(PoleEncounteredError) as err:
             integrate_extremal(th, [-0.9, 0.0, 0.0, -0.9, 0.0, 0.1],
                                horizon=1.0, step=1e-2)
+        # the guard after the tenth step reports that step's end time
+        assert err.value.time == pytest.approx(0.1, abs=1e-12)
+        # a start within 1e-2 of the pole fails the check at t0, before any step
+        with pytest.raises(PoleEncounteredError) as err:
+            integrate_extremal(th, [-0.995, 0.0, 0.0, 1.0, 0.0, 0.1],
+                               t0=0.5, horizon=1.0, step=1e-2)
+        assert err.value.time == pytest.approx(0.5, abs=1e-12)
 
 
 class TestConservationDrift:
