@@ -176,24 +176,6 @@ def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
     }
 
 
-def _validate_user_law(th) -> None:
-    """A file-supplied closed-form law must satisfy stationarity on samples."""
-    table = th.table
-    grads = [sx.differentiate(th.hamiltonian, u) for u in table.controls]
-    bindings = dict(zip(table.controls, th.law.expressions))
-    residuals = [sx.substitute(g, bindings) for g in grads]
-    sampler = PointSampler(th, np.random.default_rng(0))
-    batch = sampler.draw(50)
-    syms = sample_symbols(table)
-    for r, u in zip(residuals, table.controls):
-        values = np.asarray(sx.compile_fn(r, syms)(*batch.points), dtype=float)
-        worst = float(np.abs(values).max())
-        if worst > 1e-9:
-            raise AnalysisError(
-                f"supplied control_solution violates dH/d{u.name} = 0 "
-                f"(residual {worst:.3g} on sampled points)")
-
-
 def run_analyze(source, options) -> tuple[dict, int]:
     """Full pipeline; returns (report, exit_code)."""
     t_start = time.monotonic()
@@ -220,8 +202,6 @@ def run_analyze(source, options) -> tuple[dict, int]:
     t0 = time.monotonic()
     try:
         th = true_hamiltonian(problem, backend=options.backend)
-        if problem.control_law is not None and th.is_closed_form and problem.k_u == 0:
-            _validate_user_law(th)
     except OcpError as exc:
         raise AnalysisError(f"control elimination failed: {exc}") from exc
     timings["hamiltonian"] = time.monotonic() - t0

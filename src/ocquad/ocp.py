@@ -195,9 +195,22 @@ class TrueHamiltonian:
         return grads + tuple(sx.differentiate(grads[i], controls[j])
                              for i in range(len(controls)) for j in range(i + 1))
 
+    @cached_property
+    def denominators(self) -> tuple:
+        """The problem's excluded denominators, each compiled over the sample
+        rows: the one pole guard of the sampler and of RK4 verification."""
+        syms = sample_symbols(self.table)
+        return tuple(_compile(f"excluded_denominators[{i}]", d, syms)
+                     for i, d in enumerate(self.problem.excluded_denominators))
+
 
 def true_hamiltonian(problem: Problem, backend: str = "auto") -> TrueHamiltonian:
-    """Build the true Hamiltonian, choosing or forcing a control backend."""
+    """Build the true Hamiltonian, choosing or forcing a control backend.
+
+    A closed-form law supplied by the problem file (with k_u = 0) must
+    satisfy dH/du = 0 at 50 admissible sample points; otherwise it raises
+    InvalidControlLawError.
+    """
     h = build_hamiltonian(problem)
     if backend != "implicit":
         try:
@@ -210,11 +223,18 @@ def true_hamiltonian(problem: Problem, backend: str = "auto") -> TrueHamiltonian
             for e in law.expressions:
                 if e.free() & controls:
                     raise InvalidControlLawError("closed-form law must be control-free")
-            reduced = sx.expand(sx.substitute(h, dict(zip(problem.table.controls,
-                                                          law.expressions))))
-            if reduced.free() & controls:
-                raise InvalidControlLawError("reduced Hamiltonian still mentions controls")
-            return TrueHamiltonian(problem, h, law, reduced)
+            bindings = dict(zip(problem.table.controls, law.expressions))
+            th = TrueHamiltonian(problem, h, law, sx.expand(sx.substitute(h, bindings)))
+            if problem.control_law is not None and problem.k_u == 0:
+                points = PointSampler(th, np.random.default_rng(0)).draw(50).points
+                for g, u in zip(th.newton_system, problem.table.controls):   # dH/du_j
+                    residual = sx.compile_fn(sx.substitute(g, bindings), sample_symbols(th.table))
+                    worst = float(np.abs(np.asarray(residual(*points), dtype=float)).max())
+                    if worst > 1e-9:
+                        raise InvalidControlLawError(
+                            f"supplied control_solution violates dH/d{u.name} = 0 "
+                            f"(residual {worst:.3g} on sampled points)")
+            return th
     guess = problem.control_guess or (0.0,) * problem.table.m_ctl
     return TrueHamiltonian(problem, h, ImplicitLaw(tuple(map(float, guess))), None)
 
@@ -227,6 +247,14 @@ def sample_symbols(table: SymbolTable) -> tuple[Symbol, ...]:
 def sample_row(table: SymbolTable, sym: Symbol) -> int:
     """Row of `sym` in a sample array."""
     return sample_symbols(table).index(sym)
+
+
+def _compile(label: str, e, args: tuple[Symbol, ...]):
+    """compile_fn, with `label` naming the expression in a compile error."""
+    try:
+        return sx.compile_fn(e, args)
+    except sx.EvaluationError as exc:
+        raise type(exc)(f"{label}: {exc}") from None
 
 
 def _stacked(fn, args, count: int) -> np.ndarray:
@@ -353,9 +381,10 @@ class HamiltonianEvaluator:
         self.th = th
         self._grad_syms = sample_symbols(th.table)
         args = self._grad_syms + (() if th.is_closed_form else th.table.controls)
-        self._envelope = sx.compile_fn(th.envelope, args)
+        label = "reduced Hamiltonian" if th.is_closed_form else "Hamiltonian"
+        self._envelope = _compile(label, th.envelope, args)
         if not th.is_closed_form:
-            self._newton_fn = sx.compile_fn(th.newton_system, args)
+            self._newton_fn = _compile(label, th.newton_system, args)
             self._newton_step = _newton_kernel(th.table.m_ctl)
             self._warm = None
 
@@ -494,9 +523,8 @@ class PointSampler:
     def __init__(self, th: TrueHamiltonian, rng: np.random.Generator):
         self.evaluator = HamiltonianEvaluator(th)
         self.rng = rng
-        syms = sample_symbols(th.table)
-        self._bounds = [th.problem.sampling_box[s] for s in syms]
-        self._denoms = [sx.compile_fn(d, syms) for d in th.problem.excluded_denominators]
+        self._bounds = [th.problem.sampling_box[s] for s in sample_symbols(th.table)]
+        self._denominators = th.denominators
 
     def draw(self, count: int) -> SampleBatch:
         got: SampleBatch | None = None
@@ -511,7 +539,7 @@ class PointSampler:
                             for lo, hi in self._bounds])
             mask = np.ones(raw.shape[1], dtype=bool)
             with np.errstate(all="ignore"):
-                for d in self._denoms:
+                for d in self._denominators:
                     mask &= np.abs(np.asarray(d(*raw), dtype=float)) >= DENOMINATOR_CLEARANCE
             if not mask.any():
                 continue

@@ -213,21 +213,19 @@ def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) ->
     if k_u != 0 and control_law is None:
         raise ProblemFileError("k_u > 0 requires an explicit control_solution")
 
-    box: dict[Symbol, tuple[float, float]] = {}
-    for s in table.phase:
-        box[s] = DEFAULT_BOX
+    box: dict[Symbol, tuple[float, float]] = {s: DEFAULT_BOX for s in table.phase}
     box[table.time] = DEFAULT_TIME_BOX
-    for s in table.controls:
-        box[s] = DEFAULT_BOX
+    sampled = {s.name: s for s in box}
     for key, rng in _optional(doc, "sampling_box", dict, {}).items():
-        if key not in table:
-            raise ProblemFileError(f"sampling_box names unknown symbol {key!r}")
+        if key not in sampled:
+            raise ProblemFileError(
+                f"sampling_box names {key!r}, which is not a state, costate or the time")
         if not isinstance(rng, (list, tuple)) or len(rng) != 2:
             raise ProblemFileError(f"sampling_box[{key!r}] must be [lo, hi] with lo < hi")
         lo, hi = (_as_float(v, f"sampling_box[{key!r}] bound") for v in rng)
         if lo >= hi:
             raise ProblemFileError(f"sampling_box[{key!r}] must be [lo, hi] with lo < hi")
-        box[table.lookup(key)] = (lo, hi)
+        box[sampled[key]] = (lo, hi)
 
     denominators = tuple(parse_bound(d, f"excluded_denominators[{i}]")
                          for i, d in enumerate(_optional(doc, "excluded_denominators",

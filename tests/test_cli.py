@@ -45,8 +45,9 @@ class TestExitCodes:
         assert "builtin" in capsys.readouterr().err
 
 
-# (key, value, part of the message) for entries that each make the dubins
-# problem file invalid; a value "@raw" goes into the JSON text unquoted
+# (key, value, part of the message[, builtin]) for entries that each make a
+# built-in problem file (dubins unless named) invalid; a value "@raw" goes
+# into the JSON text unquoted
 HOSTILE_ENTRIES = {
     "k_u_string": ("k_u", "abc", "k_u must be"),
     "control_guess_string": ("control_guess", ["abc", 0.0], "control_guess[0]"),
@@ -54,6 +55,12 @@ HOSTILE_ENTRIES = {
     "sampling_box_list": ("sampling_box", [1], "'sampling_box' must be a dict"),
     "sampling_box_nan": ("sampling_box", {"x1": [-1, "@NaN"]}, "sampling_box['x1']"),
     "sampling_box_overflow": ("sampling_box", {"x1": [-1, "@1e400"]}, "sampling_box['x1']"),
+    # only states, costates and the time are sampled
+    "sampling_box_control": ("sampling_box", {"u1": [5, 6]}, "'u1', which is not a state"),
+    "sampling_box_parameter": ("sampling_box", {"alpha": [0, 1]},
+                               "'alpha', which is not a state", "martinet"),
+    "excluded_denominators_overflow": ("excluded_denominators", ["x1 + 10^400"],
+                                       "error: excluded_denominators[0]: cannot compile"),
     # a string would be read one character at a time
     "excluded_denominators_string": ("excluded_denominators", "x1",
                                      "'excluded_denominators' must be a list"),
@@ -70,7 +77,8 @@ HOSTILE_EXPRESSIONS = {
     "nested_parentheses": (["(" * 400 + "u1" + ")" * 400], {}, "nested too deeply"),
     "unary_minus_chain": (["-" * 3000 + "u1"], {}, "nested too deeply"),
     "power_chain": (["u1" + "^1" * 3000], {}, "nested too deeply"),
-    "constant_overflow": (["u1*10^400"], {}, "beyond the float range"),
+    "constant_overflow": (["u1*10^400"], {},
+                          "error: reduced Hamiltonian: cannot compile: a constant is beyond"),
     # a finite parameter whose square in the reduced H is not
     "parameter_square_overflow": (["a*u1"], {"a": 1e200}, "beyond the float range"),
     # the reduced H expands to one flat sum of 3,600 terms
@@ -82,8 +90,8 @@ HOSTILE_EXPRESSIONS = {
 class TestHostileProblemFiles:
     @pytest.mark.parametrize("case", sorted(HOSTILE_ENTRIES))
     def test_bad_entry_is_an_error_not_a_traceback(self, case, tmp_path, capsys):
-        key, value, message = HOSTILE_ENTRIES[case]
-        doc = builtin("dubins")
+        key, value, message, *problem = HOSTILE_ENTRIES[case]
+        doc = builtin(problem[0] if problem else "dubins")
         doc[key] = value
         text = json.dumps(doc)
         for raw in ("NaN", "1e400"):
@@ -109,6 +117,18 @@ class TestHostileProblemFiles:
         assert out.err.startswith("error:")
         assert out.err.count("\n") == 1
         assert message in out.err
+
+    def test_compile_error_names_the_hamiltonian_on_the_implicit_backend(self, tmp_path,
+                                                                         capsys):
+        doc = {"name": "big", "states": ["x1"], "controls": ["u1"], "time": "t",
+               "lagrangian": "u1^2/2", "dynamics": ["u1*10^400"]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path), "--backend", "implicit"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: Hamiltonian: cannot compile: a constant is beyond")
+        assert out.err.count("\n") == 1
 
     def test_sampled_system_beyond_the_float_range(self, tmp_path, capsys):
         # monomials of x1 in [-1e100, 1e100] overflow: the residual system
@@ -206,7 +226,8 @@ HOSTILE_FLAGS = {
                                     "cannot write"),
     "param_overflow": ("martinet", ["--param", "alpha=1e400"], "parameter 'alpha'"),
     # alpha is finite, but alpha^2 in the reduced H is not
-    "param_square_overflow": ("sr-2-3-5", ["--param", "alpha=1e200"], "beyond the float range"),
+    "param_square_overflow": ("sr-2-3-5", ["--param", "alpha=1e200"],
+                              "error: reduced Hamiltonian: cannot compile: a constant is beyond"),
     # 2,804 coefficients at 3 sample rows each, refused before sampling
     "degree_oversized": ("dubins", ["--degree", "100"], "sampled system too large"),
     "samples_oversized": ("dubins", ["--samples", "1000000"], "sampled system too large"),
@@ -376,12 +397,17 @@ class TestUserControlLaw:
         assert code == 0
         assert report["control_law"] == ["psi1*cos(x3) + psi2*sin(x3)", "psi3"]
 
-    def test_wrong_supplied_law_is_rejected(self):
-        from ocquad.cli import AnalysisError
+    def test_wrong_supplied_law_is_rejected(self, tmp_path, capsys):
         doc = builtin("dubins")
         doc["control_solution"] = ["psi1", "psi3"]
-        with pytest.raises(AnalysisError, match="violates"):
-            run(doc)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:")
+        assert out.err.count("\n") == 1
+        assert "violates dH/du1 = 0" in out.err
 
     def test_positive_k_u_needs_a_law(self, tmp_path, capsys):
         doc = builtin("dubins")

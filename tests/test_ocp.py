@@ -6,6 +6,7 @@ from ocquad import symexpr as sx
 from ocquad.ocp import (
     HamiltonianEvaluator,
     HamiltonianFlow,
+    InvalidControlLawError,
     NotAffineInControlError,
     OcpError,
     PointSampler,
@@ -176,6 +177,20 @@ class TestTrueHamiltonian:
                     continue
                 for r in residuals:
                     assert abs(evaluate(r, pt)) <= 1e-9
+
+
+    def test_supplied_law_is_checked_on_samples(self):
+        # dubins' law is u1 = psi1*cos(x3) + psi2*sin(x3), u2 = psi3
+        doc = builtin("dubins")
+        doc["control_solution"] = ["psi1*cos(x3) + psi2*sin(x3)", "psi3"]
+        problem, _ = load_problem(doc)
+        assert true_hamiltonian(problem).is_closed_form
+        doc["control_solution"] = ["psi1", "psi3"]
+        problem, _ = load_problem(doc)
+        with pytest.raises(InvalidControlLawError, match="violates dH/du1 = 0"):
+            true_hamiltonian(problem)
+        # the implicit backend never reads the supplied law
+        assert not true_hamiltonian(problem, backend="implicit").is_closed_form
 
 
 class TestEvalTrueHamiltonian:
