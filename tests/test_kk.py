@@ -482,6 +482,27 @@ class TestWavesMatchSequential:
             [frac(0, 0, 1)])
         assert len(evidence) == 5 and all(e.rank == 3 for e in evidence)
 
+    @pytest.mark.parametrize("seed, skipped", [(116, 2), (122, 5)])
+    def test_martinet_stalled_wave_then_a_converging_seed(self, seed, skipped):
+        # the selection -H, F2, -psi3*H of `martinet --seed 11`, whose rank
+        # gate meets a wave that converges no seed and then one that does.
+        # On fresh samplers: at seed 116 the waves converge 4 of 5, 0 of 1,
+        # 1 of 1; at seed 122 they converge 3 of 5, 1 of 2, 0 of 1, 0 of 1,
+        # 1 of 1
+        evidence, got_skipped = project_both_ways(
+            "martinet", lambda t: [martinet_integrals(t)[k] for k in (1, 2, 3)],
+            [frac(0, 1, 0)], seed=seed)
+        assert (len(evidence), got_skipped) == (5, skipped)
+
+    def test_trailer_level_that_every_seed_misses(self):
+        # psi1 = 0 and psi1 + 1 = 0 have no common point, so no seed converges
+        evidence, skipped = project_both_ways(
+            "trailer", lambda t: [symref(t.costate(1)),
+                                  parse("-x1*psi2 - psi3 - psi4 + x2*psi1", t),
+                                  parse("psi1 + 1", t), symref(t.costate(2))],
+            [frac(0, 1, 0, 0)], backend="implicit")
+        assert (len(evidence), skipped) == (0, 20)
+
     def test_trailer_implicit_backend(self):
         evidence, _ = project_both_ways(
             "trailer", lambda t: [symref(t.costate(1)),

@@ -288,6 +288,44 @@ class TestEvalTrueHamiltonian:
                 assert abs(evaluate(g, full)) <= 1e-9
 
 
+# (dynamics, phase point x..., psi...) where a compiled function's value
+# meets a zero division or a negative base under a fractional power
+LEAVING_THE_DOMAIN = {
+    # 1/sin(x1) at x1 = 0
+    "zero_division": (["u1/sin(x1)"], [0.0, 1.0]),
+    # sin(x1)^(1/2) at x1 = -0.5
+    "fractional_power": (["u1", "u1*sin(x1)^(1/2)"], [-0.5, 0.0, 1.0, 1.0]),
+}
+
+
+def leaving_problem(case):
+    dynamics, z = LEAVING_THE_DOMAIN[case]
+    doc = {"name": case, "states": [f"x{i + 1}" for i in range(len(dynamics))],
+           "controls": ["u1"], "time": "t", "lagrangian": "u1^2/2", "dynamics": dynamics}
+    problem, _ = load_problem(doc)
+    return problem, z
+
+
+class TestEvaluationLeavingTheDomain:
+    """Where sin(x1) meets a zero division or a fractional power, the Newton
+    solve fails and the closed-form envelope raises OcpError, inside the
+    errstate RK4 runs in."""
+
+    @pytest.mark.parametrize("case", sorted(LEAVING_THE_DOMAIN))
+    def test_newton_fails(self, case):
+        problem, z = leaving_problem(case)
+        ev = HamiltonianEvaluator(true_hamiltonian(problem, backend="implicit"))
+        assert ev._newton([*z, 0.5], [0.0]) is None
+
+    @pytest.mark.parametrize("case", sorted(LEAVING_THE_DOMAIN))
+    def test_envelope_raises(self, case):
+        problem, z = leaving_problem(case)
+        ev = HamiltonianEvaluator(true_hamiltonian(problem))
+        with np.errstate(invalid="raise", divide="raise"):
+            with pytest.raises(OcpError, match="leaves the real domain"):
+                ev.value_and_gradient(z, 0.5)
+
+
 class TestFlow:
     def test_free_particle(self):
         problem = scalar_problem()

@@ -80,6 +80,28 @@ class TestIntegrateExtremal:
                                horizon=0.01, step=1e-3)
         assert err.value.time == pytest.approx(2e-3, abs=1e-12)
 
+    def test_zero_division_at_the_start_reports_t0(self):
+        # H = psi1^2/(2 sin(x1)^2) divides by zero at x1 = 0
+        doc = {"name": "sin-pole", "states": ["x1"], "controls": ["u1"], "time": "t",
+               "lagrangian": "u1^2/2", "dynamics": ["u1/sin(x1)"]}
+        problem, _ = load_problem(doc)
+        with pytest.raises(PoleEncounteredError) as err:
+            integrate_extremal(true_hamiltonian(problem), [0.0, 1.0],
+                               t0=0.25, horizon=0.01, step=1e-3)
+        assert err.value.time == pytest.approx(0.25, abs=1e-12)
+
+    def test_negative_sine_under_a_root_reports_the_step_start(self):
+        # xdot1 = psi1 = -1 from x1 = 0.0024: the second stage of the third
+        # step reaches sin(x1) < 0 under sin(x1)^(1/2)
+        doc = {"name": "sin-root", "states": ["x1", "x2"], "controls": ["u1"],
+               "time": "t", "lagrangian": "u1^2/2",
+               "dynamics": ["u1", "u1*sin(x1)^(1/2)"]}
+        problem, _ = load_problem(doc)
+        with pytest.raises(PoleEncounteredError) as err:
+            integrate_extremal(true_hamiltonian(problem), [0.0024, 0.0, -1.0, 0.0],
+                               horizon=0.01, step=1e-3)
+        assert err.value.time == pytest.approx(2e-3, abs=1e-12)
+
     def test_free_particle_is_exact(self):
         th = scalar_th()
         traj = integrate_extremal(th, [0.0, 1.0], horizon=1.0, step=0.01)
