@@ -31,6 +31,7 @@ from .noether import (
 from .ocp import (
     OcpError,
     PointSampler,
+    SamplerStarvationError,
     sample_symbols,
     true_hamiltonian,
 )
@@ -202,6 +203,8 @@ def run_analyze(source, options) -> tuple[dict, int]:
     t0 = time.monotonic()
     try:
         th = true_hamiltonian(problem, backend=options.backend)
+    except SamplerStarvationError as exc:     # the check of a supplied law
+        raise AnalysisError(str(exc)) from exc
     except OcpError as exc:
         raise AnalysisError(f"control elimination failed: {exc}") from exc
     timings["hamiltonian"] = time.monotonic() - t0

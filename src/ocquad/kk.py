@@ -26,7 +26,13 @@ import numpy as np
 from . import poisson
 from . import symexpr as sx
 from .noether import Family, rationalize_vector, rref
-from .ocp import HamiltonianEvaluator, PhaseFunction, PointSampler, TrueHamiltonian
+from .ocp import (
+    HamiltonianEvaluator,
+    PhaseFunction,
+    PointSampler,
+    SamplerStarvationError,
+    TrueHamiltonian,
+)
 from .symexpr import HAMILTONIAN_SYMBOL, Expr
 
 DECOMPOSE_TOL = 1e-7
@@ -234,29 +240,56 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
     Random seeds are Gauss-Newton projected onto {F_i = r*_i} with r* the
     orthogonal projection of F(seed) onto span(r_basis), through the
     sampler's evaluator; divergent seeds are skipped and counted.  Seeds are
-    projected in waves: each wave draws as many seeds as points are still
-    missing (within the 4 * RANK_POINTS attempts) and projects them together.
-    So the sampler sees the same draws, and the evidence keeps the same
-    order, as when each seed is projected before the next is drawn.
+    projected in waves: each wave takes as many seeds as points are still
+    missing (within the 4 * RANK_POINTS attempts).  So the sampler sees the
+    same draws, and the evidence keeps the same order, as when each seed is
+    projected before the next is drawn.  A wave draws and projects its own
+    seeds together, until a wave converges no seed: then every remaining
+    attempt is drawn and projected as one batch, the later waves read their
+    seeds' outcomes from it, and the sampler's RNG is set back to its state
+    after the last seed they used.
     """
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
         if r_basis else np.zeros((len(selection), 0))
     evidence: list[RankEvidence] = []
-    attempts = 0
+    converged: dict = {}        # seed number -> (point, Jacobian)
+    states: dict = {}           # seed number -> RNG state after its draw
+    attempts = drawn = 0
+    starved = None
+    stalled = False
     while len(evidence) < RANK_POINTS and attempts < 4 * RANK_POINTS:
         need = min(RANK_POINTS - len(evidence), 4 * RANK_POINTS - attempts)
+        if attempts + need > drawn:
+            if starved is not None:     # a wave needs the seed whose draw starved
+                raise starved
+            seeds = []
+            try:
+                for _ in range(4 * RANK_POINTS - drawn if stalled else need):
+                    seeds.append(sampler.draw_point())
+                    states[drawn + len(seeds) - 1] = sampler.rng.bit_generator.state
+            except SamplerStarvationError as exc:
+                if not (stalled and seeds):     # the next wave needs that seed
+                    raise
+                starved = exc
+            found = _project_to_level(selection, r_mat, sampler.evaluator,
+                                      np.stack(seeds, axis=1))
+            converged.update((drawn + k, v) for k, v in found.items())
+            drawn += len(seeds)
+        wave = [converged[k] for k in range(attempts, attempts + need) if k in converged]
+        stalled = not wave
         attempts += need
-        seeds = np.stack([sampler.draw_point() for _ in range(need)], axis=1)
-        for point, jac in _project_to_level(selection, r_mat, sampler.evaluator, seeds):
+        for point, jac in wave:
             sv = np.linalg.svd(jac, compute_uv=False)
             rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
             evidence.append(RankEvidence(point=point, rank=rank))
+    if drawn > attempts:    # roll back the draws no wave used
+        sampler.rng.bit_generator.state = states[attempts - 1]
     return evidence, attempts - len(evidence)
 
 
 def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
                       evaluator: HamiltonianEvaluator,
-                      seeds: np.ndarray) -> list[tuple[dict, np.ndarray]]:
+                      seeds: np.ndarray) -> dict[int, tuple[dict, np.ndarray]]:
     """Gauss-Newton projection of the (2n+1, k) seed columns onto their
     levels, all columns at once; t stays fixed.
 
@@ -264,7 +297,7 @@ def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
     has a non-finite Jacobian or step, or has not converged after 50
     iterations.  Each step is the minimum-norm least-squares step, with the
     singular-value cutoff of `np.linalg.lstsq`.  Returns (point, (n_sel, 2n)
-    Jacobian) of the converged columns, in seed order.
+    Jacobian) of each converged column, keyed by its column number.
     """
     batch, keep = evaluator.prepare(seeds)
     seed_of = np.flatnonzero(keep)
@@ -296,7 +329,7 @@ def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
         points = batch.points[:, go]
         points[:-1] -= step[:, go]
         seed_of, target = seed_of[go], target[:, go]
-    return [converged[k] for k in sorted(converged)]
+    return converged
 
 
 @dataclass

@@ -226,7 +226,11 @@ def true_hamiltonian(problem: Problem, backend: str = "auto") -> TrueHamiltonian
             bindings = dict(zip(problem.table.controls, law.expressions))
             th = TrueHamiltonian(problem, h, law, sx.expand(sx.substitute(h, bindings)))
             if problem.control_law is not None and problem.k_u == 0:
-                points = PointSampler(th, np.random.default_rng(0)).draw(50).points
+                try:
+                    points = PointSampler(th, np.random.default_rng(0)).draw(50).points
+                except SamplerStarvationError as exc:
+                    raise SamplerStarvationError(
+                        f"cannot check control_solution on sample points: {exc}") from None
                 for g, u in zip(th.newton_system, problem.table.controls):   # dH/du_j
                     residual = sx.compile_fn(sx.substitute(g, bindings), sample_symbols(th.table))
                     worst = float(np.abs(np.asarray(residual(*points), dtype=float)).max())
@@ -249,10 +253,12 @@ def sample_row(table: SymbolTable, sym: Symbol) -> int:
     return sample_symbols(table).index(sym)
 
 
-def _compile(label: str, e, args: tuple[Symbol, ...]):
-    """compile_fn, with `label` naming the expression in a compile error."""
+def _compile(label: str, e, args: tuple[Symbol, ...], scalar: bool = False):
+    """compile_fn, with `label` naming the expression in a compile error.  The
+    array form is called with two arguments, as everywhere else: lru_cache
+    keys a call with `scalar=False` apart from it."""
     try:
-        return sx.compile_fn(e, args)
+        return sx.compile_fn(e, args, scalar=scalar) if scalar else sx.compile_fn(e, args)
     except sx.EvaluationError as exc:
         raise type(exc)(f"{label}: {exc}") from None
 
@@ -374,7 +380,10 @@ class HamiltonianEvaluator:
     control Hessian, and the generated kernel `_newton_kernel(m)` takes the
     step and, at the solution, the negative-definiteness test.  The gradient
     is then the envelope gradient of H at the solved control.  The value and
-    the whole gradient are one compiled call, `_envelope`, on both paths.
+    the whole gradient are one compiled call on both paths: `prepare` calls
+    the array form over sample columns, `value_and_gradient` the scalar form
+    (`compile_fn(..., scalar=True)`), which keeps its arithmetic on Python
+    floats, as does the Newton system.
     """
 
     def __init__(self, th: TrueHamiltonian):
@@ -383,8 +392,10 @@ class HamiltonianEvaluator:
         args = self._grad_syms + (() if th.is_closed_form else th.table.controls)
         label = "reduced Hamiltonian" if th.is_closed_form else "Hamiltonian"
         self._envelope = _compile(label, th.envelope, args)
+        self._scalar_envelope = _compile(label, th.envelope, args, scalar=True)
+        self.newton_failures = 0    # sample points `prepare` found no control for
         if not th.is_closed_form:
-            self._newton_fn = _compile(label, th.newton_system, args)
+            self._newton_fn = _compile(label, th.newton_system, args, scalar=True)
             self._newton_step = _newton_kernel(th.table.m_ctl)
             self._warm = None
 
@@ -405,6 +416,7 @@ class HamiltonianEvaluator:
             # 1,001 lists for a verified trajectory
             solved = [self._newton(column.tolist(), guess) for column in points.T]
             keep = np.array([u is not None for u in solved], dtype=bool)
+            self.newton_failures += n_pts - int(keep.sum())
             u_sol = np.array([guess if u is None else u for u in solved],
                              dtype=float).reshape(n_pts, len(guess))
             args += list(u_sol.T)
@@ -423,7 +435,7 @@ class HamiltonianEvaluator:
         try:
             if not self.th.is_closed_form:
                 args += self._solve(args)
-            env = self._envelope(*args)
+            env = self._scalar_envelope(*args)
             return float(env[0]), [float(g) for g in env[1:]]
         except (ArithmeticError, TypeError):
             point = dict(zip(self._grad_syms, args))
@@ -517,7 +529,9 @@ class PointSampler:
     sampler's own HamiltonianEvaluator.
 
     Points where an excluded denominator comes within 0.1 of zero are
-    rejected, as are points the implicit backend cannot solve.
+    rejected, as are points the implicit backend cannot solve and points
+    where the envelope is not finite.  A draw that runs out of attempts
+    raises SamplerStarvationError, which counts the rejections by reason.
     """
 
     def __init__(self, th: TrueHamiltonian, rng: np.random.Generator):
@@ -528,22 +542,34 @@ class PointSampler:
 
     def draw(self, count: int) -> SampleBatch:
         got: SampleBatch | None = None
-        attempts = 0
+        attempts = drawn = dropped = 0
+        near_pole = [0] * len(self._denominators)
+        newton_before = self.evaluator.newton_failures
         while got is None or got.size < count:
             missing = count - (0 if got is None else got.size)
             attempts += missing
             if attempts > 200 * count + 1000:
-                raise SamplerStarvationError(
-                    f"could not find {count} admissible points in {attempts} draws")
+                newton = self.evaluator.newton_failures - newton_before
+                reasons = [f"{r} within {DENOMINATOR_CLEARANCE} of excluded_denominators[{k}]"
+                           for k, r in enumerate(near_pole) if r]
+                reasons += [f"{r} {why}" for r, why in [
+                    (dropped - newton, "with a non-finite envelope"),
+                    (newton, "with a failed Newton solve")] if r]
+                raise SamplerStarvationError(f"could not find {count} admissible points "
+                                             f"in {drawn} draws: {', '.join(reasons)}")
             raw = np.array([self.rng.uniform(lo, hi, size=max(missing, 8))
                             for lo, hi in self._bounds])
+            drawn += raw.shape[1]
             mask = np.ones(raw.shape[1], dtype=bool)
             with np.errstate(all="ignore"):
-                for d in self._denominators:
-                    mask &= np.abs(np.asarray(d(*raw), dtype=float)) >= DENOMINATOR_CLEARANCE
+                for k, d in enumerate(self._denominators):
+                    clear = np.abs(np.asarray(d(*raw), dtype=float)) >= DENOMINATOR_CLEARANCE
+                    near_pole[k] += np.count_nonzero(mask & ~clear)
+                    mask &= clear
             if not mask.any():
                 continue
-            batch, _ = self.evaluator.prepare(raw[:, mask])
+            batch, keep = self.evaluator.prepare(raw[:, mask])
+            dropped += keep.size - np.count_nonzero(keep)
             got = batch if got is None else got.concat(batch)
         return got.take(slice(count))
 

@@ -730,8 +730,10 @@ def is_symbolically_zero(e: Expr) -> bool:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str]) -> str:
-    """Python source of `e`; a subexpression in `shared` is read from its local."""
+def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str],
+          scalar: bool = False) -> str:
+    """Python source of `e`; a subexpression in `shared` is read from its local.
+    With `scalar`, each function call's value is converted by float()."""
     if e.kind == _NUM:
         return repr(float(e.value))
     if e.kind == _SYM:
@@ -742,15 +744,29 @@ def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str]) -> str:
     if e in shared:
         return shared[e]
     if e.kind == _ADD:
-        return "(" + " + ".join(_emit(c, names, shared) for c in e.children) + ")"
+        return "(" + " + ".join(_emit(c, names, shared, scalar) for c in e.children) + ")"
     if e.kind == _MUL:
-        return "(" + " * ".join(_emit(c, names, shared) for c in e.children) + ")"
+        return "(" + " * ".join(_emit(c, names, shared, scalar) for c in e.children) + ")"
     if e.kind == _POW:
         exp = e.value
         es = str(exp.numerator) if exp.denominator == 1 else repr(float(exp))
-        return "(" + _emit(e.children[0], names, shared) + " ** " + es + ")"
+        return "(" + _emit(e.children[0], names, shared, scalar) + " ** " + es + ")"
     f = {"ln": "log"}.get(e.value, e.value)
-    return f"np.{f}(" + _emit(e.children[0], names, shared) + ")"
+    call = f"np.{f}(" + _emit(e.children[0], names, shared, scalar) + ")"
+    return f"float({call})" if scalar else call
+
+
+def _has_call(exprs: tuple[Expr, ...]) -> bool:
+    """Whether a function call occurs in any of `exprs`."""
+    stack, seen = list(exprs), set()
+    while stack:
+        x = stack.pop()
+        if x.kind == _CALL:
+            return True
+        if x.kind not in (_NUM, _SYM) and x not in seen:
+            seen.add(x)
+            stack.extend(x.children)
+    return False
 
 
 def _repeated_subexpressions(exprs: tuple[Expr, ...]) -> list[Expr]:
@@ -776,7 +792,8 @@ def _repeated_subexpressions(exprs: tuple[Expr, ...]) -> list[Expr]:
 
 
 @lru_cache(maxsize=8192)
-def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...]) -> Callable:
+def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...],
+               scalar: bool = False) -> Callable:
     """Compile to a positional function over floats or numpy arrays.
 
     A tuple of expressions compiles to one function returning the tuple of
@@ -787,6 +804,12 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...]) -> Callable
     region the sampler accepts.  A constant beyond the float range, or an
     expression too long or too deeply nested for the Python compiler, raises
     EvaluationError.
+
+    With `scalar` the function takes Python floats only: each function
+    call's value is converted by float(), so the arithmetic after it runs on
+    Python floats instead of numpy scalars, with the same values.  An
+    expression without a function call has nothing to convert, and its
+    scalar form is the array-compiled function.
     """
     names = {s: f"a{i}" for i, s in enumerate(args)}
     exprs = e if isinstance(e, tuple) else (e,)
@@ -794,15 +817,17 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...]) -> Callable
     if missing:
         raise UnboundSymbolError(
             "cannot compile, unbound: " + ", ".join(sorted(s.name for s in missing)))
+    if scalar and not _has_call(exprs):
+        return compile_fn(e, args)
     shared: dict[Expr, str] = {}
     lines = ["def _f(" + ", ".join(names[s] for s in args) + "):"]
     ns: dict = {"np": np}
     try:
         for i, x in enumerate(_repeated_subexpressions(exprs)):
-            lines.append(f"    c{i} = " + _emit(x, names, shared))
+            lines.append(f"    c{i} = " + _emit(x, names, shared, scalar))
             shared[x] = f"c{i}"
-        body = ("(" + "".join(_emit(x, names, shared) + ", " for x in e) + ")"
-                if isinstance(e, tuple) else _emit(e, names, shared))
+        body = ("(" + "".join(_emit(x, names, shared, scalar) + ", " for x in e) + ")"
+                if isinstance(e, tuple) else _emit(e, names, shared, scalar))
         exec("\n".join(lines + ["    return " + body]), ns)
     except OverflowError:
         raise EvaluationError("cannot compile: a constant is beyond the float range "

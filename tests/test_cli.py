@@ -64,6 +64,17 @@ HOSTILE_ENTRIES = {
     # a string would be read one character at a time
     "excluded_denominators_string": ("excluded_denominators", "x1",
                                      "'excluded_denominators' must be a list"),
+    # every draw is within 0.1 of the pole 0: the sampler starves and says why
+    "excluded_denominators_zero": ("excluded_denominators", ["0"],
+                                   "error: could not find 180 admissible points in 36900 draws: "
+                                   "36900 within 0.1 of excluded_denominators[0]"),
+    # the same, in the sampled check of a supplied law, which is not a failed
+    # control elimination
+    "excluded_denominators_zero_with_law": (
+        ("excluded_denominators", "control_solution"),
+        (["0"], ["psi1*cos(x3) + psi2*sin(x3)", "psi3"]),
+        "error: cannot check control_solution on sample points: could not find 50 "
+        "admissible points in 11000 draws: 11000 within 0.1 of excluded_denominators[0]"),
 }
 
 
@@ -92,7 +103,10 @@ class TestHostileProblemFiles:
     def test_bad_entry_is_an_error_not_a_traceback(self, case, tmp_path, capsys):
         key, value, message, *problem = HOSTILE_ENTRIES[case]
         doc = builtin(problem[0] if problem else "dubins")
-        doc[key] = value
+        if isinstance(key, tuple):      # several entries at once
+            doc.update(zip(key, value))
+        else:
+            doc[key] = value
         text = json.dumps(doc)
         for raw in ("NaN", "1e400"):
             text = text.replace(f'"@{raw}"', raw)
@@ -101,6 +115,7 @@ class TestHostileProblemFiles:
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert err.count("\n") == 1
         assert message in err
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_EXPRESSIONS))

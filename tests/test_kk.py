@@ -14,7 +14,12 @@ from ocquad.kk import (
     sample_span,
 )
 from ocquad.noether import Family, FamilyComponent, discover_family
-from ocquad.ocp import PhaseFunction, PointSampler, true_hamiltonian
+from ocquad.ocp import (
+    PhaseFunction,
+    PointSampler,
+    SamplerStarvationError,
+    true_hamiltonian,
+)
 from ocquad.poisson import bracket_values
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
@@ -460,6 +465,20 @@ def project_both_ways(name, pick, r_basis, backend="auto", seed=42):
     return evidence, skipped
 
 
+class StarvesAt:
+    """A sampler whose draw number `n`, counted from 0, starves."""
+
+    def __init__(self, sampler, n):
+        self.rng, self.evaluator = sampler.rng, sampler.evaluator
+        self._sampler, self._left = sampler, n
+
+    def draw_point(self):
+        if not self._left:
+            raise SamplerStarvationError("starved")
+        self._left -= 1
+        return self._sampler.draw_point()
+
+
 class TestWavesMatchSequential:
     def test_martinet_level_that_every_seed_misses(self):
         evidence, skipped = project_both_ways(
@@ -493,6 +512,27 @@ class TestWavesMatchSequential:
             "martinet", lambda t: [martinet_integrals(t)[k] for k in (1, 2, 3)],
             [frac(0, 1, 0)], seed=seed)
         assert (len(evidence), got_skipped) == (5, skipped)
+
+    @pytest.mark.parametrize("starve_at, raises", [(6, True), (8, False)])
+    def test_starved_draw_past_the_last_used_seed(self, starve_at, raises):
+        # the seed-116 pattern uses seeds 0..6; a batch that starves on a
+        # later draw keeps the outcome, one that starves on seed 6 raises as
+        # the one-seed loop does
+        outcomes = []
+        for rank_fn in (independence_rank, independence_rank_sequential):
+            problem, th, sampler = setup_problem("martinet", seed=116)
+            starving = StarvesAt(sampler, starve_at)
+            funcs = [PhaseFunction(martinet_integrals(problem.table)[k], problem.table)
+                     for k in (1, 2, 3)]
+            try:
+                evidence, skipped = rank_fn(funcs, [frac(0, 1, 0)], starving)
+            except SamplerStarvationError:
+                outcomes.append("starved")
+            else:
+                outcomes.append(([e.rank for e in evidence], skipped,
+                                 sampler.rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == "starved") is raises
 
     def test_trailer_level_that_every_seed_misses(self):
         # psi1 = 0 and psi1 + 1 = 0 have no common point, so no seed converges

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ocquad.symexpr import (
+    FUNCTIONS,
     ExprError,
     DivisionByZeroError,
     EvaluationError,
@@ -455,6 +456,36 @@ class TestCompile:
                 for got, want in zip(fused(*arrays), ns["ref"](*arrays)):
                     assert np.array_equal(got, want, equal_nan=True)
         assert shared > 0
+
+
+class TestScalarCompile:
+    """`compile_fn(..., scalar=True)` returns Python floats, bit for bit the
+    values of the array compilation, for every function of the grammar."""
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_agrees_bit_for_bit_with_the_array_compilation(self, table3, name):
+        args = (table3.state(1), table3.state(2))
+        call = fn(name, symref(args[0]))
+        # the call under the arithmetic a compiled Hamiltonian applies to it:
+        # products, integer and fractional powers, and a division
+        exprs = (call, parse(f"{name}(x1)^3*x2 - ({name}(x1*x2)^2 + 1)^(1/2) "
+                             f"+ x1/{name}(x2) + {name}(x1)^(-2)", table3))
+        scalar, array = compile_fn(exprs, args, scalar=True), compile_fn(exprs, args)
+        columns = np.random.default_rng(5).uniform(1.1, 1.4, size=(2, 200))
+        for point in columns.T.tolist():
+            got = scalar(*point)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.array(array(*point), dtype=float).tobytes()
+        # the call alone, evaluated over whole columns
+        by_point = [scalar(*point)[0] for point in columns.T.tolist()]
+        assert np.array(by_point).tobytes() == array(*columns)[0].tobytes()
+
+    def test_without_a_call_the_array_function_serves(self, table3):
+        args = (table3.state(1), table3.state(2))
+        e = parse("x1^3*x2 - (x2^2 + 1)^(1/2) + x1/x2", table3)
+        assert compile_fn(e, args, scalar=True) is compile_fn(e, args)
+        assert compile_fn(fn("sin", symref(args[0])), args, scalar=True) \
+            is not compile_fn(fn("sin", symref(args[0])), args)
 
 
 class TestSymbolTable:
