@@ -412,13 +412,14 @@ class HamiltonianEvaluator:
         u_sol = None
         if not self.th.is_closed_form:
             guess = self.th.law.guess
-            # one column list at a time: all of them at once would hold
-            # 1,001 lists for a verified trajectory
-            solved = [self._newton(column.tolist(), guess) for column in points.T]
-            keep = np.array([u is not None for u in solved], dtype=bool)
-            self.newton_failures += n_pts - int(keep.sum())
-            u_sol = np.array([guess if u is None else u for u in solved],
-                             dtype=float).reshape(n_pts, len(guess))
+            u_sol = np.empty((n_pts, len(guess)))
+            # one column list and one solved control at a time: lists of
+            # them would hold 1,001 lists for a verified trajectory
+            for i, column in enumerate(points.T):
+                u = self._newton(column.tolist(), guess)
+                keep[i] = u is not None
+                u_sol[i] = guess if u is None else u
+            self.newton_failures += n_pts - np.count_nonzero(keep)
             args += list(u_sol.T)
         with np.errstate(all="ignore"):
             env = _stacked(self._envelope, args, n_pts)

@@ -57,7 +57,8 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     if y.shape != (2 * th.table.n,):
         raise ValueError(f"initial condition must have length {2 * th.table.n}")
     times = t0 + step * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, len(y)))
+    grid = np.empty((len(y) + 1, n_steps + 1))     # the batch's rows: x, psi, t
+    grid[-1] = times
     y = y.tolist()
     previous = None
     flow = HamiltonianFlow(th)
@@ -73,7 +74,7 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
                        for before, now in zip(previous or current, current)):
                     raise PoleEncounteredError(t)
                 previous = current
-            states[k] = y
+            grid[:-1, k] = y
             if k == n_steps:
                 break
             try:
@@ -97,7 +98,7 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             if not all(map(math.isfinite, y)):
                 raise PoleEncounteredError(t)
-    batch, keep = flow.evaluator.prepare(np.vstack([states.T, times]))
+    batch, keep = flow.evaluator.prepare(grid)
     if not keep.all():
         raise PoleEncounteredError(float(times[int(np.argmin(keep))]))
     return batch
