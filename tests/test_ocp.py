@@ -462,19 +462,22 @@ class TestSampler:
             col = batch.column(s)
             assert np.all(col >= -1.0) and np.all(col <= 1.0)
 
-    @pytest.mark.parametrize("case", ["newton", "envelope"])
-    def test_starvation_counts_the_rejections_by_reason(self, case):
-        # a convex H has no concave stationary control; ln(x1) is not real
-        # on the box x1 < 0
-        doc = {"name": case, "states": ["x1"], "controls": ["u1"], "time": "t",
-               "lagrangian": "-u1^2/2", "dynamics": ["u1"]} if case == "newton" else {
-               "name": case, "states": ["x1"], "controls": ["u1"], "time": "t",
-               "lagrangian": "u1^2/2", "dynamics": ["u1 + ln(x1)"],
-               "sampling_box": {"x1": [-1, -0.5]}}
+    # rejection reason -> (problem entries, backend)
+    STARVING = {
+        # a convex H has no concave stationary control
+        "with a failed Newton solve": ({"lagrangian": "-u1^2/2", "dynamics": ["u1"]},
+                                       "implicit"),
+        # ln(x1) is not real on the box x1 < 0
+        "with a non-finite envelope": ({"lagrangian": "u1^2/2", "dynamics": ["u1 + ln(x1)"],
+                                        "sampling_box": {"x1": [-1, -0.5]}}, "auto"),
+    }
+
+    @pytest.mark.parametrize("reason", sorted(STARVING))
+    def test_starvation_counts_the_rejections_by_reason(self, reason):
+        entries, backend = self.STARVING[reason]
+        doc = {"name": "starving", "states": ["x1"], "controls": ["u1"], "time": "t", **entries}
         problem, _ = load_problem(doc)
-        th = true_hamiltonian(problem, backend="implicit" if case == "newton" else "auto")
-        reason = {"newton": "with a failed Newton solve",
-                  "envelope": "with a non-finite envelope"}[case]
+        th = true_hamiltonian(problem, backend=backend)
         with pytest.raises(ocp.SamplerStarvationError,
                            match=f"could not find 5 admissible points in 3200 draws: "
                                  f"3200 {reason}$"):
