@@ -1,8 +1,10 @@
 """Golden reports: `ocquad analyze <builtin>` at fixed seeds and flags.
 
 Each `golden/<problem>.json` (seed 42), `golden/seed7/<problem>.json`
-(seed 7) and `golden/poly/<problem>.json` (seed 42, `--poly-degree 4`, for
-`sr-2-3` and `sr-2-3-5` only) holds the exit code and the full JSON report.
+(seed 7), `golden/poly/<problem>.json` (seed 42, `--poly-degree 4`, for
+`sr-2-3` and `sr-2-3-5` only) and `golden/seed11/martinet.json` (the one
+built-in run whose rank gate sets the sampler's RNG back past unused draws)
+holds the exit code and the full JSON report.
 Strings, integers, booleans and the shape of the report must match exactly
 (family expressions, `rational` flags, verdict, selection, lambdas, xi,
 admissible levels, rank list, diagnostics, polynomial family); floats must
@@ -29,6 +31,7 @@ GOLDEN_CASES = {
     "seed42": (GOLDEN_DIR, 42, (), BUILTIN_NAMES),
     "seed7": (os.path.join(GOLDEN_DIR, "seed7"), 7, (), BUILTIN_NAMES),
     "poly": (os.path.join(GOLDEN_DIR, "poly"), 42, POLY_FLAGS, POLY_NAMES),
+    "seed11": (os.path.join(GOLDEN_DIR, "seed11"), 11, (), ("martinet",)),
 }
 FLOAT_TOL = 1e-9
 
@@ -78,6 +81,10 @@ def test_report_matches_golden_seed7(name):
 @pytest.mark.parametrize("name", POLY_NAMES)
 def test_report_matches_golden_poly(name):
     check_golden(name, "poly")
+
+
+def test_report_matches_golden_seed11_martinet():
+    check_golden("martinet", "seed11")
 
 
 if __name__ == "__main__":
