@@ -239,51 +239,39 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
 
     Random seeds are Gauss-Newton projected onto {F_i = r*_i} with r* the
     orthogonal projection of F(seed) onto span(r_basis), through the
-    sampler's evaluator; divergent seeds are skipped and counted.  Seeds are
-    projected in waves: each wave takes as many seeds as points are still
-    missing (within the 4 * RANK_POINTS attempts).  So the sampler sees the
-    same draws, and the evidence keeps the same order, as when each seed is
-    projected before the next is drawn.  A wave draws and projects its own
-    seeds together, until a wave converges no seed: then every remaining
-    attempt is drawn and projected as one batch, the later waves read their
-    seeds' outcomes from it, and the sampler's RNG is set back to its state
-    after the last seed they used.
+    sampler's evaluator; divergent seeds are skipped and counted.  All
+    4 * RANK_POINTS seeds are drawn and projected as one batch, and their
+    outcomes are read in draw order until RANK_POINTS have converged.  The
+    sampler's RNG is then set back to its state after the last seed read, so
+    the sampler sees the same draws, and the evidence keeps the same order, as
+    when each seed is projected before the next is drawn.  A draw that starves
+    ends the drawing; its error is raised only if the reading reaches it.
     """
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
         if r_basis else np.zeros((len(selection), 0))
-    evidence: list[RankEvidence] = []
-    converged: dict = {}        # seed number -> (point, Jacobian)
-    states: dict = {}           # seed number -> RNG state after its draw
-    attempts = drawn = 0
+    seeds, states = [], []      # states[k]: the RNG state after seed k's draw
     starved = None
-    stalled = False
+    try:
+        while len(seeds) < 4 * RANK_POINTS:
+            seeds.append(sampler.draw_point())
+            states.append(sampler.rng.bit_generator.state)
+    except SamplerStarvationError as exc:
+        if not seeds:
+            raise
+        starved = exc
+    found = _project_to_level(selection, r_mat, sampler.evaluator, np.stack(seeds, axis=1))
+    evidence: list[RankEvidence] = []
+    attempts = 0
     while len(evidence) < RANK_POINTS and attempts < 4 * RANK_POINTS:
-        need = min(RANK_POINTS - len(evidence), 4 * RANK_POINTS - attempts)
-        if attempts + need > drawn:
-            if starved is not None:     # a wave needs the seed whose draw starved
-                raise starved
-            seeds = []
-            try:
-                for _ in range(4 * RANK_POINTS - drawn if stalled else need):
-                    seeds.append(sampler.draw_point())
-                    states[drawn + len(seeds) - 1] = sampler.rng.bit_generator.state
-            except SamplerStarvationError as exc:
-                if not (stalled and seeds):     # the next wave needs that seed
-                    raise
-                starved = exc
-            found = _project_to_level(selection, r_mat, sampler.evaluator,
-                                      np.stack(seeds, axis=1))
-            converged.update((drawn + k, v) for k, v in found.items())
-            drawn += len(seeds)
-        wave = [converged[k] for k in range(attempts, attempts + need) if k in converged]
-        stalled = not wave
-        attempts += need
-        for point, jac in wave:
+        if attempts == len(seeds):      # the reading needs the seed whose draw starved
+            raise starved
+        if attempts in found:
+            point, jac = found[attempts]
             sv = np.linalg.svd(jac, compute_uv=False)
             rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
             evidence.append(RankEvidence(point=point, rank=rank))
-    if drawn > attempts:    # roll back the draws no wave used
-        sampler.rng.bit_generator.state = states[attempts - 1]
+        attempts += 1
+    sampler.rng.bit_generator.state = states[attempts - 1]
     return evidence, attempts - len(evidence)
 
 

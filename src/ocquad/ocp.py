@@ -431,16 +431,17 @@ class HamiltonianEvaluator:
         phase point z and time t; the implicit backend's Newton solve starts
         from the last solved control, then from the guess.  An evaluation
         that leaves the real domain (a complex power, a zero base under a
-        negative power) raises OcpError."""
+        negative power) or overflows a Python float raises OcpError."""
         args = [*map(float, z), float(t)]
         try:
             if not self.th.is_closed_form:
                 args += self._solve(args)
             env = self._scalar_envelope(*args)
             return float(env[0]), [float(g) for g in env[1:]]
-        except (ArithmeticError, TypeError):
+        except (ArithmeticError, TypeError) as exc:
+            what = "overflows" if isinstance(exc, OverflowError) else "leaves the real domain"
             point = dict(zip(self._grad_syms, args))
-            raise OcpError(f"Hamiltonian leaves the real domain at {_fmt_point(point)}") from None
+            raise OcpError(f"Hamiltonian {what} at {_fmt_point(point)}") from None
 
     def _solve(self, base):
         guess = self.th.law.guess

@@ -128,9 +128,11 @@ def combine(family, weights):
 def independence_rank_sequential(selection, r_basis, sampler):
     """The rank gate one seed at a time: each drawn seed is Gauss-Newton
     projected on its own, with a per-point `np.linalg.lstsq` step, before the
-    next seed is drawn.  `kk.independence_rank` projects them in waves, through
-    the sampler's evaluator, and must give the same evidence from the same
-    draws; this one projects through an evaluator of its own."""
+    next seed is drawn, and the sampler's RNG ends after the last seed used.
+    `kk.independence_rank` draws every attempt and projects them as one
+    batch, through the sampler's evaluator, then sets the RNG back; it must
+    give the same evidence, skip count and final RNG state from the same
+    draws.  This one projects through an evaluator of its own."""
     evaluator = HamiltonianEvaluator(sampler.evaluator.th)
     n_sel = len(selection)
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \

@@ -2,9 +2,9 @@
 
 Each `golden/<problem>.json` (seed 42), `golden/seed7/<problem>.json`
 (seed 7), `golden/poly/<problem>.json` (seed 42, `--poly-degree 4`, for
-`sr-2-3` and `sr-2-3-5` only) and `golden/seed11/martinet.json` (the one
-built-in run whose rank gate sets the sampler's RNG back past unused draws)
-holds the exit code and the full JSON report.
+`sr-2-3` and `sr-2-3-5` only) and `golden/seed11/martinet.json` (a run
+whose rank gate reads seeds past its first five after one diverges, then
+converges one) holds the exit code and the full JSON report.
 Strings, integers, booleans and the shape of the report must match exactly
 (family expressions, `rational` flags, verdict, selection, lambdas, xi,
 admissible levels, rank list, diagnostics, polynomial family); floats must

@@ -447,8 +447,9 @@ def martinet_integrals(table):
 
 
 def project_both_ways(name, pick, r_basis, backend="auto", seed=42):
-    """Run the wave and the one-seed-at-a-time rank gate on identical fresh
-    samplers and assert they agree, the sampler's final RNG state included."""
+    """Run the one-batch and the one-seed-at-a-time rank gate on identical
+    fresh samplers and assert they agree, the sampler's final RNG state
+    included."""
     runs = []
     for rank_fn in (independence_rank, independence_rank_sequential):
         problem, th, sampler = setup_problem(name, backend=backend, seed=seed)
@@ -487,8 +488,8 @@ class TestWavesMatchSequential:
         assert (len(evidence), skipped) == (0, 20)
 
     def test_martinet_second_shorter_wave(self):
-        # at seed 7 one of the first five seeds diverges, so a second wave
-        # draws a single seed
+        # at seed 7 seed 2 of the first five diverges, so the reading goes on
+        # to seed 5 and the RNG is set back to its state after that draw
         evidence, skipped = project_both_ways(
             "martinet", lambda t: [martinet_integrals(t)[k] for k in (1, 2, 4)],
             [frac(0, 1, 0)], seed=7)
@@ -504,20 +505,22 @@ class TestWavesMatchSequential:
     @pytest.mark.parametrize("seed, skipped", [(116, 2), (122, 5)])
     def test_martinet_stalled_wave_then_a_converging_seed(self, seed, skipped):
         # the selection -H, F2, -psi3*H of `martinet --seed 11`, whose rank
-        # gate meets a wave that converges no seed and then one that does.
-        # On fresh samplers: at seed 116 the waves converge 4 of 5, 0 of 1,
-        # 1 of 1; at seed 122 they converge 3 of 5, 1 of 2, 0 of 1, 0 of 1,
-        # 1 of 1
+        # gate reads a diverged seed right after the first five and then one
+        # that converges.  On fresh samplers: at seed 116 seeds 0..6 are read
+        # and 3 and 5 diverge; at seed 122 seeds 0..9 are read and 2, 4, 5, 7
+        # and 8 diverge
         evidence, got_skipped = project_both_ways(
             "martinet", lambda t: [martinet_integrals(t)[k] for k in (1, 2, 3)],
             [frac(0, 1, 0)], seed=seed)
         assert (len(evidence), got_skipped) == (5, skipped)
 
-    @pytest.mark.parametrize("starve_at, raises", [(6, True), (8, False)])
+    @pytest.mark.parametrize("starve_at, raises",
+                             [(0, True), (6, True), (7, False), (8, False)])
     def test_starved_draw_past_the_last_used_seed(self, starve_at, raises):
-        # the seed-116 pattern uses seeds 0..6; a batch that starves on a
-        # later draw keeps the outcome, one that starves on seed 6 raises as
-        # the one-seed loop does
+        # the seed-116 pattern reads seeds 0..6; a batch whose drawing starves
+        # on a later draw keeps the outcome, one that starves on a seed it
+        # reads raises as the one-seed loop does, a starved first draw (no
+        # batch to project) included
         outcomes = []
         for rank_fn in (independence_rank, independence_rank_sequential):
             problem, th, sampler = setup_problem("martinet", seed=116)

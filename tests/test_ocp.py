@@ -288,18 +288,23 @@ class TestEvalTrueHamiltonian:
                 assert abs(evaluate(g, full)) <= 1e-9
 
 
-# (dynamics, phase point x..., psi...) where a compiled function's value
-# meets a zero division or a negative base under a fractional power
+# (dynamics, phase point x..., psi..., what the envelope's error says) where a
+# compiled function's value meets a zero division or a negative base under a
+# fractional power, or overflows
 LEAVING_THE_DOMAIN = {
     # 1/sin(x1) at x1 = 0
-    "zero_division": (["u1/sin(x1)"], [0.0, 1.0]),
+    "zero_division": (["u1/sin(x1)"], [0.0, 1.0], "leaves the real domain"),
     # sin(x1)^(1/2) at x1 = -0.5
-    "fractional_power": (["u1", "u1*sin(x1)^(1/2)"], [-0.5, 0.0, 1.0, 1.0]),
+    "fractional_power": (["u1", "u1*sin(x1)^(1/2)"], [-0.5, 0.0, 1.0, 1.0],
+                         "leaves the real domain"),
+    # x1^4 in H at x1 = 1e80: a Python float power raises OverflowError, an
+    # ArithmeticError, where numpy would give inf
+    "overflow": (["u1*x1^2"], [1e80, 1.0], r"overflows at \{x1=1e\+80, psi1=1, t=0.5\}"),
 }
 
 
 def leaving_problem(case):
-    dynamics, z = LEAVING_THE_DOMAIN[case]
+    dynamics, z, _ = LEAVING_THE_DOMAIN[case]
     doc = {"name": case, "states": [f"x{i + 1}" for i in range(len(dynamics))],
            "controls": ["u1"], "time": "t", "lagrangian": "u1^2/2", "dynamics": dynamics}
     problem, _ = load_problem(doc)
@@ -307,9 +312,9 @@ def leaving_problem(case):
 
 
 class TestEvaluationLeavingTheDomain:
-    """Where sin(x1) meets a zero division or a fractional power, the Newton
-    solve fails and the closed-form envelope raises OcpError, inside the
-    errstate RK4 runs in."""
+    """Where sin(x1) meets a zero division or a fractional power, or x1^4
+    overflows, the Newton solve fails and the closed-form envelope raises
+    OcpError, inside the errstate RK4 runs in, saying which happened."""
 
     @pytest.mark.parametrize("case", sorted(LEAVING_THE_DOMAIN))
     def test_newton_fails(self, case):
@@ -322,7 +327,7 @@ class TestEvaluationLeavingTheDomain:
         problem, z = leaving_problem(case)
         ev = HamiltonianEvaluator(true_hamiltonian(problem))
         with np.errstate(invalid="raise", divide="raise"):
-            with pytest.raises(OcpError, match="leaves the real domain"):
+            with pytest.raises(OcpError, match="^Hamiltonian " + LEAVING_THE_DOMAIN[case][2]):
                 ev.value_and_gradient(z, 0.5)
 
 
