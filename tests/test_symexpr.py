@@ -462,10 +462,11 @@ class TestScalarCompile:
     """`compile_fn(..., scalar=True)` returns Python floats, bit for bit the
     values of the array compilation, for every function of the grammar."""
 
-    @pytest.mark.parametrize("name", FUNCTIONS)
+    # "" is the call-free input: the same arithmetic around x1 itself
+    @pytest.mark.parametrize("name", [*FUNCTIONS, pytest.param("", id="no_call")])
     def test_agrees_bit_for_bit_with_the_array_compilation(self, table3, name):
         args = (table3.state(1), table3.state(2))
-        call = fn(name, symref(args[0]))
+        call = fn(name, symref(args[0])) if name else symref(args[0])
         # the call under the arithmetic a compiled Hamiltonian applies to it:
         # products, integer and fractional powers, and a division
         exprs = (call, parse(f"{name}(x1)^3*x2 - ({name}(x1*x2)^2 + 1)^(1/2) "
