@@ -196,6 +196,9 @@ def run_analyze(source, options) -> tuple[dict, int]:
         except KeyError as exc:
             raise AnalysisError(
                 f"--poly-vars: {exc.args[0]!r} is not a state, costate or t") from exc
+        twice = [s.name for i, s in enumerate(variables) if s in variables[:i]]
+        if twice:
+            raise AnalysisError(f"--poly-vars: {twice[0]!r} is named twice")
 
     seed_root = np.random.SeedSequence(options.seed)
     s_family, s_cert, s_verify, s_poly = seed_root.spawn(4)

@@ -254,11 +254,9 @@ def sample_row(table: SymbolTable, sym: Symbol) -> int:
 
 
 def _compile(label: str, e, args: tuple[Symbol, ...], scalar: bool = False):
-    """compile_fn, with `label` naming the expression in a compile error.  The
-    array form is called with two arguments, as everywhere else: lru_cache
-    keys a call with `scalar=False` apart from it."""
+    """compile_fn, with `label` naming the expression in a compile error."""
     try:
-        return sx.compile_fn(e, args, scalar=scalar) if scalar else sx.compile_fn(e, args)
+        return sx.compile_fn(e, args, scalar)
     except sx.EvaluationError as exc:
         raise type(exc)(f"{label}: {exc}") from None
 
@@ -277,17 +275,15 @@ class SampleBatch:
     """Sample points plus the true-Hamiltonian envelope data.
 
     `points` and `hgrad` are (2n+1, N) arrays whose rows follow
-    ``table.phase + (table.time,)``; `hvalue` is (N,), and `controls` is the
-    (N, m) solved control of the implicit backend.
+    ``table.phase + (table.time,)``, and `hvalue` is (N,).
     """
 
     def __init__(self, table: SymbolTable, points: np.ndarray, hvalue: np.ndarray,
-                 hgrad: np.ndarray, controls: np.ndarray | None = None):
+                 hgrad: np.ndarray):
         self.table = table
         self.points = points
         self.hvalue = hvalue
         self.hgrad = hgrad
-        self.controls = controls
 
     @property
     def size(self) -> int:
@@ -309,17 +305,13 @@ class SampleBatch:
 
     def take(self, index) -> "SampleBatch":
         """The points picked by a boolean mask or a slice."""
-        ctl = self.controls[index] if self.controls is not None else None
         return SampleBatch(self.table, self.points[:, index], self.hvalue[index],
-                           self.hgrad[:, index], ctl)
+                           self.hgrad[:, index])
 
     def concat(self, other: "SampleBatch") -> "SampleBatch":
-        ctl = None
-        if self.controls is not None and other.controls is not None:
-            ctl = np.vstack([self.controls, other.controls])
         return SampleBatch(self.table, np.hstack([self.points, other.points]),
                            np.concatenate([self.hvalue, other.hvalue]),
-                           np.hstack([self.hgrad, other.hgrad]), ctl)
+                           np.hstack([self.hgrad, other.hgrad]))
 
 
 @cache
@@ -409,7 +401,6 @@ class HamiltonianEvaluator:
         n_pts = points.shape[1]
         args = list(points)
         keep = np.ones(n_pts, dtype=bool)
-        u_sol = None
         if not self.th.is_closed_form:
             guess = self.th.law.guess
             u_sol = np.empty((n_pts, len(guess)))
@@ -424,7 +415,7 @@ class HamiltonianEvaluator:
         with np.errstate(all="ignore"):
             env = _stacked(self._envelope, args, n_pts)
         keep &= np.isfinite(env).all(axis=0)
-        return SampleBatch(self.th.table, points, env[0], env[1:], u_sol).take(keep), keep
+        return SampleBatch(self.th.table, points, env[0], env[1:]).take(keep), keep
 
     def value_and_gradient(self, z, t: float):
         """(H, the gradient over x, psi, t as a list of 2n+1 floats) at the

@@ -756,19 +756,6 @@ def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str],
     return f"float({call})" if scalar else call
 
 
-def _has_call(exprs: tuple[Expr, ...]) -> bool:
-    """Whether a function call occurs in any of `exprs`."""
-    stack, seen = list(exprs), set()
-    while stack:
-        x = stack.pop()
-        if x.kind == _CALL:
-            return True
-        if x.kind not in (_NUM, _SYM) and x not in seen:
-            seen.add(x)
-            stack.extend(x.children)
-    return False
-
-
 def _repeated_subexpressions(exprs: tuple[Expr, ...]) -> list[Expr]:
     """Compound subexpressions met more than once, each after its own."""
     seen: set[Expr] = set()
@@ -807,9 +794,7 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...],
 
     With `scalar` the function takes Python floats only: each function
     call's value is converted by float(), so the arithmetic after it runs on
-    Python floats instead of numpy scalars, with the same values.  An
-    expression without a function call has nothing to convert, and its
-    scalar form is the array-compiled function.
+    Python floats instead of numpy scalars, with the same values.
     """
     names = {s: f"a{i}" for i, s in enumerate(args)}
     exprs = e if isinstance(e, tuple) else (e,)
@@ -817,8 +802,6 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...],
     if missing:
         raise UnboundSymbolError(
             "cannot compile, unbound: " + ", ".join(sorted(s.name for s in missing)))
-    if scalar and not _has_call(exprs):
-        return compile_fn(e, args)
     shared: dict[Expr, str] = {}
     lines = ["def _f(" + ", ".join(names[s] for s in args) + "):"]
     ns: dict = {"np": np}

@@ -250,6 +250,9 @@ HOSTILE_FLAGS = {
     "poly_vars_control": ("martinet", ["--poly-degree", "2", "--poly-vars", "u1"], "'u1'"),
     "poly_vars_parameter": ("martinet", ["--poly-degree", "2", "--poly-vars", "alpha"],
                             "'alpha'"),
+    # x1 twice would give the ansatz one monomial column per repetition
+    "poly_vars_twice": ("sr-2-3", ["--poly-degree", "2", "--poly-vars", "x1,x1"],
+                        "'x1' is named twice"),
     # checked whether or not the dense search runs
     "poly_vars_without_degree": ("dubins", ["--poly-vars", "u1"], "'u1'"),
 }

@@ -533,7 +533,7 @@ class TestSampler:
             assert ev._warm is not None and list(ev._warm) != list(th.law.guess)
         after, keep_after = ev.prepare(points)
         assert bits(keep_after) == bits(keep_before)
-        for field in ("points", "hvalue", "hgrad", "controls"):
+        for field in ("points", "hvalue", "hgrad"):
             assert bits(getattr(after, field)) == bits(getattr(before, field))
 
 

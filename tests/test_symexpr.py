@@ -481,13 +481,6 @@ class TestScalarCompile:
         by_point = [scalar(*point)[0] for point in columns.T.tolist()]
         assert np.array(by_point).tobytes() == array(*columns)[0].tobytes()
 
-    def test_without_a_call_the_array_function_serves(self, table3):
-        args = (table3.state(1), table3.state(2))
-        e = parse("x1^3*x2 - (x2^2 + 1)^(1/2) + x1/x2", table3)
-        assert compile_fn(e, args, scalar=True) is compile_fn(e, args)
-        assert compile_fn(fn("sin", symref(args[0])), args, scalar=True) \
-            is not compile_fn(fn("sin", symref(args[0])), args)
-
 
 class TestSymbolTable:
     def test_requires_one_time_symbol(self):
