@@ -380,13 +380,14 @@ class HamiltonianEvaluator:
 
     def __init__(self, th: TrueHamiltonian):
         self.th = th
+        self._closed_form = th.is_closed_form
         self._grad_syms = sample_symbols(th.table)
-        args = self._grad_syms + (() if th.is_closed_form else th.table.controls)
-        label = "reduced Hamiltonian" if th.is_closed_form else "Hamiltonian"
+        args = self._grad_syms + (() if self._closed_form else th.table.controls)
+        label = "reduced Hamiltonian" if self._closed_form else "Hamiltonian"
         self._envelope = _compile(label, th.envelope, args)
         self._scalar_envelope = _compile(label, th.envelope, args, scalar=True)
         self.newton_failures = 0    # sample points `prepare` found no control for
-        if not th.is_closed_form:
+        if not self._closed_form:
             self._newton_fn = _compile(label, th.newton_system, args, scalar=True)
             self._newton_step = _newton_kernel(th.table.m_ctl)
             self._warm = None
@@ -401,7 +402,7 @@ class HamiltonianEvaluator:
         n_pts = points.shape[1]
         args = list(points)
         keep = np.ones(n_pts, dtype=bool)
-        if not self.th.is_closed_form:
+        if not self._closed_form:
             guess = self.th.law.guess
             u_sol = np.empty((n_pts, len(guess)))
             # one column list and one solved control at a time: lists of
@@ -420,15 +421,17 @@ class HamiltonianEvaluator:
     def value_and_gradient(self, z, t: float):
         """(H, the gradient over x, psi, t as a list of 2n+1 floats) at the
         phase point z and time t; the implicit backend's Newton solve starts
-        from the last solved control, then from the guess.  An evaluation
-        that leaves the real domain (a complex power, a zero base under a
+        from the last solved control, then from the guess.  The scalar
+        envelope returns Python floats from Python floats, so its entries
+        are returned as they are.  An evaluation that leaves the real domain
+        (a negative base under a fractional power, a zero base under a
         negative power) or overflows a Python float raises OcpError."""
         args = [*map(float, z), float(t)]
         try:
-            if not self.th.is_closed_form:
+            if not self._closed_form:
                 args += self._solve(args)
-            env = self._scalar_envelope(*args)
-            return float(env[0]), [float(g) for g in env[1:]]
+            h, *grad = self._scalar_envelope(*args)
+            return h, grad
         except (ArithmeticError, TypeError) as exc:
             what = "overflows" if isinstance(exc, OverflowError) else "leaves the real domain"
             point = dict(zip(self._grad_syms, args))

@@ -733,7 +733,8 @@ def is_symbolically_zero(e: Expr) -> bool:
 def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str],
           scalar: bool = False) -> str:
     """Python source of `e`; a subexpression in `shared` is read from its local.
-    With `scalar`, each function call's value is converted by float()."""
+    With `scalar`, each function call's value and each fractional power is
+    converted by float()."""
     if e.kind == _NUM:
         return repr(float(e.value))
     if e.kind == _SYM:
@@ -749,8 +750,10 @@ def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str],
         return "(" + " * ".join(_emit(c, names, shared, scalar) for c in e.children) + ")"
     if e.kind == _POW:
         exp = e.value
-        es = str(exp.numerator) if exp.denominator == 1 else repr(float(exp))
-        return "(" + _emit(e.children[0], names, shared, scalar) + " ** " + es + ")"
+        if exp.denominator == 1:
+            return "(" + _emit(e.children[0], names, shared, scalar) + f" ** {exp.numerator})"
+        power = "(" + _emit(e.children[0], names, shared, scalar) + f" ** {float(exp)!r})"
+        return f"float{power}" if scalar else power
     f = {"ln": "log"}.get(e.value, e.value)
     call = f"np.{f}(" + _emit(e.children[0], names, shared, scalar) + ")"
     return f"float({call})" if scalar else call
@@ -794,7 +797,10 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...],
 
     With `scalar` the function takes Python floats only: each function
     call's value is converted by float(), so the arithmetic after it runs on
-    Python floats instead of numpy scalars, with the same values.
+    Python floats instead of numpy scalars, with the same values.  Each
+    fractional power is converted too, so every value it returns is a Python
+    float, and a negative base under a fractional power, which Python
+    evaluates to a complex number, raises TypeError where it arises.
     """
     names = {s: f"a{i}" for i, s in enumerate(args)}
     exprs = e if isinstance(e, tuple) else (e,)

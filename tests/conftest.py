@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ocquad.symexpr import (
@@ -15,6 +16,11 @@ from ocquad.symexpr import (
     power,
     symref,
 )
+
+
+def bits(values):
+    """The IEEE bit pattern of a float vector, or None."""
+    return None if values is None else np.asarray(values, dtype=float).tobytes()
 
 
 def make_table(n, m_ctl=0, params=()):

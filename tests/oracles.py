@@ -8,8 +8,9 @@ R(F) = dF/dt + {F, H} of a whole candidate expression; `combine` builds the
 family map at one parameter vector; `independence_rank_sequential` is the
 rank gate projecting one seed at a time; `ldl_solve`, `reference_step` and
 `reference_newton` are the generic LDL^T solve, the Newton iteration that
-`ocp._newton_kernel` unrolls, and the Newton loop around it.  None of them
-is used by the pipeline.
+`ocp._newton_kernel` unrolls, and the Newton loop around it;
+`reference_rk4_step` is the RK4 step that `verify._rk4_step` unrolls.  None
+of them is used by the pipeline.
 """
 
 import math
@@ -260,3 +261,27 @@ def reference_newton(newton_fn, base, u):
         except (ArithmeticError, TypeError):
             return None
     return None
+
+
+def reference_rk4_step(rhs, t, y, half, step, sixth):
+    """One classical RK4 step as a loop over list comprehensions: `rhs(t, y)`
+    is the right-hand side, `y` the state as floats, `step` the step and
+    `half` and `sixth` its half and sixth.  Returns what `verify._rk4_step(d)`
+    must return: the next state as a list, or "k1" to "k4" for the first
+    stage whose right-hand side is not finite, or "y" when the new state is
+    not finite.  A stage that raises raises through it."""
+    k1 = rhs(t, y)
+    if not all(map(math.isfinite, k1)):
+        return "k1"
+    k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+    if not all(map(math.isfinite, k2)):
+        return "k2"
+    k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+    if not all(map(math.isfinite, k3)):
+        return "k3"
+    k4 = rhs(t + step, [a + step * b for a, b in zip(y, k3)])
+    if not all(map(math.isfinite, k4)):
+        return "k4"
+    new = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return new if all(map(math.isfinite, new)) else "y"

@@ -200,6 +200,19 @@ class TestHostileProblemFiles:
         report = json.loads(capsys.readouterr().out)
         assert len(report["verification"]["trajectories"]) == 3
 
+    def test_complex_power_under_a_function_warns_nothing(self, tmp_path, capsys):
+        # RK4 stages step x1 below 0, where sqrt(x1) is complex: exp of it
+        # must end the trajectory, not go on with its real part and warn
+        doc = {"name": "fz158", "states": ["x1", "x2"], "controls": ["u1", "u2"],
+               "time": "t", "lagrangian": "u1^2/2 + u2^2/2",
+               "dynamics": ["u1*exp(sqrt(x1))", "u1*3"], "excluded_denominators": ["3"]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path), "--seed", "42"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert len(json.loads(out.out)["verification"]["trajectories"]) == 3
+
     def test_numpy_scalar_leaving_the_real_domain_warns_nothing(self, tmp_path):
         # sin(x1) evaluates to a numpy scalar, and RK4 stages step x1 below 0,
         # where its square root is not real: under -W error::RuntimeWarning

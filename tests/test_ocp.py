@@ -17,6 +17,7 @@ from ocquad.ocp import (
 )
 from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
+from conftest import bits
 from oracles import evaluate, ldl_solve, reference_newton, reference_step
 
 
@@ -86,11 +87,6 @@ def positional(problem, pt):
     """A Symbol-keyed point as the (z, t) pair the evaluator takes."""
     table = problem.table
     return [pt[s] for s in table.phase], pt[table.time]
-
-
-def bits(values):
-    """The IEEE bit pattern of a float vector, or None."""
-    return None if values is None else np.asarray(values, dtype=float).tobytes()
 
 
 class TestBuildHamiltonian:

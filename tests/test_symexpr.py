@@ -481,6 +481,21 @@ class TestScalarCompile:
         by_point = [scalar(*point)[0] for point in columns.T.tolist()]
         assert np.array(by_point).tobytes() == array(*columns)[0].tobytes()
 
+    def test_fractional_power_of_a_negative_base_raises(self, table3):
+        # Python evaluates (-1.0) ** 0.5 to a complex number; the scalar form
+        # raises TypeError there instead of passing it on
+        args = (table3.state(1),)
+        e = parse("x1^(1/2)", table3)
+        scalar, array = compile_fn(e, args, scalar=True), compile_fn(e, args)
+        got = scalar(2.0)
+        assert type(got) is float
+        assert np.array(got).tobytes() == np.array(array(np.array([2.0])), dtype=float).tobytes()
+        with pytest.raises(TypeError):
+            scalar(-1.0)
+        # under a function call, whose float() would keep the real part
+        with pytest.raises(TypeError):
+            compile_fn(parse("exp(x1^(1/2))", table3), args, scalar=True)(-1.0)
+
 
 class TestSymbolTable:
     def test_requires_one_time_symbol(self):

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from ocquad import symexpr as sx
-from ocquad.ocp import HamiltonianEvaluator, PhaseFunction, PointSampler, true_hamiltonian
+from ocquad import verify
+from ocquad.ocp import (
+    HamiltonianEvaluator,
+    HamiltonianFlow,
+    OcpError,
+    PhaseFunction,
+    PointSampler,
+    true_hamiltonian,
+)
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
 from ocquad.verify import PoleEncounteredError, conservation_drift, integrate_extremal
-from conftest import ExprGen
-from oracles import fd_bracket_oracle
+from conftest import ExprGen, bits
+from oracles import fd_bracket_oracle, reference_rk4_step
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +110,37 @@ class TestIntegrateExtremal:
                                horizon=0.01, step=1e-3)
         assert err.value.time == pytest.approx(2e-3, abs=1e-12)
 
+    def test_complex_power_under_a_function_reports_the_step_start(self):
+        # xdot1 = exp(2 sqrt(x1)) psi1 with psi1 = -1 from x1 = 0.0024: the
+        # second stage of the third step reaches x1 < 0, where sqrt(x1) is
+        # not real; exp of it must not go on with the real part
+        doc = {"name": "exp-root", "states": ["x1", "x2"], "controls": ["u1", "u2"],
+               "time": "t", "lagrangian": "u1^2/2 + u2^2/2",
+               "dynamics": ["u1*exp(sqrt(x1))", "u1*3"]}
+        problem, _ = load_problem(doc)
+        with pytest.raises(PoleEncounteredError) as err:
+            integrate_extremal(true_hamiltonian(problem), [0.0024, 0.0, -1.0, 0.0],
+                               horizon=0.01, step=1e-3)
+        assert err.value.time == pytest.approx(2e-3, abs=1e-12)
+        assert isinstance(err.value.__cause__, OcpError)
+
+    @pytest.mark.parametrize("t0, step, n_steps", [
+        (0.0, 1e-3, 1000), (0.25, 1e-3, 1000), (-0.7, 0.01, 300), (3.1, 1 / 3, 30)])
+    def test_stages_read_the_batch_time_row(self, t0, step, n_steps, monkeypatch):
+        # the loop's time t0 + step * k is the batch's time row, bit for bit
+        seen = []
+        original = HamiltonianFlow.rhs
+
+        def recorded(self, t, y):
+            seen.append(t)
+            return original(self, t, y)
+
+        monkeypatch.setattr(HamiltonianFlow, "rhs", recorded)
+        traj = integrate_extremal(nonautonomous_th(), [0.3, -0.4], t0=t0,
+                                  horizon=step * n_steps, step=step)
+        assert len(seen) == 4 * n_steps
+        assert np.array(seen[::4]).tobytes() == traj.points[-1, :-1].tobytes()
+
     def test_free_particle_is_exact(self):
         th = scalar_th()
         traj = integrate_extremal(th, [0.0, 1.0], horizon=1.0, step=0.01)
@@ -145,6 +184,76 @@ class TestIntegrateExtremal:
             integrate_extremal(th, [-0.995, 0.0, 0.0, 1.0, 0.0, 0.1],
                                t0=0.5, horizon=1.0, step=1e-2)
         assert err.value.time == pytest.approx(0.5, abs=1e-12)
+
+
+class TestRk4Step:
+    """One call of the generated step returns bit for bit what one reference
+    step returns, from the same right-hand side calls: the next state, the
+    name of the failed check, or the stage's exception."""
+
+    @pytest.mark.parametrize("name, backend", [
+        ("dubins", "auto"), ("dubins", "implicit"), ("martinet", "auto"),
+        ("trailer", "implicit"), ("sr-2-3", "auto"), ("sr-2-3-4", "auto"),
+        ("sr-2-3-5", "auto")])
+    def test_matches_the_reference_on_the_builtins(self, name, backend):
+        problem, _ = load_problem(builtin(name))
+        th = true_hamiltonian(problem, backend)
+        assert th.is_closed_form == (backend == "auto")
+        step_fn = verify._rk4_step(2 * problem.table.n)
+        assert verify._rk4_step(2 * problem.table.n) is step_fn
+        points = PointSampler(th, np.random.default_rng(9)).draw(3).points
+        for column in points.T.tolist():
+            y, t = column[:-1], column[-1]
+            for step in (1e-3, 0.05):
+                # a fresh flow for each: the Newton solve warm-starts
+                with np.errstate(invalid="raise", divide="raise"):
+                    got = step_fn(HamiltonianFlow(th).rhs, t, y, step / 2, step, step / 6)
+                    want = reference_rk4_step(HamiltonianFlow(th).rhs, t, y,
+                                              step / 2, step, step / 6)
+                assert type(got) is list and bits(got) == bits(want)
+                assert bits(got) != bits(y)
+
+    @staticmethod
+    def scripted(d, seed, bad_call, kind, calls):
+        """A right-hand side whose values follow from (seed, call number), and
+        whose call `bad_call` returns a non-finite entry or raises; with
+        kind "huge" every call returns 1e308 in one entry, so the finite
+        stages sum to an infinite new state."""
+        def rhs(t, y):
+            calls.append(bits([t, *y]))
+            rng = np.random.default_rng((seed, len(calls)))
+            out = rng.normal(size=d).tolist()
+            if kind == "huge":
+                out[seed % d] = 1e308
+            elif kind != "plain" and len(calls) == bad_call:
+                if kind == "raise":
+                    raise OcpError("stage")
+                out[rng.integers(d)] = float(rng.choice([np.nan, np.inf, -np.inf]))
+            return out
+        return rhs
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_every_outcome_matches_the_reference(self, d):
+        step_fn = verify._rk4_step(d)
+        seen = set()
+        for seed in range(40):
+            rng = np.random.default_rng((d, seed))
+            y = rng.uniform(-2.0, 2.0, d).tolist()
+            t, step = float(rng.uniform(-1.0, 1.0)), float(rng.choice([1e-3, 0.1, 1.0]))
+            kind = ["plain", "nonfinite", "raise", "huge"][seed % 4]
+            bad_call = seed // 4 % 4 + 1
+            outcome = []
+            for fn in (step_fn, reference_rk4_step):
+                calls = []
+                rhs = self.scripted(d, seed, bad_call, kind, calls)
+                try:
+                    out = fn(rhs, t, y, step / 2, step, step / 6)
+                except OcpError:
+                    out = "raised"
+                outcome.append((out if isinstance(out, str) else bits(out), calls))
+            assert outcome[0] == outcome[1]
+            seen.add("state" if isinstance(outcome[0][0], bytes) else outcome[0][0])
+        assert seen == {"state", "k1", "k2", "k3", "k4", "raised", "y"}
 
 
 class TestConservationDrift:
