@@ -240,11 +240,12 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
     Random seeds are Gauss-Newton projected onto {F_i = r*_i} with r* the
     orthogonal projection of F(seed) onto span(r_basis), through the
     sampler's evaluator; divergent seeds are skipped and counted.  All
-    4 * RANK_POINTS seeds are drawn and projected as one batch, and their
-    outcomes are read in draw order until RANK_POINTS have converged.  The
-    sampler's RNG is then set back to its state after the last seed read, so
-    the sampler sees the same draws, and the evidence keeps the same order, as
-    when each seed is projected before the next is drawn.  A draw that starves
+    4 * RANK_POINTS seeds are drawn and projected as one batch, which drops
+    the seeds after the RANK_POINTS-th converged one, and their outcomes are
+    read in draw order until RANK_POINTS have converged.  The sampler's RNG
+    is then set back to its state after the last seed read, so the sampler
+    sees the same draws, and the evidence keeps the same order, as when each
+    seed is projected before the next is drawn.  A draw that starves
     ends the drawing; its error is raised only if the reading reaches it.
     """
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
@@ -283,7 +284,11 @@ def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
 
     A column ends when its point drops out of `prepare`, leaves |z| <= 1e3,
     has a non-finite Jacobian or step, or has not converged after 50
-    iterations.  Each step is the minimum-norm least-squares step, with the
+    iterations.  Once RANK_POINTS columns have converged, the columns after
+    the RANK_POINTS-th of them in column order end too: the reading in
+    `independence_rank` stops before them.  No column's arithmetic depends
+    on another's, so every column before it ends as in the full projection.
+    Each step is the minimum-norm least-squares step, with the
     singular-value cutoff of `np.linalg.lstsq`.  Returns (point, (n_sel, 2n)
     Jacobian) of each converged column, keyed by its column number.
     """
@@ -308,6 +313,8 @@ def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
             converged[seed_of[c]] = ({s.name: v for s, v in batch.point(c).items()}, jac[c])
         # a non-finite Jacobian would fail the SVD of the whole stack
         go = ~done & np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(resid).all(axis=0)
+        if len(converged) >= RANK_POINTS:
+            go &= seed_of < sorted(converged)[RANK_POINTS - 1]
         step = np.zeros((jac.shape[2], len(go)))
         step[:, go] = (np.linalg.pinv(jac[go], rcond=rcond)
                        @ resid[:, go].T[:, :, None])[:, :, 0].T

@@ -224,7 +224,11 @@ def true_hamiltonian(problem: Problem, backend: str = "auto") -> TrueHamiltonian
                 if e.free() & controls:
                     raise InvalidControlLawError("closed-form law must be control-free")
             bindings = dict(zip(problem.table.controls, law.expressions))
-            th = TrueHamiltonian(problem, h, law, sx.expand(sx.substitute(h, bindings)))
+            try:
+                reduced = sx.expand(sx.substitute(h, bindings))
+            except sx.EvaluationError as exc:
+                raise type(exc)(f"reduced Hamiltonian: {exc}") from None
+            th = TrueHamiltonian(problem, h, law, reduced)
             if problem.control_law is not None and problem.k_u == 0:
                 try:
                     points = PointSampler(th, np.random.default_rng(0)).draw(50).points

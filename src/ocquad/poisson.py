@@ -28,12 +28,15 @@ def bracket_values(funcs: list[PhaseFunction], batch) -> np.ndarray:
     """(m, m, N) tensor of {F_p, F_q} on a batch; antisymmetric in (p, q).
 
     Works for Hamiltonian-bearing functions: the gradients are chain-ruled
-    through the batch's envelope gradient.
+    through the batch's envelope gradient.  The tensor is filled in place one
+    row p at a time, so besides it only two (m, N) temporaries are held.
     """
     n = funcs[0].table.n
     grads = np.stack([f.gradient(batch) for f in funcs])
-    gx = np.ascontiguousarray(grads[:, :n])
-    gp = np.ascontiguousarray(grads[:, n:2 * n])
-    out = np.einsum("pin,qin->pqn", gx, gp)
-    out -= np.einsum("pin,qin->pqn", gp, gx)    # in place: one (m, m, N) temporary
+    gx, gp = grads[:, :n], grads[:, n:2 * n]
+    m, _, size = grads.shape
+    out = np.empty((m, m, size))
+    for p, row in enumerate(out):
+        np.einsum("in,qin->qn", gx[p], gp, out=row)
+        row -= np.einsum("in,qin->qn", gp[p], gx)
     return out

@@ -380,7 +380,7 @@ def num(v: Scalar) -> Expr:
     """Exact rational constant.  Floats are rejected; convert them explicitly."""
     if isinstance(v, float):
         raise TypeError("no float literals in expression trees; pass a Fraction")
-    return Expr(_NUM, Fraction(v), ())
+    return Expr(_NUM, v if type(v) is Fraction else Fraction(v), ())
 
 
 ZERO = num(0)
@@ -390,6 +390,9 @@ MINUS_ONE = num(-1)
 
 def symref(s: Symbol) -> Expr:
     return Expr(_SYM, s, ())
+
+
+_FRACTION_ONE = Fraction(1)
 
 
 def _coeff_rest(term: Expr) -> tuple[Fraction, Expr | None]:
@@ -406,23 +409,33 @@ def _coeff_rest(term: Expr) -> tuple[Fraction, Expr | None]:
 def add(*terms) -> Expr:
     """Flattened, collected, canonically ordered sum."""
     const = Fraction(0)
-    buckets: dict[Expr, Fraction] = {}
+    # the factors of each term after its coefficient -> summed coefficient
+    buckets: dict[tuple[Expr, ...], Fraction] = {}
     stack = [_as_expr(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
         if t.kind == _ADD:
             stack.extend(reversed(t.children))
             continue
-        c, rest = _coeff_rest(t)
-        if rest is None:
-            const += c
+        if t.kind == _NUM:
+            const += t.value
+            continue
+        if t.kind == _MUL and t.children[0].kind == _NUM:
+            c, rest = t.children[0].value, t.children[1:]
         else:
-            buckets[rest] = buckets.get(rest, Fraction(0)) + c
+            c, rest = _FRACTION_ONE, t.factors
+        prev = buckets.get(rest)
+        buckets[rest] = c if prev is None else prev + c
     out = []
+    # each key holds canonical factors in sorted order, so mul(num(c), *rest)
+    # would only put num(c) in front of them
     for rest, c in buckets.items():
         if c == 0:
             continue
-        out.append(rest if c == 1 else mul(num(c), rest))
+        if c != 1:
+            out.append(Expr(_MUL, None, (num(c), *rest)))
+        else:
+            out.append(rest[0] if len(rest) == 1 else Expr(_MUL, None, rest))
     if const != 0 or not out:
         out.append(num(const))
     if len(out) == 1:
@@ -433,9 +446,10 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     """Flattened product with folded constants and collected like bases."""
-    coeff = Fraction(1)
-    bases: dict[Expr, Fraction] = {}
-    order: list[Expr] = []
+    coeff = _FRACTION_ONE
+    # base -> (summed exponent, the factor itself while the base occurs once:
+    # a canonical factor is already power(base, exponent))
+    bases: dict[Expr, tuple[Fraction, Expr | None]] = {}
     stack = [_as_expr(f) for f in reversed(factors)]
     while stack:
         f = stack.pop()
@@ -448,17 +462,14 @@ def mul(*factors) -> Expr:
         if f.kind == _POW:
             base, exp = f.children[0], f.value
         else:
-            base, exp = f, Fraction(1)
-        if base not in bases:
-            bases[base] = Fraction(0)
-            order.append(base)
-        bases[base] += exp
+            base, exp = f, _FRACTION_ONE
+        prev = bases.get(base)
+        bases[base] = (exp, f) if prev is None else (prev[0] + exp, None)
     if coeff == 0:
         return ZERO
     out = []
-    for base in order:
-        exp = bases[base]
-        p = power(base, exp)
+    for base, (exp, f) in bases.items():
+        p = f if f is not None else power(base, exp)
         if p.kind == _NUM:
             coeff *= p.value
         else:
@@ -613,11 +624,19 @@ def simplify(e: Expr) -> Expr:
     return fn(e.value, kids[0])
 
 
+# Terms an expansion may reach.  A sum of about 3,000 terms is past the CPython
+# 3.11 compiler's nesting limit, so a larger one could never be compiled;
+# 2,704 terms (a 52 x 52 product) compile and run.
+MAX_EXPANDED_TERMS = 2_800
+
+
 def expand(e: Expr) -> Expr:
     """Distribute products over sums (and positive integer powers of sums).
 
     Not part of the canonical form; used where a structural zero is wanted,
-    e.g. checking the stationarity identity after control elimination.
+    e.g. checking the stationarity identity after control elimination.  A
+    distribution that gives more than MAX_EXPANDED_TERMS terms raises
+    EvaluationError naming the expression being expanded.
     """
     if e.kind in (_NUM, _SYM):
         return e
@@ -629,7 +648,7 @@ def expand(e: Expr) -> Expr:
         if base.kind == _ADD and exp.denominator == 1 and 2 <= exp <= 16:
             out = base
             for _ in range(int(exp) - 1):
-                out = _distribute(out, base)
+                out = _distribute(out, base, e)
             return out
         return power(base, exp)
     if e.kind == _ADD:
@@ -637,16 +656,25 @@ def expand(e: Expr) -> Expr:
     # product
     out = ONE
     for c in e.children:
-        out = _distribute(out, expand(c))
+        out = _distribute(out, expand(c), e)
     return out
 
 
-def _distribute(a: Expr, b: Expr) -> Expr:
+def _distribute(a: Expr, b: Expr, whole: Expr) -> Expr:
+    """a * b with both distributed over their terms; `whole` is the
+    expression being expanded, named if the result is past the budget."""
     lhs = a.children if a.kind == _ADD else (a,)
     rhs = b.children if b.kind == _ADD else (b,)
     if len(lhs) == 1 and len(rhs) == 1:
         return mul(a, b)
-    return add(*(mul(x, y) for x in lhs for y in rhs))
+    out = add(*(mul(x, y) for x in lhs for y in rhs))
+    if len(out.terms) > MAX_EXPANDED_TERMS:
+        text = to_string(whole)
+        raise EvaluationError(
+            "cannot compile: expression too long or too deeply nested (expanding "
+            f"{text if len(text) <= 80 else text[:77] + '...'} gives more than "
+            f"{MAX_EXPANDED_TERMS:,} terms)")
+    return out
 
 
 # An exact polynomial over fixed rows of symbols, {exponents: coefficient} with

@@ -9,8 +9,12 @@ family map at one parameter vector; `independence_rank_sequential` is the
 rank gate projecting one seed at a time; `ldl_solve`, `reference_step` and
 `reference_newton` are the generic LDL^T solve, the Newton iteration that
 `ocp._newton_kernel` unrolls, and the Newton loop around it;
-`reference_rk4_step` is the RK4 step that `verify._rk4_step` unrolls.  None
-of them is used by the pipeline.
+`reference_rk4_step` is the RK4 step that `verify._rk4_step` unrolls;
+`reference_bracket_values` is the bracket tensor as two whole-tensor
+einsums, which `poisson.bracket_values` fills row by row;
+`reference_add` and `reference_mul` are the canonical sum and product
+constructors rebuilding every factor, which `symexpr.add` and
+`symexpr.mul` must match.  None of them is used by the pipeline.
 """
 
 import math
@@ -285,3 +289,75 @@ def reference_rk4_step(rhs, t, y, half, step, sixth):
     new = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     return new if all(map(math.isfinite, new)) else "y"
+
+
+def reference_bracket_values(funcs, batch):
+    """The (m, m, N) tensor {F_p, F_q} as two (m, m, N) einsums: the body that
+    `poisson.bracket_values` must match bit for bit."""
+    n = funcs[0].table.n
+    grads = np.stack([f.gradient(batch) for f in funcs])
+    gx = np.ascontiguousarray(grads[:, :n])
+    gp = np.ascontiguousarray(grads[:, n:2 * n])
+    out = np.einsum("pin,qin->pqn", gx, gp)
+    out -= np.einsum("pin,qin->pqn", gp, gx)
+    return out
+
+
+def reference_add(*terms):
+    """`symexpr.add` splitting each term into a coefficient and a rest
+    expression, and putting a coefficient back on with `reference_mul`."""
+    const = Fraction(0)
+    buckets = {}
+    stack = [sx._as_expr(t) for t in reversed(terms)]
+    while stack:
+        t = stack.pop()
+        if t.is_sum:
+            stack.extend(reversed(t.terms))
+            continue
+        c, rest = sx._coeff_rest(t)
+        if rest is None:
+            const += c
+        else:
+            buckets[rest] = buckets.get(rest, Fraction(0)) + c
+    out = [rest if c == 1 else reference_mul(sx.num(c), rest)
+           for rest, c in buckets.items() if c != 0]
+    if const != 0 or not out:
+        out.append(sx.num(const))
+    if len(out) == 1:
+        return out[0]
+    out.sort(key=Expr.sort_key)
+    return Expr(sx._ADD, None, tuple(out))
+
+
+def reference_mul(*factors):
+    """`symexpr.mul` rebuilding every factor as power(base, summed exponent)."""
+    coeff = Fraction(1)
+    bases = {}
+    stack = [sx._as_expr(f) for f in reversed(factors)]
+    while stack:
+        f = stack.pop()
+        if f.is_product:
+            stack.extend(reversed(f.factors))
+        elif f.is_constant:
+            coeff *= f.constant
+        elif f.is_power:
+            bases[f.base] = bases.get(f.base, Fraction(0)) + f.exponent
+        else:
+            bases[f] = bases.get(f, Fraction(0)) + 1
+    if coeff == 0:
+        return sx.ZERO
+    out = []
+    for base, exp in bases.items():
+        p = sx.power(base, exp)
+        if p.is_constant:
+            coeff *= p.constant
+        else:
+            out.append(p)
+    if not out:
+        return sx.num(coeff)
+    if len(out) == 1 and coeff == 1:
+        return out[0]
+    out.sort(key=Expr.sort_key)
+    if coeff != 1:
+        out.insert(0, sx.num(coeff))
+    return Expr(sx._MUL, None, tuple(out))

@@ -95,6 +95,12 @@ HOSTILE_EXPRESSIONS = {
     # the reduced H expands to one flat sum of 3,600 terms
     "flat_sum_too_long": (["u1", f"({_polynomial('x1', 60)})*({_polynomial('x2', 60)})"],
                           {}, "too long or too deeply nested"),
+    # the power alone expands to 4,845 terms: the term budget of `expand`
+    # stops it at 3,060, before any differentiation or compile
+    "power_past_the_term_budget": (
+        ["u1", "(x1 + x2 + x3 + t + 1)^16", "x1"], {},
+        "error: reduced Hamiltonian: cannot compile: expression too long or too deeply nested "
+        "(expanding (1 + x1 + x2 + x3 + t)^16 gives more than 2,800 terms)\n"),
 }
 
 

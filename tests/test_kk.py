@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from ocquad import kk
 from ocquad import symexpr as sx
 from ocquad.kk import (
     Certificate,
@@ -23,6 +24,7 @@ from ocquad.ocp import (
 from ocquad.poisson import bracket_values
 from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
+from conftest import bits
 from oracles import combine, independence_rank_sequential
 
 
@@ -553,6 +555,66 @@ class TestWavesMatchSequential:
                                   symref(t.costate(2)), -symref(HAMILTONIAN_SYMBOL)],
             [frac(0, 1, 0, 0), frac(0, 0, 0, 1)], backend="implicit")
         assert len(evidence) == 5 and all(e.rank == 4 for e in evidence)
+
+
+class TestRankGateReadsAPrefix:
+    @pytest.mark.parametrize("name", ["dubins", "martinet"])
+    def test_certificate_search_gates(self, name, monkeypatch):
+        # every rank gate of the certificate search, as the CLI reaches it:
+        # the projection that drops the columns after the RANK_POINTS-th
+        # converged one must give the outcomes of the full projection, bit
+        # for bit, on every column the reading can reach; and each gate must
+        # match the one-seed-at-a-time oracle from the same RNG state
+        problem, th, sampler = setup_problem(name)
+        span = sample_span(discover_family(th, sampler), sampler)
+        gates, projections = [], []
+        rank, project = kk.independence_rank, kk._project_to_level
+
+        def rank_spy(selection, r_basis, smp):
+            gates.append((selection, r_basis, smp.rng.bit_generator.state))
+            return rank(selection, r_basis, smp)
+
+        def project_spy(selection, r_mat, evaluator, seeds):
+            projections.append((selection, r_mat, evaluator, seeds.copy()))
+            return project(selection, r_mat, evaluator, seeds)
+
+        monkeypatch.setattr(kk, "independence_rank", rank_spy)
+        monkeypatch.setattr(kk, "_project_to_level", project_spy)
+        find_certificate(span, th, sampler, np.random.default_rng(1))
+        monkeypatch.undo()
+        assert len(gates) == len(projections) >= 1
+
+        dropped = 0
+        for args in projections:
+            got = kk._project_to_level(*args)
+            with monkeypatch.context() as m:     # no column is ever dropped
+                m.setattr(kk, "RANK_POINTS", args[3].shape[1] + 1)
+                full = kk._project_to_level(*args)
+            read = sorted(full)[:kk.RANK_POINTS]
+            last = read[-1] if len(read) == kk.RANK_POINTS else args[3].shape[1]
+            assert sorted(k for k in got if k <= last) == [k for k in sorted(full) if k <= last]
+            for k in (k for k in got if k <= last):
+                (point, jac), (want_point, want_jac) = got[k], full[k]
+                assert point.keys() == want_point.keys()
+                assert all(bits([point[s]]) == bits([want_point[s]]) for s in point)
+                assert bits(jac) == bits(want_jac)
+            dropped += len(full) - len(got)
+        if name == "martinet":
+            assert dropped > 0          # some gate had its points early
+
+        # the oracle reads the same seeds: the same ranks, skips and final
+        # RNG state.  Its points are not compared: on near-singular levels
+        # (martinet's psi3, F2, -psi3*H at (0, 1, 0)) its per-point lstsq
+        # steps land elsewhere on the level set than the batched ones
+        for selection, r_basis, state in gates:
+            runs = []
+            for rank_fn in (independence_rank, independence_rank_sequential):
+                fresh = PointSampler(th, np.random.default_rng())
+                fresh.rng.bit_generator.state = state
+                evidence, skipped = rank_fn(selection, r_basis, fresh)
+                runs.append(([e.rank for e in evidence], skipped,
+                             fresh.rng.bit_generator.state))
+            assert runs[0] == runs[1]
 
 
 SO3_MOMENTA = ["x2*psi3 - x3*psi2", "x3*psi1 - x1*psi3", "x1*psi2 - x2*psi1"]

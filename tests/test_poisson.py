@@ -1,17 +1,20 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ocquad import ocp
 from ocquad import symexpr as sx
+from ocquad.noether import discover_family
 from ocquad.ocp import PhaseFunction, PointSampler, true_hamiltonian
 from ocquad.poisson import bracket, bracket_values
-from ocquad.problems import builtin, load_problem
+from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import parse, symref
 from conftest import ExprGen
-from oracles import Residual, evaluate, fd_bracket_oracle
+from oracles import Residual, evaluate, fd_bracket_oracle, reference_bracket_values
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +205,52 @@ class TestBracketValues:
         batch = sampler_for(martinet_th, 12).draw(60)
         vals = bracket_values([PhaseFunction(f2, t), hf], batch)[0, 1]
         assert np.abs(vals - 2 * batch.hvalue).max() < 1e-10
+
+    def test_matches_the_two_einsum_reference_on_builtin_families(self, family_fit_batch):
+        funcs, batch = family_fit_batch
+        assert any(f.has_hamiltonian for f in funcs)
+        got = bracket_values(funcs, batch)
+        assert got.shape == (len(funcs), len(funcs), batch.size)
+        assert got.tobytes() == reference_bracket_values(funcs, batch).tobytes()
+
+    @pytest.mark.parametrize("m, n, size", [(1, 1, 1), (1, 3, 60), (7, 2, 1), (62, 3, 186),
+                                            (5, 5, 17), (30, 1, 199)])
+    def test_matches_the_two_einsum_reference_on_random_gradients(self, m, n, size):
+        # magnitudes from 1e-8 to 1e8 per function, and one all-zero function
+        rng = np.random.default_rng(m * 1000 + n * 100 + size)
+        grads = rng.standard_normal((m, 2 * n + 1, size)) \
+            * 10.0 ** rng.uniform(-8, 8, size=(m, 1, 1))
+        grads[m // 2] = 0.0
+        table = SimpleNamespace(n=n)
+        funcs = [SimpleNamespace(table=table, gradient=lambda batch, g=g: g) for g in grads]
+        got = bracket_values(funcs, None)
+        assert got.tobytes() == reference_bracket_values(funcs, None).tobytes()
+
+    def test_peak_memory_is_about_one_tensor(self):
+        # the fit batch of sr-2-3 (62 components, 186 points): the tensor is
+        # filled in place, so no second (m, m, N) array is ever allocated
+        funcs, batch = builtin_family_fit_batch("sr-2-3")
+        bracket_values(funcs, batch)        # compile the gradients first
+        tracemalloc.start()
+        try:
+            out = bracket_values(funcs, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(funcs) == 62 and batch.size == 186
+        assert peak <= 1.3 * out.nbytes
+
+
+def builtin_family_fit_batch(name):
+    """The family a built-in's default generator ansatz finds at seed 42,
+    and a fit batch of the size `kk.sample_span` draws."""
+    problem, _ = load_problem(builtin(name))
+    th = true_hamiltonian(problem)
+    sampler = sampler_for(th, 42)
+    family = discover_family(th, sampler)
+    return family.functions(), sampler.draw(max(3 * family.m, 60))
+
+
+@pytest.fixture(scope="module", params=BUILTIN_NAMES)
+def family_fit_batch(request):
+    return builtin_family_fit_batch(request.param)

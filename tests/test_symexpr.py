@@ -30,7 +30,7 @@ from ocquad.symexpr import (
     to_string,
 )
 from conftest import ExprGen, make_table
-from oracles import DomainError, PoleError, evaluate
+from oracles import DomainError, PoleError, evaluate, reference_add, reference_mul
 
 
 def central_diff(e, s, point, h=1e-5):
@@ -117,6 +117,22 @@ class TestCanonicalForm:
     def test_division_by_zero_constant(self, table3):
         with pytest.raises(DivisionByZeroError):
             parse("1/0", table3)
+
+    def test_add_and_mul_match_the_rebuilding_constructors(self, table3):
+        # add and mul reuse canonical factors instead of rebuilding them;
+        # the result must be the same tree.  Repeated and negated operands
+        # make like terms and like bases collect, cancel and fold
+        gen = ExprGen(table3, seed=31)
+        for _ in range(400):
+            ops = [gen.expr(2) for _ in range(gen.rng.randint(1, 4))]
+            ops += [gen.rng.choice(ops) for _ in range(gen.rng.randint(0, 2))]
+            if gen.rng.random() < 0.3:
+                ops.append(negate(gen.rng.choice(ops)))
+            for got, want in ((add(*ops), reference_add(*ops)),
+                              (mul(*ops), reference_mul(*ops))):
+                assert got == want
+                assert got.sort_key() == want.sort_key()
+                assert to_string(got) == to_string(want)
 
 
 class TestDifferentiate:
@@ -297,6 +313,27 @@ class TestExpand:
                 continue
             assert abs(v - vx) <= 1e-9 * (1 + abs(v))
             done += 1
+
+
+    def test_term_budget(self, table3):
+        from ocquad.symexpr import MAX_EXPANDED_TERMS, expand
+
+        def poly(var, count):
+            return "(" + " + ".join(["1"] + [f"{var}^{k}" for k in range(1, count)]) + ")"
+
+        # 52 x 52 = 2,704 terms compile, and 53 x 53 = 2,809 are past the budget
+        assert MAX_EXPANDED_TERMS == 2_800
+        assert len(expand(parse(poly("x1", 52) + "*" + poly("x2", 52), table3)).terms) == 2_704
+        with pytest.raises(EvaluationError, match=r"expanding .{77}\.\.\. gives more than "
+                                                  r"2,800 terms\)$"):
+            expand(parse("psi1*" + poly("x1", 53) + "*" + poly("x2", 53), table3))
+        # a power fails at the step past the budget, and names itself
+        e = parse("(x1 + x2 + x3 + t + 1)^12", table3)
+        assert len(expand(e).terms) == 1_820
+        with pytest.raises(EvaluationError, match=r"^cannot compile: expression too long or too "
+                                                  r"deeply nested \(expanding "
+                                                  r"\(1 \+ x1 \+ x2 \+ x3 \+ t\)\^16 gives"):
+            expand(parse("x3*(x1 + x2 + x3 + t + 1)^16", table3))
 
 
 class TestPolynomialReader:

@@ -7,12 +7,17 @@ checkout at `--root` (this repository by default).  Seconds and seed are
 fixed, so any two BENCH files can be compared.  That one call runs every workload untraced
 (`--trace 0`: the end-to-end metrics) and then traced (`--trace 1`: the
 per-layer metrics).  Then it times one `sr-2-3-5 --poly-degree 5` analysis
-through `perfbench/child.py`, outside the gated workloads.
+through `perfbench/child.py`, outside the gated workloads, and the
+benchmark's reference probe (`perfbench/run.py`'s `probe`, which runs
+`PROBE`) once before and twice after it.
 
 The file, written at the root of this repository, holds the runner's
 machine block, the three end-to-end metrics per workload (median and
 quartiles of the passes, times scaled to the runner's reference host), the
-per-layer metrics per workload and the extra analysis.  A speed claim quotes
+per-layer metrics per workload and the extra analysis: its raw seconds
+`analyze_s`, the median probe seconds `probe_s`, and `analyze_s_scaled`,
+scaled to the reference host as `perfbench/run.py` scales `pass_s`
+(seconds times REF_PROBE_S over the probe median).  A speed claim quotes
 two such files recorded on the same machine.
 """
 
@@ -22,12 +27,15 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+from run import REF_PROBE_S, probe  # noqa: E402
 # "<workload> <metric> <median> <unit> (median of <n>, quartiles <q1>..<q3>)"
 END_TO_END_LINE = re.compile(
     r"^(\S+)\s+(pass_s|setup_s|peak_rss_mb)\s+(\S+)\s+\S+\s+"
@@ -86,16 +94,21 @@ def machine(lines: list[str]) -> tuple[dict, dict]:
 
 
 def extra_analysis(root: Path) -> dict:
-    """Seconds and peak RSS of one analysis outside the gated workloads."""
+    """Seconds and peak RSS of one analysis outside the gated workloads, and
+    its seconds scaled by the reference probe timed around it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                       env.get("PYTHONPATH")]))
     args = [*EXTRA, "--seed", str(SEED)]
+    probes = [probe(env)]
     proc = subprocess.run(
         [sys.executable, "perfbench/child.py", repr(time.monotonic()), "0", *args],
         cwd=root, env=env, capture_output=True, text=True, check=True)
+    probes += [probe(env), probe(env)]
     rec = json.loads(proc.stdout)
+    probe_s = statistics.median(probes)
     return {"args": args, "exit": rec["exit"], "analyze_s": rec["analyze_s"],
+            "probe_s": probe_s, "analyze_s_scaled": rec["analyze_s"] * REF_PROBE_S / probe_s,
             "setup_s": rec["setup_s"], "peak_rss_mb": rec["maxrss_kb"] / 1024}
 
 
