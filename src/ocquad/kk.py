@@ -314,7 +314,10 @@ def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
         # a non-finite Jacobian would fail the SVD of the whole stack
         go = ~done & np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(resid).all(axis=0)
         if len(converged) >= RANK_POINTS:
-            go &= seed_of < sorted(converged)[RANK_POINTS - 1]
+            # compared in Python: an integer array comparison is numpy code
+            # that no other step runs, and paging it in costs 128 kB of RSS
+            last = sorted(converged)[RANK_POINTS - 1]
+            go &= [s < last for s in seed_of.tolist()]
         step = np.zeros((jac.shape[2], len(go)))
         step[:, go] = (np.linalg.pinv(jac[go], rcond=rcond)
                        @ resid[:, go].T[:, :, None])[:, :, 0].T
