@@ -92,7 +92,8 @@ HOSTILE_EXPRESSIONS = {
                           "error: reduced Hamiltonian: cannot compile: a constant is beyond"),
     # a finite parameter whose square in the reduced H is not
     "parameter_square_overflow": (["a*u1"], {"a": 1e200}, "beyond the float range"),
-    # the reduced H expands to one flat sum of 3,600 terms
+    # the reduced H would expand to one flat sum of 3,600 terms, past the
+    # term budget of `expand`
     "flat_sum_too_long": (["u1", f"({_polynomial('x1', 60)})*({_polynomial('x2', 60)})"],
                           {}, "too long or too deeply nested"),
     # the power alone expands to 4,845 terms: the term budget of `expand`
