@@ -314,7 +314,6 @@ class TestExpand:
             assert abs(v - vx) <= 1e-9 * (1 + abs(v))
             done += 1
 
-
     def test_term_budget(self, table3):
         from ocquad.symexpr import MAX_EXPANDED_TERMS, expand
 
