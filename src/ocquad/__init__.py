@@ -24,7 +24,6 @@ from .ocp import (  # noqa: F401
     solve_stationarity,
     true_hamiltonian,
 )
-from .poisson import bracket  # noqa: F401
 from .noether import (  # noqa: F401
     Ansatz,
     Family,

@@ -189,7 +189,7 @@ def run_analyze(source, options) -> tuple[dict, int]:
     except (ProblemFileError, OcpError) as exc:
         raise AnalysisError(str(exc)) from exc
     variables = None
-    if options.poly_vars:
+    if options.poly_vars is not None:
         rows = {s.name: s for s in sample_symbols(problem.table)}
         try:
             variables = tuple(rows[v.strip()] for v in options.poly_vars.split(","))

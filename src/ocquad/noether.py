@@ -135,17 +135,17 @@ class Ansatz:
                 buckets[group].append(self._monomial(c, expo))
         return [sx.add(*b) if b else sx.ZERO for b in buckets]
 
-    def family_expr(self, coefficients, support=None) -> Expr:
-        """F with the Hamiltonian as a placeholder symbol."""
-        groups = self.group_exprs(coefficients, support)
+    def family_expr(self, groups: list[Expr]) -> Expr:
+        """F from the `group_exprs`, with the Hamiltonian as a placeholder symbol."""
         return sx.add(*(sx.mul(self._monomial(*factor), e)
                         for factor, e in zip(self.factors, groups)))
 
-    def provenance(self, coefficients, support=None) -> dict:
-        """The report's `generators` entry: T and X_1..X_n, or the ansatz's label."""
+    def provenance(self, groups: list[Expr]) -> dict:
+        """The report's `generators` entry from the `group_exprs`: T and
+        X_1..X_n, or the ansatz's label."""
         if self.label is not None:
             return {"ansatz": self.label}
-        t_expr, *x_exprs = map(sx.to_string, self.group_exprs(coefficients, support))
+        t_expr, *x_exprs = map(sx.to_string, groups)
         return {"T": t_expr, "X": x_exprs}
 
     def _monomial(self, c, expo) -> Expr:
@@ -420,15 +420,15 @@ def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
                 support = np.flatnonzero(vector)
         if chosen is None:
             continue
-        support = support.tolist()
-        expr = sx.simplify(ansatz.family_expr(chosen, support))
+        groups = ansatz.group_exprs(chosen, support.tolist())
+        expr = sx.simplify(ansatz.family_expr(groups))
         if sx.is_zero(expr):
             continue
         prelim.append(FamilyComponent(
             function=PhaseFunction(expr, th.table),
             rational=rational,
             holdout_residual=resid,
-            generators=ansatz.provenance(chosen, support),
+            generators=ansatz.provenance(groups),
         ))
         pivots.append(_pivot(vector))
     if not prelim:

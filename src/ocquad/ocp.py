@@ -293,11 +293,6 @@ class SampleBatch:
     def size(self) -> int:
         return len(self.hvalue)
 
-    def column(self, sym: Symbol) -> np.ndarray:
-        if sym is HAMILTONIAN_SYMBOL:
-            return self.hvalue
-        return self.points[sample_row(self.table, sym)]
-
     def point(self, i: int) -> dict[Symbol, float]:
         return dict(zip(sample_symbols(self.table), self.points[:, i].tolist()))
 

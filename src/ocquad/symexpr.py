@@ -129,6 +129,9 @@ class SymbolTable:
                 raise ValueError(f"symbol name {s.name!r} shadows a built-in function")
             if s.role is Role.HAMILTONIAN:
                 raise ValueError("the Hamiltonian placeholder cannot live in a table")
+            if s.name == HAMILTONIAN_SYMBOL.name:
+                # a report prints the placeholder under this name
+                raise ValueError(f"symbol name {s.name!r} is reserved for the Hamiltonian")
             self._by_name[s.name] = s
         self._states = tuple(sorted((s for s in self._symbols if s.role is Role.STATE),
                                     key=lambda s: s.index))
@@ -194,9 +197,6 @@ class SymbolTable:
         except KeyError:
             raise KeyError(f"unknown identifier {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
 
 # node kinds
 _NUM, _SYM, _CALL, _POW, _MUL, _ADD = range(6)
@@ -241,12 +241,6 @@ class Expr:
     @property
     def is_power(self) -> bool:
         return self.kind == _POW
-
-    @property
-    def constant(self) -> Fraction:
-        if self.kind != _NUM:
-            raise ExprError("not a constant")
-        return self.value
 
     @property
     def symbol(self) -> Symbol:
@@ -318,37 +312,6 @@ class Expr:
                 s = frozenset().union(*(c.free() for c in self.children))
             object.__setattr__(self, "_free", s)
         return s
-
-    # ---- arithmetic sugar ---------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return add(self, negate(_as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(_as_expr(other), negate(self))
-
-    def __mul__(self, other):
-        return mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return divide(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return divide(_as_expr(other), self)
-
-    def __pow__(self, other):
-        return power(self, other)
-
-    def __neg__(self):
-        return negate(self)
 
     def __repr__(self) -> str:
         return to_string(self)

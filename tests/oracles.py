@@ -2,7 +2,8 @@
 
 `evaluate` evaluates an expression tree at one point in IEEE doubles, with
 domain guards; it is the reference for `symexpr.compile_fn`.
-`fd_bracket_oracle` approximates the canonical Poisson bracket by central
+`bracket` is the canonical Poisson bracket of two expressions, built
+symbolically, and `fd_bracket_oracle` approximates it by central
 differences of pointwise evaluation; `Residual` evaluates
 R(F) = dF/dt + {F, H} of a whole candidate expression; `combine` builds the
 family map at one parameter vector; `independence_rank_sequential` is the
@@ -25,8 +26,7 @@ import numpy as np
 from ocquad import symexpr as sx
 from ocquad.kk import PROJECTION_TOL, RANK_POINTS, RANK_SV_TOL, RankEvidence
 from ocquad.ocp import NEWTON_MAX_ITER, NEWTON_TOL, HamiltonianEvaluator, PhaseFunction
-from ocquad.poisson import bracket
-from ocquad.symexpr import HAMILTONIAN_SYMBOL, Expr
+from ocquad.symexpr import HAMILTONIAN_SYMBOL, Expr, SymbolTable
 
 _TAN_POLE_GUARD = 1e-9
 
@@ -42,7 +42,7 @@ class PoleError(sx.EvaluationError):
 def evaluate(e: Expr, point) -> float:
     """Pointwise IEEE-double evaluation with domain guards."""
     if e.is_constant:
-        return float(e.constant)
+        return float(e.value)
     if e.is_symbol:
         try:
             return float(point[e.symbol])
@@ -80,6 +80,15 @@ def evaluate(e: Expr, point) -> float:
     if arg <= 0.0:
         raise DomainError("ln of a non-positive value")
     return math.log(arg)
+
+
+def bracket(f: Expr, g: Expr, table: SymbolTable) -> Expr:
+    """Canonical Poisson bracket of two plain expressions."""
+    terms = []
+    for x, p in zip(table.states, table.costates):
+        terms.append(sx.mul(sx.differentiate(f, x), sx.differentiate(g, p)))
+        terms.append(sx.negate(sx.mul(sx.differentiate(f, p), sx.differentiate(g, x))))
+    return sx.add(*terms)
 
 
 def fd_bracket_oracle(f, g, table, point, h=1e-5):
@@ -339,7 +348,7 @@ def reference_mul(*factors):
         if f.is_product:
             stack.extend(reversed(f.factors))
         elif f.is_constant:
-            coeff *= f.constant
+            coeff *= f.value
         elif f.is_power:
             bases[f.base] = bases.get(f.base, Fraction(0)) + f.exponent
         else:
@@ -350,7 +359,7 @@ def reference_mul(*factors):
     for base, exp in bases.items():
         p = sx.power(base, exp)
         if p.is_constant:
-            coeff *= p.constant
+            coeff *= p.value
         else:
             out.append(p)
     if not out:

@@ -108,8 +108,8 @@ class TestCriterion2Martinet:
 
         problem, th, sampler, family, cert, _ = pipeline("martinet")
         table = problem.table
-        f2 = parse("(1 + x1)*psi1 + x3*psi3", table) - (
-            sx.num(2) * symref(table.time) * symref(HAMILTONIAN_SYMBOL))
+        f2 = sx.add(parse("(1 + x1)*psi1 + x3*psi3", table),
+                    sx.mul(-2, symref(table.time), symref(HAMILTONIAN_SYMBOL)))
         assert span_contains(family, symref(HAMILTONIAN_SYMBOL), table, sampler)
         assert span_contains(family, symref(table.costate(3)), table, sampler)
         assert span_contains(family, f2, table, sampler)
@@ -158,7 +158,7 @@ class TestCriterion3Trailer:
         for i in range(batch.size):
             if trajectories == 3:
                 break
-            z0 = [batch.column(s)[i] for s in table.phase]
+            z0 = batch.points[:-1, i]
             try:
                 traj = integrate_extremal(th, z0, horizon=1.0, step=1e-3)
             except Exception:

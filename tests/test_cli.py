@@ -53,6 +53,9 @@ HOSTILE_ENTRIES = {
     "control_guess_string": ("control_guess", ["abc", 0.0], "control_guess[0]"),
     "parameters_list": ("parameters", [1, 2], "'parameters' must be a dict"),
     "sampling_box_list": ("sampling_box", [1], "'sampling_box' must be a dict"),
+    # a report prints the Hamiltonian placeholder as H, so a state of that
+    # name would read the same in a family expression
+    "state_named_H": ("states", ["H", "x2", "x3"], "symbol name 'H' is reserved"),
     "sampling_box_nan": ("sampling_box", {"x1": [-1, "@NaN"]}, "sampling_box['x1']"),
     "sampling_box_overflow": ("sampling_box", {"x1": [-1, "@1e400"]}, "sampling_box['x1']"),
     # only states, costates and the time are sampled
@@ -275,6 +278,8 @@ HOSTILE_FLAGS = {
                         "'x1' is named twice"),
     # checked whether or not the dense search runs
     "poly_vars_without_degree": ("dubins", ["--poly-vars", "u1"], "'u1'"),
+    # an empty list is not the default of every variable
+    "poly_vars_empty": ("dubins", ["--poly-degree", "2", "--poly-vars="], "--poly-vars"),
 }
 
 

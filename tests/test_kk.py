@@ -19,6 +19,7 @@ from ocquad.ocp import (
     PhaseFunction,
     PointSampler,
     SamplerStarvationError,
+    sample_row,
     true_hamiltonian,
 )
 from ocquad.poisson import bracket_values
@@ -58,8 +59,8 @@ class TestBracketMatrix:
         ], t)
         batch = sampler.draw(60)
         a = bracket_values(fam.functions(), batch)
-        psi1 = batch.column(t.costate(1))
-        psi2 = batch.column(t.costate(2))
+        psi1 = batch.points[sample_row(t, t.costate(1))]
+        psi2 = batch.points[sample_row(t, t.costate(2))]
         assert np.abs(a[0, 3] + psi2).max() < 1e-10   # {psi1, F} = -psi2
         assert np.abs(a[1, 3] - psi1).max() < 1e-10   # {psi2, F} = psi1
         for k in range(4):
@@ -444,8 +445,10 @@ def martinet_integrals(table):
     family members the rank gate sees at seed 42."""
     h = symref(HAMILTONIAN_SYMBOL)
     psi3 = symref(table.costate(3))
-    f2 = parse("x3*psi3/2 + psi1*(1/2 + x1/2)", table) - symref(table.time) * h
-    return [psi3, -h, f2, -(psi3 * h), -(h * psi3 ** 2)]
+    f2 = sx.add(parse("x3*psi3/2 + psi1*(1/2 + x1/2)", table),
+                sx.negate(sx.mul(symref(table.time), h)))
+    return [psi3, sx.negate(h), f2, sx.negate(sx.mul(psi3, h)),
+            sx.negate(sx.mul(h, sx.power(psi3, 2)))]
 
 
 def project_both_ways(name, pick, r_basis, backend="auto", seed=42):
@@ -552,7 +555,7 @@ class TestWavesMatchSequential:
         evidence, _ = project_both_ways(
             "trailer", lambda t: [symref(t.costate(1)),
                                   parse("-x1*psi2 - psi3 - psi4 + x2*psi1", t),
-                                  symref(t.costate(2)), -symref(HAMILTONIAN_SYMBOL)],
+                                  symref(t.costate(2)), sx.negate(symref(HAMILTONIAN_SYMBOL))],
             [frac(0, 1, 0, 0), frac(0, 0, 0, 1)], backend="implicit")
         assert len(evidence) == 5 and all(e.rank == 4 for e in evidence)
 

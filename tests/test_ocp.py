@@ -12,6 +12,7 @@ from ocquad.ocp import (
     PointSampler,
     Problem,
     build_hamiltonian,
+    sample_row,
     solve_stationarity,
     true_hamiltonian,
 )
@@ -459,11 +460,11 @@ class TestSampler:
         sampler = PointSampler(th, np.random.default_rng(0))
         batch = sampler.draw(200)
         assert batch.size == 200
-        x1 = batch.column(martinet.table.state(1))
+        table = martinet.table
+        x1 = batch.points[sample_row(table, table.state(1))]
         assert np.all(np.abs(1 + x1) >= 0.1)
-        for s in martinet.table.phase:
-            col = batch.column(s)
-            assert np.all(col >= -1.0) and np.all(col <= 1.0)
+        phase = batch.points[:-1]
+        assert np.all(phase >= -1.0) and np.all(phase <= 1.0)
 
     # rejection reason -> (problem entries, backend)
     STARVING = {
@@ -490,8 +491,7 @@ class TestSampler:
         th = true_hamiltonian(dubins)
         b1 = PointSampler(th, np.random.default_rng(9)).draw(50)
         b2 = PointSampler(th, np.random.default_rng(9)).draw(50)
-        for s in dubins.table.phase:
-            assert np.array_equal(b1.column(s), b2.column(s))
+        assert np.array_equal(b1.points, b2.points)
         assert np.array_equal(b1.hvalue, b2.hvalue)
 
     @pytest.mark.parametrize("name", ["trailer", "dubins", "martinet", "sr-2-3-5",

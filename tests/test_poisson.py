@@ -10,11 +10,11 @@ from ocquad import ocp
 from ocquad import symexpr as sx
 from ocquad.noether import discover_family
 from ocquad.ocp import PhaseFunction, PointSampler, true_hamiltonian
-from ocquad.poisson import bracket, bracket_values
+from ocquad.poisson import bracket_values
 from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import parse, symref
 from conftest import ExprGen
-from oracles import Residual, evaluate, fd_bracket_oracle, reference_bracket_values
+from oracles import Residual, bracket, evaluate, fd_bracket_oracle, reference_bracket_values
 
 
 @pytest.fixture(scope="module")
@@ -140,8 +140,8 @@ class TestResidual:
 
     def test_martinet_nonautonomous_integral(self, martinet_th):
         t = martinet_th.table
-        f2 = parse("(1 + x1)*psi1 + x3*psi3", t) - (
-            sx.num(2) * symref(t.time) * symref(sx.HAMILTONIAN_SYMBOL))
+        f2 = sx.add(parse("(1 + x1)*psi1 + x3*psi3", t),
+                    sx.mul(-2, symref(t.time), symref(sx.HAMILTONIAN_SYMBOL)))
         r = Residual(f2, martinet_th)
         batch = sampler_for(martinet_th, 1).draw(100)
         assert np.abs(r.values(batch)).max() < 1e-12
@@ -199,8 +199,8 @@ class TestBracketValues:
     def test_hamiltonian_bearing_functions(self, martinet_th):
         # {F2, H} = 2H for the Martinet dilation-corrected integral
         t = martinet_th.table
-        f2 = parse("(1 + x1)*psi1 + x3*psi3", t) - (
-            sx.num(2) * symref(t.time) * symref(sx.HAMILTONIAN_SYMBOL))
+        f2 = sx.add(parse("(1 + x1)*psi1 + x3*psi3", t),
+                    sx.mul(-2, symref(t.time), symref(sx.HAMILTONIAN_SYMBOL)))
         hf = PhaseFunction(symref(sx.HAMILTONIAN_SYMBOL), t)
         batch = sampler_for(martinet_th, 12).draw(60)
         vals = bracket_values([PhaseFunction(f2, t), hf], batch)[0, 1]

@@ -51,7 +51,7 @@ class TestParse:
         e = parse("x1^2/2", table3)
         assert e.is_product
         coeffs = [c for c in e.factors if c.is_constant]
-        assert coeffs and coeffs[0].constant == Fraction(1, 2)
+        assert coeffs and coeffs[0].value == Fraction(1, 2)
 
     def test_unknown_identifier(self, table3):
         with pytest.raises(ParseError, match="psi9"):

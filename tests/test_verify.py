@@ -268,7 +268,7 @@ class TestConservationDrift:
         sampler = PointSampler(dubins_th, np.random.default_rng(0))
         batch = sampler.draw(3)
         for i in range(3):
-            z0 = [batch.column(s)[i] for s in t.phase]
+            z0 = batch.points[:-1, i]
             traj = integrate_extremal(dubins_th, z0, horizon=1.0, step=1e-3)
             assert conservation_drift(f, traj) < 1e-6
             assert conservation_drift(PhaseFunction(symref(t.state(1)), t), traj) > 1e-2
@@ -318,7 +318,7 @@ class TestFamilyConservation:
         for i in range(batch.size):
             if done == 3:
                 break
-            z0 = [batch.column(s)[i] for s in t.phase]
+            z0 = batch.points[:-1, i]
             try:
                 traj = integrate_extremal(th, z0, horizon=1.0, step=1e-3)
             except PoleEncounteredError:
