@@ -186,7 +186,7 @@ def run_analyze(source, options) -> tuple[dict, int]:
     try:
         problem, echo = (load_problem(source, params) if isinstance(source, dict)
                          else _resolve_problem(source, params))
-    except (ProblemFileError, OcpError) as exc:
+    except ProblemFileError as exc:
         raise AnalysisError(str(exc)) from exc
     variables = None
     if options.poly_vars is not None:

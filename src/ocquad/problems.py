@@ -182,23 +182,31 @@ def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) ->
 
     bindings = {table.lookup(k): sx.num(v) for k, v in param_values.items()}
 
-    def parse_bound(text: str, what: str) -> sx.Expr:
+    # the costates enter only through H = -L + psi.phi, and the controls are
+    # what dH/du = 0 eliminates
+    forbidden = {"costates": set(table.costates), "controls": set(table.controls)}
+
+    def parse_bound(text: str, what: str, free_of: str) -> sx.Expr:
         if not isinstance(text, str):
             raise ProblemFileError(f"{what} must be an expression string")
         try:
-            return sx.substitute(sx.parse(text, table), bindings)
+            e = sx.substitute(sx.parse(text, table), bindings)
         except ParseError as exc:
             raise ProblemFileError(f"{what}: {exc}") from None
+        if e.free() & forbidden[free_of]:
+            raise ProblemFileError(f"{what} must not mention {free_of}")
+        return e
 
-    lagrangian = parse_bound(lagrangian_src, "lagrangian")
-    dynamics = tuple(parse_bound(d, f"dynamics[{i}]") for i, d in enumerate(dynamics_src))
+    lagrangian = parse_bound(lagrangian_src, "lagrangian", "costates")
+    dynamics = tuple(parse_bound(d, f"dynamics[{i}]", "costates")
+                     for i, d in enumerate(dynamics_src))
 
     control_law = None
     if "control_solution" in doc:
         sol = _require(doc, "control_solution", list)
         if len(sol) != len(controls):
             raise ProblemFileError("control_solution must give one expression per control")
-        control_law = tuple(parse_bound(s, f"control_solution[{i}]")
+        control_law = tuple(parse_bound(s, f"control_solution[{i}]", "controls")
                             for i, s in enumerate(sol))
     control_guess = None
     if "control_guess" in doc:
@@ -227,7 +235,7 @@ def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) ->
             raise ProblemFileError(f"sampling_box[{key!r}] must be [lo, hi] with lo < hi")
         box[sampled[key]] = (lo, hi)
 
-    denominators = tuple(parse_bound(d, f"excluded_denominators[{i}]")
+    denominators = tuple(parse_bound(d, f"excluded_denominators[{i}]", "controls")
                          for i, d in enumerate(_optional(doc, "excluded_denominators",
                                                          list, [])))
 

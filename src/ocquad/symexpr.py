@@ -889,6 +889,7 @@ def to_string(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+_DIGITS = set("0123456789")     # str.isdigit() is true for "²" too
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -903,15 +904,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             toks.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or text[j] not in _DIGITS:
                     raise ParseError("malformed number", i)
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             toks.append(("num", Fraction(text[i:j]), i))
             i = j

@@ -89,9 +89,10 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     negative base under a fractional power) or FloatingPointError, or when
     the new state is not finite; and at a stage's own time when its
     right-hand side is not finite.  The run sits in one ``np.errstate`` that
-    raises on invalid operations and division by zero, so a numpy scalar
-    that leaves the real domain (the square root of a negative ``np.sin``
-    value) stops it as a Python float does, instead of giving nan and a
+    raises on invalid operations, division by zero and overflow, so a numpy
+    scalar that leaves the real domain (the square root of a negative
+    ``np.sin`` value) or the float range (``np.exp`` of a large argument)
+    stops it as a Python float does, instead of giving nan or inf and a
     RuntimeWarning.
     """
     if not step > 0:
@@ -112,7 +113,7 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     flow = HamiltonianFlow(th)
     denominators = th.denominators
     half, sixth = step / 2, step / 6
-    with np.errstate(invalid="raise", divide="raise"):
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
         for k in range(n_steps + 1):
             t = t0 + step * k
             if denominators:

@@ -45,9 +45,9 @@ class TestExitCodes:
         assert "builtin" in capsys.readouterr().err
 
 
-# (key, value, part of the message[, builtin]) for entries that each make a
-# built-in problem file (dubins unless named) invalid; a value "@raw" goes
-# into the JSON text unquoted
+# (key, value, part of the message[, builtin[, flags]]) for entries that each
+# make a built-in problem file (dubins unless named) invalid; a value "@raw"
+# goes into the JSON text unquoted
 HOSTILE_ENTRIES = {
     "k_u_string": ("k_u", "abc", "k_u must be"),
     "control_guess_string": ("control_guess", ["abc", 0.0], "control_guess[0]"),
@@ -78,7 +78,31 @@ HOSTILE_ENTRIES = {
         (["0"], ["psi1*cos(x3) + psi2*sin(x3)", "psi3"]),
         "error: cannot check control_solution on sample points: could not find 50 "
         "admissible points in 11000 draws: 11000 within 0.1 of excluded_denominators[0]"),
+    # the costates enter only through H = -L + psi.phi
+    "lagrangian_costate": ("lagrangian", "(u1^2 + u2^2)/2 + psi1",
+                           "error: lagrangian must not mention costates\n"),
+    # the controls are what dH/du = 0 eliminates, whatever the backend
+    "excluded_denominators_control": ("excluded_denominators", ["1 + u1^2"],
+                                      "error: excluded_denominators[0] must not mention "
+                                      "controls\n"),
+    "control_solution_control": ("control_solution", ["u1", "psi3"],
+                                 "error: control_solution[0] must not mention controls\n"),
+    "control_solution_control_implicit": (
+        "control_solution", ["u1", "psi3"],
+        "error: control_solution[0] must not mention controls\n",
+        "dubins", ["--backend", "implicit"]),
+    # str.isdigit() is true for a superscript digit, which Fraction rejects
+    "dynamics_superscript_digit": ("dynamics", ["u1*\u00b2", "u1*sin(x3)", "u2"],
+                                   "error: dynamics[0]: unexpected character '\u00b2' "
+                                   "(at position 3)\n"),
+    "lagrangian_superscript_digit": ("lagrangian", "1\u00b2 + u1^2",
+                                     "error: lagrangian: unexpected character '\u00b2' "
+                                     "(at position 1)\n"),
 }
+
+
+def _hostile_entry(key, value, message, problem="dubins", flags=()):
+    return key, value, message, problem, flags
 
 
 def _polynomial(var, terms):
@@ -111,8 +135,8 @@ HOSTILE_EXPRESSIONS = {
 class TestHostileProblemFiles:
     @pytest.mark.parametrize("case", sorted(HOSTILE_ENTRIES))
     def test_bad_entry_is_an_error_not_a_traceback(self, case, tmp_path, capsys):
-        key, value, message, *problem = HOSTILE_ENTRIES[case]
-        doc = builtin(problem[0] if problem else "dubins")
+        key, value, message, problem, flags = _hostile_entry(*HOSTILE_ENTRIES[case])
+        doc = builtin(problem)
         if isinstance(key, tuple):      # several entries at once
             doc.update(zip(key, value))
         else:
@@ -122,7 +146,7 @@ class TestHostileProblemFiles:
             text = text.replace(f'"@{raw}"', raw)
         path = tmp_path / "p.json"
         path.write_text(text)
-        assert main(["analyze", str(path)]) == 1
+        assert main(["analyze", str(path), *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
@@ -222,6 +246,20 @@ class TestHostileProblemFiles:
         out = capsys.readouterr()
         assert out.err == ""
         assert len(json.loads(out.out)["verification"]["trajectories"]) == 3
+
+    @pytest.mark.parametrize("seed", ["42", "7"])
+    def test_overflow_in_an_rk4_stage_warns_nothing(self, seed, tmp_path, capsys):
+        # with x1 in [0, 1] and psi1 in [1, 2] the flow drives x1 up until
+        # exp(10*x1) overflows in an RK4 stage: that trajectory is dropped
+        doc = {"name": "blow", "states": ["x1"], "controls": ["u1"], "time": "t",
+               "lagrangian": "u1^2/2", "dynamics": ["u1*exp(10*x1)"],
+               "sampling_box": {"x1": [0, 1], "psi1": [1, 2]}}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path), "--seed", seed]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        json.loads(out.out)
 
     def test_numpy_scalar_leaving_the_real_domain_warns_nothing(self, tmp_path):
         # sin(x1) evaluates to a numpy scalar, and RK4 stages step x1 below 0,
@@ -387,6 +425,12 @@ class TestReportContent:
         timed, _ = run("dubins", "--timings")
         assert "timings" not in plain
         assert "timings" in timed
+        line = render_text(timed).splitlines()[-1]
+        head = "timings [s]: "
+        assert line.startswith(head)
+        # the values are wall-clock times: only the keys are fixed
+        assert [item.split("=")[0] for item in line[len(head):].split(", ")] == [
+            "hamiltonian", "family", "structure", "certificate", "verify", "total"]
 
     def test_text_rendering(self):
         report, _ = run("dubins")
@@ -398,6 +442,17 @@ class TestReportContent:
         report, _ = run("dubins", "--poly-degree", "2")
         exprs = [c["expr"] for c in report["polynomial_family"]]
         assert any("H" in e for e in exprs)
+        lines = render_text(report).splitlines()
+        start = lines.index("polynomial family (7 integrals):")
+        assert [line.split("   (holdout ")[0] for line in lines[start + 1:start + 8]] == [
+            f"  {e}" for e in exprs]
+        assert lines[start + 8] == ""
+
+    def test_text_says_the_polynomial_family_is_empty(self):
+        report, _ = run("dubins", "--poly-degree", "1", "--poly-vars", "x1",
+                        "--poly-no-hamiltonian")
+        assert ("polynomial family: no symmetry found at this ansatz degree"
+                in render_text(report).splitlines())
 
     def test_poly_time_joins_explicit_poly_vars(self):
         # the free particle: x1 - psi1*t is an integral only once t is a variable

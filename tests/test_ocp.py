@@ -661,5 +661,6 @@ class TestProblemValidation:
     def test_costates_forbidden_in_dynamics(self):
         doc = builtin("dubins")
         doc["dynamics"][0] = "psi1"
-        with pytest.raises(OcpError, match="costate"):
+        from ocquad.problems import ProblemFileError
+        with pytest.raises(ProblemFileError, match="costate"):
             load_problem(doc)

@@ -1,14 +1,20 @@
-"""List the functions of `src/ocquad` that the reference runs never enter.
+"""Run the reference analyses and list the functions of `src/ocquad` that
+they never enter.
 
     python tools/line_trace.py
 
 Runs `ocquad.cli.main` in-process under `sys.settrace`, recording call
 events only.  The trace starts before `ocquad` is imported, so functions
-called while the modules load count as entered.  The runs are the ones CI
-checks: the six built-ins and `sr-2-3`/`sr-2-3-5 --poly-degree 4` at seeds
-42, 7 and 3, `martinet --seed 11`, `dubins --backend implicit`, the three
-small `--poly-degree` runs, `martinet --format text`, and `dubins` read back
-from a file that `ocquad problems --dump` wrote, so the file loader runs.
+called while the modules load count as entered.  The runs are the six
+built-ins and `sr-2-3`/`sr-2-3-5 --poly-degree 4` at seeds 42, 7 and 3,
+`martinet --seed 11`, `dubins --backend implicit`, the three small
+`--poly-degree` runs, `martinet --format text`, and `dubins` read back from
+a file that `ocquad problems --dump` wrote, so the file loader runs.
+
+A run fails when it exits with a code other than 0 or 2, or writes to
+stderr: a traceback, an error line or a warning.  Warnings are shown every
+time inside the runs, so one that an earlier run raised is not hidden, and
+the import of `ocquad.cli` is held to the same rule.
 
 Every function or method defined in `src/ocquad` (nested ones included)
 that no run entered is printed with its allow-list reason.  The exit status
@@ -27,6 +33,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -35,12 +42,22 @@ ALLOW_LIST = Path(__file__).resolve().parent / "line_trace_allow.txt"
 REASONS = ("error path", "file input", "test helper", "paper claim")
 
 BUILTINS = ("dubins", "martinet", "trailer", "sr-2-3", "sr-2-3-4", "sr-2-3-5")
+# The benchmark's smoke run discards its children's stderr, so a new
+# RuntimeWarning or traceback shows here only.  Newton solves and RK4 stages
+# run on Python floats, which raise where numpy scalars warn.
 RUNS = [
+    # the 24 reference runs; the two --poly-degree 4 runs are the benchmark's
+    # poly-dense workload
     *([*run.split(), "--seed", str(seed)]
       for seed in (42, 7, 3)
       for run in (*BUILTINS, "sr-2-3 --poly-degree 4", "sr-2-3-5 --poly-degree 4")),
+    # a rank gate reads seeds past its first five after one diverges, then
+    # converges one
     ["martinet", "--seed", "11"],
+    # the generated RK4 step through Newton-solved stages and trigonometric
+    # calls
     ["dubins", "--backend", "implicit"],
+    # the sampled dense search, whose H is not a polynomial
     ["dubins", "--poly-degree", "3"],
     ["martinet", "--poly-degree", "3"],
     ["trailer", "--poly-degree", "2"],
@@ -87,16 +104,26 @@ def entered_codes():
     def tracer(frame, event, arg):
         entered.add(frame.f_code)      # returns None: no line events
 
+    def quiet(label, call, *args):
+        """call(*args) with stdout discarded; a failure if anything reaches
+        stderr, warnings included."""
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("always")
+            result = call(*args)
+        if err.getvalue():
+            failures.append(f"{label} wrote to stderr: {err.getvalue().strip()}")
+        return result
+
     def run(cli, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+        code = quiet(" ".join(argv), cli.main, argv)
         if code not in (0, 2):
-            failures.append(f"{' '.join(argv)} exited with {code}: {err.getvalue().strip()}")
+            failures.append(f"{' '.join(argv)} exited with {code}")
 
     sys.settrace(tracer)
     try:
-        cli = importlib.import_module("ocquad.cli")
+        cli = quiet("import ocquad.cli", importlib.import_module, "ocquad.cli")
         for argv in RUNS:
             run(cli, ["analyze", *argv])
         with tempfile.TemporaryDirectory() as tmp:
