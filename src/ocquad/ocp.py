@@ -362,13 +362,13 @@ class HamiltonianEvaluator:
         self.th = th
         self._closed_form = th.is_closed_form
         self._grad_syms = sample_symbols(th.table)
-        args = self._grad_syms + (() if self._closed_form else th.table.controls)
-        label = "reduced Hamiltonian" if self._closed_form else "Hamiltonian"
-        self._envelope = _compile(label, th.envelope, args)
-        self._scalar_envelope = _compile(label, th.envelope, args, scalar=True)
+        self._args = self._grad_syms + (() if self._closed_form else th.table.controls)
+        self._label = "reduced Hamiltonian" if self._closed_form else "Hamiltonian"
+        self._envelope = _compile(self._label, th.envelope, self._args)
+        self._scalar_envelope = _compile(self._label, th.envelope, self._args, scalar=True)
         self.newton_failures = 0    # sample points `prepare` found no control for
         if not self._closed_form:
-            self._newton_fn = _compile(label, th.newton_system, args, scalar=True)
+            self._newton_fn = _compile(self._label, th.newton_system, self._args, scalar=True)
             self._newton_step = _newton_kernel(th.table.m_ctl)
             self._warm = None
 
@@ -382,36 +382,42 @@ class HamiltonianEvaluator:
         n_pts = points.shape[1]
         args = list(points)
         keep = np.ones(n_pts, dtype=bool)
-        if not self._closed_form:
-            guess = self.th.law.guess
-            u_sol = np.empty((n_pts, len(guess)))
-            # one column list and one solved control at a time: lists of
-            # them would hold 1,001 lists for a verified trajectory
-            for i, column in enumerate(points.T):
-                u = self._newton(column.tolist(), guess)
-                keep[i] = u is not None
-                u_sol[i] = guess if u is None else u
-            self.newton_failures += n_pts - np.count_nonzero(keep)
-            args += list(u_sol.T)
         with np.errstate(all="ignore"):
+            if not self._closed_form:
+                guess = self.th.law.guess
+                u_sol = np.empty((n_pts, len(guess)))
+                for i, column in enumerate(points.T):
+                    u = self._newton(column.tolist(), guess)
+                    keep[i] = u is not None
+                    u_sol[i] = guess if u is None else u
+                self.newton_failures += n_pts - np.count_nonzero(keep)
+                args += list(u_sol.T)
             env = _stacked(self._envelope, args, n_pts)
         keep &= np.isfinite(env).all(axis=0)
         return SampleBatch(self.th.table, points, env[0], env[1:]).take(keep), keep
 
     def value_and_gradient(self, z, t: float):
         """(H, the gradient over x, psi, t as a list of 2n+1 floats) at the
-        phase point z and time t; the implicit backend's Newton solve starts
-        from the last solved control, then from the guess.  The scalar
-        envelope returns Python floats from Python floats, so its entries
-        are returned as they are.  An evaluation that leaves the real domain
-        (a negative base under a fractional power, a zero base under a
-        negative power) or overflows a Python float raises OcpError."""
-        args = [*map(float, z), float(t)]
+        phase point z and time t, from one call of the scalar envelope, whose
+        Python floats are returned as they are.  The caller provides the
+        ``np.errstate``: a numpy function that leaves the real domain or the
+        float range warns under numpy's default and raises under ``raise``.
+        An evaluation that leaves the real domain (a negative base under a
+        fractional power, a zero base under a negative power) or overflows a
+        Python float raises OcpError."""
+        h, *grad = self._call(self._scalar_envelope, [*map(float, z), float(t)])
+        return h, grad
+
+    def _call(self, fn, args: list):
+        """`fn(*args)`, a scalar compiled function over `self._args`, with
+        `args` the 2n+1 sample-row floats; on the implicit backend the
+        controls are appended, solved from the last solved control, then
+        from the guess.  A value that leaves the real domain or overflows a
+        Python float raises OcpError naming the point."""
         try:
             if not self._closed_form:
                 args += self._solve(args)
-            h, *grad = self._scalar_envelope(*args)
-            return h, grad
+            return fn(*args)
         except (ArithmeticError, TypeError) as exc:
             what = "overflows" if isinstance(exc, OverflowError) else "leaves the real domain"
             point = dict(zip(self._grad_syms, args))
@@ -431,18 +437,18 @@ class HamiltonianEvaluator:
         each step clipped to [-2, 2].  Returns the control, or None when an
         evaluation is not finite or not real, a pivot breaks down, |u| reaches
         1e6, the iteration does not converge, or the control Hessian at the
-        solution is not negative definite."""
-        with np.errstate(all="ignore"):
-            try:
-                for _ in range(NEWTON_MAX_ITER):
-                    new = self._newton_step(self._newton_fn(*base, *u), u)
-                    if new is True:
-                        return u
-                    if not new:     # None, or converged where A is not definite
-                        return None
-                    u = new
-            except (ArithmeticError, TypeError):
-                return None
+        solution is not negative definite.  The caller provides the
+        ``np.errstate``, as for `value_and_gradient`."""
+        try:
+            for _ in range(NEWTON_MAX_ITER):
+                new = self._newton_step(self._newton_fn(*base, *u), u)
+                if new is True:
+                    return u
+                if not new:     # None, or converged where A is not definite
+                    return None
+                u = new
+        except (ArithmeticError, TypeError):
+            return None
         return None
 
 
@@ -487,17 +493,25 @@ class PhaseFunction:
 
 
 class HamiltonianFlow:
-    """Right-hand side of xdot = dH/dpsi, psidot = -dH/dx."""
+    """Right-hand side of xdot = dH/dpsi, psidot = -dH/dx.
+
+    The vector field (dH/dpsi_1..n, dH/dx_1..n) is compiled once, in scalar
+    form, over the sample rows and, on the implicit backend, the controls.
+    """
 
     def __init__(self, th: TrueHamiltonian):
-        self.evaluator = HamiltonianEvaluator(th)
-        self._n = th.table.n
+        self.evaluator = ev = HamiltonianEvaluator(th)
+        n = self._n = th.table.n
+        env = th.envelope
+        self._field = _compile(ev._label, env[n + 1:2 * n + 1] + env[1:n + 1], ev._args,
+                               scalar=True)
 
     def rhs(self, t: float, y) -> list:
-        """(xdot, psidot) as a list of floats."""
-        _, grad = self.evaluator.value_and_gradient(y, t)
+        """(xdot, psidot) as a list of floats, from one call of the field
+        after the evaluator's warm-started control solve."""
+        out = self.evaluator._call(self._field, [*y, t])
         n = self._n
-        return grad[n:2 * n] + [-g for g in grad[:n]]
+        return [*out[:n], *[-g for g in out[n:]]]
 
 
 class PointSampler:

@@ -130,7 +130,10 @@ def _as_float(value, what: str) -> float:
 
 
 def _as_rational(value, what: str) -> Fraction:
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+    # a string takes ASCII digits only, as an expression does: Fraction reads
+    # any Unicode decimal digit, "\u0663" as 3
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            or isinstance(value, str) and value.isascii()):
         try:
             out = Fraction(str(value) if isinstance(value, float) else value)
             float(out)      # overflows beyond the float range

@@ -276,16 +276,14 @@ def reference_newton(newton_fn, base, u):
     return None
 
 
-def reference_rk4_step(rhs, t, y, half, step, sixth):
+def reference_rk4_step(rhs, t, y, k1, half, step, sixth):
     """One classical RK4 step as a loop over list comprehensions: `rhs(t, y)`
-    is the right-hand side, `y` the state as floats, `step` the step and
-    `half` and `sixth` its half and sixth.  Returns what `verify._rk4_step(d)`
-    must return: the next state as a list, or "k1" to "k4" for the first
-    stage whose right-hand side is not finite, or "y" when the new state is
-    not finite.  A stage that raises raises through it."""
-    k1 = rhs(t, y)
-    if not all(map(math.isfinite, k1)):
-        return "k1"
+    is the right-hand side, `y` the state as floats, `k1` its finite first
+    stage, `step` the step and `half` and `sixth` its half and sixth.
+    Returns what `verify._rk4_step(d)` must return: the next state as a
+    list, or "k2" to "k4" for the first later stage whose right-hand side is
+    not finite, or "y" when the new state is not finite.  A stage that
+    raises raises through it."""
     k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
     if not all(map(math.isfinite, k2)):
         return "k2"

@@ -98,6 +98,11 @@ HOSTILE_ENTRIES = {
     "lagrangian_superscript_digit": ("lagrangian", "1\u00b2 + u1^2",
                                      "error: lagrangian: unexpected character '\u00b2' "
                                      "(at position 1)\n"),
+    # Fraction reads any Unicode decimal digit: an Arabic-Indic three would
+    # bind alpha = 3, where the same digit in an expression is refused
+    "parameter_arabic_indic_digit": ("parameters", {"alpha": "\u0663"},
+                                     "error: parameter 'alpha' must be a finite number, "
+                                     "got '\u0663'\n", "martinet"),
 }
 
 
@@ -301,6 +306,10 @@ HOSTILE_FLAGS = {
     "output_in_missing_directory": ("dubins", ["--output", "{tmp}/missing/x.json"],
                                     "cannot write"),
     "param_overflow": ("martinet", ["--param", "alpha=1e400"], "parameter 'alpha'"),
+    # ASCII digits only, as in an expression
+    "param_arabic_indic_digit": ("martinet", ["--param", "alpha=\u0663"],
+                                 "error: parameter 'alpha' must be a finite number, "
+                                 "got '\u0663'\n"),
     # alpha is finite, but alpha^2 in the reduced H is not
     "param_square_overflow": ("sr-2-3-5", ["--param", "alpha=1e200"],
                               "error: reduced Hamiltonian: cannot compile: a constant is beyond"),

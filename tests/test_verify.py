@@ -11,7 +11,7 @@ from ocquad.ocp import (
     PointSampler,
     true_hamiltonian,
 )
-from ocquad.problems import builtin, load_problem
+from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
 from ocquad.verify import PoleEncounteredError, conservation_drift, integrate_extremal
 from conftest import ExprGen, bits
@@ -127,19 +127,100 @@ class TestIntegrateExtremal:
     @pytest.mark.parametrize("t0, step, n_steps", [
         (0.0, 1e-3, 1000), (0.25, 1e-3, 1000), (-0.7, 0.01, 300), (3.1, 1 / 3, 30)])
     def test_stages_read_the_batch_time_row(self, t0, step, n_steps, monkeypatch):
-        # the loop's time t0 + step * k is the batch's time row, bit for bit
-        seen = []
-        original = HamiltonianFlow.rhs
+        # the loop's time t0 + step * k is the batch's time row, bit for bit:
+        # each grid time is evaluated once, and the later stages of its step
+        # run at t + step/2, t + step/2 and t + step
+        evaluated, staged = [], []
+        value_and_gradient, rhs = HamiltonianEvaluator.value_and_gradient, HamiltonianFlow.rhs
 
-        def recorded(self, t, y):
-            seen.append(t)
-            return original(self, t, y)
+        def recorded_value_and_gradient(self, z, t):
+            evaluated.append(t)
+            return value_and_gradient(self, z, t)
 
-        monkeypatch.setattr(HamiltonianFlow, "rhs", recorded)
+        def recorded_rhs(self, t, y):
+            staged.append(t)
+            return rhs(self, t, y)
+
+        monkeypatch.setattr(HamiltonianEvaluator, "value_and_gradient",
+                            recorded_value_and_gradient)
+        monkeypatch.setattr(HamiltonianFlow, "rhs", recorded_rhs)
         traj = integrate_extremal(nonautonomous_th(), [0.3, -0.4], t0=t0,
                                   horizon=step * n_steps, step=step)
-        assert len(seen) == 4 * n_steps
-        assert np.array(seen[::4]).tobytes() == traj.points[-1, :-1].tobytes()
+        times = traj.points[-1].tolist()
+        assert bits(evaluated) == bits(times)
+        assert bits(staged) == bits([t + d for t in times[:-1]
+                                     for d in (step / 2, step / 2, step)])
+
+    @pytest.mark.parametrize("lagrangian, t0, step, at", [
+        # H = -10^301 t + psi1^2/2 passes the float range at t = 1.7977e7
+        ("u1^2/2 + 10^301*t", 1.79769e7, 1.0, 32),
+        # H = -10^300 ln(-t) + psi1^2/2 stays finite, dH/dt = -10^300/t
+        # does not once t > -5.56e-9
+        ("u1^2/2 + 10^300*ln(-t)", -1e-8, 1e-9, 5)])
+    def test_nonfinite_value_with_a_finite_field_is_a_pole(self, lagrangian, t0, step, at):
+        # the vector field psi1, 0 is finite everywhere: only the grid
+        # point's own H or dH/dt ends the run, at that grid time
+        doc = {"name": "time-term", "states": ["x1"], "controls": ["u1"], "time": "t",
+               "lagrangian": lagrangian, "dynamics": ["u1"]}
+        problem, _ = load_problem(doc)
+        with pytest.raises(PoleEncounteredError) as err:
+            integrate_extremal(true_hamiltonian(problem), [0.1, 0.2], t0=t0,
+                               horizon=40 * step, step=step)
+        assert err.value.time == t0 + step * at
+
+    @pytest.mark.parametrize("name, backend", [("trailer", "auto"), ("dubins", "implicit")])
+    def test_implicit_backend_solves_once_per_point_and_stage(self, name, backend,
+                                                              monkeypatch):
+        # one Newton solve at each of the N + 1 grid points, which also gives
+        # the step's first stage, and one for each of the 3 later stages
+        problem, _ = load_problem(builtin(name))
+        th = true_hamiltonian(problem, backend)
+        assert not th.is_closed_form
+        z0 = PointSampler(th, np.random.default_rng(2)).draw(1).points[:-1, 0]
+        solves = []
+        newton = HamiltonianEvaluator._newton
+
+        def counted(self, base, u):
+            solves.append(base[-1])
+            return newton(self, base, u)
+
+        monkeypatch.setattr(HamiltonianEvaluator, "_newton", counted)
+        n_steps = 200
+        integrate_extremal(th, z0, horizon=n_steps * 1e-3, step=1e-3)
+        assert len(solves) == 4 * n_steps + 1
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_batch_matches_prepare_on_the_grid(self, name):
+        # the batch built from the grid points' own evaluations agrees with
+        # `prepare` of the grid (the array envelope, Newton from the guess)
+        problem, _ = load_problem(builtin(name))
+        th = true_hamiltonian(problem)
+        points = PointSampler(th, np.random.default_rng(5)).draw(3).points
+        done = 0
+        for z0 in points[:-1].T:
+            try:
+                traj = integrate_extremal(th, z0, horizon=1.0, step=1e-3)
+            except PoleEncounteredError:
+                continue
+            fresh, keep = HamiltonianEvaluator(th).prepare(traj.points)
+            assert keep.all()
+            for got, want in ((traj.hvalue, fresh.hvalue), (traj.hgrad, fresh.hgrad)):
+                assert got.shape == want.shape
+                assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+            done += 1
+        assert done
+
+    def test_batch_is_the_scalar_envelope_on_the_grid(self):
+        # on a closed-form problem each column is one value_and_gradient
+        # call at its grid point, bit for bit
+        problem, _ = load_problem(builtin("sr-2-3"))
+        th = true_hamiltonian(problem)
+        z0 = PointSampler(th, np.random.default_rng(5)).draw(1).points[:-1, 0]
+        traj = integrate_extremal(th, z0, horizon=1.0, step=1e-3)
+        ev = HamiltonianEvaluator(th)
+        for k, column in enumerate(traj.points.T.tolist()):
+            h, grad = ev.value_and_gradient(column[:-1], column[-1])
+            assert bits([h, *grad]) == bits([traj.hvalue[k], *traj.hgrad[:, k]])
 
     def test_free_particle_is_exact(self):
         th = scalar_th()
@@ -188,8 +269,17 @@ class TestIntegrateExtremal:
 
 class TestRk4Step:
     """One call of the generated step returns bit for bit what one reference
-    step returns, from the same right-hand side calls: the next state, the
-    name of the failed check, or the stage's exception."""
+    step returns, from the same first stage and the same right-hand side
+    calls for the later stages: the next state, the name of the failed
+    check, or the stage's exception."""
+
+    @staticmethod
+    def first_stage(flow, t, y):
+        """k1 = (dH/dpsi, -dH/dx) as `integrate_extremal` reads it from the
+        grid point's evaluation."""
+        n = len(y) // 2
+        _, grad = flow.evaluator.value_and_gradient(y, t)
+        return grad[n:2 * n] + [-g for g in grad[:n]]
 
     @pytest.mark.parametrize("name, backend", [
         ("dubins", "auto"), ("dubins", "implicit"), ("martinet", "auto"),
@@ -207,8 +297,13 @@ class TestRk4Step:
             for step in (1e-3, 0.05):
                 # a fresh flow for each: the Newton solve warm-starts
                 with np.errstate(invalid="raise", divide="raise"):
-                    got = step_fn(HamiltonianFlow(th).rhs, t, y, step / 2, step, step / 6)
-                    want = reference_rk4_step(HamiltonianFlow(th).rhs, t, y,
+                    flow = HamiltonianFlow(th)
+                    k1 = self.first_stage(flow, t, y)
+                    # the grid point's evaluation is the field's first stage
+                    assert bits(k1) == bits(flow.rhs(t, y))
+                    got = step_fn(flow.rhs, t, y, k1, step / 2, step, step / 6)
+                    flow = HamiltonianFlow(th)
+                    want = reference_rk4_step(flow.rhs, t, y, self.first_stage(flow, t, y),
                                               step / 2, step, step / 6)
                 assert type(got) is list and bits(got) == bits(want)
                 assert bits(got) != bits(y)
@@ -234,6 +329,8 @@ class TestRk4Step:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_every_outcome_matches_the_reference(self, d):
+        # the first call of the scripted right-hand side is k1, which is
+        # finite; a later stage (call 2 to 4) fails
         step_fn = verify._rk4_step(d)
         seen = set()
         for seed in range(40):
@@ -241,19 +338,20 @@ class TestRk4Step:
             y = rng.uniform(-2.0, 2.0, d).tolist()
             t, step = float(rng.uniform(-1.0, 1.0)), float(rng.choice([1e-3, 0.1, 1.0]))
             kind = ["plain", "nonfinite", "raise", "huge"][seed % 4]
-            bad_call = seed // 4 % 4 + 1
+            bad_call = seed // 4 % 3 + 2
             outcome = []
             for fn in (step_fn, reference_rk4_step):
                 calls = []
                 rhs = self.scripted(d, seed, bad_call, kind, calls)
+                k1 = rhs(t, y)
                 try:
-                    out = fn(rhs, t, y, step / 2, step, step / 6)
+                    out = fn(rhs, t, y, k1, step / 2, step, step / 6)
                 except OcpError:
                     out = "raised"
                 outcome.append((out if isinstance(out, str) else bits(out), calls))
             assert outcome[0] == outcome[1]
             seen.add("state" if isinstance(outcome[0][0], bytes) else outcome[0][0])
-        assert seen == {"state", "k1", "k2", "k3", "k4", "raised", "y"}
+        assert seen == {"state", "k2", "k3", "k4", "raised", "y"}
 
 
 class TestConservationDrift:

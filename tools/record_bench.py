@@ -11,10 +11,14 @@ through `perfbench/child.py`, outside the gated workloads, and the
 benchmark's reference probe (`perfbench/run.py`'s `probe`, which runs
 `PROBE`) once before and twice after it.
 
-The file, written at the root of this repository, holds the runner's
-machine block, the three end-to-end metrics per workload (median and
-quartiles of the passes, times scaled to the runner's reference host), the
-per-layer metrics per workload and the extra analysis: its raw seconds
+The file, written at the root of this repository, holds the checkout's
+`git describe` (null outside a git checkout) and a sha1 of its
+`src/ocquad/*.py`; the runner's machine block and, beside it, whether
+`PYTHONDONTWRITEBYTECODE` was set and `src/ocquad/__pycache__` existed after
+the run (without bytecode every child compiles ocquad from source, which
+`setup_s` includes); the three end-to-end metrics per workload (median and
+quartiles of the passes, times scaled to the runner's reference host); the
+per-layer metrics per workload; and the extra analysis: its raw seconds
 `analyze_s`, the median probe seconds `probe_s`, and `analyze_s_scaled`,
 scaled to the reference host as `perfbench/run.py` scales `pass_s`
 (seconds times REF_PROBE_S over the probe median).  A speed claim quotes
@@ -24,6 +28,7 @@ two such files recorded on the same machine.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -93,6 +98,21 @@ def machine(lines: list[str]) -> tuple[dict, dict]:
     return block, speed
 
 
+def source_sha1(root: Path) -> str:
+    """sha1 over the names and bytes of `src/ocquad/*.py`, in name order:
+    names the measured code where `git describe` cannot."""
+    digest = hashlib.sha1()
+    for path in sorted((root / "src" / "ocquad").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def bytecode(root: Path) -> dict:
+    """Whether the children could import ocquad from bytecode."""
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "pycache_exists": (root / "src" / "ocquad" / "__pycache__").is_dir()}
+
+
 def extra_analysis(root: Path) -> dict:
     """Seconds and peak RSS of one analysis outside the gated workloads, and
     its seconds scaled by the reference probe timed around it."""
@@ -127,8 +147,10 @@ def main(argv=None) -> int:
     record = {
         "label": args.label,
         "commit": commit,
+        "source_sha1": source_sha1(root),
         "command": " ".join(COMMAND),
         "machine": block,
+        "bytecode": bytecode(root),
         "host_speed": speed,
         "correct": summary["correct"],
         "attempted": summary["attempted"],
