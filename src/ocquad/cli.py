@@ -22,6 +22,7 @@ from . import __version__
 from . import symexpr as sx
 from .kk import Certificate, SpanSample, decompose_in_span, find_certificate, sample_span
 from .noether import (
+    FAMILY_TOL,
     EmptyNullspaceError,
     Family,
     NoetherError,
@@ -157,7 +158,7 @@ def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
     attempts = 0
     while len(trajectories) < TRAJECTORY_COUNT and attempts < 10 * TRAJECTORY_COUNT:
         attempts += 1
-        z0 = sampler.draw_point()[:-1]
+        z0 = sampler.draw(1).points[:-1, 0]
         try:
             traj = integrate_extremal(th, z0, t0=0.0,
                                       horizon=TRAJECTORY_HORIZON,
@@ -376,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--holdout", type=int, default=100,
                          help="fresh verification points (default 100)")
     analyze.add_argument("--seed", type=int, default=42)
-    analyze.add_argument("--tol", type=float, default=1e-8,
-                         help="family holdout tolerance (default 1e-8)")
+    analyze.add_argument("--tol", type=float, default=FAMILY_TOL,
+                         help="family holdout tolerance (default %(default)g)")
     analyze.add_argument("--poly-degree", type=int, default=None,
                          help="also run the dense polynomial-integral search")
     analyze.add_argument("--poly-vars", type=str, default=None,

@@ -30,7 +30,7 @@ from .ocp import (
     HamiltonianEvaluator,
     PhaseFunction,
     PointSampler,
-    SamplerStarvationError,
+    SampleBatch,
     TrueHamiltonian,
 )
 from .symexpr import HAMILTONIAN_SYMBOL, Expr
@@ -237,67 +237,51 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
     """Manufacture RANK_POINTS points on the admissible level manifold and
     record the rank of the selection's (x, psi) Jacobian there.
 
-    Random seeds are Gauss-Newton projected onto {F_i = r*_i} with r* the
-    orthogonal projection of F(seed) onto span(r_basis), through the
-    sampler's evaluator; divergent seeds are skipped and counted.  All
-    4 * RANK_POINTS seeds are drawn and projected as one batch, which drops
-    the seeds after the RANK_POINTS-th converged one, and their outcomes are
-    read in draw order until RANK_POINTS have converged.  The sampler's RNG
-    is then set back to its state after the last seed read, so the sampler
-    sees the same draws, and the evidence keeps the same order, as when each
-    seed is projected before the next is drawn.  A draw that starves
-    ends the drawing; its error is raised only if the reading reaches it.
+    4 * RANK_POINTS seeds are drawn in one batch and Gauss-Newton projected
+    onto {F_i = r*_i}, with r* the orthogonal projection of F(seed) onto
+    span(r_basis), through the sampler's evaluator.  Their outcomes are read
+    in draw order until RANK_POINTS have converged; the seeds read that did
+    not converge are skipped and counted.
     """
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
         if r_basis else np.zeros((len(selection), 0))
-    seeds, states = [], []      # states[k]: the RNG state after seed k's draw
-    starved = None
-    try:
-        while len(seeds) < 4 * RANK_POINTS:
-            seeds.append(sampler.draw_point())
-            states.append(sampler.rng.bit_generator.state)
-    except SamplerStarvationError as exc:
-        if not seeds:
-            raise
-        starved = exc
-    found = _project_to_level(selection, r_mat, sampler.evaluator, np.stack(seeds, axis=1))
+    found = _project_to_level(selection, r_mat, sampler.evaluator,
+                              sampler.draw(4 * RANK_POINTS))
     evidence: list[RankEvidence] = []
     attempts = 0
     while len(evidence) < RANK_POINTS and attempts < 4 * RANK_POINTS:
-        if attempts == len(seeds):      # the reading needs the seed whose draw starved
-            raise starved
         if attempts in found:
             point, jac = found[attempts]
             sv = np.linalg.svd(jac, compute_uv=False)
             rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
             evidence.append(RankEvidence(point=point, rank=rank))
         attempts += 1
-    sampler.rng.bit_generator.state = states[attempts - 1]
     return evidence, attempts - len(evidence)
 
 
 def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
                       evaluator: HamiltonianEvaluator,
-                      seeds: np.ndarray) -> dict[int, tuple[dict, np.ndarray]]:
-    """Gauss-Newton projection of the (2n+1, k) seed columns onto their
+                      batch: SampleBatch) -> dict[int, tuple[dict, np.ndarray]]:
+    """Gauss-Newton projection of the seed columns of `batch` onto their
     levels, all columns at once; t stays fixed.
 
-    A column ends when its point drops out of `prepare`, leaves |z| <= 1e3,
-    has a non-finite Jacobian or step, or has not converged after 50
-    iterations.  Once RANK_POINTS columns have converged, the columns after
-    the RANK_POINTS-th of them in column order end too: the reading in
-    `independence_rank` stops before them.  No column's arithmetic depends
-    on another's, so every column before it ends as in the full projection.
-    Each step is the minimum-norm least-squares step, with the
-    singular-value cutoff of `np.linalg.lstsq`.  Returns (point, (n_sel, 2n)
-    Jacobian) of each converged column, keyed by its column number.
+    The first step reads the batch as drawn; each later step evaluates its
+    points through `evaluator`.  A column ends when its point
+    drops out of `prepare`, leaves |z| <= 1e3, has a non-finite Jacobian or
+    step, or has not converged after 50 iterations.  Once RANK_POINTS
+    columns have converged, the columns after the RANK_POINTS-th of them in
+    column order end too: the reading in `independence_rank` stops before
+    them.  No column's arithmetic depends on another's, so every column
+    before it ends as in the full projection.  Each step is the
+    minimum-norm least-squares step, with the singular-value cutoff of
+    `np.linalg.lstsq`.  Returns (point, (n_sel, 2n) Jacobian) of each
+    converged column, keyed by its column number.
     """
-    batch, keep = evaluator.prepare(seeds)
-    seed_of = np.flatnonzero(keep)
+    seed_of = np.arange(batch.size)
     vals = np.array([f.values(batch) for f in selection])
     target = r_mat @ np.linalg.lstsq(r_mat, vals, rcond=None)[0] if r_mat.shape[1] \
         else np.zeros_like(vals)
-    rcond = np.finfo(float).eps * max(len(selection), seeds.shape[0] - 1)
+    rcond = np.finfo(float).eps * max(len(selection), batch.points.shape[0] - 1)
     converged = {}
     for it in range(50):
         if it:  # the seeds' batch and values serve the first step

@@ -562,7 +562,3 @@ class PointSampler:
             dropped += keep.size - np.count_nonzero(keep)
             got = batch if got is None else got.concat(batch)
         return got.take(slice(count))
-
-    def draw_point(self) -> np.ndarray:
-        """One admissible point as a (2n+1,) vector in sample-row order."""
-        return self.draw(1).points[:, 0]

@@ -194,7 +194,7 @@ def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) ->
             raise ProblemFileError(f"{what} must be an expression string")
         try:
             e = sx.substitute(sx.parse(text, table), bindings)
-        except ParseError as exc:
+        except (ParseError, sx.EvaluationError) as exc:
             raise ProblemFileError(f"{what}: {exc}") from None
         if e.free() & forbidden[free_of]:
             raise ProblemFileError(f"{what} must not mention {free_of}")

@@ -448,8 +448,6 @@ def mul(*factors) -> Expr:
 
 
 def _int_root(x: int, q: int) -> int | None:
-    if x < 0:
-        return None
     r = round(x ** (1.0 / q))
     for cand in (r - 1, r, r + 1):
         if cand >= 0 and cand ** q == x:
@@ -467,10 +465,12 @@ def power(base, exponent) -> Expr:
         return base
     if base.kind == _NUM:
         v = base.value
+        if v == 0 and exp < 0:
+            raise DivisionByZeroError("division by zero in constant")
         if exp.denominator == 1:
-            if v == 0 and exp < 0:
-                raise DivisionByZeroError("division by zero in constant")
             return num(v ** exp.numerator) if exp > 0 else num(Fraction(1) / v ** (-exp.numerator))
+        if v < 0:
+            raise EvaluationError(f"constant ({v})^({exp}) is not real")
         pn = _int_root(v.numerator if exp > 0 else v.denominator, exp.denominator)
         pd = _int_root(v.denominator if exp > 0 else v.numerator, exp.denominator)
         if pn is not None and pd is not None:

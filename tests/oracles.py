@@ -140,13 +140,14 @@ def combine(family, weights):
 
 
 def independence_rank_sequential(selection, r_basis, sampler):
-    """The rank gate one seed at a time: each drawn seed is Gauss-Newton
-    projected on its own, with a per-point `np.linalg.lstsq` step, before the
-    next seed is drawn, and the sampler's RNG ends after the last seed used.
-    `kk.independence_rank` draws every attempt and projects them as one
-    batch, through the sampler's evaluator, then sets the RNG back; it must
-    give the same evidence, skip count and final RNG state from the same
-    draws.  This one projects through an evaluator of its own."""
+    """The rank gate one seed at a time: the 4 * RANK_POINTS seeds of one
+    `sampler.draw` are read in draw order until RANK_POINTS converge, and
+    each is Gauss-Newton projected on its own, with a per-point
+    `np.linalg.lstsq` step, before the next is read.  `kk.independence_rank`
+    projects the same seeds as one batch; it must give the same evidence in
+    the same order and the same skip count.  This one evaluates every point
+    again, through an evaluator of its own."""
+    seeds = sampler.draw(4 * RANK_POINTS).points
     evaluator = HamiltonianEvaluator(sampler.evaluator.th)
     n_sel = len(selection)
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
@@ -155,9 +156,8 @@ def independence_rank_sequential(selection, r_basis, sampler):
     skipped = 0
     attempts = 0
     while len(evidence) < RANK_POINTS and attempts < 4 * RANK_POINTS:
+        z, t_val = seeds[:-1, attempts], seeds[-1, attempts]
         attempts += 1
-        point = sampler.draw_point()
-        z, t_val = point[:-1], point[-1]
 
         def values_at(zv):
             """(batch, selection values) at (zv, t_val), or (None, None)."""

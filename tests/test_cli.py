@@ -95,6 +95,13 @@ HOSTILE_ENTRIES = {
     "dynamics_superscript_digit": ("dynamics", ["u1*\u00b2", "u1*sin(x3)", "u2"],
                                    "error: dynamics[0]: unexpected character '\u00b2' "
                                    "(at position 3)\n"),
+    # a negative constant under a fractional power is not real, a real odd
+    # root included: refused where it is parsed, naming the entry
+    "dynamics_non_real_constant": ("dynamics", ["u1*cos(x3)", "u1*sin(x3)", "u2*(-8)^(1/3)"],
+                                   "error: dynamics[2]: constant (-8)^(1/3) is not real\n"),
+    "dynamics_zero_to_a_negative_power": ("dynamics", ["u1*0^(-1/2)", "u1*sin(x3)", "u2"],
+                                          "error: dynamics[0]: division by zero in "
+                                          "constant\n"),
     "lagrangian_superscript_digit": ("lagrangian", "1\u00b2 + u1^2",
                                      "error: lagrangian: unexpected character '\u00b2' "
                                      "(at position 1)\n"),
@@ -400,6 +407,16 @@ class TestProblemFiles:
 
 
 class TestReportContent:
+    def test_tol_default_is_the_family_tolerance(self, capsys):
+        # `noether.FAMILY_TOL` is the one owner of the default
+        from ocquad.noether import FAMILY_TOL
+        assert analyze_options([]).tol == FAMILY_TOL == 1e-8
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        assert "family holdout tolerance (default 1e-08)" in capsys.readouterr().out
+        report, _ = run("dubins")
+        assert report["options"]["tol"] == 1e-8
+
     def test_family_and_certificate_sections(self):
         report, _ = run("dubins")
         assert {"expr", "holdout_residual", "rational", "generators"} <= set(

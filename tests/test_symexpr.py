@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,25 @@ class TestParse:
         assert parse("x1^(3/2)", table3).exponent == Fraction(3, 2)
         with pytest.raises(ParseError, match="rational constant"):
             parse("x1^x2", table3)
+
+    @pytest.mark.parametrize("text, shown", [("(-8)^(1/3)", "(-8)^(1/3)"),
+                                             ("(-1)^(3/2)", "(-1)^(3/2)"),
+                                             ("sqrt(-4)", "(-4)^(1/2)"),
+                                             ("(-1/8)^(-2/3)", "(-1/8)^(-2/3)")])
+    def test_negative_constant_under_a_fractional_power_is_refused(self, table3, text,
+                                                                   shown):
+        # a real odd root such as (-8)^(1/3) is refused too, not folded
+        with pytest.raises(EvaluationError, match=fr"^constant {re.escape(shown)} is not real$"):
+            parse(text, table3)
+
+    def test_constant_roots_fold(self, table3):
+        assert parse("8^(1/3)", table3) == num(2)
+        assert parse("(4/9)^(-3/2)", table3) == num(Fraction(27, 8))
+        assert parse("2^(1/2)", table3) == power(num(2), Fraction(1, 2))
+
+    def test_zero_under_a_negative_fractional_power_divides_by_zero(self, table3):
+        with pytest.raises(DivisionByZeroError, match="division by zero in constant"):
+            parse("0^(-1/2)", table3)
 
     def test_unary_minus_binds_like_a_factor(self, table3):
         assert parse("-x1^2", table3) == negate(power(symref(table3.state(1)), 2))
