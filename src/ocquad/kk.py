@@ -290,6 +290,8 @@ def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
             vals = np.array([f.values(batch) for f in selection])
         inside = ~(np.abs(batch.points[:-1]).max(axis=0) > 1e3)
         batch, seed_of, target = batch.take(inside), seed_of[inside], target[:, inside]
+        if not seed_of.size:    # the seed comparison below reads [] as floats
+            break
         resid = vals[:, inside] - target
         jac = np.stack([f.gradient(batch)[:-1] for f in selection]).transpose(2, 0, 1)
         done = np.abs(resid).max(axis=0) < PROJECTION_TOL

@@ -24,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import symexpr as sx
-from .ocp import PhaseFunction, PointSampler, TrueHamiltonian, sample_row, sample_symbols
+from .ocp import (PhaseFunction, PointSampler, SampleBatch, TrueHamiltonian, sample_row,
+                  sample_symbols)
 from .symexpr import Expr, HAMILTONIAN_SYMBOL, Poly, Symbol, SymbolTable
 
 SVD_TOL = 1e-9
@@ -221,10 +222,16 @@ def _exponents(n_vars: int, degree: int):
 
 def assemble_system(ansatz: Ansatz, sampler: PointSampler, n_samples: int) -> np.ndarray:
     """Sampled residual matrix (n_samples x coefficient count).  Raises
-    NoetherError when an entry is not finite: the monomials overflow at the
-    points of a sampling box that is too large."""
+    NoetherError when an entry is not finite (`_finite_matrix`)."""
+    return _finite_matrix(ansatz, sampler.draw(n_samples))
+
+
+def _finite_matrix(ansatz: Ansatz, batch: SampleBatch) -> np.ndarray:
+    """`ansatz.matrix(batch)`, the residual system of the discovery and of
+    the holdout check.  Raises NoetherError when an entry is not finite: the
+    monomials overflow at the points of a sampling box that is too large."""
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix = ansatz.matrix(sampler.draw(n_samples))
+        matrix = ansatz.matrix(batch)
     # min and max carry a NaN and show an inf without a flag array the size
     # of the matrix, which would raise the peak memory of the analysis
     if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
@@ -400,7 +407,7 @@ def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
     if not basis:
         raise EmptyNullspaceError("no symmetry found at this ansatz degree")
     hold_batch = sampler.draw(holdout)
-    hold_matrix = ansatz.matrix(hold_batch)
+    hold_matrix = _finite_matrix(ansatz, hold_batch)
     prelim, pivots = [], []
     for vector in basis:
         chosen = None

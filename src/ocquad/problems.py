@@ -28,6 +28,8 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from . import symexpr as sx
 from .ocp import Problem
 from .symexpr import ParseError, Role, Symbol, SymbolTable
@@ -143,6 +145,21 @@ def _as_rational(value, what: str) -> Fraction:
     raise ProblemFileError(f"{what} must be a finite number, got {value!r}")
 
 
+def _refuse_non_real_constants(e: sx.Expr) -> None:
+    """Raise EvaluationError at a symbol-free base under a fractional power
+    whose value is negative or complex, innermost first.  `sx.power` refuses
+    such a base when it is a number; one that does not fold to a number,
+    such as 2/3 - sqrt(3), it keeps."""
+    for child in e.children:
+        _refuse_non_real_constants(child)
+    if e.is_power and e.exponent.denominator != 1 and not e.base.free():
+        with np.errstate(all="ignore"):
+            value = sx.compile_fn(e.base, ())()
+        if isinstance(value, complex) or value < 0:
+            raise sx.EvaluationError(
+                f"constant ({sx.to_string(e.base)})^({e.exponent}) is not real")
+
+
 def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) -> tuple[Problem, dict]:
     """Validate a problem document and bind parameters.
 
@@ -194,6 +211,7 @@ def load_problem(doc: dict, param_overrides: dict[str, object] | None = None) ->
             raise ProblemFileError(f"{what} must be an expression string")
         try:
             e = sx.substitute(sx.parse(text, table), bindings)
+            _refuse_non_real_constants(e)
         except (ParseError, sx.EvaluationError) as exc:
             raise ProblemFileError(f"{what}: {exc}") from None
         if e.free() & forbidden[free_of]:

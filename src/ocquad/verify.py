@@ -26,6 +26,14 @@ class PoleEncounteredError(OcpError):
         self.time = time
 
 
+def _real(value) -> float:
+    """`value` as a float; TypeError for a complex value, numpy's included,
+    whose float() would keep the real part and warn."""
+    if isinstance(value, complex):
+        raise TypeError(f"{value!r} is not real")
+    return float(value)
+
+
 @cache
 def _rk4_step(d: int):
     """One classical RK4 step of a d-dimensional flow, as straight-line Python
@@ -125,7 +133,7 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
             t = t0 + step * k
             if denominators:
                 try:
-                    current = [float(d(*y, t)) for d in denominators]
+                    current = [_real(d(*y, t)) for d in denominators]
                 except (ArithmeticError, TypeError):    # a pole, or a complex value
                     raise PoleEncounteredError(t) from None
                 if any(abs(now) < 1e-2 or before * now < 0

@@ -13,11 +13,14 @@ warning.  `problem_file(seed)` builds one file from numpy's RNG:
 - an excluded denominator 30% of the time, and a wide x1 box 20% of the
   time.
 
-Tier-1 runs the seeds in SEEDS: the first 60 of the sweep (about 4 s on a
-2-vCPU Xeon host); seeds 241, 401 and 916, whose files hold a negative
-constant under a fractional power and must exit 1; and seed 181, the one
-seed of the first 1,000 that breaks the rule today.  A sweep over seeds
-0..COUNT-1 runs with
+Each file runs in-process through `reference_runs.run`, the runner of the
+reference runs.  Tier-1 runs the seeds in SEEDS: the first 60 of the sweep
+(about 4 s on a 2-vCPU Xeon host); seeds 241, 401, 916 and 2966, whose
+files hold a constant that is not real under a fractional power and must
+exit 1; seeds 1572, 2374 and 2867, whose residual systems overflow and must
+exit 1; seed 1074, whose excluded denominator turns complex along an
+extremal; seed 1953, whose rank-gate projection loses every column; and
+seed 181, the one seed of the first 3,000 that breaks the rule today.  A sweep over seeds 0..COUNT-1 runs with
 
     PYTHONPATH=src python tests/test_fuzz.py [COUNT]
 
@@ -25,28 +28,34 @@ which prints each seed's exit code and seconds, and every seed that breaks
 the rule.
 """
 
-import contextlib
-import io
 import json
 import sys
 import tempfile
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ocquad.cli import main
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from reference_runs import run  # noqa: E402
 
 CONSTANTS = ("1", "2", "3", "1/2", "2/3", "-1", "10^20", "10^30", "0.001")
 POWERS = ("2", "3", "(1/2)", "(-1)", "(3/2)", "0")
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
 
-# (-1)^(3/2), (sqrt(-1))^(1/2) and sqrt(ln(x2) * sqrt(-1)): a constant that
-# is not real, refused where the file is read
-NON_REAL = (241, 401, 916)
-SEEDS = [*range(60), *NON_REAL,
+# (-1)^(3/2), (sqrt(-1))^(1/2), sqrt(ln(x2) * sqrt(-1)) and
+# sqrt(2/3 - sqrt(3)): a constant that is not real, refused where the file
+# is read
+NON_REAL = (241, 401, 916, 2966)
+# the family's holdout monomials overflow, as its sampled system's would
+NOT_FINITE = (1572, 2374, 2867)
+SEEDS = [*range(60), *NON_REAL, *NOT_FINITE,
+         # an excluded denominator that turns complex along an extremal
+         1074,
+         # the rank gate's projection loses every column left after five
+         # have converged
+         1953,
          # the structure table's bracket fit gets non-finite coefficients
          # from its least-squares solve, and rationalising them raises
          pytest.param(181, marks=pytest.mark.xfail(raises=ValueError, strict=True))]
@@ -92,12 +101,8 @@ def analyze(seed, directory):
     """(exit code, stderr, warnings) of `ocquad analyze` on the seed's file."""
     path = Path(directory) / f"fz{seed}.json"
     path.write_text(json.dumps(problem_file(seed)))
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["analyze", str(path), "--degree", "1"])
-    return code, err.getvalue(), [str(w.message) for w in caught]
+    doc = run(["analyze", str(path), "--degree", "1"])
+    return doc["exit_code"], doc["stderr"], doc["warnings"]
 
 
 def broken(code, err, caught):
@@ -120,6 +125,8 @@ def test_problem_file_ends_in_a_report_or_one_error_line(seed, tmp_path):
     assert broken(code, err, caught) is None
     if seed in NON_REAL:
         assert code == 1 and err.endswith(" is not real\n")
+    if seed in NOT_FINITE:
+        assert code == 1 and err.startswith("error: the sampled residual system is not finite")
 
 
 if __name__ == "__main__":

@@ -1,98 +1,62 @@
-"""Golden reports: `ocquad analyze <builtin>` at fixed seeds and flags.
+"""Golden reports: the reference runs of `tools/reference_runs.py` that name
+a file under `tests/golden/`.
 
-Each `golden/<problem>.json` (seed 42), `golden/seed7/<problem>.json`
-(seed 7), `golden/poly/<problem>.json` (seed 42, `--poly-degree 4`, for
-`sr-2-3` and `sr-2-3-5` only) and `golden/seed17/martinet.json` (a run one
-of whose rank gates reads seeds past its first five after one diverges: the
-sixth seed diverges too, and the seventh converges) holds the exit code and
-the full JSON report.
-Strings, integers, booleans and the shape of the report must match exactly
-(family expressions, `rational` flags, verdict, selection, lambdas, xi,
-admissible levels, rank list, diagnostics, polynomial family); floats must
-agree within 1e-9.
+Each file holds the exit code and the full JSON report of one run: the six
+built-ins at seed 42 (`golden/<problem>.json`) and at seed 7
+(`golden/seed7/`), `sr-2-3` and `sr-2-3-5 --poly-degree 4` at seed 42
+(`golden/poly/`), and `martinet --seed 17` (`golden/seed17/`), a run one of
+whose rank gates reads seeds past its first five after one diverges.  The
+run must write nothing to stderr and raise no warning.  Through
+`reference_runs.diff`, strings, integers, booleans and the shape of the
+report must match exactly (family expressions, `rational` flags, verdict,
+selection, lambdas, xi, admissible levels, rank list, diagnostics,
+polynomial family); floats must agree within 1e-9.
 
 A change that alters a report on purpose rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
+The rewrite keeps each stored float whose new value is within 1e-9 of it,
+so a file changes only where a report moved beyond the test's tolerance.
 """
 
 import json
-import os
 import sys
+from pathlib import Path
 
 import pytest
 
-from ocquad.cli import build_parser, run_analyze
-from ocquad.problems import BUILTIN_NAMES
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from reference_runs import FLOAT_TOL, GOLDEN_DIR, RUNS, diff, keep_unmoved, run  # noqa: E402
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-POLY_NAMES = ("sr-2-3", "sr-2-3-5")
-POLY_FLAGS = ("--poly-degree", "4")
-# case -> (directory, seed, extra flags, problems)
-GOLDEN_CASES = {
-    "seed42": (GOLDEN_DIR, 42, (), BUILTIN_NAMES),
-    "seed7": (os.path.join(GOLDEN_DIR, "seed7"), 7, (), BUILTIN_NAMES),
-    "poly": (os.path.join(GOLDEN_DIR, "poly"), 42, POLY_FLAGS, POLY_NAMES),
-    "seed17": (os.path.join(GOLDEN_DIR, "seed17"), 17, (), ("martinet",)),
-}
-FLOAT_TOL = 1e-9
+GOLDEN_RUNS = [r for r in RUNS if r.golden]
 
 
-def analyze(name, seed, flags=()):
-    options = build_parser().parse_args(["analyze", name, "--seed", str(seed), *flags])
-    report, code = run_analyze(name, options)
-    # through JSON, as the CLI prints it: tuples become lists
-    return {"exit_code": code, "report": json.loads(json.dumps(report))}
+def stored(golden: str) -> dict:
+    """The golden document: the stored exit code and report, no stderr and
+    no warnings."""
+    return {"stderr": "", "warnings": [], **json.loads((GOLDEN_DIR / golden).read_text())}
 
 
-def assert_matches(got, want, path="$"):
-    if isinstance(want, float) and not isinstance(got, bool):
-        assert isinstance(got, (int, float)), f"{path}: {got!r} is not a number"
-        assert abs(got - want) <= FLOAT_TOL, f"{path}: {got!r} != {want!r}"
-    elif isinstance(want, dict):
-        assert isinstance(got, dict), f"{path}: {got!r} is not an object"
-        assert sorted(got) == sorted(want), f"{path}: keys {sorted(got)} != {sorted(want)}"
-        for key in want:
-            assert_matches(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list), f"{path}: {got!r} is not a list"
-        assert len(got) == len(want), f"{path}: length {len(got)} != {len(want)}"
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_matches(g, w, f"{path}[{i}]")
-    else:
-        assert got == want and type(got) is type(want), f"{path}: {got!r} != {want!r}"
+@pytest.mark.parametrize("reference", GOLDEN_RUNS, ids=lambda r: r.golden.removesuffix(".json"))
+def test_report_matches_golden(reference):
+    changes = diff(stored(reference.golden), run(reference.argv)).beyond(FLOAT_TOL)
+    assert not changes, "\n".join(changes)
 
 
-def check_golden(name, case):
-    directory, seed, flags, _ = GOLDEN_CASES[case]
-    with open(os.path.join(directory, f"{name}.json")) as fh:
-        want = json.load(fh)
-    assert_matches(analyze(name, seed, flags), want)
-
-
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_report_matches_golden(name):
-    check_golden(name, "seed42")
-
-
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_report_matches_golden_seed7(name):
-    check_golden(name, "seed7")
-
-
-@pytest.mark.parametrize("name", POLY_NAMES)
-def test_report_matches_golden_poly(name):
-    check_golden(name, "poly")
-
-
-def test_report_matches_golden_seed17_martinet():
-    check_golden("martinet", "seed17")
+def test_manifest_names_every_golden_file():
+    files = sorted(p.relative_to(GOLDEN_DIR).as_posix() for p in GOLDEN_DIR.rglob("*.json"))
+    assert sorted(r.golden for r in GOLDEN_RUNS) == files
+    assert len(files) == 15
 
 
 if __name__ == "__main__":
-    for case, (directory, seed, flags, problems) in GOLDEN_CASES.items():
-        os.makedirs(directory, exist_ok=True)
-        for problem in problems:
-            with open(os.path.join(directory, f"{problem}.json"), "w") as out:
-                json.dump(analyze(problem, seed, flags), out, indent=2)
-                out.write("\n")
-            print(case, problem, file=sys.stderr)
+    for reference in GOLDEN_RUNS:
+        path = GOLDEN_DIR / reference.golden
+        doc = run(reference.argv)
+        if doc["stderr"] or doc["warnings"]:
+            sys.exit(f"{reference.args}: {doc['stderr']}{doc['warnings']}")
+        new = {"exit_code": doc["exit_code"], "report": doc["report"]}
+        if path.exists():
+            new = keep_unmoved(json.loads(path.read_text()), new)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(new, indent=2) + "\n")
+        print(reference.golden, file=sys.stderr)

@@ -7,9 +7,12 @@ without it.
 """
 
 import runpy
+import sys
 from pathlib import Path
 
-TOOL = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "line_trace.py"))
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(TOOLS))     # the trace imports its sibling reference_runs
+TOOL = runpy.run_path(str(TOOLS / "line_trace.py"))
 
 
 def test_allow_list_names_functions_of_src_ocquad_with_a_known_reason():

@@ -3,18 +3,19 @@ they never enter.
 
     python tools/line_trace.py
 
-Runs `ocquad.cli.main` in-process under `sys.settrace`, recording call
-events only.  The trace starts before `ocquad` is imported, so functions
-called while the modules load count as entered.  The runs are the six
-built-ins and `sr-2-3`/`sr-2-3-5 --poly-degree 4` at seeds 42, 7 and 3,
-`martinet --seed 17`, `dubins --backend implicit`, the three small
-`--poly-degree` runs, `martinet --format text`, and `dubins` read back from
-a file that `ocquad problems --dump` wrote, so the file loader runs.
+Runs every run of the manifest, `reference_runs.RUNS`, and then `dubins`
+read back from a file that `ocquad problems --dump` wrote, so the file
+loader runs.  Each goes in-process through `reference_runs.run` under
+`sys.settrace`, recording call events only.  The runner imports
+`ocquad.cli` inside the trace, so functions called while the modules load
+count as entered.
 
-A run fails when it exits with a code other than 0 or 2, or writes to
-stderr: a traceback, an error line or a warning.  Warnings are shown every
-time inside the runs, so one that an earlier run raised is not hidden, and
-the import of `ocquad.cli` is held to the same rule.
+A run fails when it exits with a code other than 0 or 2, writes to stderr
+(a traceback or an error line), or warns.  The runner records every
+warning each time it is raised, so one that an earlier run raised is not
+hidden, and the import of `ocquad.cli` counts as the first run's.  The
+benchmark's smoke run discards its children's stderr, so a new
+RuntimeWarning or traceback shows here only.
 
 Every function or method defined in `src/ocquad` (nested ones included)
 that no run entered is printed with its allow-list reason.  The exit status
@@ -26,43 +27,19 @@ otherwise 0.
 from __future__ import annotations
 
 import ast
-import contextlib
-import importlib
-import io
 import os
 import sys
 import tempfile
 import time
-import warnings
 from pathlib import Path
+
+from reference_runs import RUNS, run
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "ocquad"
 ALLOW_LIST = Path(__file__).resolve().parent / "line_trace_allow.txt"
 REASONS = ("error path", "file input", "test helper", "paper claim")
 
-BUILTINS = ("dubins", "martinet", "trailer", "sr-2-3", "sr-2-3-4", "sr-2-3-5")
-# The benchmark's smoke run discards its children's stderr, so a new
-# RuntimeWarning or traceback shows here only.  Newton solves and RK4 stages
-# run on Python floats, which raise where numpy scalars warn.
-RUNS = [
-    # the 24 reference runs; the two --poly-degree 4 runs are the benchmark's
-    # poly-dense workload
-    *([*run.split(), "--seed", str(seed)]
-      for seed in (42, 7, 3)
-      for run in (*BUILTINS, "sr-2-3 --poly-degree 4", "sr-2-3-5 --poly-degree 4")),
-    # a rank gate reads seeds past its first five after one diverges: the
-    # sixth seed diverges too, and the seventh converges
-    ["martinet", "--seed", "17"],
-    # the generated RK4 step through Newton-solved stages and trigonometric
-    # calls
-    ["dubins", "--backend", "implicit"],
-    # the sampled dense search, whose H is not a polynomial
-    ["dubins", "--poly-degree", "3"],
-    ["martinet", "--poly-degree", "3"],
-    ["trailer", "--poly-degree", "2"],
-    ["martinet", "--format", "text"],
-]
 FILE_RUN = "dubins"
 
 
@@ -104,31 +81,22 @@ def entered_codes():
     def tracer(frame, event, arg):
         entered.add(frame.f_code)      # returns None: no line events
 
-    def quiet(label, call, *args):
-        """call(*args) with stdout discarded; a failure if anything reaches
-        stderr, warnings included."""
-        err = io.StringIO()
-        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
-              warnings.catch_warnings()):
-            warnings.simplefilter("always")
-            result = call(*args)
-        if err.getvalue():
-            failures.append(f"{label} wrote to stderr: {err.getvalue().strip()}")
-        return result
-
-    def run(cli, argv):
-        code = quiet(" ".join(argv), cli.main, argv)
-        if code not in (0, 2):
-            failures.append(f"{' '.join(argv)} exited with {code}")
+    def check(argv):
+        doc = run(argv)
+        label = " ".join(argv)
+        if doc["exit_code"] not in (0, 2):
+            failures.append(f"{label} exited with {doc['exit_code']}")
+        if doc["stderr"]:
+            failures.append(f"{label} wrote to stderr: {doc['stderr'].strip()}")
+        failures.extend(f"{label} warned {w}" for w in doc["warnings"])
 
     sys.settrace(tracer)
     try:
-        cli = quiet("import ocquad.cli", importlib.import_module, "ocquad.cli")
-        for argv in RUNS:
-            run(cli, ["analyze", *argv])
+        for r in RUNS:
+            check(r.argv)
         with tempfile.TemporaryDirectory() as tmp:
-            run(cli, ["problems", "--dump", tmp])
-            run(cli, ["analyze", os.path.join(tmp, f"{FILE_RUN}.json")])
+            check(["problems", "--dump", tmp])
+            check(["analyze", os.path.join(tmp, f"{FILE_RUN}.json")])
     finally:
         sys.settrace(None)
     return entered, failures
