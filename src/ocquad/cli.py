@@ -171,9 +171,11 @@ def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
                              "t0": 0.0,
                              "horizon": TRAJECTORY_HORIZON,
                              "step": TRAJECTORY_STEP})
+    # with no extremal behind it, a drift of 0.0 would read as conservation
     return {
         "trajectories": trajectories,
-        "drift": [{"expr": sx.to_string(c.function.expr), "max_drift": float(d)}
+        "drift": [{"expr": sx.to_string(c.function.expr),
+                   "max_drift": float(d) if trajectories else None}
                   for c, d in zip(family.components, drift_max)],
     }
 
@@ -351,7 +353,9 @@ def render_text(report: dict) -> str:
     lines.append(f"verification over {len(ver['trajectories'])} extremals "
                  f"(horizon {TRAJECTORY_HORIZON}, step {TRAJECTORY_STEP}):")
     for entry in ver["drift"]:
-        lines.append(f"  drift {entry['max_drift']:.2e}  {entry['expr']}")
+        drift = entry["max_drift"]
+        lines.append(("  not verified" if drift is None else f"  drift {drift:.2e}")
+                     + f"  {entry['expr']}")
     if "timings" in report:
         lines.append("")
         lines.append("timings [s]: " + ", ".join(
@@ -359,8 +363,16 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line with AnalysisError, not argparse's
+    usage and exit code 2, which is the inconclusive verdict's."""
+
+    def error(self, message):
+        raise AnalysisError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ocquad",
         description="First integrals and quadrature certificates for optimal "
                     "control problems")
@@ -409,8 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except AnalysisError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "problems":
         if args.show:
             try:

@@ -334,6 +334,11 @@ HOSTILE_FLAGS = {
     "poly_vars_without_degree": ("dubins", ["--poly-vars", "u1"], "'u1'"),
     # an empty list is not the default of every variable
     "poly_vars_empty": ("dubins", ["--poly-degree", "2", "--poly-vars="], "--poly-vars"),
+    # a malformed command line is a failed run, not the inconclusive exit 2
+    "flag_unknown": ("dubins", ["--bogus"], "error: unrecognized arguments: --bogus\n"),
+    "degree_not_an_int": ("dubins", ["--degree", "x"], "invalid int value: 'x'"),
+    "backend_unknown": ("dubins", ["--backend", "fast"], "invalid choice: 'fast'"),
+    "seed_without_value": ("dubins", ["--seed"], "expected one argument"),
 }
 
 
@@ -350,6 +355,11 @@ class TestHostileFlags:
         assert out.err.startswith("error:")
         assert out.err.count("\n") == 1
         assert message in out.err
+
+    def test_no_command_is_one_error_line(self, capsys):
+        assert main([]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: the following arguments are required: command\n")
 
     def test_dump_onto_an_existing_file(self, tmp_path, capsys):
         target = tmp_path / "taken"
@@ -497,6 +507,16 @@ class TestReportContent:
         assert report["certificate"]["verdict"] == "Inconclusive"
         assert "x1*psi1" in [c["expr"] for c in report["polynomial_family"]]
         assert report["verification"] == {"trajectories": [], "drift": []}
+
+    def test_no_extremal_reports_no_drift(self):
+        # ln(t) is singular at t0 = 0, where every extremal starts: each fails
+        doc = {"name": "ln-t", "time": "t", "states": ["x1"], "controls": ["u1"],
+               "lagrangian": "u1^2/2", "dynamics": ["u1*ln(t)"]}
+        report, code = run(doc)
+        assert code == 0
+        assert report["verification"]["trajectories"] == []
+        assert [d["max_drift"] for d in report["verification"]["drift"]] == [None] * 3
+        assert "  not verified  psi1" in render_text(report).splitlines()
 
     def test_degree_five_polynomial_family(self):
         # 3,003 coefficients, solved on the exact block path

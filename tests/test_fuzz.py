@@ -2,7 +2,8 @@
 
 A problem file, however hostile, ends with exit code 0 or 2 and nothing on
 stderr, or with exit code 1 and one `error:` line: never a traceback or a
-warning.  `problem_file(seed)` builds one file from numpy's RNG:
+warning.  A report that verified no extremal has no numeric drift.
+`problem_file(seed)` builds one file from numpy's RNG:
 
 - 1 to 3 states and 1 or 2 controls;
 - sum(u_j^2)/2 as the Lagrangian 90% of the time, else a free expression;
@@ -98,15 +99,15 @@ def problem_file(seed):
 
 
 def analyze(seed, directory):
-    """(exit code, stderr, warnings) of `ocquad analyze` on the seed's file."""
+    """The run document of `ocquad analyze` on the seed's file."""
     path = Path(directory) / f"fz{seed}.json"
     path.write_text(json.dumps(problem_file(seed)))
-    doc = run(["analyze", str(path), "--degree", "1"])
-    return doc["exit_code"], doc["stderr"], doc["warnings"]
+    return run(["analyze", str(path), "--degree", "1"])
 
 
-def broken(code, err, caught):
+def broken(doc):
     """Why a run breaks the rule, or None."""
+    code, err, caught = doc["exit_code"], doc["stderr"], doc["warnings"]
     if code not in (0, 1, 2):
         return f"exit code {code}"
     if caught:
@@ -116,13 +117,19 @@ def broken(code, err, caught):
             return f"exit 1 with stderr {err!r}"
     elif err:
         return f"exit {code} with stderr {err!r}"
+    else:
+        verification = doc["report"]["verification"]
+        if not verification["trajectories"] and any(
+                d["max_drift"] is not None for d in verification["drift"]):
+            return "a drift with no extremal behind it"
     return None
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_problem_file_ends_in_a_report_or_one_error_line(seed, tmp_path):
-    code, err, caught = analyze(seed, tmp_path)
-    assert broken(code, err, caught) is None
+    doc = analyze(seed, tmp_path)
+    assert broken(doc) is None
+    code, err = doc["exit_code"], doc["stderr"]
     if seed in NON_REAL:
         assert code == 1 and err.endswith(" is not real\n")
     if seed in NOT_FINITE:
@@ -136,12 +143,12 @@ if __name__ == "__main__":
         for seed in range(count):
             start = time.monotonic()
             try:
-                result = analyze(seed, directory)
-                why = broken(*result)
+                doc = analyze(seed, directory)
+                code, why = doc["exit_code"], broken(doc)
             except Exception as exc:    # a traceback in a test run
-                result, why = (None,), f"raised {type(exc).__name__}: {exc}"
+                code, why = None, f"raised {type(exc).__name__}: {exc}"
             failures += why is not None
-            print(f"seed {seed}: exit {result[0]} in {time.monotonic() - start:.2f} s"
+            print(f"seed {seed}: exit {code} in {time.monotonic() - start:.2f} s"
                   + (f"  BROKEN: {why}" if why else ""), flush=True)
     print(f"{failures} of {count} seeds broke the rule")
     sys.exit(1 if failures else 0)

@@ -1,5 +1,6 @@
-"""The report differ and the golden rewrite of `tools/reference_runs.py`, on
-hand-built documents: no analysis runs here."""
+"""The report differ and the golden rewrite of `tools/reference_runs.py`, and
+the run-health and design-rule checks of `tools/compare_runs.py`, on
+hand-built documents and entered sets: no analysis runs here."""
 
 import copy
 import sys
@@ -8,6 +9,13 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from compare_runs import (  # noqa: E402
+    REASONS,
+    defined_functions,
+    design_rule,
+    failed_runs,
+    read_allow_list,
+)
 from reference_runs import FLOAT_TOL, RUNS, diff, keep_unmoved  # noqa: E402
 
 DOC = {
@@ -103,3 +111,53 @@ def test_the_manifest_names_each_run_once():
     assert len({r.args for r in RUNS}) == len(RUNS)
     goldens = [r.golden for r in RUNS if r.golden]
     assert len(set(goldens)) == len(goldens)
+
+
+def test_a_healthy_run_passes_and_each_failure_is_named():
+    runs = {
+        "dubins --seed 42": DOC,
+        "martinet --seed 42": changed(("exit_code",), 2),
+        "trailer --seed 42": changed(("exit_code",), 1),
+        "sr-2-3 --seed 42": changed(("stderr",), "error: boom\n"),
+        "sr-2-3-4 --seed 42": changed(("warnings",), ["RuntimeWarning: overflow"]),
+    }
+    assert failed_runs(runs) == [
+        "trailer --seed 42 exited with 1",
+        "sr-2-3 --seed 42 wrote to stderr: error: boom",
+        "sr-2-3-4 --seed 42 warned RuntimeWarning: overflow",
+    ]
+
+
+DEFINED = {"cli.main", "ocp.PhaseFunction.__repr__", "symexpr._int_root"}
+ALLOWED = {"ocp.PhaseFunction.__repr__": "test helper", "symexpr._int_root": "file input"}
+
+
+def test_the_design_rule_holds_when_every_unentered_function_is_allowed():
+    assert design_rule(DEFINED, {"cli.main"}, ALLOWED) == []
+
+
+def test_a_function_never_entered_and_not_allowed():
+    assert design_rule(DEFINED, set(), ALLOWED) == [
+        "cli.main is never entered and not in the allow-list"]
+
+
+@pytest.mark.parametrize("entered, allowed, problem", [
+    ({"cli.main", "symexpr._int_root"}, ALLOWED,
+     "symexpr._int_root was entered; drop it from the allow-list"),
+    ({"cli.main"}, {**ALLOWED, "ocp.gone": "error path"},
+     "ocp.gone is in the allow-list but defined nowhere in src/ocquad"),
+    ({"cli.main"}, {**ALLOWED, "symexpr._int_root": "rarely used"},
+     "symexpr._int_root: reason 'rarely used' is not one of " + ", ".join(REASONS)),
+], ids=["entered", "missing", "unknown_reason"])
+def test_a_stale_allow_list_entry(entered, allowed, problem):
+    assert design_rule(DEFINED, entered, allowed) == [problem]
+
+
+def test_allow_list_names_functions_of_src_ocquad_with_a_known_reason():
+    # compare_runs.py traces the reference runs; this reads the sources only,
+    # so a stale entry fails the suite without them
+    defined = set(defined_functions().values())
+    entries = read_allow_list()
+    assert entries
+    assert sorted(set(entries) - defined) == []
+    assert {name: reason for name, reason in entries.items() if reason not in REASONS} == {}

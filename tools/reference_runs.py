@@ -5,9 +5,9 @@ RUNS is the one list of reference runs outside `perfbench/`: the six
 built-ins and `sr-2-3`/`sr-2-3-5 --poly-degree 4` at seeds 42, 7 and 3, a
 rank gate that reads past its first five seeds, the implicit backend, three
 small `--poly-degree` searches and one text report.  The fifteen runs with a
-`golden` file are pinned by `tests/golden/`.  `tools/line_trace.py` runs them
-all under its tracer, `tests/test_golden.py` compares the golden runs with
-their files, and `tools/compare_runs.py` diffs JSON_RUNS between two trees.
+`golden` file are pinned by `tests/golden/`.  `tests/test_golden.py`
+compares the golden runs with their files, and `tools/compare_runs.py`
+diffs JSON_RUNS between two trees and checks every run of the working tree.
 
 `run(argv)` gives a run's document: its exit code, stderr, warnings and
 report.  `diff(before, after)` sorts every change between two documents
@@ -15,8 +15,13 @@ into floats that moved and structural changes.
 
     PYTHONPATH=src python tools/reference_runs.py > OUT.json
 
-runs JSON_RUNS in one interpreter and writes {"ocquad": the package file,
-"runs": {args: document}} to stdout; `compare_runs.py` starts one such
+runs RUNS in one interpreter, then `problems --dump` and `analyze` on the
+dumped `dubins.json`, so the file loader runs too.  All of it runs under
+`sys.settrace` with call events only, and the import of `ocquad.cli` counts
+as the first run's.  It writes {"ocquad": the package file, "runs": {label:
+document}, "entered": [[file, first line] of every code object of the
+package that was entered]} to stdout.  A run's label is its `args`; the two
+file runs name the dump directory DIR.  `compare_runs.py` starts one such
 child per tree.
 """
 
@@ -25,7 +30,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,6 +92,7 @@ RUNS = (
 # a text report prints its floats rounded, so a float that moves changes its
 # text: the differ reads JSON reports only
 JSON_RUNS = tuple(r for r in RUNS if "--format text" not in r.args)
+FILE_RUN = "dubins"     # read back from the file `problems --dump` writes
 
 
 def run(argv: list[str]) -> dict:
@@ -105,7 +113,7 @@ def run(argv: list[str]) -> dict:
         from ocquad import cli
         try:
             code = cli.main(argv)
-        except SystemExit as exc:   # argparse refusing a flag, as in a tree older than it
+        except SystemExit as exc:   # a flag refused by argparse in a tree older than cli._Parser
             code = exc.code
     try:
         report = json.loads(out.getvalue())
@@ -177,12 +185,37 @@ def _short(value) -> str:
     return text if len(text) <= 120 else text[:117] + "..."
 
 
+def trace_runs() -> tuple[dict, list]:
+    """(label -> document of every run, sorted [file, first line] of every
+    code object of the `ocquad` package that the runs entered)."""
+    documents, entered = {}, set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno))   # returns None: no line events
+
+    sys.settrace(tracer)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            argvs = {r.args: r.argv for r in RUNS}
+            argvs["problems --dump DIR"] = ["problems", "--dump", tmp]
+            argvs[f"DIR/{FILE_RUN}.json"] = ["analyze", os.path.join(tmp, f"{FILE_RUN}.json")]
+            for label, argv in argvs.items():
+                try:
+                    documents[label] = run(argv)
+                except Exception as exc:    # a traceback is a result to compare
+                    documents[label] = {"exit_code": None,
+                                        "stderr": f"{type(exc).__name__}: {exc}",
+                                        "warnings": [], "report": ""}
+    finally:
+        sys.settrace(None)
+    package = os.path.dirname(os.path.realpath(sys.modules["ocquad"].__file__))
+    files = {f: os.path.realpath(f) for f, _ in entered}
+    return documents, sorted([files[f], line] for f, line in entered
+                             if os.path.dirname(files[f]) == package)
+
+
 if __name__ == "__main__":
-    documents = {}
-    for r in JSON_RUNS:
-        try:
-            documents[r.args] = run(r.argv)
-        except Exception as exc:    # a traceback is a result to compare
-            documents[r.args] = {"exit_code": None, "stderr": f"{type(exc).__name__}: {exc}",
-                                 "warnings": [], "report": ""}
-    json.dump({"ocquad": sys.modules["ocquad"].__file__, "runs": documents}, sys.stdout)
+    runs, entered = trace_runs()
+    json.dump({"ocquad": sys.modules["ocquad"].__file__, "runs": runs, "entered": entered},
+              sys.stdout)
