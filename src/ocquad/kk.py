@@ -42,6 +42,7 @@ RANK_POINTS = 5                # level points the rank gate must reach
 MAX_RANDOM_SELECTIONS = 50     # random integer selections after the structured ones
 MAX_CANDIDATES = 20000
 GENERIC_PROBES = 4             # fit points of the functional-independence pre-gate
+MAX_LEVEL_CASES = 16           # zero patterns the exact level-rank pre-gate may visit
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,90 @@ class RankEvidence:
     rank: int
 
 
+def level_rank_bound(selection: list[PhaseFunction], r_basis: list[tuple],
+                     th: TrueHamiltonian) -> str | None:
+    """Prove from the expressions that the selection's rank is below n at
+    every point of its level set, or return None.
+
+    A pinned row, 0 in every level vector, has F_i = r*_i = 0 on the level.
+    A pinned F_i that reduces to c * prod_k s_k^e_k, every e_k > 0, forces
+    some symbol s_k to 0, and each choice opens a case; a case ends when no
+    pinned expression, with the case's zeros substituted, forces another
+    symbol.  In a case the pinned rows of dF = dF/dz + dF/dH dH are nonzero
+    only in the (x, psi) columns, and the dH column, where some pinned
+    partial is not symbolically zero after the substitution.  The dH column
+    drops out where H is forced to 0 and `th.semidefinite`.  With `live` such
+    columns the rank is at most live + n - |pinned|.
+
+    Returns the reason, naming the pinned integrals, each case's zeros and
+    the largest bound, when every case bounds the rank below n.  Returns
+    None, and the projection decides, on float levels, with no pinned row,
+    when a case leaves |pinned| columns live, when a pinned expression
+    reduces to a nonzero constant, when a zero cannot be substituted, or
+    past MAX_LEVEL_CASES zero patterns.
+    """
+    n = len(selection)
+    if not all(isinstance(v, Fraction) for r in r_basis for v in r):
+        return None
+    pinned = [f.expr for i, f in enumerate(selection) if all(r[i] == 0 for r in r_basis)]
+    if not pinned:
+        return None
+    h = HAMILTONIAN_SYMBOL
+    free = frozenset().union(*(e.free() for e in pinned))     # the other columns are 0
+    partials = {s: [sx.differentiate(e, s) for e in pinned]
+                for s in selection[0].table.phase + (h,) if s in free}
+    seen, todo, cases = set(), [frozenset()], []
+    while todo:
+        zeros = todo.pop()
+        if zeros in seen:
+            continue
+        seen.add(zeros)
+        if len(seen) > MAX_LEVEL_CASES:
+            return None
+        at_zeros = {s: sx.ZERO for s in zeros}
+        forcing = []
+        try:
+            for e in pinned:
+                e = sx.substitute(e, at_zeros)
+                if e.is_constant:
+                    if e.value:         # no level point in this case
+                        return None
+                elif (symbols := _monomial_symbols(e)) is not None:
+                    forcing.append(symbols)
+            if forcing:
+                todo += [zeros | {s} for s in min(forcing, key=len)]
+                continue
+            flat = h in zeros and th.semidefinite       # dH = 0 there
+            live = sum(any(not sx.is_symbolically_zero(sx.substitute(d, at_zeros)) for d in ds)
+                       for s, ds in partials.items() if not (flat and s == h))
+        except sx.EvaluationError:      # a zero at a pole or under a fractional power
+            return None
+        if live >= len(pinned):
+            return None
+        names = [s.name for s in sorted(zeros, key=lambda s: s.sort_key)]
+        cases.append((live, ", ".join([f"{s} = 0" for s in names]
+                                      + ["dH = 0"] * flat) or "no zero"))
+    bound = max(live for live, _ in cases) + n - len(pinned)
+    forced = (cases[0][1] if len(cases) == 1
+              else " or ".join(sorted(f"[{text}]" for _, text in cases)))
+    return (f"the level pins {', '.join(sx.to_string(e) for e in pinned)} to 0, "
+            f"which forces {forced}: rank at most {bound} < {n} there; "
+            "no seed projected")
+
+
+def _monomial_symbols(e: Expr) -> list | None:
+    """The symbols s_k of e = c * prod_k s_k^e_k with every e_k > 0, else None."""
+    symbols = []
+    for f in e.factors:
+        base, k = (f.base, f.exponent) if f.is_power else (f, 1)
+        if base.is_constant:
+            continue
+        if not base.is_symbol or k <= 0:
+            return None
+        symbols.append(base.symbol)
+    return symbols
+
+
 def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
                       sampler: PointSampler):
     """Manufacture RANK_POINTS points on the admissible level manifold and
@@ -395,7 +480,8 @@ def _gates(lam: np.ndarray, combo: list | None, span: SpanSample,
     2 the rank on the level set.  The levels need no gate of their own: the
     first step of the derived series reduces the xi rows that
     `admissible_levels` reduces, with the same cut, so a solvable algebra has
-    xi rank below n and at least one admissible level.
+    xi rank below n and at least one admissible level.  The rank gate asks
+    `level_rank_bound` first and projects seeds only when it proves nothing.
     """
     n = len(lam)
     label = (f"selection {combo}" if combo is not None
@@ -425,6 +511,9 @@ def _gates(lam: np.ndarray, combo: list | None, span: SpanSample,
         return 1, f"{label}: closed brackets but the algebra is not solvable"
     r_basis = admissible_levels(xi, n)
     selection_funcs = _selection_functions(span.family, lam)
+    degenerate = level_rank_bound(selection_funcs, r_basis, sampler.evaluator.th)
+    if degenerate is not None:
+        return 2, f"{label}: rank gate failed ({degenerate})"
     evidence, skipped = independence_rank(selection_funcs, r_basis, sampler)
     if len(evidence) < RANK_POINTS or any(e.rank != n for e in evidence):
         return 2, (f"{label}: rank gate failed "

@@ -172,6 +172,18 @@ class TrueHamiltonian:
         return (h,) + tuple(sx.differentiate(h, s) for s in sample_symbols(self.table))
 
     @cached_property
+    def semidefinite(self) -> bool:
+        """Whether the reduced H is (1/2) sum_j u_j*^2 over the closed-form law
+        u*, by `sx.is_symbolically_zero`.  Then H >= 0, and dH = sum_j u_j* du_j*
+        vanishes wherever H = 0.  False on the implicit backend, and a False
+        is not a proof of the contrary."""
+        if not self.is_closed_form:
+            return False
+        half_sum = sx.mul(sx.num(Fraction(-1, 2)),
+                          sx.add(*(sx.power(u, 2) for u in self.law.expressions)))
+        return sx.is_symbolically_zero(sx.add(self.reduced, half_sum))
+
+    @cached_property
     def newton_system(self) -> tuple[Expr, ...]:
         """(dH/du_1, .., dH/du_m, then the lower triangle of d2H/du^2 row by
         row: H_11, H_21, H_22, H_31, ..) for the implicit backend's Newton step."""

@@ -101,10 +101,15 @@ class TestCriterion2Martinet:
             ["--degree", "2", "--param", "alpha=1"]))
         elapsed_main = time.monotonic() - t0
         assert elapsed_main < 10.0
-        # with t-terms the family is complete, but the rank gate still fails
+        # with t-terms the family is complete, but the rank gate still fails:
+        # the level pins psi3 and -H to 0, and dH = 0 where H = 0, since H is
+        # a sum of squares
         assert code == 2
         assert report["certificate"]["verdict"] == "Inconclusive"
-        assert "rank gate failed" in report["certificate"]["diagnostics"]
+        assert report["certificate"]["diagnostics"] == (
+            "selection [0, 3, 4]: rank gate failed (the level pins psi3, -H to 0, "
+            "which forces psi3 = 0, H = 0, dH = 0: rank at most 2 < 3 there; "
+            "no seed projected)")
 
         problem, th, sampler, family, cert, _ = pipeline("martinet")
         table = problem.table

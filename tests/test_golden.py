@@ -4,13 +4,15 @@ a file under `tests/golden/`.
 Each file holds the exit code and the full JSON report of one run: the six
 built-ins at seed 42 (`golden/<problem>.json`) and at seed 7
 (`golden/seed7/`), `sr-2-3` and `sr-2-3-5 --poly-degree 4` at seed 42
-(`golden/poly/`), and `martinet --seed 17` (`golden/seed17/`), a run one of
-whose rank gates reads seeds past its first five after one diverges.  The
-run must write nothing to stderr and raise no warning.  Through
-`reference_runs.diff`, strings, integers, booleans and the shape of the
-report must match exactly (family expressions, `rational` flags, verdict,
-selection, lambdas, xi, admissible levels, rank list, diagnostics,
-polynomial family); floats must agree within 1e-9.
+(`golden/poly/`), and `martinet --seed 17` (`golden/seed17/`).  There the
+exact pre-gate `kk.level_rank_bound` decides every rank gate without a
+projection; with the pre-gate patched out, four of its gates read seeds past
+their first five after one diverges.  Each run must write nothing to
+stderr and raise no warning.  Through `reference_runs.diff`, strings,
+integers, booleans and the shape of the report must match exactly (family
+expressions, `rational` flags, verdict, selection, lambdas, xi, admissible
+levels, rank list, diagnostics, polynomial family); floats must agree within
+1e-9.
 
 A change that alters a report on purpose rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from ocquad import kk
 from ocquad import symexpr as sx
+from ocquad.cli import build_parser, run_analyze
 from ocquad.kk import (
     Certificate,
     admissible_levels,
@@ -12,6 +13,7 @@ from ocquad.kk import (
     decompose_in_span,
     find_certificate,
     independence_rank,
+    level_rank_bound,
     sample_span,
 )
 from ocquad.noether import Family, FamilyComponent, discover_family
@@ -440,6 +442,20 @@ class TestIndependenceRank:
         assert len(evidence) == 5
         assert all(e.rank == 5 for e in evidence)
 
+    @pytest.mark.parametrize("decades, rank", [(7.5, 3), (8.5, 2)])
+    def test_rank_cut_sits_between_half_decades(self, decades, rank):
+        # psi1, psi2 and q*psi3: the Jacobian's singular values are 1, 1 and
+        # q.  RANK_SV_TOL = 1e-8 keeps q = 10^-7.5 and cuts q = 10^-8.5, so
+        # a tenfold or a tenth of the cut fails one of the two
+        problem, th, sampler = setup_problem("dubins")
+        t = problem.table
+        q = sx.num(Fraction(10 ** -decades))
+        funcs = [PhaseFunction(symref(t.costate(1)), t),
+                 PhaseFunction(symref(t.costate(2)), t),
+                 PhaseFunction(sx.mul(q, symref(t.costate(3))), t)]
+        evidence, _ = independence_rank(funcs, [frac(0, 0, 1)], sampler)
+        assert [e.rank for e in evidence] == [rank] * 5
+
     def test_starved_draw_raises_from_the_gate(self):
         # every point lies within 0.1 of the excluded denominator 0
         problem, _ = load_problem(dict(builtin("dubins"), excluded_denominators=["0"]))
@@ -483,6 +499,93 @@ def project_both_ways(name, pick, r_basis, backend="auto", seed=42):
     return evidence, skipped
 
 
+def pregate_calls(name, seed, monkeypatch):
+    """The exit code of `ocquad analyze NAME --seed SEED`, and (selection,
+    r_basis, returned reason) of each of its calls of the exact pre-gate."""
+    calls, bound = [], kk.level_rank_bound
+
+    def spy(selection, r_basis, th):
+        calls.append((selection, r_basis, bound(selection, r_basis, th)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(kk, "level_rank_bound", spy)
+    _, code = run_analyze(name, build_parser().parse_args(["analyze", name, "--seed", str(seed)]))
+    monkeypatch.undo()
+    return code, calls
+
+
+class TestLevelRankBound:
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_martinet_rejections_are_sound(self, seed, monkeypatch):
+        # every rank gate of martinet's search is decided without a
+        # projection, and the projection, run on a fresh sampler, never
+        # certifies one of them
+        code, calls = pregate_calls("martinet", seed, monkeypatch)
+        assert code == 2
+        assert len(calls) == 23 and all(reason is not None for *_, reason in calls)
+        _, th, _ = setup_problem("martinet")
+        for selection, r_basis, _ in calls:
+            fresh = PointSampler(th, np.random.default_rng(seed))
+            evidence, _ = independence_rank(selection, r_basis, fresh)
+            assert [e.rank for e in evidence] != [len(selection)] * kk.RANK_POINTS
+
+    @pytest.mark.parametrize("name", ["dubins", "trailer", "sr-2-3-5"])
+    def test_certified_selection_is_left_to_the_projection(self, name, monkeypatch):
+        code, calls = pregate_calls(name, 42, monkeypatch)
+        assert code == 0
+        assert [reason for *_, reason in calls] == [None]
+
+    @staticmethod
+    def _martinet(picks):
+        problem, th, _ = setup_problem("martinet")
+        exprs = martinet_integrals(problem.table)
+        return [PhaseFunction(exprs[k], problem.table) for k in picks], th
+
+    def test_martinet_reason(self):
+        selection, th = self._martinet((0, 1, 2))
+        assert level_rank_bound(selection, [frac(0, 0, 1)], th) == (
+            "the level pins psi3, -H to 0, which forces psi3 = 0, H = 0, dH = 0: "
+            "rank at most 2 < 3 there; no seed projected")
+
+    def test_float_levels_are_left_to_the_projection(self):
+        selection, th = self._martinet((0, 1, 2))
+        assert level_rank_bound(selection, [(0.0, 0.0, 1.0)], th) is None
+
+    @pytest.mark.parametrize("text", ["x1/psi3", "(psi3 - 1)^(1/2)"])
+    def test_a_zero_that_cannot_be_substituted_is_left_to_the_projection(self, text):
+        # psi3 = 0 is forced; substituted into the second pinned row it
+        # divides by zero, or takes the square root of -1
+        problem, th, _ = setup_problem("dubins")
+        t = problem.table
+        selection = [PhaseFunction(e, t) for e in (
+            symref(t.costate(3)), parse(text, t), symref(t.costate(1)))]
+        assert level_rank_bound(selection, [frac(0, 0, 1)], th) is None
+
+    def test_case_cap(self, monkeypatch):
+        # -psi3*H = 0 forces psi3 = 0 or H = 0, and either zero sets
+        # -H*psi3^2 to 0: three zero patterns, {}, {H} and {psi3}
+        selection, th = self._martinet((2, 3, 4))
+        monkeypatch.setattr(kk, "MAX_LEVEL_CASES", 3)
+        assert level_rank_bound(selection, [frac(1, 0, 0)], th) == (
+            "the level pins -psi3*H, -H*psi3^2 to 0, which forces [H = 0, dH = 0] "
+            "or [psi3 = 0]: rank at most 2 < 3 there; no seed projected")
+        monkeypatch.setattr(kk, "MAX_LEVEL_CASES", 2)
+        assert level_rank_bound(selection, [frac(1, 0, 0)], th) is None
+
+    @pytest.mark.parametrize("name, flat", [
+        ("dubins", True), ("martinet", True), ("sr-2-3", True), ("sr-2-3-4", True),
+        ("sr-2-3-5", True), ("trailer", False)])
+    def test_semidefinite_hamiltonian(self, name, flat):
+        assert setup_problem(name)[1].semidefinite is flat
+
+    def test_drift_is_not_semidefinite(self):
+        # the double integrator: H = psi1*x2 + psi2^2/2
+        problem, _ = load_problem({"name": "di", "states": ["x1", "x2"], "controls": ["u1"],
+                                   "time": "t", "lagrangian": "u1^2/2",
+                                   "dynamics": ["x2", "u1"]})
+        assert not true_hamiltonian(problem).semidefinite
+
+
 class TestWavesMatchSequential:
     def test_martinet_level_that_every_seed_misses(self):
         evidence, skipped = project_both_ways(
@@ -509,8 +612,8 @@ class TestWavesMatchSequential:
     def test_martinet_stalled_wave_then_a_converging_seed(self, seed, skipped):
         # martinet's selection -H, F2, -psi3*H on its level (0, 1, 0): the
         # gate reads a diverged seed right after the first five and then one
-        # that converges, as a gate of the golden run `martinet --seed 17`
-        # does.  On fresh samplers: at seed 59 seeds 0..6 are read
+        # that converges, as a gate of `martinet --seed 17` does with the
+        # exact pre-gate patched out.  On fresh samplers: at seed 59 seeds 0..6 are read
         # and 3 and 5 diverge; at seed 120 seeds 0..7 are read and 0, 1 and 5
         # diverge
         evidence, got_skipped = project_both_ways(
@@ -541,7 +644,10 @@ class TestOneDrawPerGate:
     def test_certificate_search_gates(self, name, monkeypatch):
         # every rank gate of the certificate search draws its seeds in one
         # `PointSampler.draw`, and its first Gauss-Newton step reads the
-        # drawn batch: no `prepare` outside the draw comes before that step
+        # drawn batch: no `prepare` outside the draw comes before that step.
+        # The exact pre-gate is patched out, so that martinet's gates, which
+        # it decides, project
+        monkeypatch.setattr(kk, "level_rank_bound", lambda *args: None)
         problem, th, sampler = setup_problem(name)
         span = sample_span(discover_family(th, sampler), sampler)
         events, drawing = [], []
@@ -590,7 +696,10 @@ class TestRankGateReadsAPrefix:
         # the projection that drops the columns after the RANK_POINTS-th
         # converged one must give the outcomes of the full projection, bit
         # for bit, on every column the reading can reach; and each gate must
-        # match the one-seed-at-a-time oracle from the same RNG state
+        # match the one-seed-at-a-time oracle from the same RNG state.  The
+        # exact pre-gate is patched out, so that martinet's 23 gates, which
+        # it decides, project
+        monkeypatch.setattr(kk, "level_rank_bound", lambda *args: None)
         problem, th, sampler = setup_problem(name)
         span = sample_span(discover_family(th, sampler), sampler)
         gates, projections = [], []
@@ -608,7 +717,7 @@ class TestRankGateReadsAPrefix:
         monkeypatch.setattr(kk, "_project_to_level", project_spy)
         find_certificate(span, th, sampler, np.random.default_rng(1))
         monkeypatch.undo()
-        assert len(gates) == len(projections) >= 1
+        assert len(gates) == len(projections) == {"dubins": 1, "martinet": 23}[name]
 
         dropped = 0
         for args in projections:

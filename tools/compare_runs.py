@@ -7,7 +7,9 @@ Writes the `src` of `git archive REV` to a temporary directory.  Then two
 child interpreters run at once, one per tree: each runs
 `tools/reference_runs.py` of the working tree, which runs the manifest and
 the two file runs under its call tracer, with only its own tree's `src` on
-PYTHONPATH and no PYTHONHASHSEED, so each draws its own hash seed.
+PYTHONPATH and no PYTHONHASHSEED, so each draws its own hash seed.  Each
+child starts with OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1 unless the
+caller set them.
 `compare_runs.py HEAD` on a clean tree thus runs the same code twice, and a
 report that depends on the hash seed shows as a change.
 
@@ -121,7 +123,10 @@ def main(argv: list[str]) -> int:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         trees = {rev: Path(tmp) / "src", "working tree": REPO / "src"}
         outputs = {name: Path(tmp) / f"{i}.json" for i, name in enumerate(trees)}
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+        # one BLAS thread per child unless the caller chose a count: two
+        # children with the default count each oversubscribe a small host
+        env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               **{k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}}
         children = {}
         for name, src in trees.items():
             with open(outputs[name], "w") as out:     # the child holds its own handle

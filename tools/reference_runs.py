@@ -2,9 +2,9 @@
 report differ.
 
 RUNS is the one list of reference runs outside `perfbench/`: the six
-built-ins and `sr-2-3`/`sr-2-3-5 --poly-degree 4` at seeds 42, 7 and 3, a
-rank gate that reads past its first five seeds, the implicit backend, three
-small `--poly-degree` searches and one text report.  The fifteen runs with a
+built-ins and `sr-2-3`/`sr-2-3-5 --poly-degree 4` at seeds 42, 7 and 3,
+`martinet` at seed 17, the implicit backend, three small `--poly-degree`
+searches and one text report.  The fifteen runs with a
 `golden` file are pinned by `tests/golden/`.  `tests/test_golden.py`
 compares the golden runs with their files, and `tools/compare_runs.py`
 diffs JSON_RUNS between two trees and checks every run of the working tree.
@@ -77,8 +77,8 @@ RUNS = (
     Run("sr-2-3-5 --seed 3"),
     Run("sr-2-3 --poly-degree 4 --seed 3"),
     Run("sr-2-3-5 --poly-degree 4 --seed 3"),
-    # a rank gate reads seeds past its first five after one diverges: the
-    # sixth seed diverges too, and the seventh converges
+    # the exact pre-gate decides every rank gate; with it patched out, four
+    # gates read seeds past their first five after one diverges
     Run("martinet --seed 17", "seed17/martinet.json"),
     # the generated RK4 step through Newton-solved stages and trigonometric
     # calls
