@@ -541,12 +541,6 @@ class TestLevelRankBound:
         exprs = martinet_integrals(problem.table)
         return [PhaseFunction(exprs[k], problem.table) for k in picks], th
 
-    def test_martinet_reason(self):
-        selection, th = self._martinet((0, 1, 2))
-        assert level_rank_bound(selection, [frac(0, 0, 1)], th) == (
-            "the level pins psi3, -H to 0, which forces psi3 = 0, H = 0, dH = 0: "
-            "rank at most 2 < 3 there; no seed projected")
-
     def test_float_levels_are_left_to_the_projection(self):
         selection, th = self._martinet((0, 1, 2))
         assert level_rank_bound(selection, [(0.0, 0.0, 1.0)], th) is None
@@ -613,9 +607,9 @@ class TestWavesMatchSequential:
         # martinet's selection -H, F2, -psi3*H on its level (0, 1, 0): the
         # gate reads a diverged seed right after the first five and then one
         # that converges, as a gate of `martinet --seed 17` does with the
-        # exact pre-gate patched out.  On fresh samplers: at seed 59 seeds 0..6 are read
-        # and 3 and 5 diverge; at seed 120 seeds 0..7 are read and 0, 1 and 5
-        # diverge
+        # exact pre-gate patched out.  On fresh samplers: at seed 59 seeds
+        # 0..6 are read and 3 and 5 diverge; at seed 120 seeds 0..7 are read
+        # and 0, 1 and 5 diverge
         evidence, got_skipped = project_both_ways(
             "martinet", lambda t: [martinet_integrals(t)[k] for k in (1, 2, 3)],
             [frac(0, 1, 0)], seed=seed)
