@@ -25,12 +25,10 @@ import numpy as np
 
 from . import poisson
 from . import symexpr as sx
-from .noether import Family, rationalize_vector, rref
+from .noether import Family, NoetherError, all_finite, rationalize_vector, rref
 from .ocp import (
-    HamiltonianEvaluator,
     PhaseFunction,
     PointSampler,
-    SampleBatch,
     TrueHamiltonian,
 )
 from .symexpr import HAMILTONIAN_SYMBOL, Expr
@@ -62,18 +60,25 @@ class SpanSample:
 
 
 def sample_span(family: Family, sampler: PointSampler) -> SpanSample:
-    """Draw the fit and holdout batches and evaluate the family on them."""
+    """Draw the fit and holdout batches and evaluate the family on them.
+    Raises NoetherError when a value, bracket or gradient is not finite."""
     funcs = family.functions()
     fit = sampler.draw(max(3 * family.m, 60))
     hold = sampler.draw(max(family.m, 60))
     probes = fit.take(slice(GENERIC_PROBES))
-    return SpanSample(
-        family=family,
-        values_fit=family.values_matrix(fit),
-        values_hold=family.values_matrix(hold),
-        brackets_fit=poisson.bracket_values(funcs, fit),
-        brackets_hold=poisson.bracket_values(funcs, hold),
-        jacobian=np.stack([f.gradient(probes)[:-1] for f in funcs]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = SpanSample(
+            family=family,
+            values_fit=family.values_matrix(fit),
+            values_hold=family.values_matrix(hold),
+            brackets_fit=poisson.bracket_values(funcs, fit),
+            brackets_hold=poisson.bracket_values(funcs, hold),
+            jacobian=np.stack([f.gradient(probes)[:-1] for f in funcs]))
+    if not all(map(all_finite, (span.values_fit, span.values_hold, span.brackets_fit,
+                                span.brackets_hold, span.jacobian))):
+        raise NoetherError("the family's sampled values or brackets are not finite; "
+                           "shrink the problem's sampling_box")
+    return span
 
 
 @dataclass(frozen=True)
@@ -324,44 +329,18 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
 
     4 * RANK_POINTS seeds are drawn in one batch and Gauss-Newton projected
     onto {F_i = r*_i}, with r* the orthogonal projection of F(seed) onto
-    span(r_basis), through the sampler's evaluator.  Their outcomes are read
-    in draw order until RANK_POINTS have converged; the seeds read that did
-    not converge are skipped and counted.
+    span(r_basis), all columns at once; t stays fixed.  The first step reads
+    the batch as drawn; each later step evaluates its points through the
+    sampler's evaluator.  A column ends when its point drops out of
+    `prepare`, leaves |z| <= 1e3, has a non-finite Jacobian or step, or has
+    not converged after 50 iterations.  Each step is the minimum-norm
+    least-squares step, with the singular-value cutoff of `np.linalg.lstsq`.
+    The outcomes are read in draw order until RANK_POINTS have converged;
+    the seeds read that did not converge are skipped and counted.
     """
+    batch = sampler.draw(4 * RANK_POINTS)
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
         if r_basis else np.zeros((len(selection), 0))
-    found = _project_to_level(selection, r_mat, sampler.evaluator,
-                              sampler.draw(4 * RANK_POINTS))
-    evidence: list[RankEvidence] = []
-    attempts = 0
-    while len(evidence) < RANK_POINTS and attempts < 4 * RANK_POINTS:
-        if attempts in found:
-            point, jac = found[attempts]
-            sv = np.linalg.svd(jac, compute_uv=False)
-            rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
-            evidence.append(RankEvidence(point=point, rank=rank))
-        attempts += 1
-    return evidence, attempts - len(evidence)
-
-
-def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
-                      evaluator: HamiltonianEvaluator,
-                      batch: SampleBatch) -> dict[int, tuple[dict, np.ndarray]]:
-    """Gauss-Newton projection of the seed columns of `batch` onto their
-    levels, all columns at once; t stays fixed.
-
-    The first step reads the batch as drawn; each later step evaluates its
-    points through `evaluator`.  A column ends when its point
-    drops out of `prepare`, leaves |z| <= 1e3, has a non-finite Jacobian or
-    step, or has not converged after 50 iterations.  Once RANK_POINTS
-    columns have converged, the columns after the RANK_POINTS-th of them in
-    column order end too: the reading in `independence_rank` stops before
-    them.  No column's arithmetic depends on another's, so every column
-    before it ends as in the full projection.  Each step is the
-    minimum-norm least-squares step, with the singular-value cutoff of
-    `np.linalg.lstsq`.  Returns (point, (n_sel, 2n) Jacobian) of each
-    converged column, keyed by its column number.
-    """
     seed_of = np.arange(batch.size)
     vals = np.array([f.values(batch) for f in selection])
     target = r_mat @ np.linalg.lstsq(r_mat, vals, rcond=None)[0] if r_mat.shape[1] \
@@ -370,25 +349,20 @@ def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
     converged = {}
     for it in range(50):
         if it:  # the seeds' batch and values serve the first step
-            batch, keep = evaluator.prepare(points)
+            batch, keep = sampler.evaluator.prepare(points)
             seed_of, target = seed_of[keep], target[:, keep]
             vals = np.array([f.values(batch) for f in selection])
         inside = ~(np.abs(batch.points[:-1]).max(axis=0) > 1e3)
         batch, seed_of, target = batch.take(inside), seed_of[inside], target[:, inside]
-        if not seed_of.size:    # the seed comparison below reads [] as floats
+        if not seed_of.size:    # every column has ended
             break
         resid = vals[:, inside] - target
         jac = np.stack([f.gradient(batch)[:-1] for f in selection]).transpose(2, 0, 1)
         done = np.abs(resid).max(axis=0) < PROJECTION_TOL
         for c in np.flatnonzero(done):
-            converged[seed_of[c]] = ({s.name: v for s, v in batch.point(c).items()}, jac[c])
+            converged[int(seed_of[c])] = ({s.name: v for s, v in batch.point(c).items()}, jac[c])
         # a non-finite Jacobian would fail the SVD of the whole stack
         go = ~done & np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(resid).all(axis=0)
-        if len(converged) >= RANK_POINTS:
-            # compared in Python: an integer array comparison is numpy code
-            # that no other step runs, and paging it in costs 128 kB of RSS
-            last = sorted(converged)[RANK_POINTS - 1]
-            go &= [s < last for s in seed_of.tolist()]
         step = np.zeros((jac.shape[2], len(go)))
         step[:, go] = (np.linalg.pinv(jac[go], rcond=rcond)
                        @ resid[:, go].T[:, :, None])[:, :, 0].T
@@ -398,7 +372,14 @@ def _project_to_level(selection: list[PhaseFunction], r_mat: np.ndarray,
         points = batch.points[:, go]
         points[:-1] -= step[:, go]
         seed_of, target = seed_of[go], target[:, go]
-    return converged
+    read = sorted(converged)[:RANK_POINTS]
+    evidence: list[RankEvidence] = []
+    for seed in read:
+        point, jac = converged[seed]
+        sv = np.linalg.svd(jac, compute_uv=False)
+        rank = int((sv > RANK_SV_TOL * sv[0]).sum()) if sv[0] > 0 else 0
+        evidence.append(RankEvidence(point=point, rank=rank))
+    return evidence, (read[-1] + 1 if len(read) == RANK_POINTS else 4 * RANK_POINTS) - len(evidence)
 
 
 @dataclass

@@ -232,12 +232,17 @@ def _finite_matrix(ansatz: Ansatz, batch: SampleBatch) -> np.ndarray:
     monomials overflow at the points of a sampling box that is too large."""
     with np.errstate(over="ignore", invalid="ignore"):
         matrix = ansatz.matrix(batch)
-    # min and max carry a NaN and show an inf without a flag array the size
-    # of the matrix, which would raise the peak memory of the analysis
-    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+    if not all_finite(matrix):
         raise NoetherError("the sampled residual system is not finite; "
                            "shrink the problem's sampling_box")
     return matrix
+
+
+def all_finite(array: np.ndarray) -> bool:
+    """Whether every entry is finite.  min and max carry a NaN and show an
+    inf without a flag array the size of `array`, which would raise the peak
+    memory of the analysis."""
+    return not array.size or bool(np.isfinite(array.min()) and np.isfinite(array.max()))
 
 
 def nullspace(matrix: np.ndarray) -> list[np.ndarray]:

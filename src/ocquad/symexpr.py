@@ -22,41 +22,6 @@ from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
-__all__ = [
-    "Role",
-    "Symbol",
-    "SymbolTable",
-    "Expr",
-    "ExprError",
-    "EvaluationError",
-    "DivisionByZeroError",
-    "UnboundSymbolError",
-    "ParseError",
-    "num",
-    "symref",
-    "add",
-    "mul",
-    "power",
-    "fn",
-    "negate",
-    "divide",
-    "differentiate",
-    "substitute",
-    "simplify",
-    "expand",
-    "Poly",
-    "polynomial",
-    "poly_derivative",
-    "poly_shifted",
-    "poly_accumulate",
-    "poly_product",
-    "is_symbolically_zero",
-    "compile_fn",
-    "to_string",
-    "parse",
-    "HAMILTONIAN_SYMBOL",
-]
-
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln")
 _RESERVED = set(FUNCTIONS) | {"sqrt"}
 

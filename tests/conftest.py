@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ocquad.ocp import PointSampler, true_hamiltonian
+from ocquad.problems import builtin, load_problem
 from ocquad.symexpr import (
     ExprError,
     Role,
@@ -21,6 +23,14 @@ from ocquad.symexpr import (
 def bits(values):
     """The IEEE bit pattern of a float vector, or None."""
     return None if values is None else np.asarray(values, dtype=float).tobytes()
+
+
+def setup_problem(name, backend="auto", seed=42):
+    """A built-in problem, its true Hamiltonian and a seeded sampler."""
+    problem, _ = load_problem(builtin(name))
+    th = true_hamiltonian(problem, backend=backend)
+    sampler = PointSampler(th, np.random.default_rng(seed))
+    return problem, th, sampler
 
 
 def make_table(n, m_ctl=0, params=()):

@@ -19,16 +19,10 @@ from ocquad.noether import (
     rref,
 )
 from ocquad.ocp import PointSampler, sample_row, sample_symbols, true_hamiltonian
-from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
+from ocquad.problems import BUILTIN_NAMES, load_problem
 from ocquad.symexpr import parse, symref
+from conftest import setup_problem
 from oracles import Residual, combine
-
-
-def setup_problem(name, backend="auto", seed=42):
-    problem, _ = load_problem(builtin(name))
-    th = true_hamiltonian(problem, backend=backend)
-    sampler = PointSampler(th, np.random.default_rng(seed))
-    return problem, th, sampler
 
 
 def span_residual(target_values, matrix):
