@@ -19,6 +19,7 @@ independent blocks (`block_nullspace`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -65,24 +66,34 @@ class Ansatz:
     def coefficient_count(self) -> int:
         return len(self.terms)
 
+    @cached_property
+    def whole(self) -> tuple[tuple[int, ...], ...]:
+        """Each term's whole monomial as exponents over z: its factor's
+        exponents plus its own."""
+        return tuple(tuple(a + b for a, b in zip(self.factors[group][1], expo))
+                     for group, expo in self.terms)
+
+    def _powers(self, batch) -> list[list[np.ndarray]]:
+        """z_r^0 .. z_r^top at the batch's points for each row r of z, where
+        top is the largest exponent of r in `whole`."""
+        z = [*batch.points, batch.hvalue]
+        tops = np.array(self.whole, dtype=int).reshape(len(self.terms), len(z)).max(
+            axis=0, initial=0)
+        powers = [[np.ones(batch.size)] for _ in z]
+        for p, row, top in zip(powers, z, tops.tolist()):
+            for _ in range(top):
+                p.append(p[-1] * row)
+        return powers
+
     def matrix(self, batch) -> np.ndarray:
         """(N, terms) residual columns R(m) = sum_r dm/dz_r * zdot_r at the
         batch's points: zdot is `batch.velocity()` and zdot_H = dH/dt.  Exact
         because R is linear and homogeneous in the coefficients; only envelope
         data of the Hamiltonian enters, so both control backends work."""
-        z = [*batch.points, batch.hvalue]
         zdot = [*batch.velocity(), batch.hgrad[-1]]
-        signs, factors = zip(*self.factors)
-        groups = [g for g, _ in self.terms]
-        # each term's whole monomial: its factor's exponents plus its own
-        full = np.array(factors)[groups] + np.array(
-            [e for _, e in self.terms], dtype=int).reshape(len(groups), len(z))
-        powers = [[np.ones(batch.size)] for _ in z]
-        for p, row, top in zip(powers, z, full.max(axis=0, initial=0).tolist()):
-            for _ in range(top):
-                p.append(p[-1] * row)
+        powers = self._powers(batch)
         out = np.empty((batch.size, self.coefficient_count))
-        for k, (group, expo) in enumerate(zip(groups, full.tolist())):
+        for k, ((group, _), expo) in enumerate(zip(self.terms, self.whole)):
             mono = [(r, e) for r, e in enumerate(expo) if e]
             acc = np.zeros(batch.size)
             for r, e in mono:
@@ -91,7 +102,19 @@ class Ansatz:
                     if rr != r:
                         partial = partial * powers[rr][ee]
                 acc += partial * zdot[r]
-            out[:, k] = acc if signs[group] > 0 else -acc
+            out[:, k] = acc if self.factors[group][0] > 0 else -acc
+        return out
+
+    def monomials(self, batch, terms: tuple[int, ...]) -> np.ndarray:
+        """(N, len(terms)) values of the listed terms' whole monomials, their
+        factors' signs included, at the batch's points.  F's values are these
+        times its coefficients."""
+        out = np.ones((batch.size, len(terms)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, expo in zip(self._powers(batch), zip(*(self.whole[k] for k in terms))):
+                if any(expo):
+                    out *= np.stack(p, axis=1)[:, expo]
+        out[:, [self.factors[self.terms[k][0]][0] < 0 for k in terms]] *= -1
         return out
 
     def exact_columns(self, hamiltonian: Poly) -> list[Poly]:
@@ -107,9 +130,8 @@ class Ansatz:
         zdot = grad[n:2 * n] + [sx.poly_accumulate({}, g, -1) for g in grad[:n]] + [one]
         h_powers = [one]
         columns = []
-        for group, expo in self.terms:
-            sign, factor = self.factors[group]
-            full = [a + b for a, b in zip(factor, expo)]
+        for (group, _), full in zip(self.terms, self.whole):
+            sign = self.factors[group][0]
             rows, k = full[:width], full[width]
             while len(h_powers) <= k:
                 h_powers.append(sx.poly_product(h_powers[-1], hamiltonian))
@@ -135,6 +157,15 @@ class Ansatz:
                 group, expo = self.terms[k]
                 buckets[group].append(self._monomial(c, expo))
         return [sx.add(*b) if b else sx.ZERO for b in buckets]
+
+    def collect(self, coefficients: dict) -> Poly:
+        """F = sum_k c_k m_k, its coefficients keyed by term index, as
+        {whole monomial: coefficient}.  Terms of two groups can share a
+        monomial (psi_j in X_i and psi_i in X_j), and then they add up."""
+        out: Poly = {}
+        for k, c in coefficients.items():
+            sx.poly_accumulate(out, {self.whole[k]: c}, self.factors[self.terms[k][0]][0])
+        return out
 
     def family_expr(self, groups: list[Expr]) -> Expr:
         """F from the `group_exprs`, with the Hamiltonian as a placeholder symbol."""
@@ -289,6 +320,13 @@ def block_nullspace(columns: list[Poly]) -> list[np.ndarray]:
         blocks.setdefault(root(k), []).append(k)
     basis = []
     for cols in blocks.values():
+        if len(cols) == 1:
+            # `nullspace` of one float column: e_k when the column is zero
+            # in floats, else nothing
+            if not any([float(c) for c in columns[cols[0]].values()]):
+                basis.append(np.zeros(len(columns)))
+                basis[-1][cols[0]] = 1.0
+            continue
         rows: dict[tuple[int, ...], int] = {}
         entries = [(rows.setdefault(m, len(rows)), j, c)
                    for j, k in enumerate(cols) for m, c in columns[k].items()]
@@ -407,53 +445,80 @@ def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
     Each candidate is re-verified on fresh holdout points (rational form
     first, floating fallback flagged); constants and linear dependents are
     pruned; components that never reference the Hamiltonian template come
-    first so certificate search prefers plain phase-space integrals.
+    first so certificate search prefers plain phase-space integrals.  The
+    pruning reads each candidate's values at the holdout points, which are
+    linear in its coefficients (`Ansatz.monomials`), so expressions are
+    built and compiled only for the components kept.
     """
     if not basis:
         raise EmptyNullspaceError("no symmetry found at this ansatz degree")
     hold_batch = sampler.draw(holdout)
     hold_matrix = _finite_matrix(ansatz, hold_batch)
-    prelim, pivots = [], []
+    candidates, keys = [], []
     for vector in basis:
-        chosen = None
-        rat = rationalize_vector(vector)
-        if rat is not None:
-            # rationalize_vector turns every entry within _NEAR of 0 into 0
-            support = np.flatnonzero(np.abs(vector) > _NEAR)
-            exact = np.zeros(vector.size)
-            exact[support] = [float(rat[k]) for k in support]
-            r = float(np.abs(hold_matrix @ exact).max())
-            if r < tol:
-                chosen, rational, resid = rat, True, r
-        if chosen is None:
-            r = float(np.abs(hold_matrix @ vector).max())
-            if r < tol:
-                chosen, rational, resid = tuple(vector), False, r
-                support = np.flatnonzero(vector)
-        if chosen is None:
+        verified = _holdout_verified(vector, hold_matrix, tol)
+        if verified is None:
             continue
-        groups = ansatz.group_exprs(chosen, support.tolist())
-        expr = sx.simplify(ansatz.family_expr(groups))
-        if sx.is_zero(expr):
-            continue
-        prelim.append(FamilyComponent(
-            function=PhaseFunction(expr, th.table),
+        poly = ansatz.collect(verified[0])
+        if poly:
+            candidates.append(verified)
+            # H is the last row of z
+            keys.append((any(m[-1] for m in poly), _pivot(vector)))
+    if not candidates:
+        raise EmptyNullspaceError("all nullspace candidates failed holdout verification")
+    # each candidate's values: the sum of its terms' monomials times their
+    # coefficients, its terms a run of columns of `monomials`
+    terms, scale = zip(*((k, float(c)) for coefficients, _, _ in candidates
+                         for k, c in coefficients.items()))
+    starts = np.cumsum([0] + [len(coefficients) for coefficients, _, _ in candidates[:-1]])
+    values = np.add.reduceat(ansatz.monomials(hold_batch, terms) * scale, starts, axis=1)
+    # drop components that are constant functions
+    spread = values.max(axis=0) - values.min(axis=0)
+    keepers = sorted(np.flatnonzero(spread > 1e-10).tolist(), key=keys.__getitem__)
+    final = []
+    for i in independent_columns(values, keepers):
+        coefficients, rational, resid = candidates[i]
+        groups = ansatz.group_exprs(coefficients, coefficients.keys())
+        final.append(FamilyComponent(
+            function=PhaseFunction(sx.simplify(ansatz.family_expr(groups)), th.table),
             rational=rational,
             holdout_residual=resid,
             generators=ansatz.provenance(groups),
         ))
-        pivots.append(_pivot(vector))
-    if not prelim:
-        raise EmptyNullspaceError("all nullspace candidates failed holdout verification")
-    # drop components that are constant functions
-    values = np.column_stack([c.function.values(hold_batch) for c in prelim])
-    spread = values.max(axis=0) - values.min(axis=0)
-    keepers = sorted(np.flatnonzero(spread > 1e-10).tolist(),
-                     key=lambda i: (prelim[i].function.has_hamiltonian, pivots[i]))
-    final = [prelim[i] for i in independent_columns(values, keepers)]
     if not final:
         raise EmptyNullspaceError("all candidates pruned as constant or dependent")
     return Family(final)
+
+
+def _holdout_verified(vector: np.ndarray, hold_matrix: np.ndarray, tol: float):
+    """(coefficients as {term index: Fraction}, rational, holdout residual) of
+    a nullspace vector whose residual on the holdout system is below `tol`,
+    its rationalised form tried first; None when neither form passes."""
+    coefficients = rational_coefficients(vector)
+    if coefficients is not None:
+        exact = np.zeros(vector.size)
+        exact[list(coefficients)] = [float(c) for c in coefficients.values()]
+        r = float(np.abs(hold_matrix @ exact).max())
+        if r < tol:
+            return coefficients, True, r
+    r = float(np.abs(hold_matrix @ vector).max())
+    if r < tol:
+        return {k: Fraction(float(vector[k])) for k in np.flatnonzero(vector).tolist()}, False, r
+    return None
+
+
+def rational_coefficients(vector: np.ndarray) -> dict[int, Fraction] | None:
+    """The nonzero entries of `rationalize_vector(vector)` by index, or None
+    when it refuses the vector.
+
+    Only the entries not within RATIONALIZE_ENTRY_TOL of 0 (NaN included) are
+    passed: `rationalize_vector` maps every other entry to 0, and such an
+    entry neither refuses the vector nor raises.  Every entry passed that it
+    accepts lies beyond `_NEAR` of 0, so no Fraction returned is 0.
+    """
+    live = np.flatnonzero(~(np.abs(vector) <= RATIONALIZE_ENTRY_TOL))
+    rat = rationalize_vector(vector[live])
+    return None if rat is None else dict(zip(live.tolist(), rat))
 
 
 def independent_columns(values: np.ndarray, order: list[int]) -> list[int]:

@@ -655,9 +655,13 @@ def poly_shifted(p: Poly, expo, drop: int | None = None) -> Poly:
 def poly_accumulate(acc: Poly, p: Poly, scale) -> Poly:
     """acc += scale * p in place, a coefficient that cancels dropped; returns acc."""
     for m, c in p.items():
-        acc[m] = acc.get(m, 0) + scale * c
-        if not acc[m]:
-            del acc[m]
+        # c * scale first: Fraction's own operator, not int's reflected one
+        total = acc.get(m)
+        total = c * scale if total is None else total + c * scale
+        if total:
+            acc[m] = total
+        else:
+            acc.pop(m, None)
     return acc
 
 

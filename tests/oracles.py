@@ -15,7 +15,10 @@ rank gate projecting one seed at a time; `ldl_solve`, `reference_step` and
 einsums, which `poisson.bracket_values` fills row by row;
 `reference_add` and `reference_mul` are the canonical sum and product
 constructors rebuilding every factor, which `symexpr.add` and
-`symexpr.mul` must match.  None of them is used by the pipeline.
+`symexpr.mul` must match; `reference_extract_family` builds, compiles and
+evaluates an expression for every nullspace candidate before it prunes,
+which `noether.extract_family` must match without building the pruned
+ones.  None of them is used by the pipeline.
 """
 
 import math
@@ -25,6 +28,8 @@ import numpy as np
 
 from ocquad import symexpr as sx
 from ocquad.kk import PROJECTION_TOL, RANK_POINTS, RANK_SV_TOL, RankEvidence
+from ocquad.noether import (_NEAR, FAMILY_TOL, EmptyNullspaceError, Family, FamilyComponent,
+                            _finite_matrix, _pivot, independent_columns, rationalize_vector)
 from ocquad.ocp import NEWTON_MAX_ITER, NEWTON_TOL, HamiltonianEvaluator, PhaseFunction
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, Expr, SymbolTable
 
@@ -368,3 +373,53 @@ def reference_mul(*factors):
     if coeff != 1:
         out.insert(0, sx.num(coeff))
     return Expr(sx._MUL, None, tuple(out))
+
+
+def reference_extract_family(ansatz, basis, th, sampler, tol=FAMILY_TOL, holdout=100):
+    """`noether.extract_family` building a `PhaseFunction` for every candidate
+    that passes the holdout check, and pruning on the compiled values."""
+    if not basis:
+        raise EmptyNullspaceError("no symmetry found at this ansatz degree")
+    hold_batch = sampler.draw(holdout)
+    hold_matrix = _finite_matrix(ansatz, hold_batch)
+    prelim, pivots = [], []
+    for vector in basis:
+        chosen = None
+        rat = rationalize_vector(vector)
+        if rat is not None:
+            # rationalize_vector turns every entry within _NEAR of 0 into 0
+            support = np.flatnonzero(np.abs(vector) > _NEAR)
+            exact = np.zeros(vector.size)
+            exact[support] = [float(rat[k]) for k in support]
+            r = float(np.abs(hold_matrix @ exact).max())
+            if r < tol:
+                chosen, rational, resid = rat, True, r
+        if chosen is None:
+            r = float(np.abs(hold_matrix @ vector).max())
+            if r < tol:
+                chosen, rational, resid = tuple(vector), False, r
+                support = np.flatnonzero(vector)
+        if chosen is None:
+            continue
+        groups = ansatz.group_exprs(chosen, support.tolist())
+        expr = sx.simplify(ansatz.family_expr(groups))
+        if sx.is_zero(expr):
+            continue
+        prelim.append(FamilyComponent(
+            function=PhaseFunction(expr, th.table),
+            rational=rational,
+            holdout_residual=resid,
+            generators=ansatz.provenance(groups),
+        ))
+        pivots.append(_pivot(vector))
+    if not prelim:
+        raise EmptyNullspaceError("all nullspace candidates failed holdout verification")
+    # drop components that are constant functions
+    values = np.column_stack([c.function.values(hold_batch) for c in prelim])
+    spread = values.max(axis=0) - values.min(axis=0)
+    keepers = sorted(np.flatnonzero(spread > 1e-10).tolist(),
+                     key=lambda i: (prelim[i].function.has_hamiltonian, pivots[i]))
+    final = [prelim[i] for i in independent_columns(values, keepers)]
+    if not final:
+        raise EmptyNullspaceError("all candidates pruned as constant or dependent")
+    return Family(final)

@@ -1,9 +1,11 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ocquad import kk, noether, ocp
+from ocquad.cli import build_parser, run_analyze
 from ocquad import symexpr as sx
 from ocquad.noether import (
     EmptyNullspaceError,
@@ -15,14 +17,15 @@ from ocquad.noether import (
     independent_columns,
     nullspace,
     polynomial_ansatz,
+    rational_coefficients,
     rationalize_vector,
     rref,
 )
 from ocquad.ocp import PointSampler, sample_row, sample_symbols, true_hamiltonian
 from ocquad.problems import BUILTIN_NAMES, load_problem
 from ocquad.symexpr import parse, symref
-from conftest import setup_problem
-from oracles import Residual, combine
+from conftest import bits, setup_problem
+from oracles import Residual, combine, reference_extract_family
 
 
 def span_residual(target_values, matrix):
@@ -212,6 +215,21 @@ class TestBlockNullspace:
         basis = block_nullspace(columns)
         assert [rationalize_vector(v) for v in basis] == [
             (1, 0, Fraction(1, 2), 0), (0, 0, 0, 1)]
+
+    @pytest.mark.parametrize("column", [
+        {},
+        {(1,): Fraction(3, 7), (2,): Fraction(-1)},
+        {(1,): Fraction(1, 10 ** 400), (2,): Fraction(-1, 3 * 10 ** 400)},
+        {(1,): Fraction(1, 10 ** 400), (2,): Fraction(1, 10 ** 320)},
+    ], ids=["zero", "nonzero", "underflow_to_zero", "subnormal"])
+    def test_one_column_block_is_nullspace_of_the_float_column(self, column):
+        # each column is a block of its own: no output monomial is shared
+        columns = [column, {(0,): Fraction(1)}]
+        floats = np.array([[float(c)] for c in column.values()]).reshape(len(column), 1)
+        want = [np.array([v[0], 0.0]) for v in nullspace(floats)]
+        got = block_nullspace(columns)
+        assert len(got) == len(want)
+        assert all(bits(g) == bits(w) for g, w in zip(got, want))
 
 
 class TestAssembleSystem:
@@ -437,12 +455,6 @@ class TestRationalizeMatchesReference:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_raise_as_before(self, bad):
-        def outcome(fn, vector):
-            try:
-                return fn(vector)
-            except Exception as exc:  # noqa: BLE001 - the type is what is compared
-                return type(exc)
-
         # 3 + 5e-6 is within _NEAR of 3 but outside the tolerance
         far_integer = 3 + 5e-6
         for vector in ([bad], [0.5, bad], [bad, np.sqrt(2.0)], [np.sqrt(2.0), bad],
@@ -450,6 +462,63 @@ class TestRationalizeMatchesReference:
             want = outcome(reference_rationalize, vector)
             assert outcome(rationalize_vector, np.array(vector)) == want
         assert outcome(rationalize_vector, np.array([bad])) in (ValueError, OverflowError)
+
+
+def outcome(fn, vector):
+    try:
+        return fn(vector)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def builtin_bases(name):
+    """The generator basis of a built-in, and for a polynomial H the exact
+    degree-4 block basis too."""
+    _, th, sampler = setup_problem(name)
+    ansatz = build_ansatz(th.table, 2)
+    basis = nullspace(assemble_system(ansatz, sampler, 3 * ansatz.coefficient_count))
+    if exact_hamiltonian(th) is not None:
+        dense = polynomial_ansatz(th.table, 4, th.table.phase, True)
+        basis += block_nullspace(dense.exact_columns(exact_hamiltonian(th)))
+    return basis
+
+
+class TestRationalCoefficients:
+    """`rational_coefficients` passes `rationalize_vector` only the entries
+    beyond RATIONALIZE_ENTRY_TOL of 0, and must read as the full call."""
+
+    @staticmethod
+    def assert_agrees(vector):
+        full = outcome(rationalize_vector, vector)
+        got = outcome(rational_coefficients, vector)
+        if isinstance(full, tuple):
+            assert got == {k: f for k, f in enumerate(full) if f != 0}
+            assert all(type(f) is Fraction for f in got.values())
+        else:
+            assert got == full
+        return got
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_the_bases_of_the_builtins(self, name):
+        basis = builtin_bases(name)
+        results = [self.assert_agrees(vector) for vector in basis]
+        assert any(r is not None for r in results)
+
+    @pytest.mark.parametrize("planted, want", [(5e-6, None), (-5e-6, None), (5e-7, "zero"),
+                                               (-5e-7, "zero"), (np.nan, ValueError)])
+    def test_a_planted_entry(self, planted, want):
+        for vector in builtin_bases("sr-2-3")[:40]:
+            if rationalize_vector(vector) is None:
+                continue
+            zero = int(np.flatnonzero(vector == 0)[0])
+            vector = vector.copy()
+            vector[zero] = planted
+            got = self.assert_agrees(vector)
+            if want == "zero":
+                assert zero not in got and got == rational_coefficients(
+                    np.where(np.arange(vector.size) == zero, 0.0, vector))
+            else:
+                assert got is want
 
 
 class TestExtractFamily:
@@ -546,6 +615,129 @@ class TestExtractFamily:
         sampler = PointSampler(th, np.random.default_rng(0))
         with pytest.raises(EmptyNullspaceError):
             discover_family(th, sampler, degree=0, include_time=False)
+
+    def test_builds_expressions_only_for_the_kept_components(self, monkeypatch):
+        # `analyze sr-2-3 --poly-degree 4`: 72 candidates in the generator
+        # family and 246 in the dense search; 62 + 100 are reported
+        built, candidates = [], []
+        real = noether.extract_family
+
+        class Counted(ocp.PhaseFunction):
+            def __init__(self, expr, table):
+                built.append(expr)
+                super().__init__(expr, table)
+
+        def spy(ansatz, basis, *args):
+            candidates.append(len(basis))
+            return real(ansatz, basis, *args)
+
+        monkeypatch.setattr(noether, "PhaseFunction", Counted)
+        monkeypatch.setattr(noether, "extract_family", spy)
+        options = build_parser().parse_args(["analyze", "sr-2-3", "--poly-degree", "4"])
+        report, code = run_analyze("sr-2-3", options)
+        assert code == 0
+        assert candidates == [72, 246]
+        assert (len(report["family"]), len(report["polynomial_family"])) == (62, 100)
+        assert [sx.to_string(e) for e in built] == [
+            c["expr"] for c in report["family"] + report["polynomial_family"]]
+
+    @pytest.mark.parametrize("eps, kept", [("1/300000000", True), ("3/100000000", False)],
+                             ids=["tol_over_3", "tol_times_3"])
+    def test_holdout_cut_sits_between_half_decades(self, eps, kept):
+        # H = psi1^2/2 + eps*x1: R(psi1) = -eps at every point, so psi1's
+        # holdout residual is eps, a third of FAMILY_TOL (1e-8) or 3 times it
+        doc = {"name": "drift", "states": ["x1"], "controls": ["u1"], "time": "t",
+               "lagrangian": f"u1^2/2 - {eps}*x1", "dynamics": ["u1"]}
+        th = true_hamiltonian(load_problem(doc)[0])
+        ansatz = build_ansatz(th.table, 0)        # -H and psi1
+        basis = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
+        fam = noether.extract_family(ansatz, basis, th, PointSampler(th, np.random.default_rng(0)))
+        exprs = [sx.to_string(c.function.expr) for c in fam.components]
+        assert exprs == (["psi1", "-H"] if kept else ["-H"])
+        assert fam.components[0].holdout_residual == (float(Fraction(eps)) if kept else 0.0)
+
+
+def family_fields(family):
+    """What a report prints of each component, the residual bit for bit."""
+    if isinstance(family, Exception):
+        return type(family), str(family)
+    return [(c.function.expr, sx.to_string(c.function.expr), c.rational,
+             c.holdout_residual.hex(), c.generators) for c in family.components]
+
+
+def extract_both_ways(ansatz, basis, th, sampler):
+    """`extract_family` and the oracle on twin samplers: both outcomes, and
+    whether both samplers end in one RNG state."""
+    twin = PointSampler(th, copy.deepcopy(sampler.rng))
+    outcomes = []
+    for fn, s in ((noether.extract_family, sampler), (reference_extract_family, twin)):
+        try:
+            outcomes.append(fn(ansatz, basis, th, s))
+        except EmptyNullspaceError as exc:
+            outcomes.append(exc)
+    return (*outcomes, sampler.rng.bit_generator.state == twin.rng.bit_generator.state)
+
+
+class TestExtractFamilyMatchesReference:
+    """`extract_family` prunes on values linear in the coefficients and builds
+    only the kept components; `oracles.reference_extract_family` builds every
+    candidate first.  Both give the same components in the same order."""
+
+    @staticmethod
+    def assert_every_call_matches(monkeypatch, search):
+        seen = []
+        real = noether.extract_family
+
+        def both(ansatz, basis, th, sampler, tol, holdout):
+            assert (tol, holdout) == (noether.FAMILY_TOL, 100)
+            monkeypatch.setattr(noether, "extract_family", real)
+            got, want, same_rng = extract_both_ways(ansatz, basis, th, sampler)
+            monkeypatch.setattr(noether, "extract_family", both)
+            seen.append(len(basis))
+            assert family_fields(got) == family_fields(want)
+            assert same_rng
+            if isinstance(got, Exception):
+                raise got
+            return got
+
+        monkeypatch.setattr(noether, "extract_family", both)
+        search()
+        assert seen
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_generator_family_of_the_builtins(self, name, seed, monkeypatch):
+        _, th, sampler = setup_problem(name, seed=seed)
+        self.assert_every_call_matches(monkeypatch, lambda: discover_family(th, sampler))
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("name, degree", [
+        ("sr-2-3", 3), ("sr-2-3", 4), ("sr-2-3-4", 3), ("sr-2-3-4", 4),
+        ("sr-2-3-5", 3), ("sr-2-3-5", 4), ("dubins", 3), ("martinet", 3)])
+    def test_dense_polynomial_search(self, name, degree, seed, monkeypatch):
+        _, th, sampler = setup_problem(name, seed=seed)
+        self.assert_every_call_matches(
+            monkeypatch, lambda: discover_polynomial_integrals(th, sampler, degree=degree))
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_generator_terms_that_cancel(self, seed):
+        # X_1 = psi2, X_2 = -psi1 is F = psi1*psi2 - psi2*psi1 = 0: in the
+        # nullspace of every residual system, and no candidate
+        _, th, sampler = setup_problem("dubins", seed=seed)
+        ansatz = build_ansatz(th.table, 1)
+        rows = {s: sample_row(th.table, s) for s in th.table.phase}
+        width = 2 * th.table.n + 2
+        cancel = np.zeros(ansatz.coefficient_count)
+        for group, other, sign in ((1, 2, 1.0), (2, 1, -1.0)):
+            expo = [0] * width
+            expo[rows[th.table.costate(other)]] = 1
+            cancel[ansatz.terms.index((group, tuple(expo)))] = sign
+        basis = nullspace(assemble_system(ansatz, sampler, 3 * ansatz.coefficient_count))
+        for candidates in ([cancel, *basis], [*basis, cancel], [cancel]):
+            got, want, same_rng = extract_both_ways(ansatz, candidates, th, sampler)
+            assert family_fields(got) == family_fields(want)
+            assert same_rng
+        assert str(got) == "all nullspace candidates failed holdout verification"
 
 
 def reference_independent(values, order):

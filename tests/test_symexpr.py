@@ -435,6 +435,37 @@ class TestPolynomialArithmetic:
             for r, s in enumerate(rows):
                 assert polynomial(differentiate(a, s), rows) == poly_derivative(pa, r)
 
+    def test_accumulate_matches_a_plain_dict(self):
+        # the reference adds through dict.get(m, 0); small coefficients and
+        # a few monomials make exact cancellations common
+        from ocquad.symexpr import poly_accumulate
+
+        def reference(acc, p, scale):
+            for m, c in p.items():
+                acc[m] = acc.get(m, 0) + scale * c
+                if not acc[m]:
+                    del acc[m]
+            return acc
+
+        rng = random.Random(5)
+        monomials = [(a, b) for a in range(3) for b in range(2)]
+
+        def random_poly():
+            return {m: Fraction(rng.randint(-2, 2) or 1, rng.randint(1, 2))
+                    for m in rng.sample(monomials, rng.randint(0, len(monomials)))}
+
+        cancelled = 0
+        for _ in range(500):
+            acc, p = random_poly(), random_poly()
+            scale = rng.choice([1, -1, 2, Fraction(-1, 2), Fraction(2, 3)])
+            keys = set(acc) | set(p)
+            want = reference(dict(acc), p, scale)
+            assert poly_accumulate(acc, p, scale) is acc
+            assert list(acc.items()) == list(want.items())
+            assert all(type(c) is Fraction and c != 0 for c in acc.values())
+            cancelled += len(acc) < len(keys)
+        assert cancelled > 50
+
 
 class TestCompile:
     def test_agrees_with_evaluate(self, table3):
