@@ -165,19 +165,23 @@ def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
                                       step=TRAJECTORY_STEP)
         except OcpError:
             continue
-        drifts = [conservation_drift(c.function, traj) for c in family.components]
-        drift_max = [max(a, b) for a, b in zip(drift_max, drifts)]
+        with np.errstate(all="ignore"):     # a value that overflows gives no drift
+            drifts = [conservation_drift(c.function, traj) for c in family.components]
+        drift_max = [None if a is None or b is None else max(a, b)
+                     for a, b in zip(drift_max, drifts)]
         trajectories.append({"initial": [float(v) for v in z0],
                              "t0": 0.0,
                              "horizon": TRAJECTORY_HORIZON,
                              "step": TRAJECTORY_STEP})
     # with no extremal behind it, a drift of 0.0 would read as conservation
-    return {
-        "trajectories": trajectories,
-        "drift": [{"expr": sx.to_string(c.function.expr),
-                   "max_drift": float(d) if trajectories else None}
-                  for c, d in zip(family.components, drift_max)],
-    }
+    drift = []
+    for c, d in zip(family.components, drift_max):
+        entry = {"expr": sx.to_string(c.function.expr),
+                 "max_drift": float(d) if trajectories and d is not None else None}
+        if trajectories and d is None:
+            entry["missing"] = "not finite along an extremal"
+        drift.append(entry)
+    return {"trajectories": trajectories, "drift": drift}
 
 
 def run_analyze(source, options) -> tuple[dict, int]:
@@ -354,8 +358,9 @@ def render_text(report: dict) -> str:
                  f"(horizon {TRAJECTORY_HORIZON}, step {TRAJECTORY_STEP}):")
     for entry in ver["drift"]:
         drift = entry["max_drift"]
-        lines.append(("  not verified" if drift is None else f"  drift {drift:.2e}")
-                     + f"  {entry['expr']}")
+        lines.append((f"  drift {drift:.2e}" if drift is not None
+                      else f"  no drift: {entry['missing']}" if "missing" in entry
+                      else "  not verified") + f"  {entry['expr']}")
     if "timings" in report:
         lines.append("")
         lines.append("timings [s]: " + ", ".join(
@@ -456,7 +461,7 @@ def main(argv=None) -> int:
     except (AnalysisError, ProblemFileError, OcpError, NoetherError, sx.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    body = (json.dumps(report, indent=2) + "\n" if args.format == "json"
+    body = (json.dumps(report, indent=2, allow_nan=False) + "\n" if args.format == "json"
             else render_text(report))
     if args.output:
         try:

@@ -468,9 +468,8 @@ def _gates(lam: np.ndarray, combo: list | None, span: SpanSample,
     label = (f"selection {combo}" if combo is not None
              else f"selection with weights {lam.tolist()}")
     # cheap pre-gate: reject functionally dependent selections before any fitting
-    generic_rank = max(
-        np.linalg.matrix_rank(lam @ span.jacobian[:, :, p], tol=1e-10)
-        for p in range(span.jacobian.shape[2]))
+    generic_rank = np.linalg.matrix_rank(lam @ span.jacobian.transpose(2, 0, 1),
+                                         tol=1e-10).max()
     if generic_rank < n:
         return 0, (f"{label}: only {generic_rank} functionally "
                    f"independent integrals at generic points")

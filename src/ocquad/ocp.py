@@ -11,14 +11,14 @@ interface: values and the envelope gradient of the reduced Hamiltonian over
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import symexpr as sx
+from .stage import stage_kernel
 from .symexpr import (
     HAMILTONIAN_SYMBOL,
     Expr,
@@ -193,6 +193,40 @@ class TrueHamiltonian:
                              for i in range(len(controls)) for j in range(i + 1))
 
     @cached_property
+    def control_kernel(self):
+        """`k(x_1, .., psi_n, t)`: the control `prepare` solves at a sample
+        point, by Newton from the guess, or None.  Implicit backend only."""
+        return self._stage_kernel("controls", ())
+
+    @cached_property
+    def envelope_kernel(self):
+        """`k(evaluator, z, t)`: `HamiltonianEvaluator.value_and_gradient`."""
+        return self._stage_kernel("envelope", self.envelope)
+
+    @cached_property
+    def field_kernel(self):
+        """`k(evaluator, t, y)`: `HamiltonianFlow.rhs`, (dH/dpsi, -dH/dx)."""
+        n = self.table.n
+        return self._stage_kernel("field", self.envelope[n + 1:2 * n + 1]
+                                  + self.envelope[1:n + 1])
+
+    def _stage_kernel(self, kind: str, outputs: tuple):
+        """`stage.stage_kernel` of this Hamiltonian: built once per output
+        kind, for every evaluator and flow of the problem."""
+        rows = sample_symbols(self.table)
+        closed = self.is_closed_form
+        try:
+            return stage_kernel(
+                kind, None if closed else self.newton_system, outputs, rows,
+                () if closed else self.table.controls, () if closed else self.law.guess,
+                tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+                diverged=lambda values: NewtonDivergenceError(dict(zip(rows, values))),
+                left_domain=partial(_left_domain, rows))
+        except sx.EvaluationError as exc:
+            label = "reduced Hamiltonian" if closed else "Hamiltonian"
+            raise type(exc)(f"{label}: {exc}") from None
+
+    @cached_property
     def denominators(self) -> tuple:
         """The problem's excluded denominators, each compiled over the sample
         rows: the one pole guard of the sampler and of RK4 verification."""
@@ -258,6 +292,13 @@ def _compile(label: str, e, args: tuple[Symbol, ...], scalar: bool = False):
         raise type(exc)(f"{label}: {exc}") from None
 
 
+def _left_domain(rows: tuple, exc: Exception, values: tuple) -> OcpError:
+    """The error of an evaluation at the sample point `values` that raised
+    `exc`: an overflow of a Python float, or a value off the real domain."""
+    what = "overflows" if isinstance(exc, OverflowError) else "leaves the real domain"
+    return OcpError(f"Hamiltonian {what} at {_fmt_point(dict(zip(rows, values)))}")
+
+
 def _stacked(fn, args, count: int) -> np.ndarray:
     """(k, count) values of a compiled function returning a k-tuple; constants
     broadcast."""
@@ -306,83 +347,35 @@ class SampleBatch:
                            np.hstack([self.hgrad, other.hgrad]))
 
 
-@cache
-def _newton_kernel(m: int):
-    """One Newton iteration of dH/du = 0 for m controls, as straight-line
-    Python built once per m.
-
-    `step(out, u)` takes `out`, the compiled `newton_system` at the control
-    `u` (g_1..g_m, then the lower triangle A_11, A_21, A_22, .. of the
-    control Hessian).  It solves A s = g by A = L D L^T without pivoting, and
-    returns None when an entry or a pivot is not finite or a pivot is zero.
-    When every |g_i| is below NEWTON_TOL it returns whether every pivot is
-    below 0, that is, by Sylvester's criterion, whether A is negative
-    definite.  Otherwise it returns the next control, u - s with each step
-    clipped to [-2, 2], or None when some |u_i| reaches 1e6.
-    """
-    if not m:   # nothing to solve, and the empty Hessian is negative definite
-        return lambda out, u: True
-    g = [f"g{i}" for i in range(m)]
-    d = [f"d{i}" for i in range(m)]
-    lo = [[f"a{i}_{j}" for j in range(i + 1)] for i in range(m)]
-    entries = g + [a for row in lo for a in row]
-    lines = ["def _step(out, u):",
-             f"    {', '.join(entries)}, = out",
-             f"    {', '.join(f'u{i}' for i in range(m))}, = u",
-             "    if not (" + " and ".join(f"isfinite({e})" for e in entries) + "):",
-             "        return None"]
-    for i in range(m):
-        for j in range(i):
-            terms = "".join(f" - l{i}_{p} * l{j}_{p} * d{p}" for p in range(j))
-            lines.append(f"    l{i}_{j} = ({lo[i][j]}{terms}) / d{j}")
-        lines += [f"    d{i} = {lo[i][i]}" + "".join(f" - l{i}_{p} * l{i}_{p} * d{p}"
-                                                 for p in range(i)),
-                  f"    y{i} = g{i}" + "".join(f" - l{i}_{p} * y{p}" for p in range(i)),
-                  f"    if d{i} == 0 or not isfinite(d{i}):",
-                  "        return None"]
-    for i in reversed(range(m)):
-        lines.append(f"    x{i} = y{i} / d{i}" + "".join(f" - l{p}_{i} * x{p}"
-                                                       for p in range(i + 1, m)))
-    lines += ["    if " + " and ".join(f"abs({x}) < TOL" for x in g) + ":",
-              "        return bool(" + " and ".join(f"{x} < 0" for x in d) + ")",
-              *(f"    v{i} = u{i} - min(max(x{i}, -2.0), 2.0)" for i in range(m)),
-              "    if " + " and ".join(f"abs(v{i}) < 1e6" for i in range(m)) + ":",
-              f"        return [{', '.join(f'v{i}' for i in range(m))}]",
-              "    return None"]
-    ns = {"isfinite": math.isfinite, "TOL": NEWTON_TOL}
-    exec("\n".join(lines), ns)
-    return ns["_step"]
-
-
 class HamiltonianEvaluator:
     """Values and envelope gradient of the reduced Hamiltonian over (x, psi, t).
 
     With a closed-form law the gradient comes from compiled symbolic partials
     of the reduced expression.  With an implicit law each point gets its own
-    Newton solve of dH/du = 0, `_newton`, on Python floats: one compiled call
-    per iteration returns the control gradient and the lower triangle of the
-    control Hessian, and the generated kernel `_newton_kernel(m)` takes the
-    step and, at the solution, the negative-definiteness test.  The gradient
-    is then the envelope gradient of H at the solved control.  The value and
-    the whole gradient are one compiled call on both paths: `prepare` calls
-    the array form over sample columns, `value_and_gradient` the scalar form
-    (`compile_fn(..., scalar=True)`), which keeps its arithmetic on Python
-    floats, as does the Newton system.
+    Newton solve of dH/du = 0, and the gradient is the envelope gradient of
+    H at the solved control.  `prepare` evaluates sample columns: the
+    Hamiltonian's `control_kernel` solves each column, then one compiled
+    array call gives the value and the whole gradient.
+    `value_and_gradient` is one call of the generated `envelope_kernel` (see
+    `stage`), on Python floats, whose Newton solve warm-starts from the last
+    control this evaluator solved.
     """
 
     def __init__(self, th: TrueHamiltonian):
         self.th = th
         self._closed_form = th.is_closed_form
-        self._grad_syms = sample_symbols(th.table)
-        self._args = self._grad_syms + (() if self._closed_form else th.table.controls)
-        self._label = "reduced Hamiltonian" if self._closed_form else "Hamiltonian"
-        self._envelope = _compile(self._label, th.envelope, self._args)
-        self._scalar_envelope = _compile(self._label, th.envelope, self._args, scalar=True)
+        args = sample_symbols(th.table) + (() if self._closed_form else th.table.controls)
+        label = "reduced Hamiltonian" if self._closed_form else "Hamiltonian"
+        self._envelope = _compile(label, th.envelope, args)
+        # the problem's kernels, built with its first evaluator, before the
+        # analysis' arrays exist: compiled later, beside them, the kernels'
+        # transient source and syntax trees raised the peak RSS
+        self._envelope_kernel = th.envelope_kernel
+        self._field_kernel = th.field_kernel
         self.newton_failures = 0    # sample points `prepare` found no control for
         if not self._closed_form:
-            self._newton_fn = _compile(self._label, th.newton_system, self._args, scalar=True)
-            self._newton_step = _newton_kernel(th.table.m_ctl)
-            self._warm = None
+            self._controls = th.control_kernel
+            self._warm = None       # the last control `value_and_gradient` or `rhs` solved
 
     def prepare(self, points: np.ndarray):
         """Evaluate the envelope over a (2n+1, N) array of sample points.
@@ -398,8 +391,8 @@ class HamiltonianEvaluator:
             if not self._closed_form:
                 guess = self.th.law.guess
                 u_sol = np.empty((n_pts, len(guess)))
-                for i, column in enumerate(points.T):
-                    u = self._newton(column.tolist(), guess)
+                for i, column in enumerate(points.T.tolist()):
+                    u = self._controls(*column)
                     keep[i] = u is not None
                     u_sol[i] = guess if u is None else u
                 self.newton_failures += n_pts - np.count_nonzero(keep)
@@ -410,58 +403,15 @@ class HamiltonianEvaluator:
 
     def value_and_gradient(self, z, t: float):
         """(H, the gradient over x, psi, t as a list of 2n+1 floats) at the
-        phase point z and time t, from one call of the scalar envelope, whose
+        phase point z and time t, from one call of the envelope kernel, whose
         Python floats are returned as they are.  The caller provides the
         ``np.errstate``: a numpy function that leaves the real domain or the
         float range warns under numpy's default and raises under ``raise``.
         An evaluation that leaves the real domain (a negative base under a
         fractional power, a zero base under a negative power) or overflows a
-        Python float raises OcpError."""
-        h, *grad = self._call(self._scalar_envelope, [*map(float, z), float(t)])
-        return h, grad
-
-    def _call(self, fn, args: list):
-        """`fn(*args)`, a scalar compiled function over `self._args`, with
-        `args` the 2n+1 sample-row floats; on the implicit backend the
-        controls are appended, solved from the last solved control, then
-        from the guess.  A value that leaves the real domain or overflows a
-        Python float raises OcpError naming the point."""
-        try:
-            if not self._closed_form:
-                args += self._solve(args)
-            return fn(*args)
-        except (ArithmeticError, TypeError) as exc:
-            what = "overflows" if isinstance(exc, OverflowError) else "leaves the real domain"
-            point = dict(zip(self._grad_syms, args))
-            raise OcpError(f"Hamiltonian {what} at {_fmt_point(point)}") from None
-
-    def _solve(self, base):
-        guess = self.th.law.guess
-        for u0 in ((guess,) if self._warm is None else (self._warm, guess)):
-            u = self._newton(base, u0)
-            if u is not None:
-                self._warm = u
-                return u
-        raise NewtonDivergenceError(dict(zip(self._grad_syms, base)))
-
-    def _newton(self, base, u):
-        """dH/du = 0 at the sample point `base` by Newton from the control `u`,
-        each step clipped to [-2, 2].  Returns the control, or None when an
-        evaluation is not finite or not real, a pivot breaks down, |u| reaches
-        1e6, the iteration does not converge, or the control Hessian at the
-        solution is not negative definite.  The caller provides the
-        ``np.errstate``, as for `value_and_gradient`."""
-        try:
-            for _ in range(NEWTON_MAX_ITER):
-                new = self._newton_step(self._newton_fn(*base, *u), u)
-                if new is True:
-                    return u
-                if not new:     # None, or converged where A is not definite
-                    return None
-                u = new
-        except (ArithmeticError, TypeError):
-            return None
-        return None
+        Python float raises OcpError; on the implicit backend a point with
+        no concave stationary control raises NewtonDivergenceError."""
+        return self._envelope_kernel(self, z, t)
 
 
 class PhaseFunction:
@@ -507,23 +457,18 @@ class PhaseFunction:
 class HamiltonianFlow:
     """Right-hand side of xdot = dH/dpsi, psidot = -dH/dx.
 
-    The vector field (dH/dpsi_1..n, dH/dx_1..n) is compiled once, in scalar
-    form, over the sample rows and, on the implicit backend, the controls.
+    The vector field is the Hamiltonian's generated `field_kernel`, and
+    its Newton solve warm-starts from the flow's evaluator's last control.
     """
 
     def __init__(self, th: TrueHamiltonian):
-        self.evaluator = ev = HamiltonianEvaluator(th)
-        n = self._n = th.table.n
-        env = th.envelope
-        self._field = _compile(ev._label, env[n + 1:2 * n + 1] + env[1:n + 1], ev._args,
-                               scalar=True)
+        self.evaluator = HamiltonianEvaluator(th)
+        self._field = self.evaluator._field_kernel
 
     def rhs(self, t: float, y) -> list:
-        """(xdot, psidot) as a list of floats, from one call of the field
-        after the evaluator's warm-started control solve."""
-        out = self.evaluator._call(self._field, [*y, t])
-        n = self._n
-        return [*out[:n], *[-g for g in out[n:]]]
+        """(xdot, psidot) as a list of floats, from one kernel call, with the
+        errors of `HamiltonianEvaluator.value_and_gradient`."""
+        return self._field(self.evaluator, t, y)
 
 
 class PointSampler:

@@ -14,6 +14,7 @@ an expression the canonical form cannot collapse must fall back to sampling.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -690,8 +691,8 @@ def is_symbolically_zero(e: Expr) -> bool:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str],
-          scalar: bool = False) -> str:
+def emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str],
+         scalar: bool = False) -> str:
     """Python source of `e`; a subexpression in `shared` is read from its local.
     With `scalar`, each function call's value and each fractional power is
     converted by float()."""
@@ -705,17 +706,17 @@ def _emit(e: Expr, names: dict[Symbol, str], shared: dict[Expr, str],
     if e in shared:
         return shared[e]
     if e.kind == _ADD:
-        return "(" + " + ".join(_emit(c, names, shared, scalar) for c in e.children) + ")"
+        return "(" + " + ".join(emit(c, names, shared, scalar) for c in e.children) + ")"
     if e.kind == _MUL:
-        return "(" + " * ".join(_emit(c, names, shared, scalar) for c in e.children) + ")"
+        return "(" + " * ".join(emit(c, names, shared, scalar) for c in e.children) + ")"
     if e.kind == _POW:
         exp = e.value
         if exp.denominator == 1:
-            return "(" + _emit(e.children[0], names, shared, scalar) + f" ** {exp.numerator})"
-        power = "(" + _emit(e.children[0], names, shared, scalar) + f" ** {float(exp)!r})"
+            return "(" + emit(e.children[0], names, shared, scalar) + f" ** {exp.numerator})"
+        power = "(" + emit(e.children[0], names, shared, scalar) + f" ** {float(exp)!r})"
         return f"float{power}" if scalar else power
     f = {"ln": "log"}.get(e.value, e.value)
-    call = f"np.{f}(" + _emit(e.children[0], names, shared, scalar) + ")"
+    call = f"np.{f}(" + emit(e.children[0], names, shared, scalar) + ")"
     return f"float({call})" if scalar else call
 
 
@@ -771,20 +772,29 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...],
     shared: dict[Expr, str] = {}
     lines = ["def _f(" + ", ".join(names[s] for s in args) + "):"]
     ns: dict = {"np": np}
-    try:
+    with compiling():
         for i, x in enumerate(_repeated_subexpressions(exprs)):
-            lines.append(f"    c{i} = " + _emit(x, names, shared, scalar))
+            lines.append(f"    c{i} = " + emit(x, names, shared, scalar))
             shared[x] = f"c{i}"
-        body = ("(" + "".join(_emit(x, names, shared, scalar) + ", " for x in e) + ")"
-                if isinstance(e, tuple) else _emit(e, names, shared, scalar))
+        body = ("(" + "".join(emit(x, names, shared, scalar) + ", " for x in e) + ")"
+                if isinstance(e, tuple) else emit(e, names, shared, scalar))
         exec("\n".join(lines + ["    return " + body]), ns)
+    return ns["_f"]
+
+
+@contextmanager
+def compiling():
+    """Around the emitting and `exec` of generated source: a constant beyond
+    the float range, or source too long or too deeply nested for the Python
+    compiler, raises EvaluationError."""
+    try:
+        yield
     except OverflowError:
         raise EvaluationError("cannot compile: a constant is beyond the float range "
                               "(magnitude above 1.8e308)") from None
     except (RecursionError, SyntaxError) as exc:    # the compiler's nesting limits
         raise EvaluationError("cannot compile: expression too long or too deeply "
                               f"nested ({type(exc).__name__})") from None
-    return ns["_f"]
 
 
 # ---------------------------------------------------------------------------

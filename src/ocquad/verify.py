@@ -161,8 +161,12 @@ def integrate_extremal(th: TrueHamiltonian, z0, t0: float = 0.0,
     return SampleBatch(th.table, grid, env[0], env[1:])
 
 
-def conservation_drift(f: PhaseFunction, traj: SampleBatch) -> float:
+def conservation_drift(f: PhaseFunction, traj: SampleBatch) -> float | None:
     """max_t |F(z(t), t) - F(z(0), t0)| over the trajectory grid, read from the
-    envelope batch `integrate_extremal` returns."""
+    envelope batch `integrate_extremal` returns; None where F or its change
+    is not finite somewhere on the grid, as where F overflows on an
+    extremal that grows without bound.  The caller provides the
+    ``np.errstate``: under numpy's default an overflow also warns."""
     vals = f.values(traj)
-    return float(np.abs(vals - vals[0]).max())
+    drift = float(np.abs(vals - vals[0]).max())
+    return drift if math.isfinite(drift) else None

@@ -9,7 +9,9 @@ R(F) = dF/dt + {F, H} of a whole candidate expression; `combine` builds the
 family map at one parameter vector; `independence_rank_sequential` is the
 rank gate projecting one seed at a time; `ldl_solve`, `reference_step` and
 `reference_newton` are the generic LDL^T solve, the Newton iteration that
-`ocp._newton_kernel` unrolls, and the Newton loop around it;
+the stage kernels of `ocquad.stage` unroll, and the Newton loop around it;
+`ReferenceStages` composes that loop with separately compiled system,
+envelope and field into the stage evaluations the kernels must match;
 `reference_rk4_step` is the RK4 step that `verify._rk4_step` unrolls;
 `reference_bracket_values` is the bracket tensor as two whole-tensor
 einsums, which `poisson.bracket_values` fills row by row;
@@ -30,7 +32,8 @@ from ocquad import symexpr as sx
 from ocquad.kk import PROJECTION_TOL, RANK_POINTS, RANK_SV_TOL, RankEvidence
 from ocquad.noether import (_NEAR, FAMILY_TOL, EmptyNullspaceError, Family, FamilyComponent,
                             _finite_matrix, _pivot, independent_columns, rationalize_vector)
-from ocquad.ocp import NEWTON_MAX_ITER, NEWTON_TOL, HamiltonianEvaluator, PhaseFunction
+from ocquad.ocp import (NEWTON_MAX_ITER, NEWTON_TOL, HamiltonianEvaluator, NewtonDivergenceError,
+                        OcpError, PhaseFunction, _fmt_point, sample_symbols)
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, Expr, SymbolTable
 
 _TAN_POLE_GUARD = 1e-9
@@ -245,7 +248,8 @@ def ldl_solve(lower, rhs):
 def reference_step(out, u):
     """One pass of the reference Newton loop: `out` is the compiled
     `newton_system` at the control `u` (g_1..g_m, then the lower triangle of
-    the control Hessian).  Returns what `ocp._newton_kernel(m)` must return:
+    the control Hessian).  Returns what one iteration of a stage kernel's
+    Newton loop does:
     None on a non-finite entry or a broken-down pivot; whether the Hessian is
     negative definite once every |g_i| is below NEWTON_TOL; else the clipped
     update, or None when some |u_i| reaches 1e6."""
@@ -265,20 +269,74 @@ def reference_step(out, u):
 def reference_newton(newton_fn, base, u):
     """dH/du = 0 at the sample point `base` by Newton from the control `u`,
     with `newton_fn` the compiled `TrueHamiltonian.newton_system` over
-    (sample rows, controls) and `reference_step` the iteration.  Returns what
-    `HamiltonianEvaluator._newton` must return: the control, or None."""
-    with np.errstate(all="ignore"):
-        try:
-            for _ in range(NEWTON_MAX_ITER):
-                new = reference_step(newton_fn(*base, *u), u)
-                if isinstance(new, bool):
-                    return u if new else None
-                if new is None:
-                    return None
-                u = new
-        except (ArithmeticError, TypeError):
-            return None
+    (sample rows, controls) and `reference_step` the iteration.  Returns
+    what a stage kernel's solve gives: the control, or None where an
+    evaluation leaves the real domain or the float range, or the iteration
+    fails.  The caller provides the ``np.errstate``."""
+    try:
+        for _ in range(NEWTON_MAX_ITER):
+            new = reference_step(newton_fn(*base, *u), u)
+            if isinstance(new, bool):
+                return u if new else None
+            if new is None:
+                return None
+            u = new
+    except (ArithmeticError, TypeError):
+        return None
     return None
+
+
+class ReferenceStages:
+    """The stage evaluations of `HamiltonianEvaluator` and `HamiltonianFlow`
+    composed from parts: `reference_newton` on a separately compiled Newton
+    system, then a separately compiled scalar envelope or field, and the
+    field's negation.  `controls` is `prepare`'s solve, from the guess;
+    `value_and_gradient` and `rhs` solve from the last solved control, then
+    from the guess, like one evaluator and its flow.  The generated stage
+    kernels must match it bit for bit, exceptions and messages included."""
+
+    def __init__(self, th):
+        self.th = th
+        self.rows = sample_symbols(th.table)
+        n = th.table.n
+        args = self.rows + (() if th.is_closed_form else th.table.controls)
+        env = th.envelope
+        self.system = (None if th.is_closed_form
+                       else sx.compile_fn(th.newton_system, args, scalar=True))
+        self.envelope = sx.compile_fn(env, args, scalar=True)
+        self.field = sx.compile_fn(env[n + 1:2 * n + 1] + env[1:n + 1], args, scalar=True)
+        self.warm = None
+
+    def controls(self, *base):
+        return reference_newton(self.system, base, self.th.law.guess)
+
+    def value_and_gradient(self, z, t):
+        h, *grad = self._call(self.envelope, [*map(float, z), float(t)])
+        return h, grad
+
+    def rhs(self, t, y):
+        out = self._call(self.field, [*y, t])
+        n = self.th.table.n
+        return [*out[:n], *[-g for g in out[n:]]]
+
+    def _call(self, fn, args):
+        try:
+            if self.system is not None:
+                args += self._solve(args)
+            return fn(*args)
+        except (ArithmeticError, TypeError) as exc:
+            what = "overflows" if isinstance(exc, OverflowError) else "leaves the real domain"
+            point = dict(zip(self.rows, args))
+            raise OcpError(f"Hamiltonian {what} at {_fmt_point(point)}") from None
+
+    def _solve(self, base):
+        guess = self.th.law.guess
+        for u0 in ((guess,) if self.warm is None else (self.warm, guess)):
+            u = reference_newton(self.system, base, u0)
+            if u is not None:
+                self.warm = u
+                return u
+        raise NewtonDivergenceError(dict(zip(self.rows, base)))
 
 
 def reference_rk4_step(rhs, t, y, k1, half, step, sixth):

@@ -22,12 +22,14 @@ exit 1; seeds 1572, 2374 and 2867, whose residual systems overflow and must
 exit 1; seed 1074, whose excluded denominator turns complex along an
 extremal; seed 1953, whose rank-gate projection loses every column; and
 seed 181, whose family brackets overflow at the sampled points and must
-exit 1.  A sweep over seeds 0..COUNT-1 runs with
+exit 1.  It also runs the seeds of IMPLICIT_SEEDS with `--backend
+implicit`.  A sweep over seeds 0..COUNT-1 runs with
 
-    PYTHONPATH=src python tests/test_fuzz.py [COUNT]
+    PYTHONPATH=src python tests/test_fuzz.py [COUNT [FLAG ...]]
 
-which prints each seed's exit code and seconds, and every seed that breaks
-the rule.
+which passes each FLAG on to `analyze` (`--backend implicit`, say), and
+prints each seed's exit code and seconds, and every seed that breaks the
+rule.
 """
 
 import json
@@ -59,6 +61,9 @@ SEEDS = [*range(60), *NON_REAL, *NOT_FINITE, *SPAN_NOT_FINITE,
          1074,
          # the rank gate's projection loses every column
          1953]
+# with `--backend implicit`: a component that overflows along an extremal
+# which grows without bound, whose drift is missing, with the reason
+IMPLICIT_SEEDS = (29,)
 
 
 def expression(rng, symbols, depth):
@@ -97,11 +102,12 @@ def problem_file(seed):
     return doc
 
 
-def analyze(seed, directory):
-    """The run document of `ocquad analyze` on the seed's file."""
+def analyze(seed, directory, flags=()):
+    """The run document of `ocquad analyze` on the seed's file, with `flags`
+    after the default ones."""
     path = Path(directory) / f"fz{seed}.json"
     path.write_text(json.dumps(problem_file(seed)))
-    return run(["analyze", str(path), "--degree", "1"])
+    return run(["analyze", str(path), "--degree", "1", *flags])
 
 
 def broken(doc):
@@ -137,14 +143,24 @@ def test_problem_file_ends_in_a_report_or_one_error_line(seed, tmp_path):
         assert code == 1 and err.startswith("error: the family's sampled values or brackets")
 
 
+@pytest.mark.parametrize("seed", IMPLICIT_SEEDS)
+def test_implicit_backend_file_ends_in_a_report_or_one_error_line(seed, tmp_path):
+    doc = analyze(seed, tmp_path, ["--backend", "implicit"])
+    assert broken(doc) is None
+    assert doc["exit_code"] == 0
+    missing = [d for d in doc["report"]["verification"]["drift"] if d["max_drift"] is None]
+    assert [d["missing"] for d in missing] == ["not finite along an extremal"]
+
+
 if __name__ == "__main__":
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 200
+    flags = sys.argv[2:]
     failures = 0
     with tempfile.TemporaryDirectory() as directory:
         for seed in range(count):
             start = time.monotonic()
             try:
-                doc = analyze(seed, directory)
+                doc = analyze(seed, directory, flags)
                 code, why = doc["exit_code"], broken(doc)
             except Exception as exc:    # a traceback in a test run
                 code, why = None, f"raised {type(exc).__name__}: {exc}"

@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -26,9 +27,9 @@ from ocquad.ocp import (
     true_hamiltonian,
 )
 from ocquad.poisson import bracket_values
-from ocquad.problems import builtin, load_problem
+from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
-from conftest import setup_problem
+from conftest import bits, setup_problem
 from oracles import combine, independence_rank_sequential
 
 
@@ -781,6 +782,23 @@ class TestFindCertificate:
         cert = find_certificate(sample_span(fam, sampler), th, sampler, np.random.default_rng(1))
         assert cert.verdict == "inconclusive"
         return cert.diagnostics
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_generic_rank_is_one_stacked_product(self, name):
+        # the pre-gate's one (P, n, 2n) product holds each probe's own
+        # product bit for bit, and the stacked rank is the per-probe rank,
+        # on the first candidate selections of each built-in's family
+        problem, th, sampler = setup_problem(name)
+        span = sample_span(discover_family(th, sampler), sampler)
+        jac = span.jacobian
+        candidates = kk._candidate_selections(span.family, problem.table.n,
+                                              np.random.default_rng(1))
+        for lam, _ in itertools.islice(candidates, 40):
+            stacked = lam @ jac.transpose(2, 0, 1)
+            per_point = np.stack([lam @ jac[:, :, p] for p in range(jac.shape[2])])
+            assert bits(stacked) == bits(per_point)
+            assert (np.linalg.matrix_rank(stacked, tol=1e-10).tolist()
+                    == [np.linalg.matrix_rank(a, tol=1e-10) for a in per_point])
 
     def test_dependent_selection_stops_at_the_generic_rank(self):
         assert self._dubins_diagnostics(["psi1", "psi1", "psi2"]) == (

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocquad import ocp
+from ocquad import cli, ocp, stage, verify
 from ocquad import symexpr as sx
 from ocquad.ocp import (
     HamiltonianEvaluator,
@@ -18,8 +18,8 @@ from ocquad.ocp import (
 )
 from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
-from conftest import bits
-from oracles import evaluate, ldl_solve, reference_newton, reference_step
+from conftest import bits, make_table
+from oracles import ReferenceStages, evaluate, ldl_solve, reference_newton, reference_step
 
 
 @pytest.fixture(scope="module")
@@ -281,8 +281,7 @@ class TestEvalTrueHamiltonian:
         for i, column in enumerate(batch.points.T):
             # the solve `prepare` ran on this point
             full = batch.point(i)
-            full.update(zip(t.controls, sampler.evaluator._newton(column.tolist(),
-                                                                  th.law.guess)))
+            full.update(zip(t.controls, th.control_kernel(*column.tolist())))
             for g in grads:
                 assert abs(evaluate(g, full)) <= 1e-9
 
@@ -310,6 +309,29 @@ def leaving_problem(case):
     return problem, z
 
 
+# (Lagrangian, phase point x1, psi1, what the error says) where H and dH/dx1
+# leave the real domain or overflow while dH/du = -u1 + psi1 does not
+LEAVING_IN_THE_OUTPUTS = {
+    # -x1^(1/2) in H and -x1^(-1/2)/2 in dH/dx1 at x1 = -0.5
+    "fractional_power": ("u1^2/2 + x1^(1/2)", [-0.5, 1.0],
+                         r"leaves the real domain at \{x1=-0.5, psi1=1, t=0.5\}"),
+    # x1^5 and x1^4 at x1 = 1e80
+    "overflow": ("u1^2/2 + x1^5", [1e80, 1.0], r"overflows at \{x1=1e\+80, psi1=1, t=0.5\}"),
+}
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` gives: the bits of its floats, or its OcpError's
+    type and message."""
+    try:
+        out = fn(*args)
+    except OcpError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):      # value_and_gradient's (H, gradient)
+        out = [out[0], *out[1]]
+    return bits(out)
+
+
 class TestEvaluationLeavingTheDomain:
     """Where sin(x1) meets a zero division or a fractional power, or x1^4
     overflows, the Newton solve fails and the closed-form envelope raises
@@ -317,9 +339,67 @@ class TestEvaluationLeavingTheDomain:
 
     @pytest.mark.parametrize("case", sorted(LEAVING_THE_DOMAIN))
     def test_newton_fails(self, case):
+        # sin(x1)^-1 and sin(x1)^(1/2) sit in a control-free term of dH/du,
+        # which the kernels compute once, before the loop; x1^2 at 1e80
+        # takes the control past 1e6.  Each gives the reference
+        # composition's None or NewtonDivergenceError
         problem, z = leaving_problem(case)
-        ev = HamiltonianEvaluator(true_hamiltonian(problem, backend="implicit"))
-        assert ev._newton([*z, 0.5], [0.0]) is None
+        th = true_hamiltonian(problem, backend="implicit")
+        assert th.control_kernel(*z, 0.5) is None
+        assert ReferenceStages(th).controls(*z, 0.5) is None
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            for kernel in ("value_and_gradient", "rhs"):
+                flow, ref = HamiltonianFlow(th), ReferenceStages(th)
+                fn = flow.rhs if kernel == "rhs" else flow.evaluator.value_and_gradient
+                args = (0.5, z) if kernel == "rhs" else (z, 0.5)
+                got = outcome(fn, *args)
+                assert got == outcome(getattr(ref, kernel), *args)
+                assert got[0] == "NewtonDivergenceError"
+                assert flow.evaluator._warm is None
+
+    @pytest.mark.parametrize("warm", [None, [-1.0]], ids=["cold", "warm"])
+    @pytest.mark.parametrize("psi1, solved", [(0.1, True), (-5.0, False)])
+    def test_a_control_term_that_leaves_the_domain_fails_that_start(self, warm, psi1,
+                                                                    solved):
+        # sqrt(u1) in dH/du is not real at u1 < 0: the warm start -1 fails
+        # at once, and at psi1 = -5 the guess 1 steps to u1 = -1 and fails
+        # there.  The next start, or NewtonDivergenceError, follows, as in
+        # the reference composition
+        doc = {"name": "root", "states": ["x1"], "controls": ["u1"], "time": "t",
+               "lagrangian": "u1^2/2", "dynamics": ["u1 + u1^(3/2)"], "control_guess": [1.0]}
+        problem, _ = load_problem(doc)
+        th = true_hamiltonian(problem, backend="implicit")
+        z = [0.3, psi1]
+        assert (th.control_kernel(*z, 0.5) is not None) == solved
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            for kernel in ("value_and_gradient", "rhs"):
+                flow, ref = HamiltonianFlow(th), ReferenceStages(th)
+                flow.evaluator._warm = ref.warm = warm
+                fn = flow.rhs if kernel == "rhs" else flow.evaluator.value_and_gradient
+                args = (0.5, z) if kernel == "rhs" else (z, 0.5)
+                got = outcome(fn, *args)
+                assert got == outcome(getattr(ref, kernel), *args)
+                assert (got[0] != "NewtonDivergenceError") == solved
+
+    @pytest.mark.parametrize("case", sorted(LEAVING_IN_THE_OUTPUTS))
+    def test_outputs_raise_after_the_solve(self, case):
+        # a term only the outputs hold raises OcpError with the message of
+        # the reference composition, after the solve set the warm start
+        lagrangian, z, message = LEAVING_IN_THE_OUTPUTS[case]
+        doc = {"name": case, "states": ["x1"], "controls": ["u1"], "time": "t",
+               "lagrangian": lagrangian, "dynamics": ["u1"]}
+        problem, _ = load_problem(doc)
+        th = true_hamiltonian(problem, backend="implicit")
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            for kernel in ("value_and_gradient", "rhs"):
+                flow, ref = HamiltonianFlow(th), ReferenceStages(th)
+                fn = flow.rhs if kernel == "rhs" else flow.evaluator.value_and_gradient
+                args = (0.5, z) if kernel == "rhs" else (z, 0.5)
+                with pytest.raises(OcpError, match="^Hamiltonian " + message + "$") as exc:
+                    fn(*args)
+                assert type(exc.value) is OcpError
+                assert outcome(fn, *args) == outcome(getattr(ref, kernel), *args)
+                assert bits(flow.evaluator._warm) == bits(ref.warm) == bits([1.0])
 
     @pytest.mark.parametrize("case", sorted(LEAVING_THE_DOMAIN))
     def test_envelope_raises(self, case):
@@ -368,36 +448,132 @@ class TestFlow:
 
 
 class TestNewtonParity:
-    """`_newton` returns bit for bit what the reference loop around the
-    generic LDL^T solve returns, from the guess and warm-started from the
-    previous point's control, on sampler points and on raw box draws (where
-    some solves fail)."""
+    """The kernels' Newton solve gives bit for bit what the reference loop
+    around the generic LDL^T solve gives, on a Newton system compiled apart
+    from the kernels: from the guess (`control_kernel`) and warm-started
+    from the previous point's control (the control `value_and_gradient`
+    leaves in `_warm`), on sampler points and on raw box draws (where some
+    solves fail)."""
 
     @pytest.mark.parametrize("name", ["trailer", THREE_CONTROLS])
     def test_matches_reference(self, name):
         problem = named_problem(name)
         th = true_hamiltonian(problem, backend="implicit")
+        rows = ocp.sample_symbols(problem.table)
+        system = sx.compile_fn(th.newton_system, rows + problem.table.controls, scalar=True)
         ev = HamiltonianEvaluator(th)
         guess = th.law.guess
         sampled = PointSampler(th, np.random.default_rng(4)).draw(200).points
         rng = np.random.default_rng(5)
-        raw = np.array([rng.uniform(*problem.sampling_box[s], 200)
+        raw = np.array([rng.uniform(*problem.sampling_box[s], 200) for s in rows])
+        with np.errstate(all="ignore"):
+            for points, admissible in ((sampled, True), (raw, False)):
+                warm = guess
+                for column in points.T.tolist():
+                    cold = th.control_kernel(*column)
+                    assert bits(cold) == bits(reference_newton(system, column, guess))
+                    assert cold is not None or not admissible
+                    want = (reference_newton(system, column, warm)
+                            or reference_newton(system, column, guess))
+                    ev._warm = warm
+                    try:
+                        ev.value_and_gradient(column[:-1], column[-1])
+                    except ocp.NewtonDivergenceError:
+                        assert want is None
+                    else:
+                        assert bits(ev._warm) == bits(want)
+                    warm = guess if cold is None else cold
+
+
+class TestStageKernels:
+    """`value_and_gradient`, `rhs` and `prepare`'s solve are one generated
+    call each, built once per TrueHamiltonian, and give bit for bit what
+    the reference composition of `tests/oracles.py` gives."""
+
+    @staticmethod
+    def walk(th, seed, steps=200):
+        """RK4 with step 1e-3 from a sampler point along the reference
+        composition's flow, comparing every grid point and every stage
+        with the kernels: warm, through one evaluator and its flow, as
+        `integrate_extremal` calls them, and cold, through fresh ones."""
+        n = th.table.n
+        z0 = PointSampler(th, np.random.default_rng(seed)).draw(1).points[:-1, 0]
+        flow, ref = HamiltonianFlow(th), ReferenceStages(th)
+
+        def rhs(t, y):
+            for f, r in ((flow, ref), (HamiltonianFlow(th), ReferenceStages(th))):
+                assert outcome(f.rhs, t, y) == outcome(r.rhs, t, y)
+            return ref.rhs(t, y)
+
+        y, t = z0.tolist(), 0.0
+        step = verify._rk4_step(2 * n)
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            for k in range(steps):
+                t = 1e-3 * k
+                for ev, r in ((flow.evaluator, ref),
+                              (HamiltonianEvaluator(th), ReferenceStages(th))):
+                    assert (outcome(ev.value_and_gradient, y, t)
+                            == outcome(r.value_and_gradient, y, t))
+                if not th.is_closed_form:
+                    assert bits(flow.evaluator._warm) == bits(ref.warm)
+                _, grad = ref.value_and_gradient(y, t)
+                y = step(rhs, t, y, grad[n:2 * n] + [-g for g in grad[:n]],
+                         5e-4, 1e-3, 1e-3 / 6)
+                assert type(y) is list
+
+    @pytest.mark.parametrize("name, backend", [
+        ("trailer", "auto"), (THREE_CONTROLS, "implicit"), ("dubins", "implicit")])
+    def test_implicit_kernels_match_the_reference_composition(self, name, backend):
+        problem = named_problem(name)
+        th = true_hamiltonian(problem, backend=backend)
+        assert not th.is_closed_form
+        self.walk(th, seed=12)
+        # prepare's solve from the guess, on raw box draws where some fail
+        rng = np.random.default_rng(13)
+        raw = np.array([rng.uniform(*problem.sampling_box[s], 300)
                         for s in ocp.sample_symbols(problem.table)])
-        for points, admissible in ((sampled, True), (raw, False)):
-            warm = guess
-            for column in points.T.tolist():
-                cold = ev._newton(column, guess)
-                assert bits(cold) == bits(reference_newton(ev._newton_fn, column, guess))
-                assert cold is not None or not admissible
-                got = ev._newton(column, warm)
-                assert bits(got) == bits(reference_newton(ev._newton_fn, column, warm))
-                warm = guess if cold is None else cold
+        ref = ReferenceStages(th)
+        solved = 0
+        with np.errstate(all="ignore"):
+            for column in raw.T.tolist():
+                got = th.control_kernel(*column)
+                assert bits(got) == bits(ref.controls(*column))
+                solved += got is not None
+        # a quadratic H in u always has its stationary control; trailer's not
+        assert solved == 300 if name != "trailer" else 0 < solved < 300
+
+    @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "trailer"])
+    def test_closed_form_kernels_match_the_compiled_field(self, name):
+        problem = named_problem(name)
+        th = true_hamiltonian(problem)
+        assert th.is_closed_form
+        self.walk(th, seed=14, steps=50)
+
+    @pytest.mark.parametrize("name, kinds", [
+        ("trailer", {"controls": 1, "envelope": 1, "field": 1}),
+        ("dubins", {"envelope": 1, "field": 1})])
+    def test_each_kernel_is_built_once_per_problem(self, name, kinds, monkeypatch, tmp_path):
+        built = []
+
+        def counted(kind, *args, **kwargs):
+            built.append(kind)
+            return stage_kernel(kind, *args, **kwargs)
+
+        stage_kernel = ocp.stage_kernel
+        monkeypatch.setattr(ocp, "stage_kernel", counted)
+        assert cli.main(["analyze", name, "--output", str(tmp_path / "report.json")]) == 0
+        assert {k: built.count(k) for k in set(built)} == kinds
 
 
 class TestNewtonKernel:
-    """One call of the generated kernel returns bit for bit what one pass of
-    the reference iteration returns: the next control, True or False at
-    convergence, or None."""
+    """The Newton loop a kernel generates gives bit for bit what the
+    reference loop around the generic LDL^T solve gives, on a planted
+    system: at the guess u0 the control gradient is G * exp(-1e300 *
+    |u - u0|^2) = G and the control Hessian is S, and after any step the
+    gradient is 0.  So the loop's first iteration is one reference
+    iteration on (G, S, u0): the next control, True or False at
+    convergence, or None; a step then converges where S is negative
+    definite."""
 
     @staticmethod
     def cases(m, rng):
@@ -436,21 +612,39 @@ class TestNewtonKernel:
         return out + [(list(map(np.float64, o)), list(map(np.float64, u)))
                       for o, u in out[::3]]
 
+    @staticmethod
+    def planted(m):
+        """(rows, controls, system): G_i * exp(-1e300 * sum_j (u_j - w_j)^2)
+        with G, then S, then w read from the rows."""
+        k = m * (m + 1) // 2
+        table = make_table(2 * m + k, m_ctl=m)
+        rows, controls = table.states, table.controls
+        g, s, w = rows[:m], rows[m:m + k], rows[m + k:]
+        spread = sx.add(*(sx.power(sx.add(symref(u), sx.negate(symref(c))), 2)
+                          for u, c in zip(controls, w)))
+        bump = sx.fn("exp", sx.mul(sx.num(-10 ** 300), spread))
+        system = tuple(sx.mul(symref(x), bump) for x in g) + tuple(map(symref, s))
+        return rows, controls, system
+
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
-    def test_matches_one_reference_iteration(self, m):
-        step = ocp._newton_kernel(m)
-        assert ocp._newton_kernel(m) is step
+    def test_matches_the_reference_loop(self, m):
+        rows, controls, system = self.planted(m)
+        reference = sx.compile_fn(system, rows + controls, scalar=True)
         seen = set()
         for out, u in self.cases(m, np.random.default_rng(30 + m)) if m else [([], [])]:
+            kernel = stage.stage_kernel(
+                "controls", system, (), rows, controls, tuple(u), tol=ocp.NEWTON_TOL,
+                max_iter=ocp.NEWTON_MAX_ITER, diverged=None, left_domain=None)
+            values = [*out, *u]
             with np.errstate(all="ignore"):
-                got, want = step(out, u), reference_step(out, u)
-            if isinstance(want, list):
-                assert isinstance(got, list) and bits(got) == bits(want)
+                got = kernel(*values)
+                assert bits(got) == bits(reference_newton(reference, values, u))
+                first = reference_step(out, u)
+            if isinstance(first, list):
                 step_sizes = np.abs(ldl_solve(out[m:], out[:m])[0])
                 seen.add("clipped" if step_sizes.max() > 2.0 else "step")
             else:
-                assert got is want
-                seen.add("far" if want is None and np.abs(u).max() > 1e5 else want)
+                seen.add("far" if first is None and np.abs(u).max() > 1e5 else first)
         assert seen == ({"step", "clipped", True, False, None, "far"} if m else {True})
 
 
@@ -626,8 +820,7 @@ class TestTupleCompile:
         groups = [th.envelope]
         if not th.is_closed_form:
             args += problem.table.controls
-            controls = [sampler.evaluator._newton(column.tolist(), th.law.guess)
-                        for column in batch.points.T]
+            controls = [th.control_kernel(*column.tolist()) for column in batch.points.T]
             columns += list(np.array(controls).T)
             groups.append(th.newton_system)
         constants = [self.assert_same(g, args, columns) for g in groups]

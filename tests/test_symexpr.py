@@ -533,7 +533,7 @@ class TestCompile:
                 shared += len(symexpr._repeated_subexpressions(exprs))
                 ns = {"np": np}
                 exec("def ref(" + ", ".join(names.values()) + "):\n    return ("
-                     + "".join(symexpr._emit(x, names, {}) + ", " for x in exprs) + ")", ns)
+                     + "".join(symexpr.emit(x, names, {}) + ", " for x in exprs) + ")", ns)
                 fused = compile_fn(exprs, args)
                 pt = gen.point()
                 scalars = [pt[s] for s in args]

@@ -172,21 +172,26 @@ class TestIntegrateExtremal:
     def test_implicit_backend_solves_once_per_point_and_stage(self, name, backend,
                                                               monkeypatch):
         # one Newton solve at each of the N + 1 grid points, which also gives
-        # the step's first stage, and one for each of the 3 later stages
+        # the step's first stage, and one for each of the 3 later stages:
+        # each is one call of a generated kernel, which does the solve and
+        # the outputs
         problem, _ = load_problem(builtin(name))
         th = true_hamiltonian(problem, backend)
         assert not th.is_closed_form
         z0 = PointSampler(th, np.random.default_rng(2)).draw(1).points[:-1, 0]
         solves = []
-        newton = HamiltonianEvaluator._newton
 
-        def counted(self, base, u):
-            solves.append(base[-1])
-            return newton(self, base, u)
+        def counted(kind, kernel):
+            def call(ev, *args):
+                solves.append(kind)
+                return kernel(ev, *args)
+            return call
 
-        monkeypatch.setattr(HamiltonianEvaluator, "_newton", counted)
+        for kind in ("envelope_kernel", "field_kernel"):
+            monkeypatch.setitem(th.__dict__, kind, counted(kind, getattr(th, kind)))
         n_steps = 200
         integrate_extremal(th, z0, horizon=n_steps * 1e-3, step=1e-3)
+        assert solves.count("envelope_kernel") == n_steps + 1
         assert len(solves) == 4 * n_steps + 1
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
