@@ -3,6 +3,16 @@ certificates of optimal control problems with open control sets."""
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread: every matrix of an analysis is small, so a thread pool
+# gains nothing on it and loses much on a host whose other cores are busy.
+# Set before any submodule imports numpy; a caller's own setting wins, and a
+# program that imported numpy first keeps its pool.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .symexpr import (  # noqa: F401
     Expr,
     ParseError,

@@ -96,7 +96,7 @@ def _family_block(family: Family) -> list[dict]:
     out = []
     for comp in family.components:
         out.append({
-            "expr": sx.to_string(comp.function.expr),
+            "expr": sx.to_string(comp.expr),
             "holdout_residual": float(comp.holdout_residual),
             "rational": comp.rational,
             "generators": comp.generators,
@@ -166,7 +166,7 @@ def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
         except OcpError:
             continue
         with np.errstate(all="ignore"):     # a value that overflows gives no drift
-            drifts = [conservation_drift(c.function, traj) for c in family.components]
+            drifts = conservation_drift(family.function, traj)
         drift_max = [None if a is None or b is None else max(a, b)
                      for a, b in zip(drift_max, drifts)]
         trajectories.append({"initial": [float(v) for v in z0],
@@ -176,7 +176,7 @@ def _verification_block(th, family: Family, rng: np.random.Generator) -> dict:
     # with no extremal behind it, a drift of 0.0 would read as conservation
     drift = []
     for c, d in zip(family.components, drift_max):
-        entry = {"expr": sx.to_string(c.function.expr),
+        entry = {"expr": sx.to_string(c.expr),
                  "max_drift": float(d) if trajectories and d is not None else None}
         if trajectories and d is None:
             entry["missing"] = "not finite along an extremal"

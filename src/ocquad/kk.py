@@ -62,18 +62,18 @@ class SpanSample:
 def sample_span(family: Family, sampler: PointSampler) -> SpanSample:
     """Draw the fit and holdout batches and evaluate the family on them.
     Raises NoetherError when a value, bracket or gradient is not finite."""
-    funcs = family.functions()
+    func = family.function
     fit = sampler.draw(max(3 * family.m, 60))
     hold = sampler.draw(max(family.m, 60))
     probes = fit.take(slice(GENERIC_PROBES))
     with np.errstate(over="ignore", invalid="ignore"):
         span = SpanSample(
             family=family,
-            values_fit=family.values_matrix(fit),
-            values_hold=family.values_matrix(hold),
-            brackets_fit=poisson.bracket_values(funcs, fit),
-            brackets_hold=poisson.bracket_values(funcs, hold),
-            jacobian=np.stack([f.gradient(probes)[:-1] for f in funcs]))
+            values_fit=np.ascontiguousarray(func.values(fit).T),
+            values_hold=np.ascontiguousarray(func.values(hold).T),
+            brackets_fit=poisson.bracket_values(func, fit),
+            brackets_hold=poisson.bracket_values(func, hold),
+            jacobian=func.gradient(probes)[:, :-1])
     if not all(map(all_finite, (span.values_fit, span.values_hold, span.brackets_fit,
                                 span.brackets_hold, span.jacobian))):
         raise NoetherError("the family's sampled values or brackets are not finite; "
@@ -238,7 +238,7 @@ class RankEvidence:
     rank: int
 
 
-def level_rank_bound(selection: list[PhaseFunction], r_basis: list[tuple],
+def level_rank_bound(selection: PhaseFunction, r_basis: list[tuple],
                      th: TrueHamiltonian) -> str | None:
     """Prove from the expressions that the selection's rank is below n at
     every point of its level set, or return None.
@@ -260,16 +260,16 @@ def level_rank_bound(selection: list[PhaseFunction], r_basis: list[tuple],
     reduces to a nonzero constant, when a zero cannot be substituted, or
     past MAX_LEVEL_CASES zero patterns.
     """
-    n = len(selection)
+    n = len(selection.exprs)
     if not all(isinstance(v, Fraction) for r in r_basis for v in r):
         return None
-    pinned = [f.expr for i, f in enumerate(selection) if all(r[i] == 0 for r in r_basis)]
+    pinned = [e for i, e in enumerate(selection.exprs) if all(r[i] == 0 for r in r_basis)]
     if not pinned:
         return None
     h = HAMILTONIAN_SYMBOL
     free = frozenset().union(*(e.free() for e in pinned))     # the other columns are 0
     partials = {s: [sx.differentiate(e, s) for e in pinned]
-                for s in selection[0].table.phase + (h,) if s in free}
+                for s in selection.table.phase + (h,) if s in free}
     seen, todo, cases = set(), [frozenset()], []
     while todo:
         zeros = todo.pop()
@@ -322,7 +322,7 @@ def _monomial_symbols(e: Expr) -> list | None:
     return symbols
 
 
-def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
+def independence_rank(selection: PhaseFunction, r_basis: list[tuple],
                       sampler: PointSampler):
     """Manufacture RANK_POINTS points on the admissible level manifold and
     record the rank of the selection's (x, psi) Jacobian there.
@@ -339,25 +339,26 @@ def independence_rank(selection: list[PhaseFunction], r_basis: list[tuple],
     the seeds read that did not converge are skipped and counted.
     """
     batch = sampler.draw(4 * RANK_POINTS)
+    n = len(selection.exprs)
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
-        if r_basis else np.zeros((len(selection), 0))
+        if r_basis else np.zeros((n, 0))
     seed_of = np.arange(batch.size)
-    vals = np.array([f.values(batch) for f in selection])
+    vals = selection.values(batch)
     target = r_mat @ np.linalg.lstsq(r_mat, vals, rcond=None)[0] if r_mat.shape[1] \
         else np.zeros_like(vals)
-    rcond = np.finfo(float).eps * max(len(selection), batch.points.shape[0] - 1)
+    rcond = np.finfo(float).eps * max(n, batch.points.shape[0] - 1)
     converged = {}
     for it in range(50):
         if it:  # the seeds' batch and values serve the first step
             batch, keep = sampler.evaluator.prepare(points)
             seed_of, target = seed_of[keep], target[:, keep]
-            vals = np.array([f.values(batch) for f in selection])
+            vals = selection.values(batch)
         inside = ~(np.abs(batch.points[:-1]).max(axis=0) > 1e3)
         batch, seed_of, target = batch.take(inside), seed_of[inside], target[:, inside]
         if not seed_of.size:    # every column has ended
             break
         resid = vals[:, inside] - target
-        jac = np.stack([f.gradient(batch)[:-1] for f in selection]).transpose(2, 0, 1)
+        jac = selection.gradient(batch)[:, :-1].transpose(2, 0, 1)
         done = np.abs(resid).max(axis=0) < PROJECTION_TOL
         for c in np.flatnonzero(done):
             converged[int(seed_of[c])] = ({s.name: v for s, v in batch.point(c).items()}, jac[c])
@@ -418,9 +419,9 @@ def _polynomial_degree(e: Expr) -> int:
 
 def _search_order(family: Family) -> list[int]:
     """Try plain, low-degree integrals first; Hamiltonian-bearing ones last."""
-    funcs = family.functions()
+    exprs = [c.expr for c in family.components]
     return sorted(range(family.m), key=lambda k: (
-        funcs[k].has_hamiltonian, _polynomial_degree(funcs[k].expr), k))
+        HAMILTONIAN_SYMBOL in exprs[k].free(), _polynomial_degree(exprs[k]), k))
 
 
 def _candidate_selections(family: Family, n: int, rng: np.random.Generator):
@@ -437,7 +438,7 @@ def _candidate_selections(family: Family, n: int, rng: np.random.Generator):
         yield unit[combo], combo
     h = sx.symref(HAMILTONIAN_SYMBOL)
     h_idx = next((k for k, c in enumerate(family.components)
-                  if c.function.expr in (h, sx.negate(h))), None)
+                  if c.expr in (h, sx.negate(h))), None)
     if h_idx is not None:
         for combo in subsets():
             if h_idx in combo:
@@ -490,11 +491,11 @@ def _gates(lam: np.ndarray, combo: list | None, span: SpanSample,
     if not solv.solvable:
         return 1, f"{label}: closed brackets but the algebra is not solvable"
     r_basis = admissible_levels(xi, n)
-    selection_funcs = _selection_functions(span.family, lam)
-    degenerate = level_rank_bound(selection_funcs, r_basis, sampler.evaluator.th)
+    selection = _selection_function(span.family, lam)
+    degenerate = level_rank_bound(selection, r_basis, sampler.evaluator.th)
     if degenerate is not None:
         return 2, f"{label}: rank gate failed ({degenerate})"
-    evidence, skipped = independence_rank(selection_funcs, r_basis, sampler)
+    evidence, skipped = independence_rank(selection, r_basis, sampler)
     if len(evidence) < RANK_POINTS or any(e.rank != n for e in evidence):
         return 2, (f"{label}: rank gate failed "
                    f"({len(evidence)}/{RANK_POINTS} projections converged, "
@@ -503,7 +504,7 @@ def _gates(lam: np.ndarray, combo: list | None, span: SpanSample,
         verdict="solvable_on_level_set",
         selection=combo,
         lambdas=[tuple(row) for row in lam],
-        selected_exprs=[sx.to_string(f.expr) for f in selection_funcs],
+        selected_exprs=[sx.to_string(e) for e in selection.exprs],
         xi=xi,
         closure_residual=closure_residual,
         solvability=solv,
@@ -541,11 +542,9 @@ def find_certificate(span: SpanSample, th: TrueHamiltonian, sampler: PointSample
     return Certificate(verdict="inconclusive", diagnostics=diagnostic)
 
 
-def _selection_functions(family: Family, lam: np.ndarray) -> list[PhaseFunction]:
-    funcs = []
-    table = family.components[0].function.table
-    for row in lam:
-        expr = sx.add(*(sx.mul(sx.num(Fraction(float(w))), c.function.expr)
-                        for w, c in zip(row, family.components) if w != 0.0))
-        funcs.append(PhaseFunction(expr, table))
-    return funcs
+def _selection_function(family: Family, lam: np.ndarray) -> PhaseFunction:
+    """The selection's integrals, one row of `lam` each, as one PhaseFunction."""
+    return PhaseFunction(tuple(
+        sx.add(*(sx.mul(sx.num(Fraction(float(w))), c.expr)
+                 for w, c in zip(row, family.components) if w != 0.0))
+        for row in lam), family.table)

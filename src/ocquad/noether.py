@@ -180,9 +180,18 @@ class Ansatz:
         t_expr, *x_exprs = map(sx.to_string, groups)
         return {"T": t_expr, "X": x_exprs}
 
+    @cached_property
+    def _products(self) -> dict[tuple[int, ...], Expr]:
+        """prod_r z_r^expo[r] by exponent tuple, each built on first use."""
+        return {}
+
     def _monomial(self, c, expo) -> Expr:
-        rows = sample_symbols(self.table) + (HAMILTONIAN_SYMBOL,)
-        return sx.mul(sx.num(c), *(sx.power(sx.symref(s), e) for s, e in zip(rows, expo) if e))
+        product = self._products.get(expo)
+        if product is None:
+            rows = sample_symbols(self.table) + (HAMILTONIAN_SYMBOL,)
+            product = self._products[expo] = sx.mul(
+                *(sx.power(sx.symref(s), e) for s, e in zip(rows, expo) if e))
+        return sx.mul(sx.num(c), product)
 
 
 def _exact(c) -> Fraction:
@@ -416,7 +425,7 @@ def _rationalize_entry(v: float):
 
 @dataclass
 class FamilyComponent:
-    function: PhaseFunction
+    expr: Expr
     rational: bool
     holdout_residual: float
     generators: dict
@@ -425,16 +434,16 @@ class FamilyComponent:
 @dataclass
 class Family:
     components: list[FamilyComponent]
+    table: SymbolTable
 
     @property
     def m(self) -> int:
         return len(self.components)
 
-    def functions(self) -> list[PhaseFunction]:
-        return [c.function for c in self.components]
-
-    def values_matrix(self, batch) -> np.ndarray:
-        return np.column_stack([c.function.values(batch) for c in self.components])
+    @cached_property
+    def function(self) -> PhaseFunction:
+        """Every component as one PhaseFunction, in component order."""
+        return PhaseFunction(tuple(c.expr for c in self.components), self.table)
 
 
 def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
@@ -448,7 +457,8 @@ def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
     first so certificate search prefers plain phase-space integrals.  The
     pruning reads each candidate's values at the holdout points, which are
     linear in its coefficients (`Ansatz.monomials`), so expressions are
-    built and compiled only for the components kept.
+    built only for the components kept, and nothing is compiled: the
+    family's `function` compiles on its first evaluation.
     """
     if not basis:
         raise EmptyNullspaceError("no symmetry found at this ansatz degree")
@@ -480,14 +490,14 @@ def extract_family(ansatz: Ansatz, basis: list[np.ndarray], th: TrueHamiltonian,
         coefficients, rational, resid = candidates[i]
         groups = ansatz.group_exprs(coefficients, coefficients.keys())
         final.append(FamilyComponent(
-            function=PhaseFunction(sx.simplify(ansatz.family_expr(groups)), th.table),
+            expr=sx.simplify(ansatz.family_expr(groups)),
             rational=rational,
             holdout_residual=resid,
             generators=ansatz.provenance(groups),
         ))
     if not final:
         raise EmptyNullspaceError("all candidates pruned as constant or dependent")
-    return Family(final)
+    return Family(final, th.table)
 
 
 def _holdout_verified(vector: np.ndarray, hold_matrix: np.ndarray, tol: float):

@@ -18,7 +18,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import symexpr as sx
-from .stage import stage_kernel
+from .stage import stage_kernel, trajectory_loop
 from .symexpr import (
     HAMILTONIAN_SYMBOL,
     Expr,
@@ -210,6 +210,13 @@ class TrueHamiltonian:
         return self._stage_kernel("field", self.envelope[n + 1:2 * n + 1]
                                   + self.envelope[1:n + 1])
 
+    @cached_property
+    def trajectory_kernel(self):
+        """`stage.trajectory_loop` of this phase dimension: RK4 verification's
+        loop, which ends where an evaluation raises OcpError or numpy's
+        FloatingPointError."""
+        return trajectory_loop(self.table.n, (OcpError, FloatingPointError))
+
     def _stage_kernel(self, kind: str, outputs: tuple):
         """`stage.stage_kernel` of this Hamiltonian: built once per output
         kind, for every evaluator and flow of the problem."""
@@ -284,10 +291,10 @@ def sample_row(table: SymbolTable, sym: Symbol) -> int:
     return sample_symbols(table).index(sym)
 
 
-def _compile(label: str, e, args: tuple[Symbol, ...], scalar: bool = False):
+def _compile(label: str, e, args: tuple[Symbol, ...], rows: bool = False):
     """compile_fn, with `label` naming the expression in a compile error."""
     try:
-        return sx.compile_fn(e, args, scalar)
+        return sx.compile_fn(e, args, rows=rows)
     except sx.EvaluationError as exc:
         raise type(exc)(f"{label}: {exc}") from None
 
@@ -297,16 +304,6 @@ def _left_domain(rows: tuple, exc: Exception, values: tuple) -> OcpError:
     `exc`: an overflow of a Python float, or a value off the real domain."""
     what = "overflows" if isinstance(exc, OverflowError) else "leaves the real domain"
     return OcpError(f"Hamiltonian {what} at {_fmt_point(dict(zip(rows, values)))}")
-
-
-def _stacked(fn, args, count: int) -> np.ndarray:
-    """(k, count) values of a compiled function returning a k-tuple; constants
-    broadcast."""
-    values = fn(*args)
-    out = np.empty((len(values), count))
-    for row, v in zip(out, values):
-        row[:] = v
-    return out
 
 
 class SampleBatch:
@@ -366,12 +363,13 @@ class HamiltonianEvaluator:
         self._closed_form = th.is_closed_form
         args = sample_symbols(th.table) + (() if self._closed_form else th.table.controls)
         label = "reduced Hamiltonian" if self._closed_form else "Hamiltonian"
-        self._envelope = _compile(label, th.envelope, args)
-        # the problem's kernels, built with its first evaluator, before the
-        # analysis' arrays exist: compiled later, beside them, the kernels'
-        # transient source and syntax trees raised the peak RSS
+        self._envelope = _compile(label, th.envelope, args, rows=True)
+        # the problem's kernels and RK4 loop, built with its first evaluator,
+        # before the analysis' arrays exist: compiled later, beside them, their
+        # transient source and syntax trees raised the peak memory
         self._envelope_kernel = th.envelope_kernel
         self._field_kernel = th.field_kernel
+        th.trajectory_kernel
         self.newton_failures = 0    # sample points `prepare` found no control for
         if not self._closed_form:
             self._controls = th.control_kernel
@@ -397,7 +395,8 @@ class HamiltonianEvaluator:
                     u_sol[i] = guess if u is None else u
                 self.newton_failures += n_pts - np.count_nonzero(keep)
                 args += list(u_sol.T)
-            env = _stacked(self._envelope, args, n_pts)
+            env = np.empty((len(self.th.envelope), n_pts))
+            self._envelope(*args, env)
         keep &= np.isfinite(env).all(axis=0)
         return SampleBatch(self.th.table, points, env[0], env[1:]).take(keep), keep
 
@@ -415,43 +414,56 @@ class HamiltonianEvaluator:
 
 
 class PhaseFunction:
-    """A function of (x, psi, t) whose expression may reference the reduced
-    Hamiltonian through the placeholder symbol ``H``.
+    """Functions F_1..F_k of (x, psi, t) whose expressions may reference the
+    reduced Hamiltonian through the placeholder symbol ``H``.
 
     Values and (chain-ruled) gradients are evaluated against a SampleBatch, so
-    the same object works with both control backends.
+    the same object works with both control backends.  Each is one compiled
+    call over all k expressions, built on its first use: a family that is
+    only printed, or a selection that the exact rank pre-gate decides, is
+    never compiled.
     """
 
-    def __init__(self, expr: Expr, table: SymbolTable):
-        self.expr = expr
+    def __init__(self, exprs: tuple[Expr, ...], table: SymbolTable):
+        self.exprs = tuple(exprs)
         self.table = table
-        self.has_hamiltonian = HAMILTONIAN_SYMBOL in expr.free()
+        self.hamiltonian_rows = [i for i, e in enumerate(self.exprs)
+                                 if HAMILTONIAN_SYMBOL in e.free()]
         self._args = sample_symbols(table) + (HAMILTONIAN_SYMBOL,)
-        self._value_fn = sx.compile_fn(expr, self._args)
+
+    @cached_property
+    def _value_fn(self):
+        return sx.compile_fn(self.exprs, self._args, rows=True)
 
     @cached_property
     def _gradient_fn(self):
-        """The partials over the sample rows, then dF/dH, as one compiled call.
-
-        Built on the first `gradient` call: most candidates of a family search
-        are only ever evaluated.
-        """
+        """The partials of every F_i over the sample rows, F_1's first, then
+        dF_i/dH of the functions that hold H, as one compiled call."""
+        rows = self._args[:-1]
         return sx.compile_fn(
-            tuple(sx.differentiate(self.expr, s) for s in self._args), self._args)
+            tuple(sx.differentiate(e, s) for e in self.exprs for s in rows)
+            + tuple(sx.differentiate(self.exprs[i], HAMILTONIAN_SYMBOL)
+                    for i in self.hamiltonian_rows), self._args, rows=True)
 
     def values(self, batch: SampleBatch) -> np.ndarray:
-        return np.full(batch.size, self._value_fn(*batch.points, batch.hvalue), dtype=float)
-
-    def gradient(self, batch: SampleBatch) -> np.ndarray:
-        """(2n+1, N) gradient over the sample rows."""
-        stacked = _stacked(self._gradient_fn, (*batch.points, batch.hvalue), batch.size)
-        out = stacked[:-1]
-        if self.has_hamiltonian:
-            out += stacked[-1] * batch.hgrad
+        """(k, N) values."""
+        out = np.empty((len(self.exprs), batch.size))
+        self._value_fn(*batch.points, batch.hvalue, out)
         return out
 
+    def gradient(self, batch: SampleBatch) -> np.ndarray:
+        """(k, 2n+1, N) gradient over the sample rows; on the functions that
+        hold H, dF/dH times the batch's envelope gradient is added."""
+        k, width = len(self.exprs), len(self._args) - 1
+        out = np.empty((k * width + len(self.hamiltonian_rows), batch.size))
+        self._gradient_fn(*batch.points, batch.hvalue, out)
+        grad = out[:k * width].reshape(k, width, batch.size)
+        for i, dfdh in zip(self.hamiltonian_rows, out[k * width:]):
+            grad[i] += dfdh * batch.hgrad
+        return grad
+
     def __repr__(self) -> str:
-        return f"PhaseFunction({sx.to_string(self.expr)})"
+        return f"PhaseFunction({', '.join(map(sx.to_string, self.exprs))})"
 
 
 class HamiltonianFlow:

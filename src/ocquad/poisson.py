@@ -13,15 +13,16 @@ import numpy as np
 from .ocp import PhaseFunction
 
 
-def bracket_values(funcs: list[PhaseFunction], batch) -> np.ndarray:
-    """(m, m, N) tensor of {F_p, F_q} on a batch; antisymmetric in (p, q).
+def bracket_values(func: PhaseFunction, batch) -> np.ndarray:
+    """(m, m, N) tensor of {F_p, F_q} of the m functions of `func` on a batch;
+    antisymmetric in (p, q).
 
     Works for Hamiltonian-bearing functions: the gradients are chain-ruled
     through the batch's envelope gradient.  The tensor is filled in place one
     row p at a time, so besides it only two (m, N) temporaries are held.
     """
-    n = funcs[0].table.n
-    grads = np.stack([f.gradient(batch) for f in funcs])
+    n = func.table.n
+    grads = func.gradient(batch)
     gx, gp = grads[:, :n], grads[:, n:2 * n]
     m, _, size = grads.shape
     out = np.empty((m, m, size))

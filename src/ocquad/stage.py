@@ -1,4 +1,5 @@
-"""Generated stage kernels: one Python function per Hamiltonian and output.
+"""Generated stage kernels, one Python function per Hamiltonian and output,
+and the generated RK4 loop of verification, one per phase dimension.
 
 Each sample point `prepare` solves, each grid point of RK4 verification and
 each of its later stages evaluates the Hamiltonian at one phase point.  On
@@ -17,11 +18,14 @@ over Python floats, from the expressions through `symexpr.emit`:
 On the closed-form backend a kernel is the outputs alone.  Every value is
 the one a separately compiled scalar function (`symexpr.compile_fn(...,
 scalar=True)`) would return, from the same floating-point operations.
+`trajectory_loop` writes the RK4 loop around the kernels' calls out for one
+phase dimension; `tests/oracles.py` holds the step it unrolls.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -32,6 +36,7 @@ from . import symexpr as sx
 # float range: ZeroDivisionError, OverflowError, numpy's FloatingPointError
 # under a raising errstate, and TypeError from a complex value
 LEAVES_DOMAIN = (ArithmeticError, TypeError)
+CHUNK = 64          # grid rows the trajectory loop holds before it writes them
 
 
 def _plan(system: tuple, outputs: tuple, controls: frozenset):
@@ -205,3 +210,103 @@ def stage_kernel(kind: str, system: tuple | None, outputs: tuple, rows: tuple,
                       f"        raise left_domain(exc, {values}) from None"]
         exec("\n".join(lines), ns)
     return ns["_k"]
+
+
+def _real(value) -> float:
+    """`value` as a float; TypeError for a complex value, numpy's included,
+    whose float() would keep the real part and warn."""
+    if isinstance(value, complex):
+        raise TypeError(f"{value!r} is not real")
+    return float(value)
+
+
+@cache
+def trajectory_loop(n: int, caught: tuple) -> Callable:
+    """The RK4 loop over the time grid of an n-degree-of-freedom Hamiltonian
+    flow, as straight-line Python built once per (n, caught).
+
+    `loop(evaluate, rhs, denominators, y, t0, step, last, ys, envs, pole)`
+    steps the state `y`, 2n floats, from grid point 0 at t0 to grid point
+    `last`, the grid time of point k being ``t0 + step * k``.  At each grid
+    point it
+
+    - checks the compiled `denominators` at (y, t): each must be real, at
+      least 1e-2 from zero and of the sign it had at the last grid point;
+    - makes one `evaluate(y, t)` call, whose (H, gradient of 2n+1 floats) is
+      the point's row of `envs`, and whose state is its row of `ys`; the rows
+      are written CHUNK at a time;
+    - unpacks the first stage k1 = (dH/dpsi, -dH/dx) from the gradient and
+      calls `rhs(t, y)` for the stages k2 to k4, with each coordinate the
+      floating-point operations of ``y + half * k1`` and
+      ``y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)``.
+
+    It raises ``pole(time)``: at the grid time where a denominator check
+    fails (from None) or the evaluation raises an exception in `caught`
+    (chained) or is not finite; at the start of a step whose later stage
+    raises (chained) or whose new state is not finite; and at a stage's own
+    time where its right-hand side is not finite.  The caller provides the
+    ``np.errstate``.
+    """
+    d = 2 * n
+    y = [f"y{i}" for i in range(d)]
+    g = [f"g{i}" for i in range(d + 1)]
+    k = [[f"k{s}_{i}" for i in range(d)] for s in range(1, 5)]
+    new = [f"v{i}" for i in range(d)]
+
+    def unpack(names):
+        return ", ".join(names) + ","
+
+    def finite(names):
+        return " and ".join(f"isfinite({x})" for x in names)
+
+    lines = ["def _loop(evaluate, rhs, denominators, y, t0, step, last, ys, envs, pole):",
+             f"    {unpack(y)} = y",
+             "    half, sixth = step / 2, step / 6",
+             "    previous = None",
+             "    yrows, erows = [], []",
+             "    for k in range(last + 1):",
+             "        t = t0 + step * k",
+             "        if denominators:",
+             "            try:",
+             f"                current = [real(d({', '.join(y)}, t)) for d in denominators]",
+             "            except LEAVES_DOMAIN:    # a pole, or a complex value",
+             "                raise pole(t) from None",
+             "            if any(abs(now) < 1e-2 or before * now < 0",
+             "                   for before, now in zip(previous or current, current)):",
+             "                raise pole(t)",
+             "            previous = current",
+             "        try:",
+             f"            h, ({unpack(g)}) = evaluate([{', '.join(y)}], t)",
+             "        except CAUGHT as exc:",
+             "            raise pole(t) from exc",
+             f"        if not (isfinite(h) and {finite(g)}):",
+             "            raise pole(t)",
+             f"        yrows.append(({unpack(y)}))",
+             f"        erows.append((h, {unpack(g)}))",
+             "        if k == last:",
+             "            break",
+             "        if len(erows) == CHUNK:",
+             "            ys[k + 1 - CHUNK:k + 1] = yrows",
+             "            envs[k + 1 - CHUNK:k + 1] = erows",
+             "            yrows, erows = [], []"]
+    lines.append(f"        {unpack(k[0])} = {', '.join(g[n:d] + [f'-{x}' for x in g[:n]])}")
+    for s, (at, scale) in enumerate([("t + half", "half"), ("t + half", "half"),
+                                      ("t + step", "step")], start=1):
+        stage = ", ".join(f"{a} + {scale} * {b}" for a, b in zip(y, k[s - 1]))
+        lines += ["        try:",
+                  f"            {unpack(k[s])} = rhs({at}, [{stage}])",
+                  "        except CAUGHT as exc:",
+                  "            raise pole(t) from exc",
+                  f"        if not ({finite(k[s])}):",
+                  f"            raise pole({at})"]
+    lines += [f"        {v} = {a} + sixth * ({b1} + 2 * {b2} + 2 * {b3} + {b4})"
+              for v, a, b1, b2, b3, b4 in zip(new, y, *k)]
+    lines += [f"        if not ({finite(new)}):",
+              "            raise pole(t)",
+              f"        {unpack(y)} = {unpack(new)}"]
+    lines += ["    ys[last + 1 - len(erows):] = yrows",
+              "    envs[last + 1 - len(erows):] = erows"]
+    ns = {"isfinite": math.isfinite, "real": _real, "LEAVES_DOMAIN": LEAVES_DOMAIN,
+          "CAUGHT": caught, "CHUNK": CHUNK}
+    exec("\n".join(lines), ns)
+    return ns["_loop"]

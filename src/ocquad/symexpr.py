@@ -744,15 +744,19 @@ def _repeated_subexpressions(exprs: tuple[Expr, ...]) -> list[Expr]:
 
 @lru_cache(maxsize=8192)
 def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...],
-               scalar: bool = False) -> Callable:
+               scalar: bool = False, rows: bool = False) -> Callable:
     """Compile to a positional function over floats or numpy arrays.
 
     A tuple of expressions compiles to one function returning the tuple of
     their values.  A subexpression that occurs more than once is computed once
     into a local, so each value is the one its own compiled function would
-    return, from the same floating-point operations.  The compiled form
-    performs no domain guarding; callers are expected to stay inside the
-    region the sampler accepts.  A constant beyond the float range, or an
+    return, from the same floating-point operations.  With `rows` the
+    function takes one more argument, an array with one row per expression,
+    writes each value into its row as soon as it is computed, and returns
+    None, so no value outlives its row's write; the rows of equal constants
+    are filled by one statement.
+    The compiled form performs no domain guarding; callers are expected to
+    stay inside the region the sampler accepts.  A constant beyond the float range, or an
     expression too long or too deeply nested for the Python compiler, raises
     EvaluationError.
 
@@ -770,15 +774,29 @@ def compile_fn(e: Expr | tuple[Expr, ...], args: tuple[Symbol, ...],
         raise UnboundSymbolError(
             "cannot compile, unbound: " + ", ".join(sorted(s.name for s in missing)))
     shared: dict[Expr, str] = {}
-    lines = ["def _f(" + ", ".join(names[s] for s in args) + "):"]
+    lines = ["def _f(" + ", ".join([names[s] for s in args] + ["out"] * rows) + "):"]
     ns: dict = {"np": np}
     with compiling():
         for i, x in enumerate(_repeated_subexpressions(exprs)):
             lines.append(f"    c{i} = " + emit(x, names, shared, scalar))
             shared[x] = f"c{i}"
-        body = ("(" + "".join(emit(x, names, shared, scalar) + ", " for x in e) + ")"
-                if isinstance(e, tuple) else emit(e, names, shared, scalar))
-        exec("\n".join(lines + ["    return " + body]), ns)
+        if rows:
+            # one statement per constant value: the compiler's transient
+            # memory grows with the statements, and most partials are 0
+            constant_rows: dict[float, list[int]] = {}
+            for i, x in enumerate(e):
+                if x.kind == _NUM:
+                    constant_rows.setdefault(float(x.value), []).append(i)
+                else:
+                    lines.append(f"    out[{i}] = " + emit(x, names, shared, scalar))
+            for k, (value, where) in enumerate(constant_rows.items()):
+                ns[f"rows{k}"] = where
+                lines.append(f"    out[rows{k}] = {value!r}")
+        else:
+            body = ("(" + "".join(emit(x, names, shared, scalar) + ", " for x in e) + ")"
+                    if isinstance(e, tuple) else emit(e, names, shared, scalar))
+            lines.append("    return " + body)
+        exec("\n".join(lines), ns)
     return ns["_f"]
 
 

@@ -4,7 +4,9 @@
 domain guards; it is the reference for `symexpr.compile_fn`.
 `bracket` is the canonical Poisson bracket of two expressions, built
 symbolically, and `fd_bracket_oracle` approximates it by central
-differences of pointwise evaluation; `Residual` evaluates
+differences of pointwise evaluation; `ComponentFunctions` compiles and evaluates each
+expression of a list on its own, which `ocp.PhaseFunction` fuses into one
+call and must match bit for bit; `Residual` evaluates
 R(F) = dF/dt + {F, H} of a whole candidate expression; `combine` builds the
 family map at one parameter vector; `independence_rank_sequential` is the
 rank gate projecting one seed at a time; `ldl_solve`, `reference_step` and
@@ -12,7 +14,8 @@ rank gate projecting one seed at a time; `ldl_solve`, `reference_step` and
 the stage kernels of `ocquad.stage` unroll, and the Newton loop around it;
 `ReferenceStages` composes that loop with separately compiled system,
 envelope and field into the stage evaluations the kernels must match;
-`reference_rk4_step` is the RK4 step that `verify._rk4_step` unrolls;
+`reference_rk4_step` is the RK4 step that `stage.trajectory_loop` unrolls,
+and `reference_trajectory` the loop around it;
 `reference_bracket_values` is the bracket tensor as two whole-tensor
 einsums, which `poisson.bracket_values` fills row by row;
 `reference_add` and `reference_mul` are the canonical sum and product
@@ -33,7 +36,7 @@ from ocquad.kk import PROJECTION_TOL, RANK_POINTS, RANK_SV_TOL, RankEvidence
 from ocquad.noether import (_NEAR, FAMILY_TOL, EmptyNullspaceError, Family, FamilyComponent,
                             _finite_matrix, _pivot, independent_columns, rationalize_vector)
 from ocquad.ocp import (NEWTON_MAX_ITER, NEWTON_TOL, HamiltonianEvaluator, NewtonDivergenceError,
-                        OcpError, PhaseFunction, _fmt_point, sample_symbols)
+                        OcpError, _fmt_point, sample_symbols)
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, Expr, SymbolTable
 
 _TAN_POLE_GUARD = 1e-9
@@ -114,8 +117,39 @@ def fd_bracket_oracle(f, g, table, point, h=1e-5):
     return total
 
 
+class ComponentFunctions:
+    """Functions F_1..F_k of (x, psi, t, H), each compiled and evaluated on
+    its own: `values` is (k, N) and `gradient` (k, 2n+1, N), with dF_i/dH
+    times the batch's envelope gradient added where F_i holds H.  The
+    interface of `ocp.PhaseFunction`, which compiles all k into one call
+    and must give the same arrays bit for bit."""
+
+    def __init__(self, exprs, table):
+        self.exprs = tuple(exprs)
+        self.table = table
+        args = sample_symbols(table) + (HAMILTONIAN_SYMBOL,)
+        self._values = [sx.compile_fn(e, args) for e in self.exprs]
+        self._gradients = [sx.compile_fn(tuple(sx.differentiate(e, s) for s in args), args)
+                           for e in self.exprs]
+
+    def values(self, batch):
+        return np.array([np.full(batch.size, fn(*batch.points, batch.hvalue), dtype=float)
+                         for fn in self._values]).reshape(len(self.exprs), batch.size)
+
+    def gradient(self, batch):
+        out = []
+        for e, fn in zip(self.exprs, self._gradients):
+            partials = np.array([np.full(batch.size, v, dtype=float)
+                                 for v in fn(*batch.points, batch.hvalue)])
+            grad = partials[:-1]
+            if HAMILTONIAN_SYMBOL in e.free():
+                grad += partials[-1] * batch.hgrad
+            out.append(grad)
+        return np.array(out).reshape(len(self.exprs), -1, batch.size)
+
+
 class Residual:
-    """R(F) = dF/dt + {F, H} for a candidate first integral.
+    """R(F) = dF/dt + {F, H} for a candidate first integral F, an expression.
 
     `values` evaluates numerically against either control backend; `symbolic`
     is available only when the reduced Hamiltonian has a closed form.
@@ -123,28 +157,28 @@ class Residual:
 
     def __init__(self, f, th):
         self.th = th
-        self.func = f if isinstance(f, PhaseFunction) else PhaseFunction(f, th.table)
+        self.expr = f
+        self.func = ComponentFunctions((f,), th.table)
 
     def symbolic(self):
         if not self.th.is_closed_form:
             return None
-        fs = sx.substitute(self.func.expr, {HAMILTONIAN_SYMBOL: self.th.reduced})
+        fs = sx.substitute(self.expr, {HAMILTONIAN_SYMBOL: self.th.reduced})
         table = self.th.table
         return sx.add(sx.differentiate(fs, table.time),
                       bracket(fs, self.th.reduced, table))
 
     def values(self, batch):
         """dF/dt along the flow: the gradient of F against the flow velocity."""
-        return (self.func.gradient(batch) * batch.velocity()).sum(axis=0)
+        return (self.func.gradient(batch)[0] * batch.velocity()).sum(axis=0)
 
 
 def combine(family, weights):
-    """The family map at one integer parameter vector:
+    """The family map at one integer parameter vector, as an expression:
     sum_k weights_k * component_k."""
     assert len(weights) == family.m
-    expr = sx.add(*(sx.mul(sx.num(Fraction(int(w))), c.function.expr)
+    return sx.add(*(sx.mul(sx.num(Fraction(int(w))), c.expr)
                     for w, c in zip(weights, family.components)))
-    return PhaseFunction(expr, family.components[0].function.table)
 
 
 def independence_rank_sequential(selection, r_basis, sampler):
@@ -157,7 +191,7 @@ def independence_rank_sequential(selection, r_basis, sampler):
     again, through an evaluator of its own."""
     seeds = sampler.draw(4 * RANK_POINTS).points
     evaluator = HamiltonianEvaluator(sampler.evaluator.th)
-    n_sel = len(selection)
+    n_sel = len(selection.exprs)
     r_mat = np.array([[float(v) for v in row] for row in r_basis]).T \
         if r_basis else np.zeros((n_sel, 0))
     evidence = []
@@ -172,7 +206,7 @@ def independence_rank_sequential(selection, r_basis, sampler):
             b, keep = evaluator.prepare(np.append(zv, t_val)[:, None])
             if not keep.all():
                 return None, None
-            return b, np.array([f.values(b)[0] for f in selection])
+            return b, selection.values(b)[:, 0]
 
         b, vals = values_at(z)
         if b is None:
@@ -190,7 +224,7 @@ def independence_rank_sequential(selection, r_basis, sampler):
                 b, vals = values_at(z)
             if b is None or np.abs(z).max() > 1e3:
                 break
-            jac = np.array([f.gradient(b)[:-1, 0] for f in selection])
+            jac = selection.gradient(b)[:, :-1, 0]
             resid = vals - target
             if np.abs(resid).max() < PROJECTION_TOL:
                 ok = True
@@ -343,10 +377,9 @@ def reference_rk4_step(rhs, t, y, k1, half, step, sixth):
     """One classical RK4 step as a loop over list comprehensions: `rhs(t, y)`
     is the right-hand side, `y` the state as floats, `k1` its finite first
     stage, `step` the step and `half` and `sixth` its half and sixth.
-    Returns what `verify._rk4_step(d)` must return: the next state as a
-    list, or "k2" to "k4" for the first later stage whose right-hand side is
-    not finite, or "y" when the new state is not finite.  A stage that
-    raises raises through it."""
+    Returns the next state as a list, or "k2" to "k4" for the first later
+    stage whose right-hand side is not finite, or "y" when the new state is
+    not finite.  A stage that raises raises through it."""
     k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
     if not all(map(math.isfinite, k2)):
         return "k2"
@@ -361,11 +394,61 @@ def reference_rk4_step(rhs, t, y, k1, half, step, sixth):
     return new if all(map(math.isfinite, new)) else "y"
 
 
-def reference_bracket_values(funcs, batch):
-    """The (m, m, N) tensor {F_p, F_q} as two (m, m, N) einsums: the body that
-    `poisson.bracket_values` must match bit for bit."""
-    n = funcs[0].table.n
-    grads = np.stack([f.gradient(batch) for f in funcs])
+def reference_trajectory(evaluate, rhs, denominators, y, t0, step, last, caught, pole):
+    """The RK4 run that `stage.trajectory_loop` generates, one grid point at a
+    time: at grid time ``t0 + step * k`` the pole guard of the compiled
+    `denominators`, one `evaluate(y, t)` call, and `reference_rk4_step` on
+    `rhs` from k1 = (dH/dpsi, -dH/dx).  Returns the states and the
+    (H, gradient) rows of grid points 0 to `last` as lists of lists, or
+    raises what the loop must raise: ``pole(time)``, chained to the
+    exception in `caught` that `evaluate` or a stage raised, or from None
+    where a denominator raises or is not real."""
+    n = len(y) // 2
+    half, sixth = step / 2, step / 6
+    states, rows = [], []
+    previous = None
+    for k in range(last + 1):
+        t = t0 + step * k
+        if denominators:
+            current = []
+            try:
+                for d in denominators:
+                    value = d(*y, t)
+                    if isinstance(value, complex):
+                        raise TypeError(f"{value!r} is not real")
+                    current.append(float(value))
+            except (ArithmeticError, TypeError):
+                raise pole(t) from None
+            if any(abs(now) < 1e-2 or before * now < 0
+                   for before, now in zip(previous or current, current)):
+                raise pole(t)
+            previous = current
+        try:
+            h, grad = evaluate(y, t)
+        except caught as exc:
+            raise pole(t) from exc
+        if not all(map(math.isfinite, [h, *grad])):
+            raise pole(t)
+        states.append(list(y))
+        rows.append([h, *grad])
+        if k == last:
+            break
+        try:
+            y = reference_rk4_step(rhs, t, y, grad[n:2 * n] + [-g for g in grad[:n]],
+                                   half, step, sixth)
+        except caught as exc:
+            raise pole(t) from exc
+        if isinstance(y, str):
+            raise pole({"k2": t + half, "k3": t + half, "k4": t + step}.get(y, t))
+    return states, rows
+
+
+def reference_bracket_values(func, batch):
+    """The (m, m, N) tensor {F_p, F_q} of the functions of `func` as two
+    (m, m, N) einsums: the body that `poisson.bracket_values` must match bit
+    for bit."""
+    n = func.table.n
+    grads = func.gradient(batch)
     gx = np.ascontiguousarray(grads[:, :n])
     gp = np.ascontiguousarray(grads[:, n:2 * n])
     out = np.einsum("pin,qin->pqn", gx, gp)
@@ -434,8 +517,9 @@ def reference_mul(*factors):
 
 
 def reference_extract_family(ansatz, basis, th, sampler, tol=FAMILY_TOL, holdout=100):
-    """`noether.extract_family` building a `PhaseFunction` for every candidate
-    that passes the holdout check, and pruning on the compiled values."""
+    """`noether.extract_family` building and compiling an expression for every
+    candidate that passes the holdout check, and pruning on the compiled
+    values."""
     if not basis:
         raise EmptyNullspaceError("no symmetry found at this ansatz degree")
     hold_batch = sampler.draw(holdout)
@@ -464,7 +548,7 @@ def reference_extract_family(ansatz, basis, th, sampler, tol=FAMILY_TOL, holdout
         if sx.is_zero(expr):
             continue
         prelim.append(FamilyComponent(
-            function=PhaseFunction(expr, th.table),
+            expr=expr,
             rational=rational,
             holdout_residual=resid,
             generators=ansatz.provenance(groups),
@@ -473,11 +557,11 @@ def reference_extract_family(ansatz, basis, th, sampler, tol=FAMILY_TOL, holdout
     if not prelim:
         raise EmptyNullspaceError("all nullspace candidates failed holdout verification")
     # drop components that are constant functions
-    values = np.column_stack([c.function.values(hold_batch) for c in prelim])
+    values = ComponentFunctions([c.expr for c in prelim], th.table).values(hold_batch).T
     spread = values.max(axis=0) - values.min(axis=0)
     keepers = sorted(np.flatnonzero(spread > 1e-10).tolist(),
-                     key=lambda i: (prelim[i].function.has_hamiltonian, pivots[i]))
+                     key=lambda i: (HAMILTONIAN_SYMBOL in prelim[i].expr.free(), pivots[i]))
     final = [prelim[i] for i in independent_columns(values, keepers)]
     if not final:
         raise EmptyNullspaceError("all candidates pruned as constant or dependent")
-    return Family(final)
+    return Family(final, th.table)

@@ -44,12 +44,12 @@ def pipeline(name, backend="auto", degree=2, include_time=True, seed=42):
 
 def span_contains(family, expr, table, sampler, tol=SPAN_TOL):
     batch = sampler.draw(150)
-    target = PhaseFunction(expr, table).values(batch)
-    basis = family.values_matrix(batch)
+    target = PhaseFunction((expr,), table).values(batch)[0]
+    basis = family.function.values(batch).T
     fit, *_ = np.linalg.lstsq(basis, target, rcond=None)
     hold = sampler.draw(100)
-    target_h = PhaseFunction(expr, table).values(hold)
-    err = np.abs(target_h - family.values_matrix(hold) @ fit).max()
+    target_h = PhaseFunction((expr,), table).values(hold)[0]
+    err = np.abs(target_h - family.function.values(hold).T @ fit).max()
     return err / max(1.0, np.abs(target_h).max()) < tol
 
 
@@ -168,8 +168,8 @@ class TestCriterion3Trailer:
                 traj = integrate_extremal(th, z0, horizon=1.0, step=1e-3)
             except Exception:
                 continue
-            for expr in paper:
-                assert conservation_drift(PhaseFunction(expr, table), traj) < DRIFT_TOL
+            drifts = conservation_drift(PhaseFunction(paper, table), traj)
+            assert all(d < DRIFT_TOL for d in drifts)
             trajectories += 1
         assert trajectories == 3
 
@@ -179,12 +179,10 @@ class TestCriterion3Trailer:
         # map the found selection onto the paper's integrals (sign + order)
         assert cert.solvable
         fit_batch = sampler.draw(120)
-        paper_vals = np.column_stack(
-            [PhaseFunction(e, table).values(fit_batch) for e in paper])
-        sel_funcs = [family.components[k].function for k in cert.selection]
+        paper_vals = PhaseFunction(paper, table).values(fit_batch).T
+        selected = [family.components[k].expr for k in cert.selection]
         perm, sign = [], []
-        for f in sel_funcs:
-            v = f.values(fit_batch)
+        for expr, v in zip(selected, PhaseFunction(selected, table).values(fit_batch)):
             matched = False
             for col in range(4):
                 for s in (1, -1):
@@ -192,7 +190,7 @@ class TestCriterion3Trailer:
                         perm.append(col)
                         sign.append(s)
                         matched = True
-            assert matched, sx.to_string(f.expr)
+            assert matched, sx.to_string(expr)
         assert sorted(perm) == [0, 1, 2, 3]
 
         # xi transforms onto the paper pattern under (perm, sign)
@@ -265,7 +263,7 @@ class TestCriterion4SubRiemannian:
         involutive = [symref(HAMILTONIAN_SYMBOL), f, symref(table.costate(3)),
                       symref(table.costate(4)), symref(table.costate(5))]
         batch = poly_sampler.draw(200)
-        brackets = bracket_values([PhaseFunction(e, table) for e in involutive], batch)
+        brackets = bracket_values(PhaseFunction(involutive, table), batch)
         for i in range(5):
             for j in range(i + 1, 5):
                 assert np.abs(brackets[i, j]).max() < BRACKET_TOL, (i, j)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ocquad import cli, kk, symexpr
 from ocquad.cli import build_parser, main, render_text, run_analyze
 from ocquad.problems import BUILTIN_NAMES, ProblemFileError, builtin, load_problem
 
@@ -18,6 +19,63 @@ def analyze_options(argv):
 
 def run(source, *argv):
     return run_analyze(source, analyze_options(list(argv)))
+
+
+class TestLazyCompiles:
+    """A family or a selection is one PhaseFunction, compiled on its first
+    evaluation as one values and one gradient function: a family that is
+    only printed, or a selection that the exact rank pre-gate decides, is
+    never compiled."""
+
+    @staticmethod
+    def spied(monkeypatch, name, *flags):
+        """`analyze NAME FLAGS` with `symexpr.compile_fn` spied: the exit
+        code, the families found, the number of projected rank gates, and
+        each function compiled over a PhaseFunction's arguments, the sample
+        rows and H."""
+        compiled, families, gates = [], [], []
+        compile_fn, rank = symexpr.compile_fn, kk.independence_rank
+
+        def compile_spy(e, args, *options, **kwargs):
+            fn = compile_fn(e, args, *options, **kwargs)
+            if args[-1] is symexpr.HAMILTONIAN_SYMBOL:
+                compiled.append(fn)
+            return fn
+
+        def found(discover):
+            def spy(*args, **kwargs):
+                families.append(discover(*args, **kwargs))
+                return families[-1]
+            return spy
+
+        def rank_spy(*args):
+            gates.append(args[0])
+            return rank(*args)
+
+        monkeypatch.setattr(symexpr, "compile_fn", compile_spy)
+        monkeypatch.setattr(kk, "independence_rank", rank_spy)
+        for attr in ("discover_family", "discover_polynomial_integrals"):
+            monkeypatch.setattr(cli, attr, found(getattr(cli, attr)))
+        _, code = run(name, *flags)
+        monkeypatch.undo()
+        return code, families, gates, compiled
+
+    def test_the_printed_polynomial_family_compiles_nothing(self, monkeypatch):
+        code, (family, poly), gates, compiled = self.spied(
+            monkeypatch, "sr-2-3", "--poly-degree", "4")
+        assert code == 0 and (family.m, poly.m) == (62, 100)
+        assert "function" not in vars(poly)
+        func = family.function
+        # the family's values and gradient, then each projected selection's
+        assert len(gates) == 1
+        assert compiled == [func._value_fn, func._gradient_fn,
+                            gates[0]._value_fn, gates[0]._gradient_fn]
+
+    def test_pre_gated_selections_compile_nothing(self, monkeypatch):
+        # martinet: the exact pre-gate decides all 23 rank gates
+        code, (family,), gates, compiled = self.spied(monkeypatch, "martinet")
+        assert code == 2 and gates == []
+        assert compiled == [family.function._value_fn, family.function._gradient_fn]
 
 
 class TestExitCodes:

@@ -34,10 +34,9 @@ from oracles import combine, independence_rank_sequential
 
 
 def manual_family(exprs, table):
-    comps = [FamilyComponent(function=PhaseFunction(e, table), rational=True,
-                             holdout_residual=0.0, generators={})
+    comps = [FamilyComponent(expr=e, rational=True, holdout_residual=0.0, generators={})
              for e in exprs]
-    return Family(comps)
+    return Family(comps, table)
 
 
 def frac(*values):
@@ -55,7 +54,7 @@ class TestBracketMatrix:
             parse("-psi1*x2 + psi2*x1 + psi3", t),
         ], t)
         batch = sampler.draw(60)
-        a = bracket_values(fam.functions(), batch)
+        a = bracket_values(fam.function, batch)
         psi1 = batch.points[sample_row(t, t.costate(1))]
         psi2 = batch.points[sample_row(t, t.costate(2))]
         assert np.abs(a[0, 3] + psi2).max() < 1e-10   # {psi1, F} = -psi2
@@ -69,24 +68,25 @@ class TestBracketMatrix:
         _, th, sampler = setup_problem("dubins")
         fam = discover_family(th, sampler, degree=1)
         batch = sampler.draw(50)
-        a = bracket_values(fam.functions(), batch)
+        a = bracket_values(fam.function, batch)
         rng = np.random.default_rng(0)
         for _ in range(5):
             lam1 = rng.integers(-2, 3, fam.m).astype(float)
             lam2 = rng.integers(-2, 3, fam.m).astype(float)
             via_tensor = np.einsum("m,mkn,k->n", lam1, a, lam2)
-            direct = bracket_values([combine(fam, lam1), combine(fam, lam2)], batch)[0, 1]
+            pair = PhaseFunction((combine(fam, lam1), combine(fam, lam2)), fam.table)
+            direct = bracket_values(pair, batch)[0, 1]
             assert np.abs(via_tensor - direct).max() < 1e-9
 
 
 def fit_in_span(expr, fam, sampler):
     """decompose_in_span of one expression on freshly drawn fit and holdout
     batches."""
-    target = PhaseFunction(expr, fam.components[0].function.table)
+    target = PhaseFunction((expr,), fam.table)
     fit = sampler.draw(max(3 * fam.m, 30))
     hold = sampler.draw(max(fam.m, 30))
-    return decompose_in_span(target.values(fit), target.values(hold),
-                             fam.values_matrix(fit), fam.values_matrix(hold))
+    return decompose_in_span(target.values(fit)[0], target.values(hold)[0],
+                             fam.function.values(fit).T, fam.function.values(hold).T)
 
 
 class TestDecomposeInSpan:
@@ -420,9 +420,8 @@ class TestIndependenceRank:
     def test_dubins_full_rank_on_level_set(self):
         problem, th, sampler = setup_problem("dubins")
         t = problem.table
-        funcs = [PhaseFunction(symref(t.costate(1)), t),
-                 PhaseFunction(symref(t.costate(2)), t),
-                 PhaseFunction(parse("-psi1*x2 + psi2*x1 + psi3", t), t)]
+        funcs = PhaseFunction((symref(t.costate(1)), symref(t.costate(2)),
+                               parse("-psi1*x2 + psi2*x1 + psi3", t)), t)
         r_basis = [frac(0, 0, 1)]
         evidence, skipped = independence_rank(funcs, r_basis, sampler)
         assert len(evidence) == 5
@@ -434,9 +433,8 @@ class TestIndependenceRank:
     def test_duplicate_integral_cannot_reach_full_rank(self):
         problem, th, sampler = setup_problem("dubins")
         t = problem.table
-        f = PhaseFunction(symref(t.costate(1)), t)
-        funcs = [f, PhaseFunction(symref(t.costate(1)), t),
-                 PhaseFunction(symref(t.costate(2)), t)]
+        funcs = PhaseFunction((symref(t.costate(1)), symref(t.costate(1)),
+                               symref(t.costate(2))), t)
         evidence, _ = independence_rank(funcs, [frac(1, 1, 0), frac(0, 0, 1)], sampler)
         assert evidence and all(e.rank < 3 for e in evidence)
 
@@ -444,9 +442,8 @@ class TestIndependenceRank:
         problem, th, sampler = setup_problem("sr-2-3-5")
         t = problem.table
         f = parse("-psi1*psi5 + psi2*psi4 - (psi3 + psi5*x2/2)*x2*psi5", t)
-        funcs = [PhaseFunction(e, t) for e in (
-            symref(HAMILTONIAN_SYMBOL), f, symref(t.costate(3)),
-            symref(t.costate(4)), symref(t.costate(5)))]
+        funcs = PhaseFunction((symref(HAMILTONIAN_SYMBOL), f, symref(t.costate(3)),
+                               symref(t.costate(4)), symref(t.costate(5))), t)
         full = [tuple(Fraction(1 if i == j else 0) for j in range(5))
                 for i in range(5)]
         evidence, _ = independence_rank(funcs, full, sampler)
@@ -461,18 +458,32 @@ class TestIndependenceRank:
         problem, th, sampler = setup_problem("dubins")
         t = problem.table
         q = sx.num(Fraction(10 ** -decades))
-        funcs = [PhaseFunction(symref(t.costate(1)), t),
-                 PhaseFunction(symref(t.costate(2)), t),
-                 PhaseFunction(sx.mul(q, symref(t.costate(3))), t)]
+        funcs = PhaseFunction((symref(t.costate(1)), symref(t.costate(2)),
+                               sx.mul(q, symref(t.costate(3)))), t)
         evidence, _ = independence_rank(funcs, [frac(0, 0, 1)], sampler)
         assert [e.rank for e in evidence] == [rank] * 5
+
+    def test_projection_cut_sits_between_half_decades(self):
+        # x1^3 at level 0: each Gauss-Newton step takes x1 to 2*x1/3, so the
+        # residual x1^3 shrinks by 8/27 per step, and the first one below
+        # PROJECTION_TOL = 1e-10 lies in [2.96e-11, 1e-10).  A tenfold cut
+        # stops a step earlier, above 1e-10; a tenth of it a step later,
+        # below 1e-11
+        problem, th, sampler = setup_problem("dubins")
+        t = problem.table
+        funcs = PhaseFunction((sx.power(symref(t.state(1)), 3), symref(t.costate(2)),
+                               symref(t.costate(3))), t)
+        evidence, _ = independence_rank(funcs, [frac(0, 1, 0), frac(0, 0, 1)], sampler)
+        assert len(evidence) == 5
+        for e in evidence:
+            assert 1e-11 < abs(e.point["x1"]) ** 3 < 1e-10
 
     def test_starved_draw_raises_from_the_gate(self):
         # every point lies within 0.1 of the excluded denominator 0
         problem, _ = load_problem(dict(builtin("dubins"), excluded_denominators=["0"]))
         sampler = PointSampler(true_hamiltonian(problem), np.random.default_rng(42))
         t = problem.table
-        funcs = [PhaseFunction(symref(t.costate(k)), t) for k in (1, 2, 3)]
+        funcs = PhaseFunction(tuple(symref(t.costate(k)) for k in (1, 2, 3)), t)
         with pytest.raises(SamplerStarvationError,
                            match=r"could not find 20 admissible points .* "
                                  r"within 0\.1 of excluded_denominators\[0\]"):
@@ -497,7 +508,7 @@ def project_both_ways(name, pick, r_basis, backend="auto", seed=42):
     runs = []
     for rank_fn in (independence_rank, independence_rank_sequential):
         problem, th, sampler = setup_problem(name, backend=backend, seed=seed)
-        funcs = [PhaseFunction(e, problem.table) for e in pick(problem.table)]
+        funcs = PhaseFunction(pick(problem.table), problem.table)
         evidence, skipped = rank_fn(funcs, r_basis, sampler)
         runs.append((evidence, skipped, sampler.rng.bit_generator.state))
     (evidence, skipped, state), (want, want_skipped, want_state) = runs
@@ -538,7 +549,7 @@ class TestLevelRankBound:
         for selection, r_basis, _ in calls:
             fresh = PointSampler(th, np.random.default_rng(seed))
             evidence, _ = independence_rank(selection, r_basis, fresh)
-            assert [e.rank for e in evidence] != [len(selection)] * kk.RANK_POINTS
+            assert [e.rank for e in evidence] != [len(selection.exprs)] * kk.RANK_POINTS
 
     @pytest.mark.parametrize("name", ["dubins", "trailer", "sr-2-3-5"])
     def test_certified_selection_is_left_to_the_projection(self, name, monkeypatch):
@@ -550,7 +561,7 @@ class TestLevelRankBound:
     def _martinet(picks):
         problem, th, _ = setup_problem("martinet")
         exprs = martinet_integrals(problem.table)
-        return [PhaseFunction(exprs[k], problem.table) for k in picks], th
+        return PhaseFunction([exprs[k] for k in picks], problem.table), th
 
     def test_float_levels_are_left_to_the_projection(self):
         selection, th = self._martinet((0, 1, 2))
@@ -562,8 +573,8 @@ class TestLevelRankBound:
         # divides by zero, or takes the square root of -1
         problem, th, _ = setup_problem("dubins")
         t = problem.table
-        selection = [PhaseFunction(e, t) for e in (
-            symref(t.costate(3)), parse(text, t), symref(t.costate(1)))]
+        selection = PhaseFunction((symref(t.costate(3)), parse(text, t),
+                                   symref(t.costate(1))), t)
         assert level_rank_bound(selection, [frac(0, 0, 1)], th) is None
 
     def test_case_cap(self, monkeypatch):
@@ -827,16 +838,16 @@ class TestFindCertificate:
         fam = discover_family(th, sampler, degree=2)
         cert = find_certificate(sample_span(fam, sampler), th, sampler, np.random.default_rng(9))
         assert cert.solvable
-        sel = [fam.components[i].function for i in cert.selection]
+        sel = PhaseFunction([fam.components[i].expr for i in cert.selection], fam.table)
         fresh = PointSampler(th, np.random.default_rng(999))
         batch = fresh.draw(80)
         brackets = bracket_values(sel, batch)
-        n = len(sel)
+        values = sel.values(batch)
         for (i, j), xi in cert.xi.items():
             got = brackets[i, j]
             want = np.zeros(batch.size)
-            for s in range(n):
-                want += float(xi[s]) * sel[s].values(batch)
+            for s in range(len(values)):
+                want += float(xi[s]) * values[s]
             assert np.abs(got - want).max() < 1e-7
 
     def test_reproducible_under_seed(self):

@@ -526,7 +526,7 @@ class TestExtractFamily:
         problem, th, sampler = setup_problem("dubins")
         fam = discover_family(th, sampler, degree=2)
         batch = sampler.draw(120)
-        values = fam.values_matrix(batch)
+        values = fam.function.values(batch).T
         table = problem.table
         targets = {
             "psi1": symref(table.costate(1)),
@@ -535,26 +535,26 @@ class TestExtractFamily:
             "F": parse("-psi1*x2 + psi2*x1 + psi3", table),
         }
         for name, expr in targets.items():
-            y = ocp.PhaseFunction(expr, table).values(batch)
+            y = ocp.PhaseFunction((expr,), table).values(batch)[0]
             assert span_residual(y, values) < 1e-7, name
 
     def test_martinet_span_contains_nonautonomous_integral(self):
         problem, th, sampler = setup_problem("martinet")
         fam = discover_family(th, sampler, degree=2)
         batch = sampler.draw(120)
-        values = fam.values_matrix(batch)
+        values = fam.function.values(batch).T
         table = problem.table
         f2 = sx.add(parse("(1 + x1)*psi1 + x3*psi3", table),
                     sx.mul(-2, symref(table.time), symref(sx.HAMILTONIAN_SYMBOL)))
         for expr in [symref(table.costate(3)), symref(sx.HAMILTONIAN_SYMBOL), f2]:
-            y = ocp.PhaseFunction(expr, table).values(batch)
+            y = ocp.PhaseFunction((expr,), table).values(batch)[0]
             assert span_residual(y, values) < 1e-7
 
     def test_trailer_span_on_implicit_backend(self):
         problem, th, sampler = setup_problem("trailer", backend="implicit")
         fam = discover_family(th, sampler, degree=2)
         batch = sampler.draw(120)
-        values = fam.values_matrix(batch)
+        values = fam.function.values(batch).T
         table = problem.table
         targets = [
             parse("-psi1*x2 + psi2*x1 + psi3 + psi4", table),
@@ -563,7 +563,7 @@ class TestExtractFamily:
             symref(sx.HAMILTONIAN_SYMBOL),
         ]
         for expr in targets:
-            y = ocp.PhaseFunction(expr, table).values(batch)
+            y = ocp.PhaseFunction((expr,), table).values(batch)[0]
             assert span_residual(y, values) < 1e-7
 
     def test_every_component_passes_fresh_holdout(self):
@@ -571,11 +571,11 @@ class TestExtractFamily:
         fam = discover_family(th, sampler, degree=2)
         fresh = PointSampler(th, np.random.default_rng(777))
         for comp in fam.components:
-            residual = Residual(comp.function, th).values(fresh.draw(100))
+            residual = Residual(comp.expr, th).values(fresh.draw(100))
             assert np.abs(residual).max() < 1e-8
             assert comp.holdout_residual < 1e-8
         # components are linearly independent as functions
-        values = fam.values_matrix(fresh.draw(3 * fam.m))
+        values = fam.function.values(fresh.draw(3 * fam.m)).T
         assert np.linalg.matrix_rank(values, tol=1e-8) == fam.m
 
     def test_span_monotone_in_degree(self):
@@ -583,9 +583,8 @@ class TestExtractFamily:
         fam1 = discover_family(th, sampler, degree=1)
         fam2 = discover_family(th, sampler, degree=2)
         batch = sampler.draw(150)
-        big = fam2.values_matrix(batch)
-        for comp in fam1.components:
-            y = comp.function.values(batch)
+        big = fam2.function.values(batch).T
+        for y in fam1.function.values(batch):
             assert span_residual(y, big) < 1e-7
 
     def test_family_map_is_linear_in_parameters(self):
@@ -596,9 +595,10 @@ class TestExtractFamily:
         lam1 = rng.integers(-2, 3, fam.m)
         lam2 = rng.integers(-2, 3, fam.m)
         a, b = 3, -2
-        combo = combine(fam, a * lam1 + b * lam2).values(batch)
-        split = (a * combine(fam, lam1).values(batch)
-                 + b * combine(fam, lam2).values(batch))
+        combo, one, two = ocp.PhaseFunction(
+            [combine(fam, lam) for lam in (a * lam1 + b * lam2, lam1, lam2)], fam.table
+        ).values(batch)
+        split = a * one + b * two
         assert np.abs(combo - split).max() < 1e-12
 
     def test_empty_nullspace_raises(self):
@@ -622,16 +622,16 @@ class TestExtractFamily:
         built, candidates = [], []
         real = noether.extract_family
 
-        class Counted(ocp.PhaseFunction):
-            def __init__(self, expr, table):
+        class Counted(noether.FamilyComponent):
+            def __init__(self, expr, *args, **kwargs):
                 built.append(expr)
-                super().__init__(expr, table)
+                super().__init__(expr, *args, **kwargs)
 
         def spy(ansatz, basis, *args):
             candidates.append(len(basis))
             return real(ansatz, basis, *args)
 
-        monkeypatch.setattr(noether, "PhaseFunction", Counted)
+        monkeypatch.setattr(noether, "FamilyComponent", Counted)
         monkeypatch.setattr(noether, "extract_family", spy)
         options = build_parser().parse_args(["analyze", "sr-2-3", "--poly-degree", "4"])
         report, code = run_analyze("sr-2-3", options)
@@ -652,7 +652,7 @@ class TestExtractFamily:
         ansatz = build_ansatz(th.table, 0)        # -H and psi1
         basis = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
         fam = noether.extract_family(ansatz, basis, th, PointSampler(th, np.random.default_rng(0)))
-        exprs = [sx.to_string(c.function.expr) for c in fam.components]
+        exprs = [sx.to_string(c.expr) for c in fam.components]
         assert exprs == (["psi1", "-H"] if kept else ["-H"])
         assert fam.components[0].holdout_residual == (float(Fraction(eps)) if kept else 0.0)
 
@@ -661,7 +661,7 @@ def family_fields(family):
     """What a report prints of each component, the residual bit for bit."""
     if isinstance(family, Exception):
         return type(family), str(family)
-    return [(c.function.expr, sx.to_string(c.function.expr), c.rational,
+    return [(c.expr, sx.to_string(c.expr), c.rational,
              c.holdout_residual.hex(), c.generators) for c in family.components]
 
 
@@ -854,15 +854,15 @@ class TestDiscoverPolynomialIntegrals:
                                             include_hamiltonian=False)
         assert fam.m == harmonic_polynomial_kernel(2) == 1
         batch = sampler.draw(50)
-        y = ocp.PhaseFunction(th.reduced, th.table).values(batch)
-        assert span_residual(y, fam.values_matrix(batch)) < 1e-10
+        y = ocp.PhaseFunction((th.reduced,), th.table).values(batch)[0]
+        assert span_residual(y, fam.function.values(batch).T) < 1e-10
 
     def test_dubins_degree_two_span_contains_hamiltonian(self):
         _, th, sampler = setup_problem("dubins")
         fam = discover_polynomial_integrals(th, sampler, degree=2)
         batch = sampler.draw(100)
-        y = ocp.PhaseFunction(symref(sx.HAMILTONIAN_SYMBOL), th.table).values(batch)
-        assert span_residual(y, fam.values_matrix(batch)) < 1e-7
+        y = ocp.PhaseFunction((symref(sx.HAMILTONIAN_SYMBOL),), th.table).values(batch)[0]
+        assert span_residual(y, fam.function.values(batch).T) < 1e-7
 
     def test_dubins_keeps_the_sampled_path(self, monkeypatch):
         # cos and sin in H: no exact columns, the sampled system as before
@@ -876,7 +876,7 @@ class TestDiscoverPolynomialIntegrals:
         _, th, sampler = setup_problem("dubins")
         fam = discover_polynomial_integrals(th, sampler, degree=2)
         assert sizes == [(84, 28)]
-        assert [sx.to_string(c.function.expr) for c in fam.components] == [
+        assert [sx.to_string(c.expr) for c in fam.components] == [
             "psi3 - x2*psi1 + x1*psi2", "psi2", "psi2^2", "psi1", "psi1*psi2", "psi1^2", "H"]
 
     def test_polynomial_hamiltonian_skips_the_sampled_system(self, monkeypatch):
@@ -896,5 +896,5 @@ class TestDiscoverPolynomialIntegrals:
                                             variables=variables)
         batch = sampler.draw(200)
         f = parse("-psi1*psi5 + psi2*psi4 - (psi3 + psi5*x2/2)*x2*psi5", table)
-        y = ocp.PhaseFunction(f, table).values(batch)
-        assert span_residual(y, fam.values_matrix(batch)) < 1e-7
+        y = ocp.PhaseFunction((f,), table).values(batch)[0]
+        assert span_residual(y, fam.function.values(batch).T) < 1e-7

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ocquad import cli, ocp, stage, verify
+from ocquad import cli, ocp, stage
 from ocquad import symexpr as sx
 from ocquad.ocp import (
     HamiltonianEvaluator,
@@ -16,10 +16,12 @@ from ocquad.ocp import (
     solve_stationarity,
     true_hamiltonian,
 )
+from ocquad.noether import discover_family
 from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
-from conftest import bits, make_table
-from oracles import ReferenceStages, evaluate, ldl_solve, reference_newton, reference_step
+from conftest import bits, make_table, setup_problem
+from oracles import (ComponentFunctions, ReferenceStages, evaluate, ldl_solve, reference_newton,
+                     reference_rk4_step, reference_step)
 
 
 @pytest.fixture(scope="module")
@@ -506,7 +508,6 @@ class TestStageKernels:
             return ref.rhs(t, y)
 
         y, t = z0.tolist(), 0.0
-        step = verify._rk4_step(2 * n)
         with np.errstate(invalid="raise", divide="raise", over="raise"):
             for k in range(steps):
                 t = 1e-3 * k
@@ -517,8 +518,8 @@ class TestStageKernels:
                 if not th.is_closed_form:
                     assert bits(flow.evaluator._warm) == bits(ref.warm)
                 _, grad = ref.value_and_gradient(y, t)
-                y = step(rhs, t, y, grad[n:2 * n] + [-g for g in grad[:n]],
-                         5e-4, 1e-3, 1e-3 / 6)
+                y = reference_rk4_step(rhs, t, y, grad[n:2 * n] + [-g for g in grad[:n]],
+                                       5e-4, 1e-3, 1e-3 / 6)
                 assert type(y) is list
 
     @pytest.mark.parametrize("name, backend", [
@@ -790,7 +791,8 @@ class TestLdlSolve:
 class TestTupleCompile:
     """A tuple of expressions compiled as one function returns exactly (==)
     what each expression's own compiled function returns, on scalars and on
-    sample rows, and `_stacked` broadcasts its constant entries."""
+    sample rows, and its `rows` form writes them into an array's rows,
+    constants broadcast."""
 
     @staticmethod
     def assert_same(exprs, args, columns):
@@ -802,7 +804,8 @@ class TestTupleCompile:
             got = fused(*scalars)
             assert len(got) == len(exprs)
             assert all(g == f(*scalars) for g, f in zip(got, singles))
-        stacked = ocp._stacked(fused, columns, count)
+        stacked = np.empty((len(exprs), count))
+        assert sx.compile_fn(tuple(exprs), args, rows=True)(*columns, stacked) is None
         for row, got, f in zip(stacked, fused(*columns), singles):
             want = f(*columns)
             assert np.shape(got) == np.shape(want)
@@ -831,7 +834,7 @@ class TestTupleCompile:
         t = dubins.table
         expr = sx.add(sx.mul(symref(HAMILTONIAN_SYMBOL), parse("psi3 + x1^2", t)),
                       parse("sin(x3)*psi2 + 2", t))
-        func = ocp.PhaseFunction(expr, t)
+        func = ocp.PhaseFunction((expr,), t)
         batch = PointSampler(th, np.random.default_rng(3)).draw(12)
         args = ocp.sample_symbols(t) + (HAMILTONIAN_SYMBOL,)
         exprs = [sx.differentiate(expr, s) for s in args]
@@ -840,7 +843,50 @@ class TestTupleCompile:
         partials = [np.broadcast_to(sx.compile_fn(e, args)(*columns), (batch.size,))
                     for e in exprs]
         want = np.array(partials[:-1]) + partials[-1] * batch.hgrad
-        assert np.array_equal(func.gradient(batch), want)
+        assert np.array_equal(func.gradient(batch), [want])
+
+
+class TestPhaseFunction:
+    """One PhaseFunction over k expressions gives bit for bit the arrays of k
+    separately compiled functions (`ComponentFunctions`): the (k, N) values,
+    constants broadcast, and the (k, 2n+1, N) gradient, chain-ruled through
+    dH on the rows that hold H and on those rows only."""
+
+    @staticmethod
+    def assert_matches_the_components(exprs, table, batch):
+        func, ref = ocp.PhaseFunction(exprs, table), ComponentFunctions(exprs, table)
+        values, grads = func.values(batch), func.gradient(batch)
+        assert values.shape == (len(exprs), batch.size)
+        assert grads.shape == (len(exprs), 2 * table.n + 1, batch.size)
+        assert bits(values) == bits(ref.values(batch))
+        assert bits(grads) == bits(ref.gradient(batch))
+        assert func.hamiltonian_rows == [i for i, e in enumerate(exprs)
+                                         if HAMILTONIAN_SYMBOL in e.free()]
+        return func
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_families(self, name, seed):
+        problem, th, sampler = setup_problem(name, seed=seed)
+        family = discover_family(th, sampler)
+        exprs = tuple(c.expr for c in family.components)
+        func = self.assert_matches_the_components(exprs, problem.table,
+                                                  sampler.draw(3 * family.m))
+        assert 0 < len(func.hamiltonian_rows) < family.m
+
+    def test_constant_and_hamiltonian_rows(self, dubins):
+        th = true_hamiltonian(dubins)
+        t = dubins.table
+        h = symref(HAMILTONIAN_SYMBOL)
+        exprs = (sx.num(3), h, symref(t.costate(1)),
+                 sx.add(sx.mul(h, parse("psi3 + x1^2", t)), parse("sin(x3)*psi2 + 2", t)),
+                 sx.mul(symref(t.time), h), parse("x1*psi2 - t", t), sx.num(0))
+        batch = PointSampler(th, np.random.default_rng(3)).draw(12)
+        func = self.assert_matches_the_components(exprs, t, batch)
+        assert func.hamiltonian_rows == [1, 3, 4]
+        assert (func.values(batch)[0] == 3.0).all() and not func.gradient(batch)[0].any()
+        one = self.assert_matches_the_components(exprs[3:4], t, batch)
+        assert bits(one.gradient(batch)[0]) == bits(func.gradient(batch)[3])
 
 
 class TestProblemValidation:

@@ -201,17 +201,17 @@ class TestBracketValues:
         t = martinet_th.table
         f2 = sx.add(parse("(1 + x1)*psi1 + x3*psi3", t),
                     sx.mul(-2, symref(t.time), symref(sx.HAMILTONIAN_SYMBOL)))
-        hf = PhaseFunction(symref(sx.HAMILTONIAN_SYMBOL), t)
+        pair = PhaseFunction((f2, symref(sx.HAMILTONIAN_SYMBOL)), t)
         batch = sampler_for(martinet_th, 12).draw(60)
-        vals = bracket_values([PhaseFunction(f2, t), hf], batch)[0, 1]
+        vals = bracket_values(pair, batch)[0, 1]
         assert np.abs(vals - 2 * batch.hvalue).max() < 1e-10
 
     def test_matches_the_two_einsum_reference_on_builtin_families(self, family_fit_batch):
-        funcs, batch = family_fit_batch
-        assert any(f.has_hamiltonian for f in funcs)
-        got = bracket_values(funcs, batch)
-        assert got.shape == (len(funcs), len(funcs), batch.size)
-        assert got.tobytes() == reference_bracket_values(funcs, batch).tobytes()
+        func, batch = family_fit_batch
+        assert func.hamiltonian_rows
+        got = bracket_values(func, batch)
+        assert got.shape == (len(func.exprs), len(func.exprs), batch.size)
+        assert got.tobytes() == reference_bracket_values(func, batch).tobytes()
 
     @pytest.mark.parametrize("m, n, size", [(1, 1, 1), (1, 3, 60), (7, 2, 1), (62, 3, 186),
                                             (5, 5, 17), (30, 1, 199)])
@@ -223,22 +223,22 @@ class TestBracketValues:
         if m > 1:
             grads[-1] = 0.0
         table = SimpleNamespace(n=n)
-        funcs = [SimpleNamespace(table=table, gradient=lambda batch, g=g: g) for g in grads]
-        got = bracket_values(funcs, None)
-        assert got.tobytes() == reference_bracket_values(funcs, None).tobytes()
+        func = SimpleNamespace(table=table, gradient=lambda batch: grads)
+        got = bracket_values(func, None)
+        assert got.tobytes() == reference_bracket_values(func, None).tobytes()
 
     def test_peak_memory_is_about_one_tensor(self):
         # the fit batch of sr-2-3 (62 components, 186 points): the tensor is
         # filled in place, so no second (m, m, N) array is ever allocated
-        funcs, batch = builtin_family_fit_batch("sr-2-3")
-        bracket_values(funcs, batch)        # compile the gradients first
+        func, batch = builtin_family_fit_batch("sr-2-3")
+        bracket_values(func, batch)         # compile the gradients first
         tracemalloc.start()
         try:
-            out = bracket_values(funcs, batch)
+            out = bracket_values(func, batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(funcs) == 62 and batch.size == 186
+        assert len(func.exprs) == 62 and batch.size == 186
         assert peak <= 1.3 * out.nbytes
 
 
@@ -249,7 +249,7 @@ def builtin_family_fit_batch(name):
     th = true_hamiltonian(problem)
     sampler = sampler_for(th, 42)
     family = discover_family(th, sampler)
-    return family.functions(), sampler.draw(max(3 * family.m, 60))
+    return family.function, sampler.draw(max(3 * family.m, 60))
 
 
 @pytest.fixture(scope="module", params=BUILTIN_NAMES)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from ocquad import stage
 from ocquad import symexpr as sx
-from ocquad import verify
 from ocquad.ocp import (
     HamiltonianEvaluator,
     HamiltonianFlow,
@@ -15,7 +17,7 @@ from ocquad.problems import BUILTIN_NAMES, builtin, load_problem
 from ocquad.symexpr import HAMILTONIAN_SYMBOL, parse, symref
 from ocquad.verify import PoleEncounteredError, conservation_drift, integrate_extremal
 from conftest import ExprGen, bits
-from oracles import fd_bracket_oracle, reference_rk4_step
+from oracles import fd_bracket_oracle, reference_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -237,16 +239,17 @@ class TestIntegrateExtremal:
     def test_dubins_energy_drift(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                   horizon=1.0, step=1e-3)
-        assert conservation_drift(PhaseFunction(dubins_th.reduced, dubins_th.table), traj) < 1e-10
+        energy = PhaseFunction((dubins_th.reduced,), dubins_th.table)
+        assert conservation_drift(energy, traj)[0] < 1e-10
 
     def test_fourth_order_drift_ratio(self, dubins_th):
         coarse = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                     horizon=1.0, step=0.02)
         fine = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                   horizon=1.0, step=0.01)
-        energy = PhaseFunction(dubins_th.reduced, dubins_th.table)
-        d_coarse = conservation_drift(energy, coarse)
-        d_fine = conservation_drift(energy, fine)
+        energy = PhaseFunction((dubins_th.reduced,), dubins_th.table)
+        [d_coarse] = conservation_drift(energy, coarse)
+        [d_fine] = conservation_drift(energy, fine)
         assert 12.0 <= d_coarse / d_fine <= 20.0
 
     def test_bad_step_rejected(self, dubins_th):
@@ -272,19 +275,35 @@ class TestIntegrateExtremal:
         assert err.value.time == pytest.approx(0.5, abs=1e-12)
 
 
-class TestRk4Step:
-    """One call of the generated step returns bit for bit what one reference
-    step returns, from the same first stage and the same right-hand side
-    calls for the later stages: the next state, the name of the failed
-    check, or the stage's exception."""
+CAUGHT = (OcpError, FloatingPointError)
 
-    @staticmethod
-    def first_stage(flow, t, y):
-        """k1 = (dH/dpsi, -dH/dx) as `integrate_extremal` reads it from the
-        grid point's evaluation."""
-        n = len(y) // 2
-        _, grad = flow.evaluator.value_and_gradient(y, t)
-        return grad[n:2 * n] + [-g for g in grad[:n]]
+
+def loop_outcome(run):
+    """What one run of a trajectory loop gives: its states and rows, bit for
+    bit, or the pole it raised with its time, its cause's type and message,
+    and whether the context is suppressed."""
+    try:
+        states, rows = run()
+    except PoleEncounteredError as exc:
+        cause = exc.__cause__
+        return ("pole", bits([exc.time]), type(cause), str(cause), exc.__suppress_context__)
+    return bits(states), bits(rows)
+
+
+def generated_run(n, *args):
+    """`stage.trajectory_loop(n)` on fresh arrays, its states and rows read back."""
+    last = args[6]
+    ys, envs = np.full((last + 1, 2 * n), np.nan), np.full((last + 1, 2 * n + 2), np.nan)
+    stage.trajectory_loop(n, CAUGHT)(*args, ys, envs, PoleEncounteredError)
+    return ys, envs
+
+
+class TestTrajectoryLoop:
+    """One run of the generated loop gives bit for bit what the reference
+    composition of `tests/oracles.py` gives: `reference_rk4_step` from the
+    grid point's evaluation, around the same pole guard, with the same
+    calls of the evaluation and the right-hand side: the grid's states and
+    rows, or the same pole at the same time with the same cause."""
 
     @pytest.mark.parametrize("name, backend", [
         ("dubins", "auto"), ("dubins", "implicit"), ("martinet", "auto"),
@@ -294,93 +313,161 @@ class TestRk4Step:
         problem, _ = load_problem(builtin(name))
         th = true_hamiltonian(problem, backend)
         assert th.is_closed_form == (backend == "auto")
-        step_fn = verify._rk4_step(2 * problem.table.n)
-        assert verify._rk4_step(2 * problem.table.n) is step_fn
+        n = problem.table.n
+        assert th.trajectory_kernel is stage.trajectory_loop(n, CAUGHT)
         points = PointSampler(th, np.random.default_rng(9)).draw(3).points
+        grids = 0
         for column in points.T.tolist():
-            y, t = column[:-1], column[-1]
-            for step in (1e-3, 0.05):
-                # a fresh flow for each: the Newton solve warm-starts
-                with np.errstate(invalid="raise", divide="raise"):
+            y, t0 = column[:-1], column[-1]
+            for step, last in ((1e-3, 150), (0.05, 40)):
+                outcome = []
+                for run in (generated_run, reference_trajectory):
+                    # a fresh flow for each: the Newton solve warm-starts
                     flow = HamiltonianFlow(th)
-                    k1 = self.first_stage(flow, t, y)
-                    # the grid point's evaluation is the field's first stage
-                    assert bits(k1) == bits(flow.rhs(t, y))
-                    got = step_fn(flow.rhs, t, y, k1, step / 2, step, step / 6)
-                    flow = HamiltonianFlow(th)
-                    want = reference_rk4_step(flow.rhs, t, y, self.first_stage(flow, t, y),
-                                              step / 2, step, step / 6)
-                assert type(got) is list and bits(got) == bits(want)
-                assert bits(got) != bits(y)
+                    args = (flow.evaluator.value_and_gradient, flow.rhs, th.denominators,
+                            list(y), t0, step, last)
+                    with np.errstate(invalid="raise", divide="raise", over="raise"):
+                        if run is generated_run:
+                            outcome.append(loop_outcome(lambda: run(n, *args)))
+                        else:
+                            outcome.append(loop_outcome(
+                                lambda: run(*args, CAUGHT, PoleEncounteredError)))
+                assert outcome[0] == outcome[1]
+                grids += outcome[0][0] != "pole"
+        assert grids
+
+    def test_integrate_extremal_is_one_run_of_the_loop(self):
+        problem, _ = load_problem(builtin("sr-2-3"))
+        th = true_hamiltonian(problem)
+        z0 = PointSampler(th, np.random.default_rng(5)).draw(1).points[:-1, 0].tolist()
+        traj = integrate_extremal(th, z0, t0=0.25, horizon=0.2, step=1e-3)
+        flow = HamiltonianFlow(th)
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            states, rows = reference_trajectory(
+                flow.evaluator.value_and_gradient, flow.rhs, th.denominators, z0, 0.25,
+                1e-3, 200, CAUGHT, PoleEncounteredError)
+        assert bits(traj.points[:-1].T) == bits(states)
+        assert bits(np.vstack([traj.hvalue, traj.hgrad]).T) == bits(rows)
 
     @staticmethod
-    def scripted(d, seed, bad_call, kind, calls):
-        """A right-hand side whose values follow from (seed, call number), and
-        whose call `bad_call` returns a non-finite entry or raises; with
-        kind "huge" every call returns 1e308 in one entry, so the finite
-        stages sum to an infinite new state."""
-        def rhs(t, y):
-            calls.append(bits([t, *y]))
-            rng = np.random.default_rng((seed, len(calls)))
-            out = rng.normal(size=d).tolist()
-            if kind == "huge":
-                out[seed % d] = 1e308
-            elif kind != "plain" and len(calls) == bad_call:
-                if kind == "raise":
-                    raise OcpError("stage")
-                out[rng.integers(d)] = float(rng.choice([np.nan, np.inf, -np.inf]))
-            return out
-        return rhs
+    def scripted(n, seed, fault, calls):
+        """An evaluation, a right-hand side and one excluded denominator
+        whose values follow from (seed, call number), each call logged.
+        `fault` is (who, call number, how): the evaluation or the
+        right-hand side raises OcpError or returns a NaN or an infinity; a
+        right-hand side returns 1e308, whose double the new state cannot
+        hold; the denominator raises, is complex, comes within 1e-2 of 0
+        or changes sign."""
+        d = 2 * n
+        who, bad, how = fault
+        count = dict.fromkeys(("evaluate", "rhs", "denominator"), 0)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 6])
-    def test_every_outcome_matches_the_reference(self, d):
-        # the first call of the scripted right-hand side is k1, which is
-        # finite; a later stage (call 2 to 4) fails
-        step_fn = verify._rk4_step(d)
+        def values(kind, t, z, size):
+            calls.append((kind, bits([t, *z])))
+            count[kind] += 1
+            out = [math.sin(1e3 * seed + 7.1 * count[kind] + 1.3 * i) for i in range(size)]
+            if kind == who and count[kind] == bad:
+                if how == "raise":
+                    raise OcpError(f"{kind} {bad}")
+                out[(seed + bad) % size] = 1e308 if how == "huge" else float(how) * (-1) ** seed
+            return out
+
+        def evaluate(z, t):
+            h, *grad = values("evaluate", t, z, d + 2)
+            return h, grad
+
+        def rhs(t, y):
+            return values("rhs", t, y, d)
+
+        def denominator(*point):
+            calls.append(("denominator", bits(point)))
+            count["denominator"] += 1
+            if who == "denominator" and count["denominator"] == bad:
+                return {"raise": lambda: 1.0 / 0.0, "complex": lambda: np.complex128(1j),
+                        "near": lambda: 5e-3, "sign": lambda: -1.0}[how]()
+            return 1.0 + count["denominator"]
+
+        return evaluate, rhs, (denominator,)
+
+    FAULTS = [("evaluate", "raise"), ("evaluate", "nan"), ("evaluate", "inf"),
+              ("rhs", "raise"), ("rhs", "nan"), ("rhs", "inf"), ("rhs", "huge"),
+              ("denominator", "raise"), ("denominator", "complex"),
+              ("denominator", "near"), ("denominator", "sign")]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("who, how", FAULTS)
+    def test_every_outcome_matches_the_reference(self, n, who, how):
+        # 131 grid points: two full chunks of 64 rows, then 3.  A fault at
+        # grid point k: the first point, either side of each chunk boundary
+        # and the last; a right-hand side's fault at one of the step's three
+        # stages
+        last = 130
         seen = set()
-        for seed in range(40):
-            rng = np.random.default_rng((d, seed))
-            y = rng.uniform(-2.0, 2.0, d).tolist()
-            t, step = float(rng.uniform(-1.0, 1.0)), float(rng.choice([1e-3, 0.1, 1.0]))
-            kind = ["plain", "nonfinite", "raise", "huge"][seed % 4]
-            bad_call = seed // 4 % 3 + 2
-            outcome = []
-            for fn in (step_fn, reference_rk4_step):
-                calls = []
-                rhs = self.scripted(d, seed, bad_call, kind, calls)
-                k1 = rhs(t, y)
-                try:
-                    out = fn(rhs, t, y, k1, step / 2, step, step / 6)
-                except OcpError:
-                    out = "raised"
-                outcome.append((out if isinstance(out, str) else bits(out), calls))
-            assert outcome[0] == outcome[1]
-            seen.add("state" if isinstance(outcome[0][0], bytes) else outcome[0][0])
-        assert seen == {"state", "k2", "k3", "k4", "raised", "y"}
+        for k in (None, 0, 1, 62, 63, 64, 65, 127, 128, last):
+            for stage_no in ((1, 2, 3) if who == "rhs" else (1,)):
+                if k is None:
+                    bad = 0
+                elif who == "rhs":
+                    if k == last:
+                        continue
+                    bad = 3 * k + stage_no
+                    if how == "huge" and stage_no == 3:
+                        continue        # a lone 1e308 in k4 sums to a finite state
+                else:
+                    bad = k + 1
+                seed = 100 * n + (k or 0) + stage_no
+                rng = np.random.default_rng(seed)
+                y = rng.uniform(-2.0, 2.0, 2 * n).tolist()
+                t0, step = float(rng.uniform(-1.0, 1.0)), float(rng.choice([1e-3, 0.1]))
+                outcome = []
+                for run in ("generated", "reference"):
+                    calls = []
+                    evaluate, rhs, dens = self.scripted(n, seed, (who, bad, how), calls)
+                    args = (evaluate, rhs, dens, list(y), t0, step, last)
+                    got = loop_outcome(
+                        (lambda: generated_run(n, *args)) if run == "generated"
+                        else lambda: reference_trajectory(*args, CAUGHT, PoleEncounteredError))
+                    outcome.append((got, calls))
+                assert outcome[0] == outcome[1]
+                got = outcome[0][0]
+                seen.add("grid" if got[0] != "pole" else (got[2], got[4]))
+                if k is not None:
+                    # the pole's time: a stage's own for a non-finite stage;
+                    # a first denominator of either sign sets the sign, and
+                    # the next grid point's changes it
+                    t = t0 + step * k
+                    if who == "rhs" and how in ("nan", "inf"):
+                        t += step if stage_no == 3 else step / 2
+                    elif (who, how, k) == ("denominator", "sign", 0):
+                        t += step
+                    assert got[:2] == ("pole", bits([t]))
+        chained = who != "denominator" and how == "raise"
+        assert seen == {"grid", (OcpError if chained else type(None),
+                                 how in ("raise", "complex"))}
 
 
 class TestConservationDrift:
     def test_constant_function(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0, 0, 0, 1, 1, 1],
                                   horizon=0.5, step=1e-2)
-        assert conservation_drift(PhaseFunction(sx.num(3), dubins_th.table), traj) == 0.0
+        assert conservation_drift(PhaseFunction((sx.num(3),), dubins_th.table), traj) == [0.0]
 
     def test_dubins_angular_integral_along_random_extremals(self, dubins_th):
         t = dubins_th.table
-        f = PhaseFunction(parse("-psi1*x2 + psi2*x1 + psi3", t), t)
+        f = PhaseFunction((parse("-psi1*x2 + psi2*x1 + psi3", t), symref(t.state(1))), t)
         sampler = PointSampler(dubins_th, np.random.default_rng(0))
         batch = sampler.draw(3)
         for i in range(3):
             z0 = batch.points[:-1, i]
             traj = integrate_extremal(dubins_th, z0, horizon=1.0, step=1e-3)
-            assert conservation_drift(f, traj) < 1e-6
-            assert conservation_drift(PhaseFunction(symref(t.state(1)), t), traj) > 1e-2
+            conserved, moving = conservation_drift(f, traj)
+            assert conserved < 1e-6 and moving > 1e-2
 
     def test_hamiltonian_placeholder(self, dubins_th):
         traj = integrate_extremal(dubins_th, [0.1, -0.2, 0.3, 0.8, -0.5, 0.9],
                                   horizon=1.0, step=1e-3)
-        h = PhaseFunction(symref(HAMILTONIAN_SYMBOL), dubins_th.table)
-        drift = conservation_drift(h, traj)
+        h = PhaseFunction((symref(HAMILTONIAN_SYMBOL),), dubins_th.table)
+        [drift] = conservation_drift(h, traj)
         assert drift < 1e-10
 
 
@@ -398,12 +485,11 @@ class TestConservationDrift:
 
         monkeypatch.setattr(HamiltonianEvaluator, "prepare", counted)
         t = dubins_th.table
-        for expr in (symref(HAMILTONIAN_SYMBOL),
-                     sx.add(parse("-psi1*x2 + psi2*x1 + psi3", t),
-                            sx.mul(symref(t.time), symref(HAMILTONIAN_SYMBOL)))):
-            drift = conservation_drift(PhaseFunction(expr, t), traj)
-            vals = PhaseFunction(expr, t).values(fresh)
-            assert drift == float(np.abs(vals - vals[0]).max())
+        f = PhaseFunction((symref(HAMILTONIAN_SYMBOL),
+                           sx.add(parse("-psi1*x2 + psi2*x1 + psi3", t),
+                                  sx.mul(symref(t.time), symref(HAMILTONIAN_SYMBOL)))), t)
+        drifts = conservation_drift(f, traj)
+        assert drifts == [float(np.abs(v - v[0]).max()) for v in f.values(fresh)]
         assert calls == []
 
 
@@ -426,8 +512,7 @@ class TestFamilyConservation:
                 traj = integrate_extremal(th, z0, horizon=1.0, step=1e-3)
             except PoleEncounteredError:
                 continue
-            for comp in family.components:
-                assert conservation_drift(comp.function, traj) < 1e-6
+            assert all(d < 1e-6 for d in conservation_drift(family.function, traj))
             done += 1
         assert done == 3
 
